@@ -239,16 +239,26 @@ def _family_from_params(value: Any) -> Family:
     return family_from_spec(str(value))
 
 
+def _number_list(value: Any, flag: str, kind: type) -> list:
+    tokens = value.replace(",", " ").split() if isinstance(value, str) else value
+    if not isinstance(tokens, (list, tuple)):
+        raise ValidationError(f"{flag}: expected a comma-separated list, got {value!r}")
+    what = "an integer" if kind is int else "a number"
+    out = []
+    for tok in tokens:
+        try:
+            out.append(kind(tok))
+        except (TypeError, ValueError):
+            raise ValidationError(f"{flag}: {tok!r} is not {what}") from None
+    return out
+
+
 def _int_list(value: Any) -> list[int]:
-    if isinstance(value, str):
-        return [int(tok) for tok in value.replace(",", " ").split()]
-    return [int(v) for v in value]
+    return _number_list(value, "--n-grid", int)
 
 
 def _float_list(value: Any) -> list[float]:
-    if isinstance(value, str):
-        return [float(tok) for tok in value.replace(",", " ").split()]
-    return [float(v) for v in value]
+    return _number_list(value, "--mu-star", float)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +403,6 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
         family, bounds, construction_n,
         c=float(c) if c is not None else None, seed=params["seed"],
     )
-    margins = construction.verify()
     summary = {
         "n": construction.n,
         "k": construction.k,
@@ -402,7 +411,7 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
         "codewords": construction.size,
         "target": construction.target_size,
         "block_sizes": sorted(set(construction.block_sizes)),
-        "margins": margins,
+        "margins": construction.margins,
         "slope": report.slope,
         "intercept": report.intercept,
     }
@@ -452,9 +461,7 @@ def _cmd_icml(args: argparse.Namespace) -> int:
     authors = _read_authors(_require(params, "authors", "an authors CSV"))
     report = surrogate_eval(reviews, authors, seed=params["seed"])
     rows = [
-        (r.n, r.authors, r.mse_raw, r.mse_im,
-         None if r.improvement is None else r.improvement)
-        for r in report.rows
+        (r.n, r.authors, r.mse_raw, r.mse_im, r.improvement) for r in report.rows
     ]
     out = params["out"]
     _write_table(out, ["n", "authors", "mse_raw", "mse_im", "improvement"], rows, params["format"])

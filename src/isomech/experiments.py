@@ -23,7 +23,7 @@ import logging
 import math
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -66,6 +66,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _CHUNK = 512
+
+# Memory the lower-bound construction may take for its codeword array, its
+# mean vectors and the verifier's size x size Gram matrix.
+_CONSTRUCTION_MAX_BYTES = 1 << 30
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +287,8 @@ class LowerBoundConstruction:
     by gamma where the codeword is 1.  Mean vectors stay inside the certified
     sub-interval, pairwise distances are bounded below, and every member's KL
     divergence to member 0 stays under an eighth of log |Omega|.
+    ``margins`` holds what ``verify`` returned when ``build_lower_bound``
+    checked the construction.
     """
 
     family: Family
@@ -298,6 +304,7 @@ class LowerBoundConstruction:
     kl_values: np.ndarray
     kl_bound: float
     target_size: int
+    margins: Optional[dict[str, float]] = field(default=None, compare=False)
 
     @property
     def size(self) -> int:
@@ -313,12 +320,17 @@ class LowerBoundConstruction:
         Returns the achieved margins (minimum Hamming distance, minimum
         pairwise squared mean distance, KL budget and its cap).
         """
+        # One size x size matrix at a time, built in place: pairwise Hamming
+        # distances, then block-weighted disagreements.  Entries are small
+        # integers, so the float arithmetic is exact.
         w = self.codewords.astype(np.float64)
         ones = w.sum(axis=1)
-        gram = w @ w.T
-        d_h = ones[:, None] + ones[None, :] - 2.0 * gram
-        iu = np.triu_indices(self.size, k=1)
-        min_dh = float(d_h[iu].min()) if iu[0].size else math.inf
+        m = w @ w.T
+        m *= -2.0
+        m += ones[:, None]
+        m += ones[None, :]
+        np.fill_diagonal(m, np.inf)
+        min_dh = float(m.min())
         if min_dh < self.k / 8.0:
             raise ConstructionFailedError(
                 f"pairwise Hamming distance {min_dh} below k/8 = {self.k / 8}"
@@ -329,13 +341,17 @@ class LowerBoundConstruction:
             raise ConstructionFailedError("a mean vector leaves the certified interval")
 
         # exact pairwise squared distances via block-weighted disagreements
-        sizes = np.asarray(self.block_sizes, dtype=np.float64)
-        wn = w * sizes
+        wn = w * np.asarray(self.block_sizes, dtype=np.float64)
         sq = wn.sum(axis=1)
-        weighted = sq[:, None] + sq[None, :] - 2.0 * (wn @ w.T)
-        dist2 = self.gamma**2 * weighted
+        np.matmul(wn, w.T, out=m)
+        m *= -2.0
+        m += sq[:, None]
+        m += sq[None, :]
+        m *= self.gamma**2
+        column0 = m[:, 0].copy()
+        np.fill_diagonal(m, np.inf)
+        min_dist2 = float(m.min())
         floor = (self.c**2 / 8.0) * self.certificate.sigma_sq * self.k
-        min_dist2 = float(dist2[iu].min()) if iu[0].size else math.inf
         if min_dist2 < floor - 1e-9 * max(1.0, floor):
             raise ConstructionFailedError(
                 f"pairwise squared mean distance {min_dist2} below (c^2/8) sigma^2 k = {floor}"
@@ -343,7 +359,7 @@ class LowerBoundConstruction:
         # spot-check the weighted form against direct norms
         probe = np.linspace(0, self.size - 1, num=min(self.size, 32), dtype=int)
         direct = np.square(self.mu_rows[probe] - self.mu_rows[0]).sum(axis=1)
-        if not np.allclose(direct, dist2[probe, 0], rtol=1e-8, atol=1e-8):
+        if not np.allclose(direct, column0[probe], rtol=1e-8, atol=1e-8):
             raise ConstructionFailedError("mean-distance bookkeeping is inconsistent")
 
         cap = math.log(self.size) / 8.0
@@ -361,6 +377,16 @@ class LowerBoundConstruction:
             "kl_cap": cap,
             "kl_bound": self.kl_bound,
         }
+
+
+def _packing_target(k: int) -> int:
+    return max(2, math.ceil(2.0 ** (k / 8.0)))
+
+
+def _construction_bytes(k: int, n: int) -> int:
+    """Bytes of the codewords (uint8), mean vectors and Gram matrix for k blocks."""
+    target = _packing_target(k)
+    return target * k + 8 * target * (n + target)
 
 
 def _pack_codewords(
@@ -418,6 +444,12 @@ def build_lower_bound(
     target is 2^(k/8) codewords (at least two).  When k does not divide n,
     the shorter blocks sit first and the packing enforces the block-weighted
     separation directly, so the distance invariant holds exactly.
+
+    Before packing, the codewords, mean vectors and the verifier's Gram
+    matrix are sized against a fixed memory budget (1 GiB).  A c whose k
+    exceeds it raises InvalidParameterError naming the smallest c that
+    fits; a large enough packing exists by Varshamov-Gilbert (Tsybakov 2009,
+    Lemma 2.9), so the guard only refuses work, it never samples pairs.
     """
     if n < 8:
         raise ValidationError("lower-bound construction needs n >= 8")
@@ -434,12 +466,27 @@ def build_lower_bound(
     k = min(int(math.floor((n * v_tilde**2 / (c**2 * sigma_sq)) ** (1.0 / 3.0))), n)
     if k < 1:
         raise InvalidParameterError("perturbation scale c too large: block count is zero")
+    k_max = 0
+    while k_max < n and _construction_bytes(k_max + 1, n) <= _CONSTRUCTION_MAX_BYTES:
+        k_max += 1
+    if k > k_max:
+        budget = f"the {_CONSTRUCTION_MAX_BYTES / 2**30:g} GiB budget of the construction"
+        if k_max == 0:
+            raise InvalidParameterError(f"n = {n} is too large for {budget}")
+        # k <= k_max  <=>  c > sqrt(n V~^2 / (sigma^2 (k_max + 1)^3)); round up at 3 digits
+        c_min = math.sqrt(n * v_tilde**2 / (sigma_sq * (k_max + 1) ** 3))
+        scale = 10.0 ** (2 - math.floor(math.log10(c_min)))
+        c_fit = math.floor(c_min * scale + 1.0) / scale
+        raise InvalidParameterError(
+            f"c = {c:.4g} gives k = {k} blocks and 2^({k}/8) codewords, beyond {budget}; "
+            f"use c >= {c_fit:.3g} (k <= {k_max})"
+        )
     gamma = c * math.sqrt(sigma_sq * k / n)
 
     base, rem = divmod(n, k)
     block_sizes = np.asarray([base] * (k - rem) + [base + 1] * rem, dtype=np.int64)
 
-    target = max(2, math.ceil(2.0 ** (k / 8.0)))
+    target = _packing_target(k)
     codewords = _pack_codewords(
         k,
         target,
@@ -475,8 +522,7 @@ def build_lower_bound(
         kl_bound=float(kl_bound),
         target_size=target,
     )
-    construction.verify()
-    return construction
+    return replace(construction, margins=construction.verify())
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ c(x) never needs a standalone representation; it is folded into log_density.
 
 from __future__ import annotations
 
+import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -583,24 +584,34 @@ def kl_divergence_product(family: Family, theta1, theta2):
     return float(np.sum(family.kl_divergence(t1, t2)))
 
 
-_FAMILY_KINDS = {"gaussian": Gaussian, "binomial": Binomial, "poisson": Poisson, "gamma": Gamma}
+# Key of the parameter that the 'kind:param' spec form sets, per family kind.
+_SPEC_PARAMS = {"gaussian": "variance", "binomial": "m", "poisson": None, "gamma": "shape"}
+
+
+def _family_number(kind: str, key: str, value: Any, convert: type):
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        what = "an integer" if convert is int else "a number"
+        raise ValidationError(f"{kind} family: {key} must be {what}, got {value!r}") from None
 
 
 def family_from_dict(spec: dict[str, Any]) -> Family:
     """Build a family from its JSON form, e.g. {"kind": "binomial", "m": 10}."""
     kind = str(spec.get("kind", "")).lower()
     if kind == "gaussian":
-        return Gaussian(variance_param=float(spec.get("variance", 1.0)))
+        variance = _family_number(kind, "variance", spec.get("variance", 1.0), float)
+        return Gaussian(variance_param=variance)
     if kind == "binomial":
         if "m" not in spec:
             raise ValidationError("binomial family needs a trial count 'm'")
-        return Binomial(trials=int(spec["m"]))
+        return Binomial(trials=_family_number(kind, "m", spec["m"], int))
     if kind == "poisson":
         return Poisson()
     if kind == "gamma":
         if "shape" not in spec:
             raise ValidationError("gamma family needs a 'shape' parameter")
-        return Gamma(shape=float(spec["shape"]))
+        return Gamma(shape=_family_number(kind, "shape", spec["shape"], float))
     raise ValidationError(f"unknown family kind {spec.get('kind')!r}")
 
 
@@ -608,19 +619,18 @@ def family_from_spec(spec: str) -> Family:
     """Parse 'poisson', 'gaussian:2.0', 'binomial:10', 'gamma:4', or a JSON object."""
     text = spec.strip()
     if text.startswith("{"):
-        import json
-
-        return family_from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"family spec is not valid JSON ({exc})") from None
+        return family_from_dict(data)
     kind, _, param = text.partition(":")
     kind = kind.strip().lower()
-    if kind not in _FAMILY_KINDS:
+    if kind not in _SPEC_PARAMS:
         raise ValidationError(f"unknown family kind {kind!r}")
-    if kind == "poisson":
+    key = _SPEC_PARAMS[kind]
+    if key is None:
         return Poisson()
     if not param:
         raise ValidationError(f"family {kind!r} needs a parameter, e.g. '{kind}:10'")
-    if kind == "gaussian":
-        return Gaussian(variance_param=float(param))
-    if kind == "binomial":
-        return Binomial(trials=int(param))
-    return Gamma(shape=float(param))
+    return family_from_dict({"kind": kind, key: param.strip()})

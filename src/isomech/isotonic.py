@@ -1,16 +1,21 @@
 """Ranking-constrained least squares via pool-adjacent-violators.
 
 The central object is the Euclidean projection of a score vector onto the
-descending cone ``x[0] >= x[1] >= ... >= x[n-1]``, computed by a stack-based
-pool-adjacent-violators pass in O(n).  On top of it sit
+descending cone ``x[0] >= x[1] >= ... >= x[n-1]``.  Two kernels compute it:
 
-  * ``isotonic_mechanism``     -- projection onto the cone induced by an
-    author-reported ranking (permute, project, un-permute),
-  * ``coarse_isotonic_mechanism`` -- the block variant, reduced to a
-    data-dependent full ranking,
-  * ``ranking_constrained_mle``   -- the same constraint solved on the
-    natural-parameter scale of an exponential family; its adjusted means
-    coincide with the plain projection.
+  * ``pava_descending``, a stack-based O(n) pass, fits single vectors:
+    ``project_descending``, ``isotonic_mechanism`` and the coarse and MLE
+    variants built on it, so also the review-table fits.  This keeps
+    ``scipy.optimize`` (about 0.3 s and 20 MiB to import) out of runs that
+    only fit records.
+  * ``project_descending_batch`` fits the (trials, n) matrices of the
+    Monte-Carlo drivers, up to 512 rows per call of scipy's compiled PAVA.
+
+``isotonic_mechanism`` projects under an author-reported ranking (permute,
+project, un-permute); ``coarse_isotonic_mechanism`` reduces ordered blocks to
+a data-dependent full ranking; ``ranking_constrained_mle`` solves the same
+constraint on an exponential family's natural-parameter scale, where it
+pools exactly as the projection does.
 
 Ranking convention throughout: position 1 of a ranking names the BEST item
 (largest mean).  All operations are pure functions; nothing here keeps state.
@@ -18,6 +23,7 @@ Ranking convention throughout: position 1 of a ranking names the BEST item
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -287,91 +293,72 @@ def ranking_constrained_mle(family: Family, x, ranking: Ranking) -> IsotonicFit:
 
         min sum_i [ -theta_i * X_i + b(theta_i) ]   s.t. theta chain per ranking
 
-    by pooling adjacent violators on the theta scale, where a pool's fitted
-    natural parameter is (b')^{-1} of its mean score.  The adjusted means
-    b'(theta_hat) coincide with the plain least-squares projection; pooled
-    means on the boundary of the mean image yield +-inf theta sentinels.
+    (b')^{-1} is increasing, so the solution pools exactly as the projection
+    does and a pool's theta is (b')^{-1} of its mean score (Robertson, Wright
+    & Dykstra 1988, sec. 1.5).  Pooled means on the boundary of the mean
+    image yield +-inf theta sentinels.
     """
-    if not isinstance(ranking, Ranking):
-        ranking = Ranking(ranking)
-    arr = _check_scores(x, len(ranking))
-    family.check_mean_hull(arr, "score")
-
-    idx = ranking.as_indices()
-    ys = arr[idx]
-    n = ys.size
-
-    def pool_theta(total: float, count: int) -> float:
-        return float(family.natural_param(total / count, allow_boundary=True))
-
-    sums = np.empty(n)
-    lens = np.empty(n, dtype=np.intp)
-    thetas = np.empty(n)
-    top = -1
-    for i in range(n):
-        s, ln = ys[i], 1
-        th = pool_theta(s, ln)
-        while top >= 0 and thetas[top] < th:
-            s += sums[top]
-            ln += int(lens[top])
-            top -= 1
-            th = pool_theta(s, ln)
-        top += 1
-        sums[top], lens[top], thetas[top] = s, ln, th
-
-    fitted_sorted = np.empty(n)
-    theta_sorted = np.empty(n)
-    pools = []
-    pos = 0
-    for j in range(top + 1):
-        value = sums[j] / lens[j]
-        stop = pos + int(lens[j])
-        fitted_sorted[pos:stop] = value
-        theta_sorted[pos:stop] = thetas[j]
-        pools.append((pos, stop, float(value)))
-        pos = stop
-
-    mu_hat = np.empty_like(arr)
-    theta_hat = np.empty_like(arr)
-    mu_hat[idx] = fitted_sorted
-    theta_hat[idx] = theta_sorted
-    return IsotonicFit(
-        x=arr, constraint=ranking, mu_hat=mu_hat, pools=tuple(pools),
-        theta_hat=theta_hat,
-    )
+    fit = isotonic_mechanism(x, ranking)
+    family.check_mean_hull(fit.x, "score")
+    theta_hat = np.asarray(family.natural_param(fit.mu_hat, allow_boundary=True), dtype=float)
+    return dataclasses.replace(fit, theta_hat=theta_hat)
 
 
 # ---------------------------------------------------------------------------
 # Batched projection for Monte-Carlo loops
 # ---------------------------------------------------------------------------
 
-# For short vectors the projection has the closed min-max form
-#   fit_k = max_{i <= k} min_{j >= k} mean(z[i..j])   (nondecreasing case)
-# which vectorizes across rows; longer rows fall back to the scalar pass.
-_MINMAX_MAX_N = 32
-_MINMAX_MAX_CELLS = 40_000_000
+_BATCH_ROWS = 512  # rows per compiled call; row offsets grow with this
 
 
-def _batch_descending_minmax(rows: np.ndarray) -> np.ndarray:
-    z = -rows  # nonincreasing fit of x == -(nondecreasing fit of -x)
-    t, n = z.shape
-    cs = np.concatenate([np.zeros((t, 1)), np.cumsum(z, axis=1)], axis=1)
-    length = np.arange(n)[None, :] - np.arange(n)[:, None] + 1  # (i, j) -> j - i + 1
-    num = cs[:, None, 1:] - cs[:, :-1][:, :, None]  # [t, i, j] = sum z[i..j]
-    avg = np.where(length > 0, num / np.maximum(length, 1), np.inf)
-    # suffix min over j, then prefix max over i; the fit sits on the diagonal
-    suff = np.minimum.accumulate(avg[:, :, ::-1], axis=2)[:, :, ::-1]
-    pref = np.maximum.accumulate(suff, axis=1)
-    diag = pref[:, np.arange(n), np.arange(n)]
-    return -diag
+def _project_chunk(rows: np.ndarray, isotonic_regression) -> np.ndarray:
+    """Descending projection of each row by one call of scipy's PAVA.
+
+    Rows are shifted to their max, scaled by a power of two (exact) into
+    (-1, 0] and offset by -3r for row r, so no pool spans two rows.  That
+    copy only decides the pools; means come from the original values,
+    anchored at each pool's first value so that equal values stay exact.
+    The copy resolves about 2^-42 of a row's span.  Closer values may tie
+    there, which shows as a pool mean above the previous one (lowered to
+    it) or as a pool that is a nonincreasing, nonconstant run (its row is
+    refitted by ``pava_descending``).  So every row returned is
+    nonincreasing and the fit is exactly idempotent.
+    """
+    t, n = rows.shape
+    # numpy reduces along short rows one row at a time; a transposed copy
+    # turns the row extremes into whole-array passes (faster below n = 128)
+    cols = rows.T.copy() if n < 128 else rows.T
+    top = cols.max(axis=0)[:, None]
+    _, exponent = np.frexp(top - cols.min(axis=0)[:, None])
+    z = np.ldexp(rows - top, -exponent)
+    z -= 3.0 * np.arange(t)[:, None]
+    blocks = isotonic_regression(z.ravel(), increasing=False).blocks
+    starts, lens = blocks[:-1], np.diff(blocks)
+    y = rows.ravel()
+    first = y[starts]
+    excess = np.add.reduceat(y - np.repeat(first, lens), starts)
+    means = first + excess / lens
+
+    row = starts // n
+    same_row = row[1:] == row[:-1]
+    rising = (means[1:] > means[:-1]) & same_row
+    while rising.any():
+        means[1:][rising] = means[:-1][rising]
+        rising = (means[1:] > means[:-1]) & same_row
+    out = np.repeat(means, lens).reshape(t, n)
+    for p in np.flatnonzero(excess < 0):
+        pool = y[starts[p] : starts[p] + lens[p]]
+        if pool.max() == pool[0]:
+            out[row[p]], _ = pava_descending(rows[row[p]])
+    return out
 
 
 def project_descending_batch(rows) -> np.ndarray:
     """Row-wise descending projection of a (trials, n) matrix.
 
-    Matches ``project_descending`` on every row; used by the Monte-Carlo
-    drivers.  Short rows use a fully vectorized min-max evaluation, longer
-    ones loop the scalar pass.
+    Matches ``pava_descending`` on every row up to rounding; used by the
+    Monte-Carlo drivers.  Rows go to scipy's compiled PAVA in chunks of
+    ``_BATCH_ROWS``.
     """
     arr = np.asarray(rows, dtype=float)
     if arr.ndim != 2:
@@ -379,11 +366,13 @@ def project_descending_batch(rows) -> np.ndarray:
     t, n = arr.shape
     if n == 0:
         raise ValidationError("rows must be nonempty")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("scores must be finite (no NaN/inf)")
     if n == 1:
         return arr.copy()
-    if n <= _MINMAX_MAX_N and t * n * n <= _MINMAX_MAX_CELLS:
-        return _batch_descending_minmax(arr)
+    from scipy.optimize import isotonic_regression
+
     out = np.empty_like(arr)
-    for k in range(t):
-        out[k], _ = pava_descending(arr[k])
+    for lo in range(0, t, _BATCH_ROWS):
+        out[lo : lo + _BATCH_ROWS] = _project_chunk(arr[lo : lo + _BATCH_ROWS], isotonic_regression)
     return out

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isomech
 from isomech.cli import main
 
 
@@ -253,3 +258,47 @@ def test_bad_header_is_named(workdir, capsys):
     ranking_csv(workdir / "ranking.csv", [1])
     assert main(["fit", "scores.csv", "--ranking", "ranking.csv"]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["truthfulness", "--family", "binomial:10", "--mu-star", "8,x,6", "--trials", "10"], "'x'"),
+    (["estimation", "--family", "binomial:10", "--n-grid", "10,abc", "--trials", "10"], "'abc'"),
+    (["truthfulness", "--family", "binomial:ten", "--mu-star", "8,7", "--trials", "10"], "'ten'"),
+    (["truthfulness", "--family", '{"kind": "binomial", "m":', "--mu-star", "8,7"], "JSON"),
+])
+def test_malformed_flag_values_exit_2(workdir, capsys, argv, token):
+    assert main(argv + ["--out", "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and token in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (workdir / "x.csv").exists()
+
+
+def test_minimax_budget_guard_names_c(workdir, capsys):
+    argv = ["minimax", "--family", "binomial:10", "--v-min", "0", "--v-max", "10",
+            "--n-grid", "8,16", "--trials", "4", "--construction-n", "512"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "k = 132" in err and "use c >= " in err
+
+
+def test_fit_and_icml_leave_scipy_optimize_unloaded(workdir):
+    scores_csv(workdir / "scores.csv", [2, 3, 1, 5])
+    ranking_csv(workdir / "ranking.csv", [1, 2, 3, 4])
+    write(workdir / "reviews.csv", "submission_id,score,confidence\na,6,5\na,7,1\nb,4,5\nb,5,1\n")
+    write(workdir / "authors.csv", "author_id,submission_ids,ranking\nalice,a;b,1;2\n")
+    script = (
+        "import sys\n"
+        "from isomech.cli import main\n"
+        "assert main(['fit', 'scores.csv', '--ranking', 'ranking.csv',"
+        " '--family', 'binomial:10', '--out', 'fit.csv']) == 0\n"
+        "assert main(['icml', 'reviews.csv', 'authors.csv', '--out', 'table.csv']) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(isomech.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=workdir, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from isomech import (
     ValidationError,
 )
 from isomech.isotonic import project_descending_batch
+from isomech import experiments
 from isomech.experiments import (
     AuthorRecord,
     EstimationConfig,
@@ -152,6 +155,49 @@ def test_lower_bound_preconditions():
         build_lower_bound(Gaussian(1.0), ScoreBounds(0, 6), 7)
     with pytest.raises(InvalidParameterError):
         build_lower_bound(Gaussian(1.0), ScoreBounds(0, 6), 64, c=-1.0)
+
+
+def test_lower_bound_keeps_its_verified_margins():
+    built = build_lower_bound(Binomial(10), ScoreBounds(0, 10), 64, seed=5)
+    assert built.margins == built.verify()
+
+
+def test_verify_rejects_duplicate_codeword_and_moved_mean():
+    built = build_lower_bound(Gaussian(1.0), ScoreBounds(0, 6), 64, seed=5)
+    dup = dataclasses.replace(
+        built,
+        codewords=np.vstack([built.codewords, built.codewords[-1:]]),
+        mu_rows=np.vstack([built.mu_rows, built.mu_rows[-1:]]),
+        kl_values=np.append(built.kl_values, built.kl_values[-1]),
+    )
+    with pytest.raises(ConstructionFailedError, match="Hamming"):
+        dup.verify()
+
+    moved = built.mu_rows.copy()
+    moved[1] += built.certificate.width
+    with pytest.raises(ConstructionFailedError, match="certified interval"):
+        dataclasses.replace(built, mu_rows=moved).verify()
+
+
+def test_lower_bound_budget_guard(monkeypatch):
+    family, bounds = Binomial(10), ScoreBounds(0, 10)
+    # default c: 9.4e9 codewords at n = 4096 and a 69 GB Gram matrix at n = 512
+    for n in (4096, 512):
+        with pytest.raises(InvalidParameterError, match=r"use c >= "):
+            build_lower_bound(family, bounds, n)
+
+    # the c named in the message fits; anything giving a larger k does not
+    monkeypatch.setattr(experiments, "_CONSTRUCTION_MAX_BYTES", 1 << 20)
+    with pytest.raises(InvalidParameterError) as info:
+        build_lower_bound(family, bounds, 256, c=0.01)
+    c_fit = float(re.search(r"use c >= (\S+) \(k <= (\d+)\)", str(info.value)).group(1))
+    k_max = int(re.search(r"k <= (\d+)", str(info.value)).group(1))
+    built = build_lower_bound(family, bounds, 256, c=c_fit, seed=3)
+    assert built.k <= k_max
+    assert experiments._construction_bytes(built.k, 256) <= 1 << 20
+    assert experiments._construction_bytes(k_max + 1, 256) > 1 << 20
+    with pytest.raises(InvalidParameterError):
+        build_lower_bound(family, bounds, 256, c=c_fit * 0.99)
 
 
 def test_packing_gives_up_when_impossible():

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from isomech import (
     Binomial,
@@ -244,7 +247,8 @@ def test_mle_matches_isotonic_mechanism():
             perm = Ranking(rng.permutation(n) + 1)
             mle = ranking_constrained_mle(family, x, perm)
             plain = isotonic_mechanism(x, perm)
-            assert np.max(np.abs(mle.mu_hat - plain.mu_hat)) <= 1e-12
+            assert np.array_equal(mle.mu_hat, plain.mu_hat)
+            assert mle.pools == plain.pools
             interior = np.isfinite(mle.theta_hat)
             assert np.allclose(
                 family.mean(mle.theta_hat[interior]), mle.mu_hat[interior], atol=1e-9
@@ -260,8 +264,139 @@ def test_mle_boundary_sentinels():
     assert np.all(np.isfinite(fit.theta_hat))
 
 
+def test_mle_keeps_boundary_sentinels_in_every_family():
+    cases = [
+        (Binomial(10), [10.0, 10.0, 3.0], [math.inf, math.inf]),
+        (Binomial(10), [2.0, 0.0, 0.0], [-math.inf, -math.inf]),
+        (Poisson(), [3.0, 0.0, 0.0], [-math.inf, -math.inf]),
+        (Gamma(2.0), [3.0, 0.0, 0.0], [-math.inf, -math.inf]),
+    ]
+    for family, x, tail in cases:
+        ranking = Ranking([1, 2, 3])
+        fit = ranking_constrained_mle(family, x, ranking)
+        assert np.array_equal(fit.mu_hat, isotonic_mechanism(x, ranking).mu_hat)
+        boundary = [t for t in fit.theta_hat.tolist() if math.isinf(t)]
+        assert boundary == tail, (family, fit.theta_hat)
+    # Gaussian means have no boundary: theta stays finite
+    fit = ranking_constrained_mle(Gaussian(2.0), [1.0, 3.0, -5.0], Ranking([1, 2, 3]))
+    assert np.array_equal(fit.theta_hat, fit.mu_hat / 2.0)
+
+
 def test_mle_rejects_values_outside_hull():
     with pytest.raises(InvalidParameterError):
         ranking_constrained_mle(Binomial(10), [4, 11], Ranking([1, 2]))
     with pytest.raises(InvalidParameterError):
         ranking_constrained_mle(Gamma(2.0), [-1.0, 2.0], Ranking([1, 2]))
+
+
+# ---------------------------------------------------------------------------
+# project_descending_batch against the per-row PAVA reference
+# ---------------------------------------------------------------------------
+
+
+def batch_tolerance(rows):
+    """Per-row bound on the batch kernel's distance from ``pava_descending``.
+
+    The reference accumulates running sums, so it rounds at about n ulps of
+    the row's magnitude; the kernel decides pools on a rescaled copy whose
+    resolution is far below 1e-12 of the row's span.
+    """
+    span = np.ptp(rows, axis=1)
+    ulp = np.spacing(np.abs(rows).max(axis=1))
+    return np.maximum(1e-12 * span, rows.shape[1] * ulp)
+
+
+def assert_matches_reference(rows, got):
+    want = np.stack([pava_descending(row)[0] for row in rows])
+    err = np.abs(got - want).max(axis=1)
+    assert np.all(err <= batch_tolerance(rows)), (err, batch_tolerance(rows))
+
+
+@st.composite
+def mixed_batches(draw, max_rows=24, max_n=20):
+    """Batches whose rows mix spans from 1e-6 to 1e6 and offsets up to 1e8."""
+    t = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_n))
+    unit = draw(arrays(np.float64, (t, n), elements=st.floats(-1.0, 1.0)))
+    span = 10.0 ** draw(arrays(np.int64, (t, 1), elements=st.integers(-6, 6)))
+    offset = draw(arrays(np.float64, (t, 1), elements=st.floats(-1e8, 1e8)))
+    return unit * span + offset
+
+
+@st.composite
+def tied_feasible_batches(draw, max_rows=24, max_n=20):
+    """Nonincreasing rows with many ties, some of them constant."""
+    t = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_n))
+    levels = draw(arrays(np.int64, (t, n), elements=st.integers(-4, 4)))
+    scale = draw(st.sampled_from([1.0, 0.1, 1e6]))
+    rows = -np.sort(-levels, axis=1) * scale
+    constant = draw(arrays(np.bool_, (t,)))
+    rows[constant] = rows[constant, :1]
+    return rows
+
+
+@given(mixed_batches())
+@settings(max_examples=200, deadline=None)
+def test_batch_rows_match_reference(rows):
+    assert_matches_reference(rows, project_descending_batch(rows))
+
+
+@given(tied_feasible_batches(), mixed_batches())
+@settings(max_examples=100, deadline=None)
+def test_batch_returns_tied_and_constant_rows_exactly(feasible, noise):
+    assert np.array_equal(project_descending_batch(feasible), feasible)
+    # a constant row comes back unchanged whatever rows surround it
+    rows = noise.copy()
+    rows[::2] = rows[::2, :1]
+    assert np.array_equal(project_descending_batch(rows)[::2], rows[::2])
+
+
+@given(mixed_batches())
+@settings(max_examples=200, deadline=None)
+def test_batch_is_exactly_idempotent(rows):
+    once = project_descending_batch(rows)
+    assert np.array_equal(project_descending_batch(once), once)
+
+
+@given(mixed_batches(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_batch_permuting_rows_permutes_output(rows, rnd):
+    perm = np.asarray(rnd.sample(range(rows.shape[0]), rows.shape[0]))
+    got = project_descending_batch(rows[perm])
+    want = project_descending_batch(rows)[perm]
+    assert np.all(np.abs(got - want).max(axis=1) <= batch_tolerance(rows[perm]))
+
+
+@given(
+    mixed_batches(),
+    st.floats(1e-3, 1e3),
+    st.floats(-1e6, 1e6),
+)
+@settings(max_examples=100, deadline=None)
+def test_batch_shift_and_scale_equivariance(rows, scale, shift):
+    moved = rows * scale + shift
+    got = project_descending_batch(moved)
+    want = project_descending_batch(rows) * scale + shift
+    # rounding of the transformed input itself adds a few ulps of its magnitude
+    tol = batch_tolerance(moved) + 4 * np.spacing(np.abs(moved).max(axis=1))
+    assert np.all(np.abs(got - want).max(axis=1) <= tol)
+
+
+def test_batch_crosses_chunk_boundary():
+    rng = np.random.default_rng(18)
+    rows = rng.normal(size=(1100, 9)) * 10.0 ** rng.integers(-6, 7, size=(1100, 1))
+    rows[511:514] = rows[0]  # the same row on both sides of the 512-row boundary
+    got = project_descending_batch(rows)
+    assert_matches_reference(rows, got)
+    assert np.array_equal(got[511], got[512]) and np.array_equal(got[512], got[513])
+
+
+def test_batch_rejects_non_finite():
+    rows = np.zeros((3, 4))
+    for bad in (math.nan, math.inf, -math.inf):
+        rows[1, 2] = bad
+        with pytest.raises(ValidationError):
+            project_descending_batch(rows)
+    with pytest.raises(ValidationError):
+        project_descending_batch(np.full((2, 1), math.nan))
