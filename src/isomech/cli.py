@@ -11,7 +11,8 @@ Conventions: CSV in and out with header rows, UTF-8, '.' decimal, floats at
 sidecar with the effective parameters; feeding that sidecar back through
 ``--config`` replays the run byte for byte.  Flags override config-file
 values; a missing seed falls back to the ISOMECH_SEED environment variable,
-then to 0.  Exit codes: 0 success, 1 computation failure, 2 invalid input.
+then to 0.  Exit codes: 0 success, 1 computation failure (running out of
+memory included), 2 invalid input.
 """
 
 from __future__ import annotations
@@ -228,8 +229,12 @@ def _effective(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, 
     for key, value in defaults.items():
         params.setdefault(key, value)
     if params.get("seed") is None:
-        params["seed"] = int(os.environ.get("ISOMECH_SEED", "0"))
-    params["seed"] = int(params["seed"])
+        params["seed"] = _number(os.environ.get("ISOMECH_SEED", "0"), "ISOMECH_SEED", int)
+    params["seed"] = _number(params["seed"], "seed", int)
+    if params["seed"] < 0:
+        raise ValidationError(f"seed: {params['seed']} is negative; seeds are integers >= 0")
+    if params.get("threads") is not None:
+        params["threads"] = _number(params["threads"], "threads", int)
     return params
 
 
@@ -239,18 +244,19 @@ def _family_from_params(value: Any) -> Family:
     return family_from_spec(str(value))
 
 
+def _number(value: Any, name: str, kind: type = float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{name}: {value!r} is not {what}") from None
+
+
 def _number_list(value: Any, flag: str, kind: type) -> list:
     tokens = value.replace(",", " ").split() if isinstance(value, str) else value
     if not isinstance(tokens, (list, tuple)):
         raise ValidationError(f"{flag}: expected a comma-separated list, got {value!r}")
-    what = "an integer" if kind is int else "a number"
-    out = []
-    for tok in tokens:
-        try:
-            out.append(kind(tok))
-        except (TypeError, ValueError):
-            raise ValidationError(f"{flag}: {tok!r} is not {what}") from None
-    return out
+    return [_number(tok, flag, kind) for tok in tokens]
 
 
 def _int_list(value: Any) -> list[int]:
@@ -322,8 +328,9 @@ def _cmd_truthfulness(args: argparse.Namespace) -> int:
     utility = UtilityFn.from_spec(str(params["utility"]))
     results = rank_all_utilities(
         family, mu_star, utility,
-        scores_per_item=int(params["scores_per_item"]),
-        trials=int(params["trials"]), seed=params["seed"],
+        scores_per_item=_number(params["scores_per_item"], "scores_per_item", int),
+        trials=_number(params["trials"], "trials", int), seed=params["seed"],
+        max_workers=params.get("threads"),
     )
     truthful = Ranking.from_scores(mu_star).perm
     rows = [
@@ -344,7 +351,9 @@ def _make_generator(params: dict[str, Any]):
         return PoolResample(pool=tuple(float(v) for v in pool))
     if params.get("mu_star"):
         return ExplicitScores(values=tuple(_float_list(params["mu_star"])))
-    return LinearRamp(hi=float(params["ramp_hi"]), lo=float(params["ramp_lo"]))
+    return LinearRamp(
+        hi=_number(params["ramp_hi"], "ramp_hi"), lo=_number(params["ramp_lo"], "ramp_lo")
+    )
 
 
 def _cmd_estimation(args: argparse.Namespace) -> int:
@@ -358,8 +367,8 @@ def _cmd_estimation(args: argparse.Namespace) -> int:
         family=family,
         n_grid=tuple(_int_list(_require(params, "n_grid", "an n grid"))),
         generator=_make_generator(params),
-        scores_per_item=int(params["scores_per_item"]),
-        trials=int(params["trials"]),
+        scores_per_item=_number(params["scores_per_item"], "scores_per_item", int),
+        trials=_number(params["trials"], "trials", int),
         seed=params["seed"],
     )
     points = estimation_error_curve(cfg, max_workers=params.get("threads"))
@@ -386,22 +395,23 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
     )
     family = _family_from_params(_require(params, "family", "a family spec"))
     bounds = ScoreBounds(
-        float(_require(params, "v_min", "v_min")), float(_require(params, "v_max", "v_max"))
+        _number(_require(params, "v_min", "v_min"), "v_min"),
+        _number(_require(params, "v_max", "v_max"), "v_max"),
     )
     n_grid = _int_list(_require(params, "n_grid", "an n grid"))
     report = rate_check(
-        family, bounds, n_grid, trials=int(params["trials"]),
+        family, bounds, n_grid, trials=_number(params["trials"], "trials", int),
         seed=params["seed"], max_workers=params.get("threads"),
     )
     out = params["out"]
     rows = [(p.n, p.risk, p.risk_se) for p in report.points]
     _write_table(out, ["n", "risk", "risk_se"], rows, params["format"])
 
-    construction_n = int(params.get("construction_n") or max(n_grid))
+    construction_n = _number(params.get("construction_n") or max(n_grid), "construction_n", int)
     c = params.get("c")
     construction = build_lower_bound(
         family, bounds, construction_n,
-        c=float(c) if c is not None else None, seed=params["seed"],
+        c=_number(c, "c") if c is not None else None, seed=params["seed"],
     )
     summary = {
         "n": construction.n,
@@ -479,7 +489,7 @@ def _cmd_synthetic(args: argparse.Namespace) -> int:
     )
     pool = _read_column(str(_require(params, "pool", "a score-pool CSV")), "score")
     rows_out = synthetic_icml_study(
-        pool, n_grid=_int_list(params["n_grid"]), trials=int(params["trials"]),
+        pool, n_grid=_int_list(params["n_grid"]), trials=_number(params["trials"], "trials", int),
         seed=params["seed"], max_workers=params.get("threads"),
     )
     rows = [
@@ -527,10 +537,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"isomech {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, threads: bool = True) -> None:
         p.add_argument("--config", help="JSON config or replay sidecar; flags override")
         p.add_argument("--seed", type=int, help="RNG seed (fallback: ISOMECH_SEED, then 0)")
-        p.add_argument("--threads", type=int, help="max worker threads for Monte-Carlo chunks")
+        if threads:
+            p.add_argument("--threads", type=int, help="max worker threads for Monte-Carlo chunks")
         p.add_argument("--out", help="output file path")
         p.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
 
@@ -539,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranking", help="CSV with header rank,index (rank 1 = best)")
     p.add_argument("--blocks", help="CSV with header block,index (block 1 = best)")
     p.add_argument("--family", help="family spec, e.g. binomial:10 or JSON")
-    common(p)
+    common(p, threads=False)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("truthfulness", help="expected utility of every ranking")
@@ -578,7 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("icml", help="surrogate-truth evaluation of review/author CSVs")
     p.add_argument("reviews", nargs="?", help="CSV: submission_id,score,confidence")
     p.add_argument("authors", nargs="?", help="CSV: author_id,submission_ids,ranking")
-    common(p)
+    common(p, threads=False)
     p.set_defaults(func=_cmd_icml)
 
     p = sub.add_parser("synthetic", help="synthetic review study from a score pool")
@@ -592,7 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", nargs="?", help="one-column CSV (header: value)")
     p.add_argument("b", nargs="?", help="one-column CSV (header: value)")
     p.add_argument("--mode", choices=["standard", "natural", "weak"])
-    common(p)
+    common(p, threads=False)
     p.set_defaults(func=_cmd_check_majorization)
 
     return parser
@@ -602,14 +613,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, InvalidParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValidationError, InvalidParameterError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IsomechError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("error: out of memory", *exc.args, sep=": ", file=sys.stderr)
         return 1
 
 

@@ -12,9 +12,11 @@ Four drivers built on the isotonic machinery:
   * ``synthetic_icml_study`` / ``surrogate_eval``  conference-review style
     evaluations on synthetic pools and on review/author records.
 
-Every driver is a pure function of (config, seed).  Monte-Carlo trials run
-in fixed-size chunks with per-chunk RNG substreams spawned from the seed, so
-results are identical whether chunks run serially or on a thread pool.
+Every driver is a pure function of (config, seed).  The Monte-Carlo
+drivers run on the core in ``mechanism`` that the truthfulness sweep also
+uses: fixed-size chunks of trials on RNG substreams spawned from the seed
+(identical results serially or on a thread pool), its one sampler
+``sample_scores`` and its ``_mean_se``.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from __future__ import annotations
 import logging
 import math
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .expfam import (
     verify_variance_assumption,
 )
 from .isotonic import Ranking, isotonic_mechanism, project_descending_batch
+from .mechanism import _map_chunks, _mean_se, sample_scores
 
 __all__ = [
     "LinearRamp",
@@ -64,8 +66,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-_CHUNK = 512
 
 # Memory the lower-bound construction may take for its codeword array, its
 # mean vectors and the verifier's size x size Gram matrix.
@@ -135,15 +135,8 @@ class EstimationConfig:
 
 
 # ---------------------------------------------------------------------------
-# Chunked deterministic Monte Carlo
+# Monte-Carlo estimation error
 # ---------------------------------------------------------------------------
-
-
-def _map_ordered(fn: Callable, jobs: Sequence, max_workers: Optional[int]):
-    if max_workers is not None and max_workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
 
 
 def _mse_samples(
@@ -156,18 +149,11 @@ def _mse_samples(
     max_workers: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial squared errors / n for adjusted and raw scores (truthful ranking)."""
-    sizes = [_CHUNK] * (trials // _CHUNK)
-    if trials % _CHUNK:
-        sizes.append(trials % _CHUNK)
-    children = seed_seq.spawn(len(sizes))
 
-    def one_chunk(job):
-        count, child = job
-        rng = np.random.default_rng(child)
+    def one_chunk(count, rng):
         mu = np.asarray(generator.draw(count, n, rng), dtype=float)
         family.check_mean_hull(mu, "true score")
-        reps = np.broadcast_to(mu[:, :, None], (count, n, scores_per_item))
-        x = family.sample_mean(reps, rng).mean(axis=2)
+        x = sample_scores(family, mu, scores_per_item, rng)
         order = np.argsort(-mu, axis=1, kind="stable")
         mu_sorted = np.take_along_axis(mu, order, axis=1)
         x_sorted = np.take_along_axis(x, order, axis=1)
@@ -176,7 +162,7 @@ def _mse_samples(
         mse_raw = np.square(x_sorted - mu_sorted).sum(axis=1) / n
         return mse_im, mse_raw
 
-    parts = _map_ordered(one_chunk, list(zip(sizes, children)), max_workers)
+    parts = _map_chunks(one_chunk, trials, seed_seq, max_workers)
     return (
         np.concatenate([p[0] for p in parts]),
         np.concatenate([p[1] for p in parts]),
@@ -191,12 +177,6 @@ class EstimationPoint:
     mse_raw: float
     mse_raw_se: float
     trials: int
-
-
-def _mean_se(samples: np.ndarray) -> tuple[float, float]:
-    t = samples.size
-    se = float(np.std(samples, ddof=1) / math.sqrt(t)) if t > 1 else 0.0
-    return float(np.mean(samples)), se
 
 
 def estimation_error_curve(

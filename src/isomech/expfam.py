@@ -146,10 +146,6 @@ class Family(ABC):
     # -- ranges ----------------------------------------------------------
 
     @abstractmethod
-    def mean_image(self) -> tuple[float, float]:
-        """Open interval of b' over the natural-parameter domain."""
-
-    @abstractmethod
     def mean_hull(self) -> tuple[float, float]:
         """Closed hull of admissible data values on the mean scale."""
 
@@ -173,14 +169,6 @@ class Family(ABC):
                 f"bounds [{bounds.v_min}, {bounds.v_max}] leave the "
                 f"{self.kind} mean hull [{lo}, {hi}]"
             )
-
-    def theta_range(self, bounds: ScoreBounds) -> tuple[float, float]:
-        """Natural-parameter interval matching the bounds (+-inf at the hull edge)."""
-        self.validate_bounds(bounds)
-        return (
-            float(self.natural_param(bounds.v_min, allow_boundary=True)),
-            float(self.natural_param(bounds.v_max, allow_boundary=True)),
-        )
 
     @abstractmethod
     def sigma_max(self, bounds: ScoreBounds) -> float:
@@ -250,9 +238,6 @@ class Gaussian(Family):
     def sample_mean(self, mu, rng, size=None):
         arr = self.check_mean_hull(mu, "mean")
         return rng.normal(arr, math.sqrt(self.variance_param), size=size)
-
-    def mean_image(self):
-        return (-math.inf, math.inf)
 
     def mean_hull(self):
         return (-math.inf, math.inf)
@@ -343,9 +328,6 @@ class Binomial(Family):
         p = np.asarray(arr, dtype=float) / self.trials
         return rng.binomial(self.trials, p, size=size).astype(float)
 
-    def mean_image(self):
-        return (0.0, float(self.trials))
-
     def mean_hull(self):
         return (0.0, float(self.trials))
 
@@ -408,9 +390,6 @@ class Poisson(Family):
     def sample_mean(self, mu, rng, size=None):
         arr = self.check_mean_hull(mu, "mean")
         return rng.poisson(arr, size=size).astype(float)
-
-    def mean_image(self):
-        return (0.0, math.inf)
 
     def mean_hull(self):
         return (0.0, math.inf)
@@ -491,9 +470,6 @@ class Gamma(Family):
         if np.any(arr <= 0):
             raise InvalidParameterError("Gamma sampling needs a strictly positive mean")
         return rng.gamma(self.shape, scale=arr / self.shape, size=size)
-
-    def mean_image(self):
-        return (0.0, math.inf)
 
     def mean_hull(self):
         # x = 0 is measure-zero but harmless as a data value (log-density -inf)

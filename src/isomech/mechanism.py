@@ -1,21 +1,26 @@
-"""Expected-utility Monte Carlo for reported rankings.
+"""The Monte-Carlo core, and expected utility of reported rankings.
 
-An author with true scores ``mu_star`` receives ``scores_per_item``
-independent review scores per item (their average is the observed score),
-reports a ranking or coarse ranking, and collects utility
-``sum_i U(adjusted_i)`` for a nondecreasing convex U.  The drivers here
-estimate that expected utility by simulation.
+The core serves every simulation in the package, the estimation drivers in
+``experiments`` included.  Trials run in chunks of ``_CHUNK``, each on an
+RNG substream spawned from the seed, so a seed gives the same numbers with
+or without worker threads.  ``sample_scores`` is the one sampler: an
+observed score averages ``scores_per_item`` draws at its true mean.
+``_mean_se`` reduces per-trial samples to a mean and standard error.
 
+An author with true scores ``mu_star`` reports a ranking or coarse ranking
+and collects utility ``sum_i U(adjusted_i)`` for a nondecreasing convex U.
 Rankings compared within one call share the sampled scores (common random
 numbers), which makes small utility gaps resolvable at desk-scale trial
-counts.  Same seed, same estimate, bit for bit.
+counts.  The all-rankings sweep reduces each ranking's utilities as soon as
+they are computed, so its memory grows with trials * n, not trials * n!.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,14 +31,15 @@ from .isotonic import CoarseRanking, Ranking, project_descending_batch
 __all__ = [
     "UtilityFn",
     "UtilityEstimate",
+    "sample_scores",
     "simulate_scores",
     "realized_utility",
     "utility_trials",
     "expected_utility",
     "rank_all_utilities",
-    "coarse_utility_trials",
-    "expected_utility_coarse",
 ]
+
+_CHUNK = 512
 
 _MAX_EXHAUSTIVE_N = 8
 
@@ -87,7 +93,79 @@ class UtilityFn:
     def from_spec(cls, spec: str) -> "UtilityFn":
         """Parse 'relu_square', 'identity', 'exp:0.5', or 'hinge:2'."""
         fn_kind, _, param = spec.strip().partition(":")
-        return cls(fn_kind.strip(), float(param) if param else 0.0)
+        try:
+            value = float(param) if param else 0.0
+        except ValueError:
+            raise ValidationError(f"utility {spec!r}: {param!r} is not a number") from None
+        return cls(fn_kind.strip(), value)
+
+
+def _map_chunks(
+    fn: Callable[[int, np.random.Generator], object],
+    trials: int,
+    seed_seq: np.random.SeedSequence,
+    max_workers: Optional[int] = None,
+) -> list:
+    """``fn(count, rng)`` on each chunk of ``trials``, results in chunk order.
+
+    Each chunk's rng is its own substream of ``seed_seq``, so the results do
+    not depend on ``max_workers``.
+    """
+    sizes = [_CHUNK] * (trials // _CHUNK)
+    if trials % _CHUNK:
+        sizes.append(trials % _CHUNK)
+    jobs = list(zip(sizes, seed_seq.spawn(len(sizes))))
+
+    def run(job):
+        count, child = job
+        return fn(count, np.random.default_rng(child))
+
+    if max_workers is not None and max_workers > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            return list(pool.map(run, jobs))
+    return [run(job) for job in jobs]
+
+
+def sample_scores(
+    family: Family, mu, scores_per_item: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Observed scores at true means ``mu`` (any shape): each entry averages
+    ``scores_per_item`` independent draws."""
+    mu = np.asarray(mu, dtype=float)
+    reps = np.broadcast_to(mu[..., None], mu.shape + (scores_per_item,))
+    return family.sample_mean(reps, rng).mean(axis=-1)
+
+
+def _mean_se(samples: np.ndarray) -> tuple[float, float]:
+    t = samples.size
+    se = float(np.std(samples, ddof=1) / math.sqrt(t)) if t > 1 else 0.0
+    return float(np.mean(samples)), se
+
+
+def simulate_scores(
+    family: Family,
+    mu_star: Sequence[float],
+    scores_per_item: int,
+    trials: int,
+    seed: int,
+    max_workers: Optional[int] = None,
+) -> np.ndarray:
+    """(trials, n) matrix of observed scores at true means ``mu_star``.
+
+    Drawn chunk by chunk through ``sample_scores``; one seed always produces
+    the same matrix, with or without worker threads.
+    """
+    mu = family.check_mean_hull(np.asarray(mu_star, dtype=float), "true score")
+    if mu.ndim != 1 or mu.size == 0:
+        raise ValidationError("mu_star must be a nonempty 1-d vector")
+    if scores_per_item < 1 or trials < 1:
+        raise ValidationError("scores_per_item and trials must be >= 1")
+
+    def one_chunk(count, rng):
+        mu_rows = np.broadcast_to(mu, (count, mu.size))
+        return sample_scores(family, mu_rows, scores_per_item, rng)
+
+    return np.concatenate(_map_chunks(one_chunk, trials, np.random.SeedSequence(seed), max_workers))
 
 
 @dataclass(frozen=True)
@@ -100,6 +178,11 @@ class UtilityEstimate:
     seed: int
 
 
+def _estimate(samples: np.ndarray, seed: int) -> UtilityEstimate:
+    mean, se = _mean_se(samples)
+    return UtilityEstimate(mean=mean, std_error=se, trials=samples.size, seed=seed)
+
+
 def realized_utility(mu_hat, utility: UtilityFn) -> float:
     """sum_i U(mu_hat_i) for one adjusted score vector."""
     v = np.asarray(mu_hat, dtype=float)
@@ -108,41 +191,41 @@ def realized_utility(mu_hat, utility: UtilityFn) -> float:
     return float(np.sum(utility(v)))
 
 
-def simulate_scores(
-    family: Family,
-    mu_star: Sequence[float],
-    scores_per_item: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """(trials, n) matrix of averaged review scores at true means ``mu_star``.
+Claim = Union[Ranking, CoarseRanking, Sequence[int]]
 
-    Each entry averages ``scores_per_item`` independent draws.  The draw
-    order is fixed (item by item), so one seed always produces the same
-    matrix.
+
+def _claimed_order(scores: np.ndarray, claim: Claim) -> np.ndarray:
+    """Columns of ``scores`` in the order ``claim`` asserts, best first.
+
+    A full ranking is a coarse ranking of singletons.  Within a longer block
+    the claimed order follows that trial's scores (descending), which
+    reduces the block constraint to a trial-specific full ranking.
     """
-    mu = family.check_mean_hull(np.asarray(mu_star, dtype=float), "true score")
-    if mu.ndim != 1 or mu.size == 0:
-        raise ValidationError("mu_star must be a nonempty 1-d vector")
-    if scores_per_item < 1 or trials < 1:
-        raise ValidationError("scores_per_item and trials must be >= 1")
-    out = np.empty((trials, mu.size))
-    for i, m in enumerate(mu):
-        draws = family.sample_mean(m, rng, size=(trials, scores_per_item))
-        out[:, i] = draws.mean(axis=1)
-    return out
+    if isinstance(claim, CoarseRanking):
+        blocks = claim.blocks
+    else:
+        blocks = [(i,) for i in (claim if isinstance(claim, Ranking) else Ranking(claim))]
+    if sum(map(len, blocks)) != scores.shape[1]:
+        raise ValidationError("ranking length must match mu_star")
+    ordered = scores[:, np.concatenate(blocks) - 1]
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        if len(block) > 1:
+            ordered[:, start:stop] = np.sort(ordered[:, start:stop], axis=1)[:, ::-1]
+        start = stop
+    return ordered
 
 
-def _estimate(samples: np.ndarray, seed: int) -> UtilityEstimate:
-    t = samples.size
-    se = float(np.std(samples, ddof=1) / math.sqrt(t)) if t > 1 else 0.0
-    return UtilityEstimate(mean=float(np.mean(samples)), std_error=se, trials=t, seed=seed)
+def _trial_utilities(scores: np.ndarray, claim: Claim, utility: UtilityFn) -> np.ndarray:
+    """Per-trial realized utility of reporting ``claim`` on sampled ``scores``."""
+    return utility(project_descending_batch(_claimed_order(scores, claim))).sum(axis=1)
 
 
 def utility_trials(
     family: Family,
     mu_star: Sequence[float],
-    rankings: Sequence[Ranking],
+    rankings: Sequence[Claim],
     utility: UtilityFn,
     scores_per_item: int = 3,
     trials: int = 100_000,
@@ -150,35 +233,29 @@ def utility_trials(
 ) -> np.ndarray:
     """Per-trial realized utilities, one column per ranking, common noise.
 
-    The (trials, len(rankings)) layout supports paired comparisons: column
+    Each entry of ``rankings`` is a ``Ranking`` or a ``CoarseRanking``.  The
+    (trials, len(rankings)) layout supports paired comparisons: column
     differences have far smaller variance than the columns themselves.
     """
-    rng = np.random.default_rng(seed)
-    scores = simulate_scores(family, mu_star, scores_per_item, trials, rng)
+    scores = simulate_scores(family, mu_star, scores_per_item, trials, seed)
     out = np.empty((trials, len(rankings)))
-    for k, ranking in enumerate(rankings):
-        r = ranking if isinstance(ranking, Ranking) else Ranking(ranking)
-        if len(r) != scores.shape[1]:
-            raise ValidationError("ranking length must match mu_star")
-        fitted = project_descending_batch(scores[:, r.as_indices()])
-        out[:, k] = utility(fitted).sum(axis=1)
+    for k, claim in enumerate(rankings):
+        out[:, k] = _trial_utilities(scores, claim, utility)
     return out
 
 
 def expected_utility(
     family: Family,
     mu_star: Sequence[float],
-    ranking: Ranking,
+    ranking: Claim,
     utility: UtilityFn,
     scores_per_item: int = 3,
     trials: int = 100_000,
     seed: int = 0,
 ) -> UtilityEstimate:
-    """Monte-Carlo estimate of the expected utility of reporting ``ranking``."""
-    samples = utility_trials(
-        family, mu_star, [ranking], utility, scores_per_item, trials, seed
-    )
-    return _estimate(samples[:, 0], seed)
+    """Monte-Carlo expected utility of reporting ``ranking`` (full or coarse)."""
+    scores = simulate_scores(family, mu_star, scores_per_item, trials, seed)
+    return _estimate(_trial_utilities(scores, ranking, utility), seed)
 
 
 def rank_all_utilities(
@@ -188,11 +265,15 @@ def rank_all_utilities(
     scores_per_item: int = 3,
     trials: int = 100_000,
     seed: int = 0,
+    max_workers: Optional[int] = None,
 ) -> list[tuple[Ranking, UtilityEstimate]]:
     """Estimates for every possible ranking, sorted by descending mean.
 
-    All n! rankings share one set of sampled scores.  Guarded to n <= 8;
-    beyond that call ``expected_utility`` on rankings of interest instead.
+    All n! rankings share one set of sampled scores, and each ranking's
+    utilities are reduced before the next ranking is fitted.  Guarded to
+    n <= 8; beyond that call ``expected_utility`` on rankings of interest
+    instead.  ``max_workers`` threads draw the scores; the estimates do not
+    depend on it.
     """
     n = len(np.atleast_1d(np.asarray(mu_star)))
     if n > _MAX_EXHAUSTIVE_N:
@@ -200,64 +281,10 @@ def rank_all_utilities(
             f"all-rankings sweep is limited to n <= {_MAX_EXHAUSTIVE_N} "
             f"(n! blowup); use expected_utility on selected rankings"
         )
-    rankings = list(Ranking.all_rankings(n))
-    samples = utility_trials(
-        family, mu_star, rankings, utility, scores_per_item, trials, seed
-    )
+    scores = simulate_scores(family, mu_star, scores_per_item, trials, seed, max_workers)
     pairs = [
-        (ranking, _estimate(samples[:, k], seed))
-        for k, ranking in enumerate(rankings)
+        (ranking, _estimate(_trial_utilities(scores, ranking, utility), seed))
+        for ranking in Ranking.all_rankings(n)
     ]
     pairs.sort(key=lambda item: (-item[1].mean, item[0].perm))
     return pairs
-
-
-def coarse_utility_trials(
-    family: Family,
-    mu_star: Sequence[float],
-    coarse_rankings: Sequence[CoarseRanking],
-    utility: UtilityFn,
-    scores_per_item: int = 3,
-    trials: int = 100_000,
-    seed: int = 0,
-) -> np.ndarray:
-    """Per-trial utilities for coarse rankings under common noise.
-
-    Within each block the claimed order follows the sampled scores of that
-    trial (descending, ties by index), reducing each coarse constraint to a
-    trial-specific full ranking.
-    """
-    rng = np.random.default_rng(seed)
-    scores = simulate_scores(family, mu_star, scores_per_item, trials, rng)
-    n = scores.shape[1]
-    out = np.empty((trials, len(coarse_rankings)))
-    for k, coarse in enumerate(coarse_rankings):
-        c = coarse if isinstance(coarse, CoarseRanking) else CoarseRanking(coarse)
-        if c.n != n:
-            raise ValidationError("coarse ranking size must match mu_star")
-        pieces = []
-        for block in c.blocks:
-            cols = np.asarray(block, dtype=np.intp) - 1
-            sub = scores[:, cols]
-            order = np.argsort(-sub, axis=1, kind="stable")
-            pieces.append(np.take_along_axis(sub, order, axis=1))
-        sorted_scores = np.concatenate(pieces, axis=1)
-        fitted = project_descending_batch(sorted_scores)
-        out[:, k] = utility(fitted).sum(axis=1)
-    return out
-
-
-def expected_utility_coarse(
-    family: Family,
-    mu_star: Sequence[float],
-    coarse: CoarseRanking,
-    utility: UtilityFn,
-    scores_per_item: int = 3,
-    trials: int = 100_000,
-    seed: int = 0,
-) -> UtilityEstimate:
-    """Monte-Carlo expected utility of reporting the coarse ranking ``coarse``."""
-    samples = coarse_utility_trials(
-        family, mu_star, [coarse], utility, scores_per_item, trials, seed
-    )
-    return _estimate(samples[:, 0], seed)

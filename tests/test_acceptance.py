@@ -35,7 +35,7 @@ from isomech.experiments import (
     surrogate_eval,
     synthetic_icml_study,
 )
-from isomech.mechanism import UtilityFn, coarse_utility_trials, rank_all_utilities, utility_trials
+from isomech.mechanism import UtilityFn, rank_all_utilities, utility_trials
 from isomech.order import majorizes
 from helpers import (
     ALL_FAMILIES,
@@ -144,7 +144,7 @@ def test_criterion_04_truthfulness_property_suite():
                 truthful_coarse = coarse_all.index(
                     CoarseRanking.from_ranking(Ranking.identity(n), sizes)
                 )
-                coarse_samples = coarse_utility_trials(
+                coarse_samples = utility_trials(
                     family, mu, coarse_all, UtilityFn.relu_square(),
                     scores_per_item=3, trials=trials, seed=seed,
                 )

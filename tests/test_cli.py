@@ -265,6 +265,8 @@ def test_bad_header_is_named(workdir, capsys):
     (["estimation", "--family", "binomial:10", "--n-grid", "10,abc", "--trials", "10"], "'abc'"),
     (["truthfulness", "--family", "binomial:ten", "--mu-star", "8,7", "--trials", "10"], "'ten'"),
     (["truthfulness", "--family", '{"kind": "binomial", "m":', "--mu-star", "8,7"], "JSON"),
+    (["truthfulness", "--family", "binomial:10", "--mu-star", "8,7", "--utility", "exp:abc"],
+     "'abc'"),
 ])
 def test_malformed_flag_values_exit_2(workdir, capsys, argv, token):
     assert main(argv + ["--out", "x.csv"]) == 2
@@ -272,6 +274,49 @@ def test_malformed_flag_values_exit_2(workdir, capsys, argv, token):
     assert err.startswith("error: ") and token in err
     assert len(err.strip().splitlines()) == 1
     assert not (workdir / "x.csv").exists()
+
+
+MINIMAX_ARGS = ["minimax", "--family", "binomial:10", "--v-max", "10", "--n-grid", "8,16"]
+TRUTH_ARGS = ["truthfulness", "--family", "binomial:10", "--mu-star", "8,7", "--trials", "10"]
+
+
+@pytest.mark.parametrize("argv, config, env_seed, token", [
+    (TRUTH_ARGS[:-2], {"trials": "abc"}, None, "'abc'"),
+    (TRUTH_ARGS, {"seed": "x"}, None, "'x'"),
+    (MINIMAX_ARGS, {"v_min": "a"}, None, "'a'"),
+    (TRUTH_ARGS, None, "zz", "'zz'"),
+    (TRUTH_ARGS, None, "-3", "-3 is negative"),
+])
+def test_malformed_config_and_env_numbers_exit_2(workdir, capsys, monkeypatch,
+                                                 argv, config, env_seed, token):
+    if config is not None:
+        write(workdir / "cfg.json", json.dumps(config))
+        argv = argv + ["--config", "cfg.json"]
+    if env_seed is not None:
+        monkeypatch.setenv("ISOMECH_SEED", env_seed)
+    assert main(argv + ["--out", "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and token in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (workdir / "x.csv").exists()
+
+
+def test_memory_error_exits_1(workdir, capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 32.0 GiB for an array")
+
+    monkeypatch.setattr("isomech.cli._cmd_truthfulness", exhausted)
+    assert main(TRUTH_ARGS) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "32.0 GiB" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_truthfulness_threads_do_not_change_output(workdir):
+    argv = TRUTH_ARGS[:-1] + ["1500", "--seed", "3"]
+    assert main(argv + ["--out", "serial.csv"]) == 0
+    assert main(argv + ["--threads", "2", "--out", "threaded.csv"]) == 0
+    assert (workdir / "serial.csv").read_bytes() == (workdir / "threaded.csv").read_bytes()
 
 
 def test_minimax_budget_guard_names_c(workdir, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,7 @@ from isomech import Binomial, CoarseRanking, Gaussian, Poisson, Ranking, Validat
 from isomech.errors import InvalidParameterError
 from isomech.mechanism import (
     UtilityFn,
-    coarse_utility_trials,
     expected_utility,
-    expected_utility_coarse,
     rank_all_utilities,
     realized_utility,
     simulate_scores,
@@ -76,7 +75,7 @@ def test_singleton_blocks_match_full_ranking_exactly():
     full = expected_utility(
         Poisson(), [8, 7, 6, 4], perm, UtilityFn.relu_square(), trials=3000, seed=9
     )
-    coarse = expected_utility_coarse(
+    coarse = expected_utility(
         Poisson(), [8, 7, 6, 4], CoarseRanking.singletons(perm),
         UtilityFn.relu_square(), trials=3000, seed=9,
     )
@@ -86,12 +85,11 @@ def test_singleton_blocks_match_full_ranking_exactly():
 def test_single_block_is_unconstrained():
     mu = [8.0, 7.0, 6.0, 4.0]
     seed, trials = 5, 4000
-    est = expected_utility_coarse(
+    est = expected_utility(
         Binomial(10), mu, CoarseRanking([(1, 2, 3, 4)]), UtilityFn.relu_square(),
         trials=trials, seed=seed,
     )
-    rng = np.random.default_rng(seed)
-    scores = simulate_scores(Binomial(10), mu, 3, trials, rng)
+    scores = simulate_scores(Binomial(10), mu, 3, trials, seed)
     raw_utility = np.square(np.maximum(scores, 0)).sum(axis=1)
     assert est.mean == pytest.approx(raw_utility.mean(), rel=1e-12)
 
@@ -148,7 +146,7 @@ def test_coarse_truthful_best_over_fixed_sizes():
     mu = [8.0, 7.0, 6.0, 4.0]
     coarse_rankings = list(CoarseRanking.all_coarse_rankings(4, (1, 3)))
     assert len(coarse_rankings) == 4
-    samples = coarse_utility_trials(
+    samples = utility_trials(
         Binomial(10), mu, coarse_rankings, UtilityFn.relu_square(),
         trials=100_000, seed=11,
     )
@@ -156,3 +154,21 @@ def test_coarse_truthful_best_over_fixed_sizes():
     means = samples.mean(axis=0)
     truthful = coarse_rankings.index(CoarseRanking([(1,), (2, 3, 4)]))
     assert means[truthful] == means.max()
+
+
+def test_rank_all_utilities_holds_no_all_rankings_matrix():
+    import scipy.optimize  # noqa: F401  (its import is not the sweep's memory)
+
+    trials, n = 20_000, 5
+    tracemalloc.start()
+    try:
+        results = rank_all_utilities(
+            Binomial(10), [8.0, 7.0, 6.0, 5.0, 4.0], UtilityFn.relu_square(),
+            trials=trials, seed=1,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == math.factorial(n)
+    # the trials x n! float64 matrix of all utilities would take 4x this
+    assert peak < 0.25 * trials * math.factorial(n) * 8
