@@ -32,7 +32,6 @@ from .expfam import Family, ScoreBounds, family_from_dict, family_from_spec
 from .isotonic import (
     CoarseRanking,
     Ranking,
-    coarse_isotonic_mechanism,
     coarse_to_permutation,
     isotonic_mechanism,
     ranking_constrained_mle,
@@ -287,17 +286,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     n = scores.size
     family = _family_from_params(params["family"]) if params.get("family") else None
 
-    coarse = None
     if params.get("ranking"):
         ranking = _read_ranking(params["ranking"], n)
     else:
-        coarse = _read_blocks(params["blocks"], n)
-        ranking = coarse_to_permutation(coarse, scores)
+        ranking = coarse_to_permutation(_read_blocks(params["blocks"], n), scores)
 
     if family is not None:
         fit = ranking_constrained_mle(family, scores, ranking)
-    elif coarse is not None:
-        fit = coarse_isotonic_mechanism(scores, coarse)
     else:
         fit = isotonic_mechanism(scores, ranking)
 
@@ -578,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", help="family spec")
     p.add_argument("--v-min", dest="v_min", type=float)
     p.add_argument("--v-max", dest="v_max", type=float)
-    p.add_argument("--n-grid", dest="n_grid", help="e.g. '64,256,1024,4096'")
+    p.add_argument("--n-grid", dest="n_grid", help="e.g. '32,64,128'")
     p.add_argument("--trials", type=int)
     p.add_argument("--construction-n", dest="construction_n", type=int)
     p.add_argument("--c", type=float, help="packing perturbation scale (default c_var/16)")

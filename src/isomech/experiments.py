@@ -67,7 +67,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Memory the lower-bound construction may take for its codeword array, its
+# Memory the lower-bound construction may take for its linear code, its
 # mean vectors and the verifier's size x size Gram matrix.
 _CONSTRUCTION_MAX_BYTES = 1 << 30
 
@@ -364,9 +364,9 @@ def _packing_target(k: int) -> int:
 
 
 def _construction_bytes(k: int, n: int) -> int:
-    """Bytes of the codewords (uint8), mean vectors and Gram matrix for k blocks."""
+    """Bytes of the linear code (uint8), mean vectors and Gram matrix for k blocks."""
     target = _packing_target(k)
-    return target * k + 8 * target * (n + target)
+    return (1 << (target - 1).bit_length()) * k + 8 * target * (n + target)
 
 
 def _pack_codewords(
@@ -378,31 +378,21 @@ def _pack_codewords(
     seed_seq: np.random.SeedSequence,
     max_restarts: int = 100,
 ) -> np.ndarray:
-    """Greedy random packing of binary words, zero word first.
+    """``target`` words of a random linear code of length k, zero word first.
 
-    Candidates are accepted when they clear both the plain and the
-    block-weighted disagreement floors against everything kept so far.
+    Varshamov's construction: row i sums, over GF(2), the rows of a random
+    d x k generator (d = ceil(log2(target))) picked by the bits of i.  Two
+    codewords differ where their sum, a third codeword, is 1, so when every
+    nonzero codeword clears both weight floors, every pair of rows does.
     """
+    d = (target - 1).bit_length()
+    bits = (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(np.uint8)
     for child in seed_seq.spawn(max_restarts):
-        rng = np.random.default_rng(child)
-        kept = np.zeros((target, k), dtype=np.uint8)
-        count = 1
-        budget = 200 * target
-        while count < target and budget > 0:
-            batch = rng.integers(0, 2, size=(min(256, budget), k), dtype=np.uint8)
-            budget -= batch.shape[0]
-            for cand in batch:
-                diff = kept[:count] != cand
-                if diff.sum(axis=1).min() < min_hamming:
-                    continue
-                if (diff @ block_sizes).min() < min_weighted:
-                    continue
-                kept[count] = cand
-                count += 1
-                if count >= target:
-                    break
-        if count >= target:
-            return kept
+        gen = np.random.default_rng(child).integers(0, 2, size=(d, k), dtype=np.uint8)
+        code = bits @ gen & 1  # entries sum at most d bits; their parity is the GF(2) sum
+        if (code[1:].sum(axis=1).min() >= min_hamming
+                and (code[1:] @ block_sizes).min() >= min_weighted):
+            return code[:target]
     raise ConstructionFailedError(
         f"could not pack {target} codewords of length {k} after {max_restarts} restarts"
     )
@@ -421,15 +411,17 @@ def build_lower_bound(
     ``c`` scales the block count k = min(floor((n V~^2 / (c^2 sigma^2))^(1/3)), n)
     and the lift gamma = c sqrt(sigma^2 k / n); it defaults to c_var / 16,
     which keeps the KL budget under the cap with room to spare.  The packing
-    target is 2^(k/8) codewords (at least two).  When k does not divide n,
-    the shorter blocks sit first and the packing enforces the block-weighted
-    separation directly, so the distance invariant holds exactly.
+    target is 2^(k/8) codewords (at least two) at pairwise Hamming distance
+    k/8 or more, taken from a random linear code as in Varshamov's proof of
+    Varshamov-Gilbert (Tsybakov 2009, Lemma 2.9): each pairwise distance is
+    a codeword's weight, so any subset keeps the floor.  When k does not
+    divide n, the shorter blocks sit first and the code also clears the
+    block-weighted separation, so the distance invariant holds exactly.
 
-    Before packing, the codewords, mean vectors and the verifier's Gram
-    matrix are sized against a fixed memory budget (1 GiB).  A c whose k
-    exceeds it raises InvalidParameterError naming the smallest c that
-    fits; a large enough packing exists by Varshamov-Gilbert (Tsybakov 2009,
-    Lemma 2.9), so the guard only refuses work, it never samples pairs.
+    Before packing, the code, mean vectors and the verifier's Gram matrix
+    are sized against a fixed memory budget (1 GiB).  A c whose k exceeds
+    it raises InvalidParameterError naming the smallest c that fits; the
+    guard only refuses work, it never samples pairs.
     """
     if n < 8:
         raise ValidationError("lower-bound construction needs n >= 8")
@@ -533,8 +525,10 @@ def synthetic_icml_study(
     Per trial, n true scores are resampled from the pool; each observed score
     averages three Binomial(10, mu/10) draws; the truthful ranking adjusts
     them.  Rows report mean and standard deviation of both per-author MSEs
-    plus the relative improvement of the adjusted scores.
+    plus the relative improvement of the adjusted scores (0 without raw error).
     """
+    if not n_grid or any(n < 1 for n in n_grid):
+        raise ValidationError("n_grid must hold positive submission counts")
     pool = np.asarray(list(score_pool), dtype=float)
     if pool.size == 0:
         raise ValidationError("score pool must be nonempty")
@@ -546,13 +540,14 @@ def synthetic_icml_study(
     rows = []
     for n, child in zip(n_grid, root.spawn(len(n_grid))):
         im, raw = _mse_samples(family, gen, int(n), 3, trials, child, max_workers)
-        improvement = float((raw.mean() - im.mean()) / raw.mean())
+        im_mean, raw_mean = im.mean(), raw.mean()
+        improvement = float((raw_mean - im_mean) / raw_mean) if raw_mean > 0 else 0.0
         rows.append(
             SyntheticRow(
                 n=int(n),
-                mse_im_mean=float(im.mean()),
+                mse_im_mean=float(im_mean),
                 mse_im_std=float(im.std(ddof=1)) if trials > 1 else 0.0,
-                mse_raw_mean=float(raw.mean()),
+                mse_raw_mean=float(raw_mean),
                 mse_raw_std=float(raw.std(ddof=1)) if trials > 1 else 0.0,
                 improvement=improvement,
                 trials=trials,

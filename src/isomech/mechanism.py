@@ -41,7 +41,8 @@ __all__ = [
 
 _CHUNK = 512
 
-_MAX_EXHAUSTIVE_N = 8
+# Projected elements an all-rankings sweep may take (~90 s at ~85 ns each).
+_SWEEP_MAX_ELEMENTS = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -258,6 +259,18 @@ def expected_utility(
     return _estimate(_trial_utilities(scores, ranking, utility), seed)
 
 
+def _check_sweep_budget(n: int, trials: int) -> None:
+    """Refuse a sweep over budget; each ranking projects at least one chunk."""
+    per_trial = math.factorial(n) * n
+    if per_trial * max(trials, _CHUNK) > _SWEEP_MAX_ELEMENTS:
+        most = _SWEEP_MAX_ELEMENTS // per_trial
+        fix = f"use trials <= {most}" if most >= _CHUNK else "n is too large at any trial count"
+        raise ValidationError(
+            f"all-rankings sweep of n = {n} at {trials} trials exceeds the budget of "
+            f"{_SWEEP_MAX_ELEMENTS:,} projected elements; {fix}"
+        )
+
+
 def rank_all_utilities(
     family: Family,
     mu_star: Sequence[float],
@@ -270,17 +283,13 @@ def rank_all_utilities(
     """Estimates for every possible ranking, sorted by descending mean.
 
     All n! rankings share one set of sampled scores, and each ranking's
-    utilities are reduced before the next ranking is fitted.  Guarded to
-    n <= 8; beyond that call ``expected_utility`` on rankings of interest
-    instead.  ``max_workers`` threads draw the scores; the estimates do not
-    depend on it.
+    utilities are reduced before the next ranking is fitted.  Sweeps over
+    2^30 projected elements (n! * n * trials) are refused before sampling;
+    call ``expected_utility`` on rankings of interest instead.
+    ``max_workers`` threads draw the scores; the estimates do not depend on it.
     """
     n = len(np.atleast_1d(np.asarray(mu_star)))
-    if n > _MAX_EXHAUSTIVE_N:
-        raise ValidationError(
-            f"all-rankings sweep is limited to n <= {_MAX_EXHAUSTIVE_N} "
-            f"(n! blowup); use expected_utility on selected rankings"
-        )
+    _check_sweep_budget(n, trials)
     scores = simulate_scores(family, mu_star, scores_per_item, trials, seed, max_workers)
     pairs = [
         (ranking, _estimate(_trial_utilities(scores, ranking, utility), seed))

@@ -199,6 +199,22 @@ def test_synthetic_rejects_out_of_range_pool(workdir, capsys):
     assert "pool" in capsys.readouterr().err
 
 
+def test_synthetic_rejects_empty_submission_count(workdir, capsys):
+    write(workdir / "pool.csv", "score\n5\n6\n")
+    assert main(["synthetic", "pool.csv", "--n-grid", "0", "--trials", "10"]) == 2
+    assert "n_grid" in capsys.readouterr().err
+
+
+def test_truthfulness_sweep_over_budget_exits_2(workdir, capsys):
+    argv = ["truthfulness", "--family", "binomial:10", "--mu-star", "8,7,6,5,4,3,2,1",
+            "--out", "x.csv"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "100000 trials" in err and "trials <= 3328" in err
+    assert not (workdir / "x.csv").exists()
+
+
 def test_check_majorization_modes(workdir, capsys):
     write(workdir / "a.csv", "value\n2\n0\n")
     write(workdir / "b.csv", "value\n1\n1\n")

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,25 @@ def test_packing_gives_up_when_impossible():
         )
 
 
+def test_packing_restarts_until_a_code_clears_both_floors():
+    block_sizes = np.asarray([1] * 8 + [2] * 8, dtype=np.int64)
+    args = dict(min_hamming=5, min_weighted=9, block_sizes=block_sizes)
+    # the first two generators of seed 4 miss a floor, the third clears both
+    def pack(restarts):
+        return _pack_codewords(16, 8, seed_seq=np.random.SeedSequence(4),
+                               max_restarts=restarts, **args)
+
+    for restarts in (1, 2):
+        with pytest.raises(ConstructionFailedError):
+            pack(restarts)
+    words = pack(3)
+    assert words.shape == (8, 16) and not words[0].any()
+    diff = words[:, None, :] != words[None, :, :]
+    off = ~np.eye(8, dtype=bool)
+    assert diff.sum(axis=2)[off].min() >= 5
+    assert (diff @ block_sizes)[off].min() >= 9
+
+
 def test_synthetic_study_constant_pool():
     rows = synthetic_icml_study([5.0], n_grid=(2, 5), trials=300, seed=4)
     for row in rows:
@@ -237,6 +257,18 @@ def test_synthetic_study_pool_validation():
         synthetic_icml_study([5.0, 11.0], n_grid=(2,), trials=10)
     with pytest.raises(ValidationError):
         synthetic_icml_study([], n_grid=(2,), trials=10)
+    with pytest.raises(ValidationError, match="n_grid"):
+        synthetic_icml_study([5.0], n_grid=(2, 0), trials=10)
+
+
+def test_synthetic_study_zero_raw_error_improves_by_zero():
+    # a pool at the boundary mean 0 makes every score exact: no 0/0 improvement
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = synthetic_icml_study([0.0, 0.0], n_grid=(2, 3), trials=50, seed=1)
+    for row in rows:
+        assert row.mse_raw_mean == 0.0 and row.mse_im_mean == 0.0
+        assert row.improvement == 0.0
 
 
 # ---------------------------------------------------------------------------

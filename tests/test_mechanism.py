@@ -8,6 +8,7 @@ from isomech import Binomial, CoarseRanking, Gaussian, Poisson, Ranking, Validat
 from isomech.errors import InvalidParameterError
 from isomech.mechanism import (
     UtilityFn,
+    _check_sweep_budget,
     expected_utility,
     rank_all_utilities,
     realized_utility,
@@ -132,6 +133,18 @@ def test_rank_all_utilities_guards():
         rank_all_utilities(
             Poisson(), list(range(1, 10)), UtilityFn.identity(), trials=10, seed=0
         )
+
+
+def test_sweep_budget_arithmetic():
+    # n! * n * max(trials, 512) projected elements against 2^30
+    _check_sweep_budget(5, 100_000)
+    _check_sweep_budget(8, 3328)
+    _check_sweep_budget(8, 1)
+    with pytest.raises(ValidationError, match=r"trials <= 3328"):
+        _check_sweep_budget(8, 3329)
+    for trials in (1, 512, 100_000):
+        with pytest.raises(ValidationError, match="n is too large at any trial count"):
+            _check_sweep_budget(9, trials)
 
 
 def test_mu_star_validation():
