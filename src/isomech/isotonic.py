@@ -11,6 +11,11 @@ descending cone ``x[0] >= x[1] >= ... >= x[n-1]``.  Two kernels compute it:
   * ``project_descending_batch`` fits the (trials, n) matrices of the
     Monte-Carlo drivers, up to 512 rows per call of scipy's compiled PAVA.
 
+The all-rankings sweep (``mechanism.rank_all_utilities``) needs neither: it
+reads the fits of all n! full rankings off one table of subset means per
+chunk of trials, by the max-min formula for the descending fit.  It serves
+full rankings in that sweep only, where the budget keeps n <= 8.
+
 ``isotonic_mechanism`` projects under an author-reported ranking (permute,
 project, un-permute); ``coarse_isotonic_mechanism`` reduces ordered blocks to
 a data-dependent full ranking; ``ranking_constrained_mle`` solves the same

@@ -283,6 +283,10 @@ def test_bad_header_is_named(workdir, capsys):
     (["truthfulness", "--family", '{"kind": "binomial", "m":', "--mu-star", "8,7"], "JSON"),
     (["truthfulness", "--family", "binomial:10", "--mu-star", "8,7", "--utility", "exp:abc"],
      "'abc'"),
+    (["truthfulness", "--family", "binomial:10", "--mu-star", "8,7", "--utility", "hinge:nan"],
+     "hinge:nan"),
+    (["truthfulness", "--family", "binomial:10", "--mu-star", "8,7", "--utility", "exp:inf"],
+     "exp:inf"),
 ])
 def test_malformed_flag_values_exit_2(workdir, capsys, argv, token):
     assert main(argv + ["--out", "x.csv"]) == 2
@@ -313,6 +317,16 @@ def test_malformed_config_and_env_numbers_exit_2(workdir, capsys, monkeypatch,
     assert main(argv + ["--out", "x.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and token in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (workdir / "x.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_utility_exits_2_before_writing(workdir, capsys):
+    argv = TRUTH_ARGS + ["--utility", "exp:100", "--out", "x.csv"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exp:100" in err and "smaller parameter" in err
     assert len(err.strip().splitlines()) == 1
     assert not (workdir / "x.csv").exists()
 
@@ -355,6 +369,8 @@ def test_fit_and_icml_leave_scipy_optimize_unloaded(workdir):
         "assert main(['fit', 'scores.csv', '--ranking', 'ranking.csv',"
         " '--family', 'binomial:10', '--out', 'fit.csv']) == 0\n"
         "assert main(['icml', 'reviews.csv', 'authors.csv', '--out', 'table.csv']) == 0\n"
+        "assert main(['truthfulness', '--family', 'binomial:10', '--mu-star', '8,7,6',"
+        " '--trials', '600', '--out', 'utilities.csv']) == 0\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
     src = str(Path(isomech.__file__).resolve().parents[1])

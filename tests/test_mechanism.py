@@ -6,9 +6,16 @@ import pytest
 
 from isomech import Binomial, CoarseRanking, Gaussian, Poisson, Ranking, ValidationError
 from isomech.errors import InvalidParameterError
+from isomech.isotonic import project_descending_batch
 from isomech.mechanism import (
+    _SWEEP_CHUNK,
     UtilityFn,
     _check_sweep_budget,
+    _fit_from_table,
+    _mean_se,
+    _Moments,
+    _subset_means,
+    _trial_utilities,
     expected_utility,
     rank_all_utilities,
     realized_utility,
@@ -16,6 +23,8 @@ from isomech.mechanism import (
     utility_trials,
 )
 from isomech.order import is_upward_swap
+
+from helpers import brute_force_project_descending
 
 
 def test_realized_utility_examples():
@@ -185,3 +194,72 @@ def test_rank_all_utilities_holds_no_all_rankings_matrix():
     assert len(results) == math.factorial(n)
     # the trials x n! float64 matrix of all utilities would take 4x this
     assert peak < 0.25 * trials * math.factorial(n) * 8
+
+
+def test_overflowing_utility_is_refused():
+    with pytest.raises(InvalidParameterError, match="exp:100.*smaller parameter"):
+        rank_all_utilities(
+            Binomial(10), [8.0, 7.0], UtilityFn.exponential(100.0), trials=50, seed=0
+        )
+
+
+def _table_fits(rows, ranking):
+    """Fit of every row under ``ranking`` by the subset-mean table, (t, n)."""
+    t, n = rows.shape
+    table = _subset_means(rows, np.empty((1 << n, t)))
+    fit = _fit_from_table(table, ranking.perm, np.empty((n, t)), np.empty(t))
+    return fit.T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_table_fits_match_projection_and_oracle(n):
+    rng = np.random.default_rng(600 + n)
+    rows = np.concatenate([
+        rng.normal(5.0, 2.0, size=(12, n)),
+        rng.integers(12, 19, size=(12, n)) / 3.0,  # tie-heavy means of three reviews
+        np.repeat(rng.integers(0, 31, size=(2, 1)) / 3.0, n, axis=1),  # constant rows
+    ])
+    # the kernel tests' bound: 1e-12 of the row's span, at least n ulps of its size
+    tol = np.maximum(1e-12 * np.ptp(rows, axis=1), n * np.spacing(np.abs(rows).max(axis=1)))
+    for ranking in Ranking.all_rankings(n):
+        claimed = rows[:, ranking.as_indices()]
+        got = _table_fits(rows, ranking)
+        assert np.all(np.diff(got, axis=1) <= 0)
+        batch = project_descending_batch(claimed)
+        assert np.all(np.abs(got - batch).max(axis=1) <= tol), ranking.perm
+        oracle = np.stack([brute_force_project_descending(row) for row in claimed])
+        assert np.all(np.abs(got - oracle).max(axis=1) <= tol), ranking.perm
+
+
+@pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 3 * 4096 + 7])
+def test_streamed_moments_match_mean_se(trials):
+    rng = np.random.default_rng(trials)
+    samples = rng.gamma(2.0, 40.0, size=trials) + 100.0
+    moments = _Moments(1)
+    for lo in range(0, trials, _SWEEP_CHUNK):
+        part = samples[lo : lo + _SWEEP_CHUNK]
+        centred = part - part.mean()
+        moments.add(part.size, np.array([part.mean()]), np.array([centred @ centred]))
+    (mean,), (se,) = moments.mean_se()
+    want_mean, want_se = _mean_se(samples)
+    assert mean == pytest.approx(want_mean, rel=1e-13)
+    if trials == 1:
+        assert se == want_se == 0.0
+    else:
+        assert se == pytest.approx(want_se, rel=1e-13)
+
+
+@pytest.mark.parametrize("family, mu", [
+    (Binomial(10), [8.0, 7.0, 6.0]),
+    (Poisson(), [5.0, 5.0, 5.0, 5.0]),
+])
+def test_sweep_matches_projecting_each_ranking(family, mu):
+    trials, seed = _SWEEP_CHUNK + 9, 17
+    scores = simulate_scores(family, mu, 3, trials, seed)
+    results = rank_all_utilities(family, mu, UtilityFn.relu_square(), trials=trials, seed=seed)
+    assert len(results) == math.factorial(len(mu))
+    for ranking, est in results:
+        mean, se = _mean_se(_trial_utilities(scores, ranking, UtilityFn.relu_square()))
+        assert est.mean == pytest.approx(mean, rel=1e-13)
+        assert est.std_error == pytest.approx(se, rel=1e-12)
+        assert (est.trials, est.seed) == (trials, seed)
