@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import itertools
 import json
 import os
 import sys
@@ -74,8 +76,7 @@ def _write_table(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(map(functools.partial(map, _fmt), rows))
 
 
 def _write_sidecar(out_path: str, command: str, params: dict[str, Any],
@@ -91,8 +92,15 @@ def _write_sidecar(out_path: str, command: str, params: dict[str, Any],
         fh.write("\n")
 
 
-def _read_csv(path: str, columns: Sequence[str]) -> list[tuple[int, dict[str, str]]]:
-    """Rows of a headered CSV as (line number, column dict); strict schema."""
+def _read_csv(path: str, columns: Sequence[str]) -> tuple[Sequence[int], dict[str, list[str]]]:
+    """Data of a headered CSV as (line numbers, stripped cells per column).
+
+    Strict schema: the header must name ``columns`` in order and every
+    non-blank row must have that many fields.  Blank and whitespace-only
+    rows are skipped.  Line numbers count CSV records, header = line 1.
+    The usual file (every row full width, no empty cell) is split into
+    columns in bulk; any other file takes a row-by-row pass.
+    """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -100,24 +108,34 @@ def _read_csv(path: str, columns: Sequence[str]) -> list[tuple[int, dict[str, st
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path} line 1: missing header row") from None
-        header = [h.strip() for h in header]
-        if header != list(columns):
-            raise ValidationError(
-                f"{path} line 1: expected header {','.join(columns)!r}, got {','.join(header)!r}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(columns):
-                raise ValidationError(
-                    f"{path} line {lineno}: expected {len(columns)} fields, got {len(row)}"
-                )
-            rows.append((lineno, dict(zip(columns, (cell.strip() for cell in row)))))
-        return rows
+            header = next(reader, None)
+            rows = list(reader)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{path}: not a readable UTF-8 CSV file ({exc})") from None
+    if header is None:
+        raise ValidationError(f"{path} line 1: missing header row")
+    header = [h.strip() for h in header]
+    if header != list(columns):
+        raise ValidationError(
+            f"{path} line 1: expected header {','.join(columns)!r}, got {','.join(header)!r}"
+        )
+    width = len(columns)
+    linenos: Sequence[int] = range(2, len(rows) + 2)
+    if set(map(len, rows)) == {width}:
+        cells = [list(map(str.strip, col)) for col in zip(*rows)]
+        # no empty cell means no blank row
+        if all("" not in col for col in cells):
+            return linenos, dict(zip(columns, cells))
+    kept_lines, kept = [], []
+    for lineno, row in zip(linenos, rows):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != width:
+            raise ValidationError(f"{path} line {lineno}: expected {width} fields, got {len(row)}")
+        kept_lines.append(lineno)
+        kept.append([cell.strip() for cell in row])
+    cells = [list(col) for col in zip(*kept)] or [[] for _ in columns]
+    return kept_lines, dict(zip(columns, cells))
 
 
 def _parse_number(path: str, lineno: int, name: str, text: str, kind=float):
@@ -129,52 +147,81 @@ def _parse_number(path: str, lineno: int, name: str, text: str, kind=float):
         ) from None
 
 
+def _parse_column(path: str, linenos: Iterable[int], name: str, texts: Sequence[str],
+                  kind=float) -> list:
+    """``kind`` of every cell; only a failed column is walked to name its line."""
+    try:
+        return list(map(kind, texts))
+    except ValueError:
+        for lineno, text in zip(linenos, texts):
+            _parse_number(path, lineno, name, text, kind)
+        raise
+
+
+def _parse_finite(path: str, linenos: Sequence[int], name: str,
+                  texts: Sequence[str]) -> np.ndarray:
+    """Floats of a score or value column, which refuses nan and inf."""
+    values = np.asarray(_parse_column(path, linenos, name, texts), dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValidationError(
+            f"{path} line {linenos[k]}: {name} must be a finite number, got {texts[k]!r}"
+        )
+    return values
+
+
 def _read_scores(path: str) -> np.ndarray:
-    rows = _read_csv(path, ("index", "score"))
-    if not rows:
+    linenos, cols = _read_csv(path, ("index", "score"))
+    if not linenos:
         raise ValidationError(f"{path}: no score rows")
-    n = len(rows)
+    n = len(linenos)
+    idx = _parse_column(path, linenos, "index", cols["index"], int)
+    if sorted(idx) != list(range(1, n + 1)):
+        seen = set()
+        for lineno, i in zip(linenos, idx):
+            if not 1 <= i <= n or i in seen:
+                raise ValidationError(
+                    f"{path} line {lineno}: index {i} is not a fresh value in 1..{n}"
+                )
+            seen.add(i)
     scores = np.empty(n)
-    seen = set()
-    for lineno, row in rows:
-        idx = _parse_number(path, lineno, "index", row["index"], int)
-        if not 1 <= idx <= n or idx in seen:
-            raise ValidationError(
-                f"{path} line {lineno}: index {idx} is not a fresh value in 1..{n}"
-            )
-        seen.add(idx)
-        scores[idx - 1] = _parse_number(path, lineno, "score", row["score"])
+    scores[np.asarray(idx) - 1] = _parse_finite(path, linenos, "score", cols["score"])
     return scores
 
 
 def _read_ranking(path: str, n: int) -> Ranking:
-    rows = _read_csv(path, ("rank", "index"))
-    if len(rows) != n:
-        raise ValidationError(f"{path}: expected {n} ranking rows, found {len(rows)}")
+    linenos, cols = _read_csv(path, ("rank", "index"))
+    if len(linenos) != n:
+        raise ValidationError(f"{path}: expected {n} ranking rows, found {len(linenos)}")
+    ranks = _parse_column(path, linenos, "rank", cols["rank"], int)
+    idxs = _parse_column(path, linenos, "index", cols["index"], int)
+    every = list(range(1, n + 1))
+    if sorted(ranks) != every or sorted(idxs) != every:
+        taken, seen = set(), set()
+        for lineno, rank, idx in zip(linenos, ranks, idxs):
+            if not 1 <= rank <= n or rank in taken:
+                raise ValidationError(f"{path} line {lineno}: rank {rank} invalid or repeated")
+            if not 1 <= idx <= n:
+                raise ValidationError(
+                    f"{path} line {lineno}: index {idx} does not name a score row in 1..{n}"
+                )
+            if idx in seen:
+                raise ValidationError(f"{path} line {lineno}: index {idx} ranked twice")
+            taken.add(rank)
+            seen.add(idx)
     perm = [0] * n
-    seen = set()
-    for lineno, row in rows:
-        rank = _parse_number(path, lineno, "rank", row["rank"], int)
-        idx = _parse_number(path, lineno, "index", row["index"], int)
-        if not 1 <= rank <= n or perm[rank - 1]:
-            raise ValidationError(f"{path} line {lineno}: rank {rank} invalid or repeated")
-        if not 1 <= idx <= n:
-            raise ValidationError(
-                f"{path} line {lineno}: index {idx} does not name a score row in 1..{n}"
-            )
-        if idx in seen:
-            raise ValidationError(f"{path} line {lineno}: index {idx} ranked twice")
-        seen.add(idx)
+    for rank, idx in zip(ranks, idxs):
         perm[rank - 1] = idx
     return Ranking(perm)
 
 
 def _read_blocks(path: str, n: int) -> CoarseRanking:
-    rows = _read_csv(path, ("block", "index"))
+    linenos, cols = _read_csv(path, ("block", "index"))
+    block_ids = _parse_column(path, linenos, "block", cols["block"], int)
+    idxs = _parse_column(path, linenos, "index", cols["index"], int)
     blocks: dict[int, list[int]] = {}
-    for lineno, row in rows:
-        block = _parse_number(path, lineno, "block", row["block"], int)
-        idx = _parse_number(path, lineno, "index", row["index"], int)
+    for lineno, block, idx in zip(linenos, block_ids, idxs):
         if not 1 <= idx <= n:
             raise ValidationError(f"{path} line {lineno}: index {idx} not in 1..{n}")
         blocks.setdefault(block, []).append(idx)
@@ -187,12 +234,10 @@ def _read_blocks(path: str, n: int) -> CoarseRanking:
 
 
 def _read_column(path: str, column: str) -> np.ndarray:
-    rows = _read_csv(path, (column,))
-    if not rows:
+    linenos, cols = _read_csv(path, (column,))
+    if not linenos:
         raise ValidationError(f"{path}: no data rows")
-    return np.asarray(
-        [_parse_number(path, lineno, column, row[column]) for lineno, row in rows]
-    )
+    return _parse_finite(path, linenos, column, cols[column])
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +342,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         fit = isotonic_mechanism(scores, ranking)
 
     header = ["index", "score", "adjusted"] + (["theta"] if family is not None else [])
-    rows = []
-    for i in range(n):
-        row = [i + 1, float(scores[i]), float(fit.mu_hat[i])]
-        if family is not None:
-            row.append(float(fit.theta_hat[i]))
-        rows.append(row)
+    columns = [range(1, n + 1), scores.tolist(), fit.mu_hat.tolist()]
+    if family is not None:
+        columns.append(fit.theta_hat.tolist())
+    rows = zip(*columns)
     out = params["out"]
     _write_table(out, header, rows, params["format"])
     if family is not None:
@@ -432,31 +475,26 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
 
 
 def _read_reviews(path: str) -> list[ReviewRecord]:
-    rows = _read_csv(path, ("submission_id", "score", "confidence"))
-    return [
-        ReviewRecord(
-            submission_id=row["submission_id"],
-            score=_parse_number(path, lineno, "score", row["score"]),
-            confidence=_parse_number(path, lineno, "confidence", row["confidence"], int),
-        )
-        for lineno, row in rows
-    ]
+    linenos, cols = _read_csv(path, ("submission_id", "score", "confidence"))
+    scores = _parse_finite(path, linenos, "score", cols["score"]).tolist()
+    confidences = _parse_column(path, linenos, "confidence", cols["confidence"], int)
+    return list(map(ReviewRecord, cols["submission_id"], scores, confidences))
 
 
 def _read_authors(path: str) -> list[AuthorRecord]:
-    rows = _read_csv(path, ("author_id", "submission_ids", "ranking"))
+    linenos, cols = _read_csv(path, ("author_id", "submission_ids", "ranking"))
     authors = []
-    for lineno, row in rows:
-        sids = tuple(tok.strip() for tok in row["submission_ids"].split(";") if tok.strip())
-        ranks = tuple(
-            _parse_number(path, lineno, "ranking", tok, int)
-            for tok in row["ranking"].split(";") if tok.strip()
-        )
+    for lineno, author_id, sid_cell, rank_cell in zip(
+        linenos, cols["author_id"], cols["submission_ids"], cols["ranking"]
+    ):
+        sids = tuple(tok.strip() for tok in sid_cell.split(";") if tok.strip())
+        tokens = [tok for tok in rank_cell.split(";") if tok.strip()]
+        ranks = tuple(_parse_column(path, itertools.repeat(lineno), "ranking", tokens, int))
         if len(sids) != len(ranks):
             raise ValidationError(
                 f"{path} line {lineno}: {len(sids)} submissions but {len(ranks)} ranks"
             )
-        authors.append(AuthorRecord(row["author_id"], sids, ranks))
+        authors.append(AuthorRecord(author_id, sids, ranks))
     return authors
 
 

@@ -41,7 +41,7 @@ from .expfam import (
     VarianceCertificate,
     verify_variance_assumption,
 )
-from .isotonic import Ranking, isotonic_mechanism, project_descending_batch
+from .isotonic import pava_descending, project_descending_batch
 from .mechanism import _map_chunks, _mean_se, sample_scores
 
 __all__ = [
@@ -593,6 +593,22 @@ class SurrogateReport:
     seed: int
 
 
+def _mean(values: list[float]) -> float:
+    """Mean of a list, rounded exactly as ``np.mean`` rounds it.
+
+    numpy sums fewer than 8 values left to right from 0.0, which a plain
+    loop repeats at a fraction of ``np.mean``'s call cost; longer lists go
+    to numpy, whose pairwise sum rounds differently.  Builtin ``sum`` is
+    not used: from Python 3.12 it compensates, so it rounds differently.
+    """
+    if len(values) >= 8:
+        return float(np.mean(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 def surrogate_eval(
     reviews: Iterable[ReviewRecord],
     authors: Iterable[AuthorRecord],
@@ -608,11 +624,17 @@ def surrogate_eval(
     not permutations, or who reference unknown or dropped submissions, are
     skipped and counted by reason.  Rows aggregate both MSEs over authors
     with the same submission count; counts without authors keep None cells.
+    Non-finite review scores and authors without submissions raise
+    ``ValidationError``.
     """
     rng = np.random.default_rng(seed)
     by_submission: dict[str, list[ReviewRecord]] = defaultdict(list)
+    scores = []
     for record in reviews:
         by_submission[record.submission_id].append(record)
+        scores.append(record.score)
+    if not all(map(math.isfinite, scores)):
+        raise ValidationError("review scores must be finite (no NaN/inf)")
 
     surrogate: dict[str, tuple[float, float]] = {}
     tie_breaks: dict[str, int] = {}
@@ -622,14 +644,16 @@ def surrogate_eval(
         if len(recs) < 2:
             skipped_submissions += 1
             continue
-        confidences = np.asarray([r.confidence for r in recs])
-        least = np.flatnonzero(confidences == confidences.min())
-        pick = int(least[0]) if least.size == 1 else int(rng.choice(least))
-        if least.size > 1:
+        confidences = [r.confidence for r in recs]
+        low = min(confidences)
+        if confidences.count(low) == 1:
+            pick = confidences.index(low)
+        else:
+            pick = int(rng.choice([i for i, c in enumerate(confidences) if c == low]))
             tie_breaks[sid] = pick
-        held_out = recs[pick].score
-        rest = [r.score for i, r in enumerate(recs) if i != pick]
-        surrogate[sid] = (float(np.mean(rest)), float(held_out))
+        rest = [r.score for r in recs]
+        held_out = rest.pop(pick)
+        surrogate[sid] = (_mean(rest), float(held_out))
     if skipped_submissions:
         logger.info("dropped %d submissions with fewer than 2 reviews", skipped_submissions)
 
@@ -641,18 +665,23 @@ def surrogate_eval(
             skipped_authors["malformed_ranking"] += 1
             logger.info("author %s skipped: ranking is not a permutation", author.author_id)
             continue
-        if any(sid not in surrogate for sid in author.submission_ids):
+        pairs = [surrogate.get(sid) for sid in author.submission_ids]
+        if None in pairs:
             skipped_authors["missing_submission"] += 1
             logger.info("author %s skipped: submission without usable reviews", author.author_id)
             continue
-        mu_tilde = np.asarray([surrogate[sid][0] for sid in author.submission_ids])
-        x_tilde = np.asarray([surrogate[sid][1] for sid in author.submission_ids])
-        perm = [0] * n
+        if not n:
+            raise ValidationError(f"author {author.author_id} lists no submissions")
+        order = [0] * n  # submission indices, claimed best first
         for j, pos in enumerate(author.ranking):
-            perm[pos - 1] = j + 1
-        fit = isotonic_mechanism(x_tilde, Ranking(perm))
-        mse_raw = float(np.mean(np.square(x_tilde - mu_tilde)))
-        mse_im = float(np.mean(np.square(fit.mu_hat - mu_tilde)))
+            order[pos - 1] = j
+        _, pools = pava_descending([pairs[j][1] for j in order])
+        adjusted = [0.0] * n
+        for start, stop, value in pools:
+            for j in order[start:stop]:
+                adjusted[j] = value
+        mse_raw = _mean([(x - m) * (x - m) for m, x in pairs])
+        mse_im = _mean([(a - m) * (a - m) for a, (m, _) in zip(adjusted, pairs)])
         per_author[n].append((mse_raw, mse_im))
 
     rows = []

@@ -3,11 +3,12 @@
 The central object is the Euclidean projection of a score vector onto the
 descending cone ``x[0] >= x[1] >= ... >= x[n-1]``.  Two kernels compute it:
 
-  * ``pava_descending``, a stack-based O(n) pass, fits single vectors:
-    ``project_descending``, ``isotonic_mechanism`` and the coarse and MLE
-    variants built on it, so also the review-table fits.  This keeps
-    ``scipy.optimize`` (about 0.3 s and 20 MiB to import) out of runs that
-    only fit records.
+  * ``pava_descending``, a stack-based O(n) pass on Python floats, fits
+    single vectors: ``project_descending``, ``isotonic_mechanism`` and the
+    coarse and MLE variants built on it, so also the review-table fits.
+    Python floats round as float64 does, and on one vector they are cheaper
+    than numpy scalars.  This keeps ``scipy.optimize`` (about 0.3 s and
+    20 MiB to import) out of runs that only fit records.
   * ``project_descending_batch`` fits the (trials, n) matrices of the
     Monte-Carlo drivers, up to 512 rows per call of scipy's compiled PAVA.
 
@@ -195,41 +196,46 @@ def pava_descending(y: np.ndarray, weights: Optional[np.ndarray] = None):
 
     Stack-based pool-adjacent-violators: each element is pushed once and
     merged at most once, so the pass is O(n).  Returns (fitted, pools) with
-    pools as (start, stop, value) half-open segments.  Weights default to
-    ones; the mechanisms here never need anything else.
+    fitted a float array and pools as (start, stop, value) half-open
+    segments.  Weights default to ones; the mechanisms here never need
+    anything else.  The stacks hold Python floats, which round exactly as
+    float64 does, so a short vector pays no numpy scalar indexing.
     """
     y = np.asarray(y, dtype=float)
-    n = y.size
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != y.shape or np.any(w <= 0):
-        raise ValidationError("weights must be positive and match the scores")
+    if y.ndim != 1:
+        raise ValidationError("scores must be a 1-d vector")
+    if weights is None:
+        ws = [1.0] * y.size
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != y.shape or np.any(w <= 0):
+            raise ValidationError("weights must be positive and match the scores")
+        ws = w.tolist()
 
     # parallel stacks: pooled (weighted sum, weight, length)
-    sums = np.empty(n)
-    wts = np.empty(n)
-    lens = np.empty(n, dtype=np.intp)
-    top = -1
-    for i in range(n):
-        s, ww, ln = y[i] * w[i], w[i], 1
+    sums: list[float] = []
+    wts: list[float] = []
+    lens: list[int] = []
+    for yi, wi in zip(y.tolist(), ws):
+        s, ww, ln = yi * wi, wi, 1
         # merge while the new pool's mean exceeds its left neighbour's
-        while top >= 0 and sums[top] * ww < s * wts[top]:
-            s += sums[top]
-            ww += wts[top]
-            ln += lens[top]
-            top -= 1
-        top += 1
-        sums[top], wts[top], lens[top] = s, ww, ln
+        while sums and sums[-1] * ww < s * wts[-1]:
+            s += sums.pop()
+            ww += wts.pop()
+            ln += lens.pop()
+        sums.append(s)
+        wts.append(ww)
+        lens.append(ln)
 
-    fitted = np.empty(n)
+    fitted: list[float] = []
     pools = []
     pos = 0
-    for j in range(top + 1):
-        value = sums[j] / wts[j]
-        stop = pos + int(lens[j])
-        fitted[pos:stop] = value
-        pools.append((pos, stop, float(value)))
-        pos = stop
-    return fitted, tuple(pools)
+    for s, ww, ln in zip(sums, wts, lens):
+        value = s / ww
+        fitted += [value] * ln
+        pools.append((pos, pos + ln, value))
+        pos += ln
+    return np.array(fitted, dtype=float), tuple(pools)
 
 
 def project_descending(x, weights=None) -> IsotonicFit:

@@ -244,8 +244,19 @@ def _claimed_order(scores: np.ndarray, claim: Claim) -> np.ndarray:
 
 
 def _trial_utilities(scores: np.ndarray, claim: Claim, utility: UtilityFn) -> np.ndarray:
-    """Per-trial realized utility of reporting ``claim`` on sampled ``scores``."""
-    return utility(project_descending_batch(_claimed_order(scores, claim))).sum(axis=1)
+    """Per-trial realized utility of reporting ``claim`` on sampled ``scores``.
+
+    A utility that overflows on the scores raises ``InvalidParameterError``.
+    """
+    fitted = project_descending_batch(_claimed_order(scores, claim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = utility(fitted).sum(axis=1)
+    if not np.all(np.isfinite(u)):
+        raise InvalidParameterError(
+            f"utility {utility} overflows on these scores: some trial's utility is not "
+            "finite; use a smaller parameter"
+        )
+    return u
 
 
 def utility_trials(

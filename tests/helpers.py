@@ -2,18 +2,23 @@
 
 Everything here deliberately avoids the library's own algorithms: the
 projection oracle enumerates pooling patterns, KL oracles integrate or sum
-densities, and derivatives come from finite differences.
+densities, and derivatives come from finite differences.  The one exception
+is ``reference_surrogate_eval``, a per-record restatement of the review
+table's bookkeeping that is compared for exact equality, so it fits with the
+library's own projection.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 from scipy.integrate import quad
 
-from isomech import Binomial, Gamma, Gaussian, Poisson
+from isomech import Binomial, Gamma, Gaussian, Poisson, Ranking, isotonic_mechanism
+from isomech.experiments import SurrogateReport, SurrogateRow
 
 
 def compositions(n: int):
@@ -160,3 +165,71 @@ MU_WINDOWS = {
     "poisson": (0.2, 12.0),
     "gamma": (0.3, 12.0),
 }
+
+
+def reference_surrogate_eval(reviews, authors, seed: int = 0) -> SurrogateReport:
+    """``experiments.surrogate_eval`` record by record, with numpy arrays and
+    ``np.mean`` per submission and per author.  The library's version must
+    match it exactly: same rows, tie-breaks and skip counts."""
+    rng = np.random.default_rng(seed)
+    by_submission = defaultdict(list)
+    for record in reviews:
+        by_submission[record.submission_id].append(record)
+
+    surrogate = {}
+    tie_breaks = {}
+    skipped_submissions = 0
+    for sid in sorted(by_submission):
+        recs = by_submission[sid]
+        if len(recs) < 2:
+            skipped_submissions += 1
+            continue
+        confidences = np.asarray([r.confidence for r in recs])
+        least = np.flatnonzero(confidences == confidences.min())
+        pick = int(least[0]) if least.size == 1 else int(rng.choice(least))
+        if least.size > 1:
+            tie_breaks[sid] = pick
+        held_out = recs[pick].score
+        rest = [r.score for i, r in enumerate(recs) if i != pick]
+        surrogate[sid] = (float(np.mean(rest)), float(held_out))
+
+    per_author = defaultdict(list)
+    skipped_authors = defaultdict(int)
+    for author in authors:
+        n = len(author.submission_ids)
+        if sorted(author.ranking) != list(range(1, n + 1)):
+            skipped_authors["malformed_ranking"] += 1
+            continue
+        if any(sid not in surrogate for sid in author.submission_ids):
+            skipped_authors["missing_submission"] += 1
+            continue
+        mu_tilde = np.asarray([surrogate[sid][0] for sid in author.submission_ids])
+        x_tilde = np.asarray([surrogate[sid][1] for sid in author.submission_ids])
+        perm = [0] * n
+        for j, pos in enumerate(author.ranking):
+            perm[pos - 1] = j + 1
+        fit = isotonic_mechanism(x_tilde, Ranking(perm))
+        mse_raw = float(np.mean(np.square(x_tilde - mu_tilde)))
+        mse_im = float(np.mean(np.square(fit.mu_hat - mu_tilde)))
+        per_author[n].append((mse_raw, mse_im))
+
+    rows = []
+    if per_author:
+        for n in range(min(per_author), max(per_author) + 1):
+            entries = per_author.get(n, [])
+            if not entries:
+                rows.append(SurrogateRow(n=n, authors=0, mse_raw=None, mse_im=None, improvement=None))
+                continue
+            raws = float(np.mean([e[0] for e in entries]))
+            ims = float(np.mean([e[1] for e in entries]))
+            improvement = (raws - ims) / raws if raws > 0 else 0.0
+            rows.append(
+                SurrogateRow(n=n, authors=len(entries), mse_raw=raws, mse_im=ims, improvement=improvement)
+            )
+    return SurrogateReport(
+        rows=tuple(rows),
+        skipped_submissions=skipped_submissions,
+        skipped_authors=dict(skipped_authors),
+        tie_breaks=tie_breaks,
+        seed=seed,
+    )

@@ -269,6 +269,19 @@ def test_missing_input_file_exits_2(workdir, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, token", [
+    (b"index,score\n1,\xff2\n", "can't decode byte 0xff"),
+    (b"index,score\n1," + b"1" * 200_000 + b"\n", "field larger than field limit"),
+])
+def test_unreadable_csv_exits_2(workdir, capsys, data, token):
+    (workdir / "scores.csv").write_bytes(data)
+    ranking_csv(workdir / "ranking.csv", [1])
+    assert main(["fit", "scores.csv", "--ranking", "ranking.csv", "--out", "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scores.csv: not a readable UTF-8 CSV file") and token in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_bad_header_is_named(workdir, capsys):
     write(workdir / "scores.csv", "idx,val\n1,2\n")
     ranking_csv(workdir / "ranking.csv", [1])
@@ -379,3 +392,107 @@ def test_fit_and_icml_leave_scipy_optimize_unloaded(workdir):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+VALID_INPUTS = {
+    "scores.csv": "index,score\n1,2\n2,3\n3,1\n",
+    "ranking.csv": "rank,index\n1,1\n2,2\n3,3\n",
+    "blocks.csv": "block,index\n1,1\n2,2\n2,3\n",
+    "reviews.csv": "submission_id,score,confidence\na,6,5\na,7,1\nb,4,5\nb,5,1\n",
+    "authors.csv": "author_id,submission_ids,ranking\nalice,a;b,1;2\n",
+    "pool.csv": "score\n5\n6\n7\n",
+    "a.csv": "value\n2\n0\n",
+    "b.csv": "value\n1\n1\n",
+}
+FIT_RANKING = ["fit", "scores.csv", "--ranking", "ranking.csv", "--out", "out.csv"]
+FIT_BLOCKS = ["fit", "scores.csv", "--blocks", "blocks.csv", "--out", "out.csv"]
+ICML = ["icml", "reviews.csv", "authors.csv", "--out", "out.csv"]
+SYNTHETIC = ["synthetic", "pool.csv", "--n-grid", "2", "--trials", "10", "--out", "out.csv"]
+MAJORIZATION = ["check-majorization", "a.csv", "b.csv"]
+
+
+@pytest.mark.parametrize("argv, name, text, message", [
+    # a cell that is not a number, in each numeric column
+    (FIT_RANKING, "scores.csv", "index,score\n1,2\nx,3\n3,1\n",
+     "scores.csv line 3: index must be a number, got 'x'"),
+    (FIT_RANKING, "scores.csv", "index,score\n1,2\n2,abc\n3,1\n",
+     "scores.csv line 3: score must be a number, got 'abc'"),
+    (FIT_RANKING, "ranking.csv", "rank,index\n1,1\n2,2\nthird,3\n",
+     "ranking.csv line 4: rank must be a number, got 'third'"),
+    (FIT_RANKING, "ranking.csv", "rank,index\n1,1\n2,2.0\n3,3\n",
+     "ranking.csv line 3: index must be a number, got '2.0'"),
+    (FIT_BLOCKS, "blocks.csv", "block,index\n1,1\nB,2\n2,3\n",
+     "blocks.csv line 3: block must be a number, got 'B'"),
+    (FIT_BLOCKS, "blocks.csv", "block,index\n1,1\n2,2\n2,\n",
+     "blocks.csv line 4: index must be a number, got ''"),
+    (ICML, "reviews.csv", "submission_id,score,confidence\na,6,5\na,seven,1\nb,4,5\nb,5,1\n",
+     "reviews.csv line 3: score must be a number, got 'seven'"),
+    (ICML, "reviews.csv", "submission_id,score,confidence\na,6,5\na,7,1\nb,4,4.5\nb,5,1\n",
+     "reviews.csv line 4: confidence must be a number, got '4.5'"),
+    (ICML, "authors.csv", "author_id,submission_ids,ranking\nalice,a;b,1; x\n",
+     "authors.csv line 2: ranking must be a number, got ' x'"),
+    (SYNTHETIC, "pool.csv", "score\n5\nfive\n7\n",
+     "pool.csv line 3: score must be a number, got 'five'"),
+    (MAJORIZATION, "b.csv", "value\n1\n1e\n",
+     "b.csv line 3: value must be a number, got '1e'"),
+    # a wrong field count after a blank and a whitespace-only row
+    (FIT_RANKING, "scores.csv", "index,score\n1,2\n\n  ,  \n2,3,4\n3,1\n",
+     "scores.csv line 5: expected 2 fields, got 3"),
+    (FIT_RANKING, "ranking.csv", "rank,index\n1,1\n\n   \n2\n3,3\n",
+     "ranking.csv line 5: expected 2 fields, got 1"),
+    (FIT_BLOCKS, "blocks.csv", "block,index\n\n \n1,1\n2,2,\n2,3\n",
+     "blocks.csv line 5: expected 2 fields, got 3"),
+    (ICML, "reviews.csv", "submission_id,score,confidence\na,6,5\n\n , , \na,7\n",
+     "reviews.csv line 5: expected 3 fields, got 2"),
+    (ICML, "authors.csv", "author_id,submission_ids,ranking\n\n\t\nalice,a;b,1;2,x\n",
+     "authors.csv line 4: expected 3 fields, got 4"),
+    (SYNTHETIC, "pool.csv", "score\n5\n\n   \n6,7\n",
+     "pool.csv line 5: expected 1 fields, got 2"),
+    (MAJORIZATION, "a.csv", "value\n2\n\n \n0,1\n",
+     "a.csv line 5: expected 1 fields, got 2"),
+    # duplicates and gaps
+    (FIT_RANKING, "scores.csv", "index,score\n1,2\n2,3\n1,1\n",
+     "scores.csv line 4: index 1 is not a fresh value in 1..3"),
+    (FIT_RANKING, "scores.csv", "index,score\n1,2\n4,3\n3,1\n",
+     "scores.csv line 3: index 4 is not a fresh value in 1..3"),
+    (FIT_RANKING, "ranking.csv", "rank,index\n1,1\n1,2\n3,3\n",
+     "ranking.csv line 3: rank 1 invalid or repeated"),
+    (FIT_RANKING, "ranking.csv", "rank,index\n1,1\n2,3\n3,3\n",
+     "ranking.csv line 4: index 3 ranked twice"),
+    (FIT_RANKING, "ranking.csv", "rank,index\n1,1\n2,0\n3,3\n",
+     "ranking.csv line 3: index 0 does not name a score row in 1..3"),
+    (FIT_BLOCKS, "blocks.csv", "block,index\n1,1\n3,2\n3,3\n",
+     "blocks.csv: block ids must be 1..p in any row order"),
+    (FIT_BLOCKS, "blocks.csv", "block,index\n1,1\n2,2\n2,4\n",
+     "blocks.csv line 4: index 4 not in 1..3"),
+    # header-only files
+    (FIT_RANKING, "scores.csv", "index,score\n", "scores.csv: no score rows"),
+    (FIT_RANKING, "ranking.csv", "rank,index\n", "ranking.csv: expected 3 ranking rows, found 0"),
+    (FIT_BLOCKS, "blocks.csv", "block,index\n", "blocks.csv: blocks must be nonempty"),
+    (SYNTHETIC, "pool.csv", "score\n", "pool.csv: no data rows"),
+    (MAJORIZATION, "a.csv", "value\n", "a.csv: no data rows"),
+])
+def test_malformed_csv_names_file_and_line(workdir, capsys, argv, name, text, message):
+    for path, content in {**VALID_INPUTS, name: text}.items():
+        write(workdir / path, content)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv, name, text, message", [
+    (FIT_RANKING, "scores.csv", "index,score\n1,2\n2,nan\n3,1\n",
+     "scores.csv line 3: score must be a finite number, got 'nan'"),
+    (FIT_BLOCKS, "scores.csv", "index,score\n1,2\n2,3\n3, -Infinity\n",
+     "scores.csv line 4: score must be a finite number, got '-Infinity'"),
+    (ICML, "reviews.csv", "submission_id,score,confidence\ns1,nan,3\ns1,5,1\ns1,6,2\n",
+     "reviews.csv line 2: score must be a finite number, got 'nan'"),
+    (SYNTHETIC, "pool.csv", "score\n5\n\ninf\n", "pool.csv line 4: score must be a finite number, got 'inf'"),
+    (MAJORIZATION, "a.csv", "value\n2\nNaN\n", "a.csv line 3: value must be a finite number, got 'NaN'"),
+])
+def test_non_finite_csv_numbers_exit_2(workdir, capsys, argv, name, text, message):
+    for path, content in {**VALID_INPUTS, name: text}.items():
+        write(workdir / path, content)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "out.csv").exists()

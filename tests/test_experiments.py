@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_surrogate_eval
 from isomech import (
     Binomial,
     ConstructionFailedError,
@@ -358,3 +361,63 @@ def test_surrogate_uses_reported_not_truthful_ranking():
     # held-out (9, 2) pooled under b >= a: (5.5, 5.5); surrogates (9, 2)
     assert row.mse_im == pytest.approx(((5.5 - 9) ** 2 + (5.5 - 2) ** 2) / 2)
     assert row.mse_raw == pytest.approx(0.0)
+
+
+# two-decimal review scores, mostly on a 1-10 scale, some far off it
+DECIMAL_SCORES = st.one_of(
+    st.integers(100, 1000).map(lambda k: k / 100),
+    st.integers(-10**6, 10**6).map(lambda k: k / 100),
+)
+
+
+@st.composite
+def review_tables(draw):
+    """Reviews (1-10 per submission, shuffled, confidences 1-3 so ties are
+    common) and authors, some with malformed rankings or unknown or
+    single-review submissions."""
+    n_subs = draw(st.integers(1, 9))
+    reviews = [
+        ReviewRecord(f"s{s}", draw(DECIMAL_SCORES), draw(st.integers(1, 3)))
+        for s in range(n_subs)
+        for _ in range(draw(st.integers(1, 10)))
+    ]
+    reviews = draw(st.permutations(reviews))
+    ids = [f"s{s}" for s in range(n_subs)] + ["unknown"]
+    authors = []
+    for a in range(draw(st.integers(0, 8))):
+        sids = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=10))
+        k = len(sids)
+        if draw(st.integers(0, 4)):
+            ranking = draw(st.permutations(range(1, k + 1)))
+        else:
+            ranking = draw(st.lists(st.integers(0, k + 1), min_size=k, max_size=k))
+        authors.append(AuthorRecord(f"a{a}", tuple(sids), tuple(ranking)))
+    return reviews, authors
+
+
+@given(review_tables(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_surrogate_matches_per_record_reference(table, seed):
+    reviews, authors = table
+    got = surrogate_eval(reviews, authors, seed=seed)
+    want = reference_surrogate_eval(reviews, authors, seed=seed)
+    assert got.rows == want.rows
+    assert got.tie_breaks == want.tie_breaks
+    assert got.skipped_submissions == want.skipped_submissions
+    assert got.skipped_authors == want.skipped_authors
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_surrogate_refuses_non_finite_review_scores(bad):
+    # the bad score is kept in the surrogate truth, not held out
+    reviews = reviews_for("a", [(6, 5), (bad, 4), (7, 1)]) + reviews_for("b", [(4, 5), (5, 1)])
+    authors = [AuthorRecord("alice", ("a", "b"), (1, 2))]
+    with pytest.raises(ValidationError, match="finite"):
+        surrogate_eval(reviews, authors, seed=0)
+
+
+def test_surrogate_refuses_author_without_submissions():
+    reviews = reviews_for("a", [(6, 5), (7, 1)])
+    authors = [AuthorRecord("alice", ("a",), (1,)), AuthorRecord("bob", (), ())]
+    with pytest.raises(ValidationError, match="bob lists no submissions"):
+        surrogate_eval(reviews, authors, seed=0)

@@ -203,6 +203,15 @@ def test_overflowing_utility_is_refused():
         )
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [expected_utility, utility_trials])
+def test_overflowing_utility_is_refused_per_claim(call):
+    claim = Ranking([1, 2])
+    with pytest.raises(InvalidParameterError, match="exp:100.*smaller parameter"):
+        call(Binomial(10), [8, 7], claim if call is expected_utility else [claim],
+             UtilityFn.exponential(100), trials=50, seed=0)
+
+
 def _table_fits(rows, ranking):
     """Fit of every row under ``ranking`` by the subset-mean table, (t, n)."""
     t, n = rows.shape
