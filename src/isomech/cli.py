@@ -47,6 +47,7 @@ from .experiments import (
     LinearRamp,
     PoolResample,
     ReviewRecord,
+    _first_repeat,
     build_lower_bound,
     estimation_error_curve,
     rate_check,
@@ -494,6 +495,9 @@ def _read_authors(path: str) -> list[AuthorRecord]:
             raise ValidationError(
                 f"{path} line {lineno}: {len(sids)} submissions but {len(ranks)} ranks"
             )
+        repeated = _first_repeat(sids)
+        if repeated is not None:
+            raise ValidationError(f"{path} line {lineno}: submission {repeated!r} listed twice")
         authors.append(AuthorRecord(author_id, sids, ranks))
     return authors
 

@@ -8,9 +8,10 @@ and exposes the natural-parameter calculus
     mean           mu = b'(theta)
     variance       b''(theta)
 
-together with seeded sampling and the KL divergence in closed form.  All math
-methods accept scalars or numpy arrays and broadcast elementwise.  The carrier
-c(x) never needs a standalone representation; it is folded into log_density.
+together with seeded sampling, of one draw or of the exact average of several,
+and the KL divergence in closed form.  All math methods accept scalars or numpy
+arrays and broadcast elementwise.  The carrier c(x) never needs a standalone
+representation; it is folded into log_density.
 """
 
 from __future__ import annotations
@@ -132,11 +133,14 @@ class Family(ABC):
     # -- sampling ------------------------------------------------------
 
     @abstractmethod
-    def sample_mean(self, mu, rng: np.random.Generator, size=None):
-        """Draw variates with mean ``mu``.
+    def sample_mean(self, mu, rng: np.random.Generator, size=None, reps: int = 1):
+        """Draw variates with mean ``mu``, each the average of ``reps`` iid draws.
 
-        Accepts the closed mean hull, including boundary means where the
-        natural parameter would be infinite (the draw is then degenerate).
+        Every family here is closed under averaging, so one draw from the
+        average's own law stands in for ``reps`` draws and their mean, exact
+        in distribution.  Accepts the closed mean hull, including boundary
+        means where the natural parameter would be infinite (the draw is then
+        degenerate).
         """
 
     def sample(self, theta, rng: np.random.Generator, size=None):
@@ -190,6 +194,12 @@ class Family(ABC):
 
     # -- internals ---------------------------------------------------------
 
+    @staticmethod
+    def _check_reps(reps) -> int:
+        if not (isinstance(reps, (int, np.integer)) and reps >= 1):
+            raise InvalidParameterError(f"reps must be a positive integer, got {reps!r}")
+        return int(reps)
+
     def _check_theta(self, theta):
         arr = _as_float(theta)
         if not np.all(np.isfinite(arr)):
@@ -235,9 +245,11 @@ class Gaussian(Family):
             2.0 * math.pi * self.variance_param
         )
 
-    def sample_mean(self, mu, rng, size=None):
+    def sample_mean(self, mu, rng, size=None, reps=1):
+        # the mean of r draws is N(mu, sigma^2 / r)
+        reps = self._check_reps(reps)
         arr = self.check_mean_hull(mu, "mean")
-        return rng.normal(arr, math.sqrt(self.variance_param), size=size)
+        return rng.normal(arr, math.sqrt(self.variance_param / reps), size=size)
 
     def mean_hull(self):
         return (-math.inf, math.inf)
@@ -323,10 +335,12 @@ class Binomial(Family):
         out = np.where(support, logpmf, -np.inf)
         return out if out.ndim else float(out)
 
-    def sample_mean(self, mu, rng, size=None):
+    def sample_mean(self, mu, rng, size=None, reps=1):
+        # r draws of Binomial(m, p) sum to one Binomial(r m, p)
+        reps = self._check_reps(reps)
         arr = self.check_mean_hull(mu, "mean")
         p = np.asarray(arr, dtype=float) / self.trials
-        return rng.binomial(self.trials, p, size=size).astype(float)
+        return rng.binomial(reps * self.trials, p, size=size) / reps
 
     def mean_hull(self):
         return (0.0, float(self.trials))
@@ -387,9 +401,11 @@ class Poisson(Family):
         out = np.where(support, xs * t - np.exp(t) - gammaln(xs + 1.0), -np.inf)
         return out if out.ndim else float(out)
 
-    def sample_mean(self, mu, rng, size=None):
+    def sample_mean(self, mu, rng, size=None, reps=1):
+        # r draws of Poisson(mu) sum to one Poisson(r mu)
+        reps = self._check_reps(reps)
         arr = self.check_mean_hull(mu, "mean")
-        return rng.poisson(arr, size=size).astype(float)
+        return rng.poisson(reps * arr, size=size) / reps
 
     def mean_hull(self):
         return (0.0, math.inf)
@@ -465,11 +481,14 @@ class Gamma(Family):
         )
         return out if out.ndim else float(out)
 
-    def sample_mean(self, mu, rng, size=None):
+    def sample_mean(self, mu, rng, size=None, reps=1):
+        # the mean of r draws of Gamma(a, scale s) is Gamma(r a, scale s / r)
+        reps = self._check_reps(reps)
         arr = np.asarray(self.check_mean_hull(mu, "mean"), dtype=float)
         if np.any(arr <= 0):
             raise InvalidParameterError("Gamma sampling needs a strictly positive mean")
-        return rng.gamma(self.shape, scale=arr / self.shape, size=size)
+        shape = reps * self.shape
+        return rng.gamma(shape, scale=arr / shape, size=size)
 
     def mean_hull(self):
         # x = 0 is measure-zero but harmless as a data value (log-density -inf)

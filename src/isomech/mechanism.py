@@ -4,7 +4,10 @@ The core serves every simulation in the package, the estimation drivers in
 ``experiments`` included.  Trials run in chunks of ``_CHUNK``, each on an
 RNG substream spawned from the seed, so a seed gives the same numbers with
 or without worker threads.  ``sample_scores`` is the one sampler: an
-observed score averages ``scores_per_item`` draws at its true mean.
+observed score averages ``scores_per_item`` draws at its true mean, and it
+is drawn once, from the family's law of that average.  Means shared by
+every trial of a chunk (a 1-d vector) are drawn item-major in one call;
+means that vary by trial (a 2-d array) are drawn elementwise.
 ``_mean_se`` reduces per-trial samples to a mean and standard error.
 
 An author with true scores ``mu_star`` reports a ranking or coarse ranking
@@ -54,10 +57,12 @@ _CHUNK = 512
 # Trials per subset-mean table: 2^n rows of this many, 8 MiB at n = 8.
 _SWEEP_CHUNK = 4096
 
-# Projected elements (n! * n * max(trials, 512)) an all-rankings sweep may
-# take.  The largest it admits, n = 8 at 3,328 trials, took 9.9 s on 2 cores
-# (about 9 ns per element).
-_SWEEP_MAX_ELEMENTS = 1 << 30
+# Table rows an all-rankings sweep may visit: about n^2 per ranking per chunk
+# of _SWEEP_CHUNK trials, n! * n^2 * ceil(trials / _SWEEP_CHUNK) in all, a
+# partial chunk counted whole.  One n = 8 chunk (2,580,480 rows) took 10.6 to
+# 11.8 s on 2 cores (4.1 to 4.6 us per row), so the limit, 3 such chunks, is
+# about 35 s; n = 9 needs 29,393,280 rows per chunk and is refused.
+_SWEEP_MAX_ROWS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -153,13 +158,25 @@ def _map_chunks(
 
 
 def sample_scores(
-    family: Family, mu, scores_per_item: int, rng: np.random.Generator
+    family: Family, mu, scores_per_item: int, rng: np.random.Generator, trials: int
 ) -> np.ndarray:
-    """Observed scores at true means ``mu`` (any shape): each entry averages
-    ``scores_per_item`` independent draws."""
+    """(trials, n) observed scores at true means ``mu``, one ``sample_mean``
+    draw per score; each score is the average of ``scores_per_item`` draws.
+
+    A 1-d ``mu`` holds every trial's means.  It is drawn item-major, as an
+    (n, trials) block: each item's mean stays put for ``trials`` consecutive
+    draws, so numpy sets a sampler up once per item, not once per draw.  The
+    block is returned as a row-major (trials, n) copy, which the batch
+    projection reads faster than a transposed view.  A 2-d ``mu`` gives each
+    of the ``trials`` rows its own means and is drawn elementwise.
+    """
     mu = np.asarray(mu, dtype=float)
-    reps = np.broadcast_to(mu[..., None], mu.shape + (scores_per_item,))
-    return family.sample_mean(reps, rng).mean(axis=-1)
+    if mu.ndim == 1:
+        block = family.sample_mean(mu[:, None], rng, (mu.size, trials), scores_per_item)
+        return np.ascontiguousarray(block.T)
+    if mu.ndim != 2 or mu.shape[0] != trials:
+        raise ValidationError(f"expected (n,) or ({trials}, n) true means, got shape {mu.shape}")
+    return family.sample_mean(mu, rng, reps=scores_per_item)
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
@@ -188,8 +205,7 @@ def simulate_scores(
         raise ValidationError("scores_per_item and trials must be >= 1")
 
     def one_chunk(count, rng):
-        mu_rows = np.broadcast_to(mu, (count, mu.size))
-        return sample_scores(family, mu_rows, scores_per_item, rng)
+        return sample_scores(family, mu, scores_per_item, rng, count)
 
     return np.concatenate(_map_chunks(one_chunk, trials, np.random.SeedSequence(seed), max_workers))
 
@@ -296,15 +312,15 @@ def expected_utility(
 
 
 def _check_sweep_budget(n: int, trials: int) -> None:
-    """Refuse a sweep over budget, counted as n! * n * max(trials, 512)
-    projected elements."""
-    per_trial = math.factorial(n) * n
-    if per_trial * max(trials, _CHUNK) > _SWEEP_MAX_ELEMENTS:
-        most = _SWEEP_MAX_ELEMENTS // per_trial
-        fix = f"use trials <= {most}" if most >= _CHUNK else "n is too large at any trial count"
+    """Refuse a sweep over budget, counted as n! * n^2 table rows per chunk
+    of ``_SWEEP_CHUNK`` trials."""
+    per_chunk = math.factorial(n) * n * n
+    if per_chunk * math.ceil(trials / _SWEEP_CHUNK) > _SWEEP_MAX_ROWS:
+        most = _SWEEP_MAX_ROWS // per_chunk * _SWEEP_CHUNK
+        fix = f"use trials <= {most}" if most else "n is too large at any trial count"
         raise ValidationError(
             f"all-rankings sweep of n = {n} at {trials} trials exceeds the budget of "
-            f"{_SWEEP_MAX_ELEMENTS:,} projected elements; {fix}"
+            f"{_SWEEP_MAX_ROWS:,} table rows; {fix}"
         )
 
 
@@ -397,8 +413,8 @@ def rank_all_utilities(
     through ``utility``; every ranking's fitted utilities come from that
     table by ``_fit_from_table`` and are folded into running moments, so no
     trials x n! matrix is held.  The estimates match projecting each ranking
-    with ``project_descending_batch`` up to rounding.  Sweeps over 2^30
-    projected elements (n! * n * trials) are refused before sampling; call
+    with ``project_descending_batch`` up to rounding.  Sweeps over 2^23
+    table rows (n! * n^2 per chunk) are refused before sampling; call
     ``expected_utility`` on rankings of interest instead.  A utility that
     overflows on the scores raises ``InvalidParameterError``.
     ``max_workers`` threads draw the scores; the estimates do not depend on it.

@@ -253,7 +253,8 @@ def test_criterion_09_review_table_substitutes():
 
 
 def test_criterion_10_family_calculus_suite():
-    with criterion(10, "KL vs oracle, curvature vs finite differences, sampler moments"):
+    with criterion(10, "KL vs oracle, curvature vs finite differences, sampler moments "
+                       "of single draws and of averages"):
         rng = np.random.default_rng(1010)
         for name, family in ALL_FAMILIES.items():
             lo, hi = THETA_WINDOWS[name]
@@ -275,3 +276,14 @@ def test_criterion_10_family_calculus_suite():
             m4 = float(np.mean((draws - draws.mean()) ** 4))
             var_se = math.sqrt(max(m4 - family.variance(theta) ** 2, 1e-12) / n)
             assert abs(draws.var(ddof=1) - family.variance(theta)) <= 5 * var_se, name
+
+            # one draw from the law of an average of 3: mean mu, variance V(mu) / 3
+            reps, mu = 3, family.mean(theta)
+            averages = family.sample_mean(
+                mu, np.random.default_rng(sampler_seed + 100), size=n, reps=reps
+            )
+            avg_var = family.variance(theta) / reps
+            assert abs(averages.mean() - mu) <= 5 * math.sqrt(avg_var / n), name
+            m4 = float(np.mean((averages - averages.mean()) ** 4))
+            var_se = math.sqrt(max(m4 - avg_var**2, 1e-12) / n)
+            assert abs(averages.var(ddof=1) - avg_var) <= 5 * var_se, name

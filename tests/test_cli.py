@@ -211,7 +211,7 @@ def test_truthfulness_sweep_over_budget_exits_2(workdir, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert "100000 trials" in err and "trials <= 3328" in err
+    assert "100000 trials" in err and "trials <= 12288" in err
     assert not (workdir / "x.csv").exists()
 
 
@@ -471,6 +471,9 @@ MAJORIZATION = ["check-majorization", "a.csv", "b.csv"]
     (FIT_BLOCKS, "blocks.csv", "block,index\n", "blocks.csv: blocks must be nonempty"),
     (SYNTHETIC, "pool.csv", "score\n", "pool.csv: no data rows"),
     (MAJORIZATION, "a.csv", "value\n", "a.csv: no data rows"),
+    # one submission listed twice in an author row
+    (ICML, "authors.csv", "author_id,submission_ids,ranking\nbob,b,1\nalice,a;a,1;2\n",
+     "authors.csv line 3: submission 'a' listed twice"),
 ])
 def test_malformed_csv_names_file_and_line(workdir, capsys, argv, name, text, message):
     for path, content in {**VALID_INPUTS, name: text}.items():

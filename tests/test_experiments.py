@@ -80,6 +80,15 @@ def test_curve_deterministic_across_workers():
     assert estimation_error_curve(cfg) == estimation_error_curve(cfg)
 
 
+def test_curve_ignores_the_order_of_explicit_scores():
+    curves = [
+        estimation_error_curve(make_cfg(generator=ExplicitScores(values), n_grid=(3,), trials=700))
+        for values in [(3.0, 9.0, 5.0), (9.0, 5.0, 3.0)]
+    ]
+    assert curves[0] == curves[1]
+    assert curves[0][0].mse_raw > 0
+
+
 def test_generator_validation():
     with pytest.raises(ValidationError):
         estimation_error_curve(make_cfg(n_grid=(1,), trials=10))  # ramp needs n >= 2
@@ -373,8 +382,8 @@ DECIMAL_SCORES = st.one_of(
 @st.composite
 def review_tables(draw):
     """Reviews (1-10 per submission, shuffled, confidences 1-3 so ties are
-    common) and authors, some with malformed rankings or unknown or
-    single-review submissions."""
+    common) and authors, each listing distinct submissions, some with
+    malformed rankings or unknown or single-review submissions."""
     n_subs = draw(st.integers(1, 9))
     reviews = [
         ReviewRecord(f"s{s}", draw(DECIMAL_SCORES), draw(st.integers(1, 3)))
@@ -385,7 +394,7 @@ def review_tables(draw):
     ids = [f"s{s}" for s in range(n_subs)] + ["unknown"]
     authors = []
     for a in range(draw(st.integers(0, 8))):
-        sids = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=10))
+        sids = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=10, unique=True))
         k = len(sids)
         if draw(st.integers(0, 4)):
             ranking = draw(st.permutations(range(1, k + 1)))
@@ -413,6 +422,13 @@ def test_surrogate_refuses_non_finite_review_scores(bad):
     reviews = reviews_for("a", [(6, 5), (bad, 4), (7, 1)]) + reviews_for("b", [(4, 5), (5, 1)])
     authors = [AuthorRecord("alice", ("a", "b"), (1, 2))]
     with pytest.raises(ValidationError, match="finite"):
+        surrogate_eval(reviews, authors, seed=0)
+
+
+def test_surrogate_refuses_repeated_submission():
+    reviews = reviews_for("a", [(6, 5), (7, 1)]) + reviews_for("b", [(4, 5), (5, 1)])
+    authors = [AuthorRecord("bob", ("b",), (1,)), AuthorRecord("alice", ("a", "b", "a"), (1, 2, 3))]
+    with pytest.raises(ValidationError, match="alice lists submission 'a' twice"):
         surrogate_eval(reviews, authors, seed=0)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from isomech import (
     AssumptionViolatedError,
@@ -176,6 +177,52 @@ def test_boundary_means_reject_and_sentinel():
     # boundary means remain fine as data values
     assert b.sample_mean(0.0, np.random.default_rng(0), size=5).tolist() == [0] * 5
     assert b.sample_mean(10.0, np.random.default_rng(0), size=5).tolist() == [10] * 5
+
+
+def _sum_pmf(pmf: np.ndarray, reps: int) -> np.ndarray:
+    """pmf of the sum of ``reps`` iid draws on 0, 1, ..., by repeated convolution."""
+    out = np.ones(1)
+    for _ in range(reps):
+        out = np.convolve(out, pmf)
+    return out
+
+
+def _chi_square_p(counts: np.ndarray, pmf: np.ndarray) -> float:
+    """Pearson chi-square p-value of counts on 0, 1, ... against ``pmf``; cells
+    expected below 5 are pooled into one, with the mass ``pmf`` leaves out."""
+    total = counts.sum()
+    expected = total * pmf
+    keep = expected >= 5
+    observed = np.append(counts[: pmf.size][keep], total - counts[: pmf.size][keep].sum())
+    expected = np.append(expected[keep], total - expected[keep].sum())
+    return float(chisquare(observed, expected).pvalue)
+
+
+@pytest.mark.parametrize("family, mu, seed", [
+    (Binomial(10), 6.2, 2401),
+    (Poisson(), 2.5, 2402),
+])
+def test_average_of_reps_matches_the_convolved_pmf(family, mu, seed):
+    reps, n = 3, 200_000
+    averages = family.sample_mean(mu, np.random.default_rng(seed), size=n, reps=reps)
+    sums = np.rint(averages * reps)
+    assert np.all(np.abs(averages * reps - sums) < 1e-9)  # averages sit on the 1/reps lattice
+    k = np.arange(61)
+    if isinstance(family, Binomial):
+        one = np.array([math.comb(10, j) * (mu / 10) ** j * (1 - mu / 10) ** (10 - j)
+                        for j in range(11)])
+    else:
+        one = np.array([math.exp(-mu) * mu**j / math.factorial(j) for j in k])
+    pmf = _sum_pmf(one, reps)[: k.size]
+    counts = np.bincount(sums.astype(int), minlength=pmf.size)
+    assert _chi_square_p(counts, pmf) > 1e-3
+
+
+@pytest.mark.parametrize("reps", [0, -1, 1.5, "3"])
+def test_sample_mean_refuses_bad_reps(reps):
+    for family in (Gaussian(1.0), Binomial(10), Poisson(), Gamma(2.0)):
+        with pytest.raises(InvalidParameterError, match="reps"):
+            family.sample_mean(2.0, np.random.default_rng(0), size=3, reps=reps)
 
 
 def test_domain_errors():

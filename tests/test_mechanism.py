@@ -19,6 +19,7 @@ from isomech.mechanism import (
     expected_utility,
     rank_all_utilities,
     realized_utility,
+    sample_scores,
     simulate_scores,
     utility_trials,
 )
@@ -144,13 +145,34 @@ def test_rank_all_utilities_guards():
         )
 
 
+def test_simulate_scores_ignores_worker_count():
+    args = (Binomial(10), [8.0, 6.5, 2.0, 2.0], 3, 1300, 21)
+    serial = simulate_scores(*args, max_workers=1)
+    threaded = simulate_scores(*args, max_workers=2)
+    assert serial.shape == (1300, 4)
+    np.testing.assert_array_equal(serial, threaded)
+
+
+def test_sample_scores_shapes():
+    rng = np.random.default_rng(4)
+    shared = sample_scores(Poisson(), [4.0, 1.0, 0.0], 3, rng, 7)
+    assert shared.shape == (7, 3) and shared.flags.c_contiguous
+    assert np.all(shared[:, 2] == 0.0)  # a mean of 0 gives 0 in every trial
+    own = sample_scores(Poisson(), np.full((7, 3), 2.0), 3, rng, 7)
+    assert own.shape == (7, 3)
+    for mu in (np.full((7, 3), 2.0), np.full((5, 3, 1), 2.0)):
+        with pytest.raises(ValidationError, match=r"expected \(n,\) or \(5, n\) true means"):
+            sample_scores(Poisson(), mu, 3, rng, 5)
+
+
 def test_sweep_budget_arithmetic():
-    # n! * n * max(trials, 512) projected elements against 2^30
+    # n! * n^2 table rows per chunk of 4096 trials against 2^23
     _check_sweep_budget(5, 100_000)
-    _check_sweep_budget(8, 3328)
+    _check_sweep_budget(7, 100_000)
+    _check_sweep_budget(8, 12288)
     _check_sweep_budget(8, 1)
-    with pytest.raises(ValidationError, match=r"trials <= 3328"):
-        _check_sweep_budget(8, 3329)
+    with pytest.raises(ValidationError, match=r"trials <= 12288"):
+        _check_sweep_budget(8, 12289)
     for trials in (1, 512, 100_000):
         with pytest.raises(ValidationError, match="n is too large at any trial count"):
             _check_sweep_budget(9, trials)
