@@ -12,7 +12,9 @@ sidecar with the effective parameters; feeding that sidecar back through
 ``--config`` replays the run byte for byte.  Flags override config-file
 values; a missing seed falls back to the ISOMECH_SEED environment variable,
 then to 0.  Exit codes: 0 success, 1 computation failure (running out of
-memory included), 2 invalid input.
+memory included), 2 invalid input.  ``--log-level`` (default warning) sets
+which library log lines reach stderr, such as the records ``icml`` skips;
+it is not a parameter of the run, so the sidecar does not record it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import csv
 import functools
 import itertools
 import json
+import logging
 import os
 import sys
 from typing import Any, Iterable, Optional, Sequence
@@ -46,7 +49,7 @@ from .experiments import (
     ExplicitScores,
     LinearRamp,
     PoolResample,
-    ReviewRecord,
+    ReviewTable,
     _first_repeat,
     build_lower_bound,
     estimation_error_curve,
@@ -268,7 +271,7 @@ def _effective(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, 
     """Config-file values, overridden by explicit flags, backfilled by defaults."""
     params = _load_config(getattr(args, "config", None))
     for key, value in vars(args).items():
-        if key in ("command", "config", "func") or value is None:
+        if key in ("command", "config", "func", "log_level") or value is None:
             continue
         params[key] = value
     for key, value in defaults.items():
@@ -475,11 +478,19 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_reviews(path: str) -> list[ReviewRecord]:
+def _read_reviews(path: str) -> ReviewTable:
     linenos, cols = _read_csv(path, ("submission_id", "score", "confidence"))
-    scores = _parse_finite(path, linenos, "score", cols["score"]).tolist()
+    scores = _parse_finite(path, linenos, "score", cols["score"])
     confidences = _parse_column(path, linenos, "confidence", cols["confidence"], int)
-    return list(map(ReviewRecord, cols["submission_id"], scores, confidences))
+    try:
+        confidences = np.asarray(confidences, dtype=np.int64)
+    except OverflowError:
+        k = next(k for k, c in enumerate(confidences) if not -2**63 <= c < 2**63)
+        raise ValidationError(
+            f"{path} line {linenos[k]}: confidence must be a 64-bit integer, "
+            f"got {cols['confidence'][k]!r}"
+        ) from None
+    return ReviewTable(tuple(cols["submission_id"]), scores, confidences)
 
 
 def _read_authors(path: str) -> list[AuthorRecord]:
@@ -491,6 +502,8 @@ def _read_authors(path: str) -> list[AuthorRecord]:
         sids = tuple(tok.strip() for tok in sid_cell.split(";") if tok.strip())
         tokens = [tok for tok in rank_cell.split(";") if tok.strip()]
         ranks = tuple(_parse_column(path, itertools.repeat(lineno), "ranking", tokens, int))
+        if not sids:
+            raise ValidationError(f"{path} line {lineno}: author {author_id} lists no submissions")
         if len(sids) != len(ranks):
             raise ValidationError(
                 f"{path} line {lineno}: {len(sids)} submissions but {len(ranks)} ranks"
@@ -581,6 +594,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--threads", type=int, help="max worker threads for Monte-Carlo chunks")
         p.add_argument("--out", help="output file path")
         p.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
+        p.add_argument("--log-level", dest="log_level", default="warning",
+                       choices=["debug", "info", "warning", "error"],
+                       help="least severity of the log lines written to stderr (default warning)")
 
     p = sub.add_parser("fit", help="adjust one score vector under a ranking or blocks")
     p.add_argument("scores", nargs="?", help="CSV with header index,score")
@@ -648,6 +664,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    # the stderr of this call (tests and in-process callers swap it), detached on return
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger = logging.getLogger("isomech")
+    saved_level = logger.level
+    logger.setLevel(args.log_level.upper())
+    logger.addHandler(handler)
     try:
         return args.func(args)
     except (ValidationError, InvalidParameterError, FileNotFoundError) as exc:
@@ -659,6 +682,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError as exc:
         print("error: out of memory", *exc.args, sep=": ", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved_level)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,11 @@ Four drivers built on the isotonic machinery:
   * ``synthetic_icml_study`` / ``surrogate_eval``  conference-review style
     evaluations on synthetic pools and on review/author records.
 
+``surrogate_eval`` takes reviews as columns (``ReviewTable``) and works on
+whole arrays: submissions are split by a stable sort, ties are drawn in one
+call, and the authors of each submission count are fitted together by the
+lockstep PAVA ``pava_descending_rows``.
+
 Every driver is a pure function of (config, seed).  The Monte-Carlo
 drivers run on the core in ``mechanism`` that the truthfulness sweep also
 uses: fixed-size chunks of trials on RNG substreams spawned from the seed
@@ -21,6 +26,7 @@ uses: fixed-size chunks of trials on RNG substreams spawned from the seed
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from collections import defaultdict
@@ -41,7 +47,7 @@ from .expfam import (
     VarianceCertificate,
     verify_variance_assumption,
 )
-from .isotonic import pava_descending, project_descending_batch
+from .isotonic import pava_descending_rows, project_descending_batch
 from .mechanism import _map_chunks, _mean_se, sample_scores
 
 __all__ = [
@@ -59,6 +65,7 @@ __all__ = [
     "SyntheticRow",
     "synthetic_icml_study",
     "ReviewRecord",
+    "ReviewTable",
     "AuthorRecord",
     "SurrogateRow",
     "SurrogateReport",
@@ -575,6 +582,37 @@ class ReviewRecord:
 
 
 @dataclass(frozen=True)
+class ReviewTable:
+    """Reviews as columns, one entry per review in file order.
+
+    ``scores`` is stored as float64 and ``confidences`` as int64; a
+    confidence that is not an integer in int64's range is refused.
+    """
+
+    submission_ids: Sequence[str]
+    scores: np.ndarray
+    confidences: np.ndarray
+
+    def __post_init__(self):
+        confidences = np.asarray(self.confidences)
+        if confidences.size and confidences.dtype.kind not in "bi":
+            raise ValidationError("review confidences must be 64-bit integers")
+        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=float))
+        object.__setattr__(self, "confidences", confidences.astype(np.int64, copy=False))
+        if not len(self.submission_ids) == len(self.scores) == len(self.confidences):
+            raise ValidationError("review columns must have equal lengths")
+
+    @classmethod
+    def from_records(cls, records: Iterable[ReviewRecord]) -> "ReviewTable":
+        records = list(records)
+        return cls(
+            tuple(r.submission_id for r in records),
+            [r.score for r in records],
+            [r.confidence for r in records],
+        )
+
+
+@dataclass(frozen=True)
 class AuthorRecord:
     author_id: str
     submission_ids: tuple[str, ...]
@@ -599,20 +637,29 @@ class SurrogateReport:
     seed: int
 
 
-def _mean(values: list[float]) -> float:
-    """Mean of a list, rounded exactly as ``np.mean`` rounds it.
+def _run_means(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Mean of each consecutive run of ``values``, rounded exactly as
+    ``np.mean`` rounds the run on its own.
 
-    numpy sums fewer than 8 values left to right from 0.0, which a plain
-    loop repeats at a fraction of ``np.mean``'s call cost; longer lists go
-    to numpy, whose pairwise sum rounds differently.  Builtin ``sum`` is
-    not used: from Python 3.12 it compensates, so it rounds differently.
+    numpy sums fewer than 8 values left to right from 0.0: such runs become
+    the rows of a zero-padded matrix, summed column by column (adding 0.0
+    to a sum that starts at 0.0 changes nothing).  Longer runs, which
+    numpy sums pairwise, go to ``np.mean`` one at a time.
     """
-    if len(values) >= 8:
-        return float(np.mean(values))
-    total = 0.0
-    for v in values:
-        total += v
-    return total / len(values)
+    means = np.empty(lengths.size)
+    short = lengths < 8
+    if short.any():
+        width = int(lengths[short].max())
+        padded = np.zeros((int(short.sum()), width))
+        padded[np.arange(width) < lengths[short, None]] = values[np.repeat(short, lengths)]
+        total = np.zeros(len(padded))
+        for column in padded.T:
+            total += column
+        means[short] = total / lengths[short]
+    ends = np.cumsum(lengths)
+    for i in np.flatnonzero(~short):
+        means[i] = np.mean(values[ends[i] - lengths[i] : ends[i]])
+    return means
 
 
 def _first_repeat(ids: Sequence[str]) -> Optional[str]:
@@ -622,8 +669,55 @@ def _first_repeat(ids: Sequence[str]) -> Optional[str]:
     return next(sid for i, sid in enumerate(ids) if sid in ids[:i])
 
 
+def _held_out_reviews(
+    table: ReviewTable, rng: np.random.Generator
+) -> tuple[list[str], np.ndarray, np.ndarray, dict[str, int], int]:
+    """Per submission with two or more reviews, in sorted-id order: (ids,
+    surrogate truths, held-out scores, tie-breaks, submissions dropped).
+
+    Reviews are grouped by id with a stable sort, so each group keeps its
+    file order; all confidence ties draw in one ``rng.integers`` call,
+    which takes the same values from the stream as one scalar call per
+    tied submission.  Ids are ranked with ``sorted`` (code-point order):
+    numpy's fixed-width strings drop trailing NULs, which a CSV cell may
+    hold.
+    """
+    code_of = dict.fromkeys(table.submission_ids)
+    ids = sorted(code_of)
+    code_of.update(zip(ids, range(len(ids))))
+    codes = np.fromiter(map(code_of.__getitem__, table.submission_ids), dtype=np.intp,
+                        count=len(table.submission_ids))
+    counts = np.bincount(codes, minlength=len(ids))
+    kept = counts >= 2
+    skipped = len(ids) - int(kept.sum())
+    if not kept.any():
+        return [], np.empty(0), np.empty(0), {}, skipped
+    ids = list(itertools.compress(ids, kept.tolist()))
+    order = np.argsort(codes, kind="stable")
+    order = order[kept[codes[order]]]
+    counts = counts[kept]
+    starts = np.cumsum(counts) - counts
+    scores = table.scores[order]
+    confidences = table.confidences[order]
+
+    least = confidences == np.repeat(np.minimum.reduceat(confidences, starts), counts)
+    ties = np.add.reduceat(least, starts, dtype=np.intp)
+    draws = np.zeros(len(ids), dtype=np.intp)
+    tied = np.flatnonzero(ties > 1)
+    if tied.size:
+        draws[tied] = rng.integers(ties[tied])
+    held = np.flatnonzero(least)[np.cumsum(ties) - ties + draws]
+    tie_breaks = dict(zip([ids[g] for g in tied], (held - starts)[tied].tolist()))
+    rest = np.ones(scores.size, dtype=bool)
+    rest[held] = False
+    return ids, _run_means(scores[rest], counts - 1), scores[held], tie_breaks, skipped
+
+
+# Finite scores near the float64 limit may sum to inf; the table then shows
+# inf or nan cells, silently, as it did when these sums ran on Python floats.
+@np.errstate(over="ignore", invalid="ignore")
 def surrogate_eval(
-    reviews: Iterable[ReviewRecord],
+    reviews: Union[ReviewTable, Iterable[ReviewRecord]],
     authors: Iterable[AuthorRecord],
     seed: int = 0,
 ) -> SurrogateReport:
@@ -639,40 +733,25 @@ def surrogate_eval(
     with the same submission count; counts without authors keep None cells.
     Non-finite review scores, authors without submissions and authors who
     list a submission twice raise ``ValidationError``.
-    """
-    rng = np.random.default_rng(seed)
-    by_submission: dict[str, list[ReviewRecord]] = defaultdict(list)
-    scores = []
-    for record in reviews:
-        by_submission[record.submission_id].append(record)
-        scores.append(record.score)
-    if not all(map(math.isfinite, scores)):
-        raise ValidationError("review scores must be finite (no NaN/inf)")
 
-    surrogate: dict[str, tuple[float, float]] = {}
-    tie_breaks: dict[str, int] = {}
-    skipped_submissions = 0
-    for sid in sorted(by_submission):
-        recs = by_submission[sid]
-        if len(recs) < 2:
-            skipped_submissions += 1
-            continue
-        confidences = [r.confidence for r in recs]
-        low = min(confidences)
-        if confidences.count(low) == 1:
-            pick = confidences.index(low)
-        else:
-            tied = [i for i, c in enumerate(confidences) if c == low]
-            # the same pick from the same stream as rng.choice(tied), at a fifth of its cost
-            pick = tied[int(rng.integers(len(tied)))]
-            tie_breaks[sid] = pick
-        rest = [r.score for r in recs]
-        held_out = rest.pop(pick)
-        surrogate[sid] = (_mean(rest), float(held_out))
+    Reviews arrive as columns (``ReviewTable``; records are converted on
+    entry) and are split by submission with array operations.  The authors
+    of each submission count n are fitted together: their held-out scores
+    form an (authors, n) matrix in claimed order, which
+    ``pava_descending_rows`` fits exactly as ``pava_descending`` fits one
+    row.
+    """
+    table = reviews if isinstance(reviews, ReviewTable) else ReviewTable.from_records(reviews)
+    if not np.isfinite(table.scores).all():
+        raise ValidationError("review scores must be finite (no NaN/inf)")
+    ids, truth, held_out, tie_breaks, skipped_submissions = _held_out_reviews(
+        table, np.random.default_rng(seed)
+    )
     if skipped_submissions:
         logger.info("dropped %d submissions with fewer than 2 reviews", skipped_submissions)
 
-    per_author: dict[int, list[tuple[float, float]]] = defaultdict(list)
+    row_of = dict(zip(ids, range(len(ids))))
+    per_n: dict[int, tuple[list[list], list[tuple]]] = defaultdict(lambda: ([], []))
     skipped_authors: dict[str, int] = defaultdict(int)
     for author in authors:
         n = len(author.submission_ids)
@@ -683,37 +762,42 @@ def surrogate_eval(
             skipped_authors["malformed_ranking"] += 1
             logger.info("author %s skipped: ranking is not a permutation", author.author_id)
             continue
-        pairs = [surrogate.get(sid) for sid in author.submission_ids]
-        if None in pairs:
+        rows_used = [row_of.get(sid) for sid in author.submission_ids]
+        if None in rows_used:
             skipped_authors["missing_submission"] += 1
             logger.info("author %s skipped: submission without usable reviews", author.author_id)
             continue
         if not n:
             raise ValidationError(f"author {author.author_id} lists no submissions")
-        order = [0] * n  # submission indices, claimed best first
-        for j, pos in enumerate(author.ranking):
-            order[pos - 1] = j
-        _, pools = pava_descending([pairs[j][1] for j in order])
-        adjusted = [0.0] * n
-        for start, stop, value in pools:
-            for j in order[start:stop]:
-                adjusted[j] = value
-        mse_raw = _mean([(x - m) * (x - m) for m, x in pairs])
-        mse_im = _mean([(a - m) * (a - m) for a, (m, _) in zip(adjusted, pairs)])
-        per_author[n].append((mse_raw, mse_im))
+        used, rankings = per_n[n]
+        used.append(rows_used)
+        rankings.append(author.ranking)
+
+    per_author: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for n, (used, rankings) in per_n.items():
+        used = np.asarray(used, dtype=np.intp)
+        position = np.asarray(rankings, dtype=np.intp) - 1  # claimed place of submission j
+        mu, x = truth[used], held_out[used]
+        claimed = np.argsort(position, axis=1)  # submission indices, claimed best first
+        fitted = pava_descending_rows(np.take_along_axis(x, claimed, axis=1))
+        adjusted = np.take_along_axis(fitted, position, axis=1)
+        lengths = np.full(len(used), n)
+        per_author[n] = (
+            _run_means(((x - mu) * (x - mu)).ravel(), lengths),
+            _run_means(((adjusted - mu) * (adjusted - mu)).ravel(), lengths),
+        )
 
     rows = []
     if per_author:
         for n in range(min(per_author), max(per_author) + 1):
-            entries = per_author.get(n, [])
-            if not entries:
+            if n not in per_author:
                 rows.append(SurrogateRow(n=n, authors=0, mse_raw=None, mse_im=None, improvement=None))
                 continue
-            raws = float(np.mean([e[0] for e in entries]))
-            ims = float(np.mean([e[1] for e in entries]))
+            mse_raw, mse_im = per_author[n]
+            raws, ims = float(np.mean(mse_raw)), float(np.mean(mse_im))
             improvement = (raws - ims) / raws if raws > 0 else 0.0
             rows.append(
-                SurrogateRow(n=n, authors=len(entries), mse_raw=raws, mse_im=ims, improvement=improvement)
+                SurrogateRow(n=n, authors=len(mse_raw), mse_raw=raws, mse_im=ims, improvement=improvement)
             )
     return SurrogateReport(
         rows=tuple(rows),

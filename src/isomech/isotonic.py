@@ -5,10 +5,12 @@ descending cone ``x[0] >= x[1] >= ... >= x[n-1]``.  Two kernels compute it:
 
   * ``pava_descending``, a stack-based O(n) pass on Python floats, fits
     single vectors: ``project_descending``, ``isotonic_mechanism`` and the
-    coarse and MLE variants built on it, so also the review-table fits.
-    Python floats round as float64 does, and on one vector they are cheaper
-    than numpy scalars.  This keeps ``scipy.optimize`` (about 0.3 s and
-    20 MiB to import) out of runs that only fit records.
+    coarse and MLE variants built on it.  Python floats round as float64
+    does, and on one vector they are cheaper than numpy scalars.  This keeps
+    ``scipy.optimize`` (about 0.3 s and 20 MiB to import) out of runs that
+    only fit records.  ``pava_descending_rows`` runs the same stack pass on
+    every row of a matrix in lockstep, bit for bit, for the review table's
+    thousands of short rows.
   * ``project_descending_batch`` fits the (trials, n) matrices of the
     Monte-Carlo drivers, up to 512 rows per call of scipy's compiled PAVA.
 
@@ -44,6 +46,7 @@ __all__ = [
     "CoarseRanking",
     "IsotonicFit",
     "pava_descending",
+    "pava_descending_rows",
     "project_descending",
     "project_descending_batch",
     "isotonic_mechanism",
@@ -236,6 +239,48 @@ def pava_descending(y: np.ndarray, weights: Optional[np.ndarray] = None):
         pools.append((pos, pos + ln, value))
         pos += ln
     return np.array(fitted, dtype=float), tuple(pools)
+
+
+def pava_descending_rows(rows) -> np.ndarray:
+    """``pava_descending`` (unit weights) of every row of an (m, n) matrix.
+
+    The rows keep one pool stack each and advance in lockstep: element i is
+    pushed onto every stack, then the rows whose new pool's mean exceeds its
+    left neighbour's merge it, together, until no row does.  The comparison,
+    the order of the additions and the final sum / weight are those of
+    ``pava_descending``, so each fitted row equals it bit for bit.  A pass
+    costs O(n) numpy calls per element over the m rows, so it pays on many
+    short rows.  Only stack slots a row has filled are ever read.
+    """
+    y = np.asarray(rows, dtype=float)
+    if y.ndim != 2:
+        raise ValidationError("expected a 2-d (rows, n) array")
+    m, n = y.shape
+    sums = np.zeros((m, n))
+    wts = np.zeros((m, n))
+    lens = np.zeros((m, n), dtype=np.intp)
+    depth = np.zeros(m, dtype=np.intp)
+    every = np.arange(m)
+    for i in range(n):
+        s = y[:, i].copy()
+        w = np.ones(m)
+        ln = np.ones(m, dtype=np.intp)
+        live = every if i else every[:0]  # rows with a pool to the left
+        while live.size:
+            top = depth[live] - 1
+            merge = sums[live, top] * w[live] < s[live] * wts[live, top]
+            live, top = live[merge], top[merge]
+            s[live] += sums[live, top]
+            w[live] += wts[live, top]
+            ln[live] += lens[live, top]
+            depth[live] = top
+            live = live[top > 0]
+        sums[every, depth] = s
+        wts[every, depth] = w
+        lens[every, depth] = ln
+        depth += 1
+    filled = np.arange(n) < depth[:, None]
+    return np.repeat(sums[filled] / wts[filled], lens[filled]).reshape(m, n)
 
 
 def project_descending(x, weights=None) -> IsotonicFit:

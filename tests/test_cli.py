@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -474,6 +475,11 @@ MAJORIZATION = ["check-majorization", "a.csv", "b.csv"]
     # one submission listed twice in an author row
     (ICML, "authors.csv", "author_id,submission_ids,ranking\nbob,b,1\nalice,a;a,1;2\n",
      "authors.csv line 3: submission 'a' listed twice"),
+    # an author row without submissions, and a confidence beyond int64
+    (ICML, "authors.csv", "author_id,submission_ids,ranking\nalice,a,1\nbob,,\n",
+     "authors.csv line 3: author bob lists no submissions"),
+    (ICML, "reviews.csv", "submission_id,score,confidence\na,6,5\na,7,99999999999999999999\n",
+     "reviews.csv line 3: confidence must be a 64-bit integer, got '99999999999999999999'"),
 ])
 def test_malformed_csv_names_file_and_line(workdir, capsys, argv, name, text, message):
     for path, content in {**VALID_INPUTS, name: text}.items():
@@ -499,3 +505,26 @@ def test_non_finite_csv_numbers_exit_2(workdir, capsys, argv, name, text, messag
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (workdir / "out.csv").exists()
+
+
+def test_icml_log_level_shows_skips_and_leaves_no_handler(workdir, capsys):
+    write(workdir / "reviews.csv",
+          "submission_id,score,confidence\na,6,5\na,7,1\nb,4,5\nb,5,1\nsolo,9,2\n")
+    write(workdir / "authors.csv",
+          "author_id,submission_ids,ranking\nalice,a;b,1;2\nbob,a;b,1;1\ncarol,a;solo,1;2\n")
+    handlers = list(logging.getLogger("isomech").handlers)
+    assert main(ICML) == 0
+    assert capsys.readouterr().err == ""
+    assert main(ICML + ["--log-level", "info"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "INFO isomech.experiments: dropped 1 submissions with fewer than 2 reviews",
+        "INFO isomech.experiments: author bob skipped: ranking is not a permutation",
+        "INFO isomech.experiments: author carol skipped: submission without usable reviews",
+    ]
+    assert logging.getLogger("isomech").handlers == handlers
+    # the flag is not a parameter of the run: the sidecar does not record it
+    sidecar = json.loads((workdir / "out.csv.meta.json").read_text())
+    assert "log_level" not in sidecar["params"]
+    assert main(ICML) == 0
+    assert capsys.readouterr().err == ""

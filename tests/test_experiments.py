@@ -28,6 +28,7 @@ from isomech.experiments import (
     LinearRamp,
     PoolResample,
     ReviewRecord,
+    ReviewTable,
     _pack_codewords,
     build_lower_bound,
     estimation_error_curve,
@@ -78,6 +79,12 @@ def test_curve_deterministic_across_workers():
     cfg = make_cfg(trials=300)
     assert estimation_error_curve(cfg) == estimation_error_curve(cfg, max_workers=4)
     assert estimation_error_curve(cfg) == estimation_error_curve(cfg)
+
+
+def test_curve_on_the_thread_pool_matches_serial():
+    # 1,100 trials make three 512-trial chunks, so two workers really share them
+    cfg = make_cfg(n_grid=(10,), trials=1100)
+    assert estimation_error_curve(cfg, max_workers=2) == estimation_error_curve(cfg, max_workers=1)
 
 
 def test_curve_ignores_the_order_of_explicit_scores():
@@ -414,6 +421,58 @@ def test_surrogate_matches_per_record_reference(table, seed):
     assert got.tie_breaks == want.tie_breaks
     assert got.skipped_submissions == want.skipped_submissions
     assert got.skipped_authors == want.skipped_authors
+
+
+def large_review_table(seed):
+    """About 3,000 submissions with 1-12 reviews each (confidences 1-3, so
+    thousands of ties; some rest lists of 8 or more) and 1,200 authors of
+    1-10 submissions, some with malformed rankings or missing submissions."""
+    rng = np.random.default_rng(seed)
+    n_subs = 3000
+    counts = rng.choice([1, 2, 3, 4, 5, 9, 12], size=n_subs, p=[0.05, 0.2, 0.3, 0.25, 0.1, 0.05, 0.05])
+    owner = rng.permutation(np.repeat(np.arange(n_subs), counts))
+    ids = [f"s{i}" for i in owner]  # "s10" sorts before "s2"
+    scores = rng.integers(100, 1001, owner.size) / 100
+    confidences = rng.integers(1, 4, owner.size)
+    table = ReviewTable(tuple(ids), scores, confidences)
+    pool = [f"s{i}" for i in range(n_subs)] + ["unknown"]
+    authors = []
+    for a in range(1200):
+        k = int(rng.integers(1, 11))
+        sids = tuple(pool[i] for i in rng.choice(len(pool), size=k, replace=False))
+        ranking = rng.permutation(np.arange(1, k + 1))
+        if k > 1 and rng.random() < 0.05:
+            ranking[0] = ranking[1]
+        authors.append(AuthorRecord(f"a{a}", sids, tuple(int(r) for r in ranking)))
+    records = list(map(ReviewRecord, ids, scores.tolist(), confidences.tolist()))
+    return table, records, authors
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_surrogate_matches_reference_on_a_large_table(seed):
+    table, records, authors = large_review_table(seed)
+    got = surrogate_eval(table, authors, seed=seed)
+    want = reference_surrogate_eval(records, authors, seed=seed)
+    assert got == want
+    assert len(got.tie_breaks) > 1000
+    assert min(got.skipped_authors.values()) > 10 and got.skipped_submissions > 100
+    assert sum(row.authors for row in got.rows) > 600 and len(got.rows) == 10
+
+
+def test_one_integers_call_draws_as_scalar_calls():
+    # surrogate_eval draws every confidence tie in one call; replaying its
+    # tie_breaks needs the same values as one scalar call per tie
+    highs = np.random.default_rng(7).integers(2, 13, 5000)
+    highs[::97] = 2**40  # a range beyond 32 bits takes numpy's 64-bit path
+    one = np.random.default_rng(3).integers(highs)
+    rng = np.random.default_rng(3)
+    assert one.tolist() == [int(rng.integers(h)) for h in highs.tolist()]
+
+
+@pytest.mark.parametrize("confidence", [2**63, -(2**64), 2.5])
+def test_review_table_refuses_confidences_outside_int64(confidence):
+    with pytest.raises(ValidationError, match="64-bit integers"):
+        ReviewTable.from_records([ReviewRecord("a", 5.0, 1), ReviewRecord("a", 6.0, confidence)])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

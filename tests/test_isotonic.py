@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from isomech import (
     project_descending,
     ranking_constrained_mle,
 )
-from isomech.isotonic import pava_descending, project_descending_batch
+from isomech.isotonic import pava_descending, pava_descending_rows, project_descending_batch
 
 from helpers import ALL_FAMILIES, MU_WINDOWS, brute_force_project_descending
 
@@ -400,3 +401,42 @@ def test_batch_rejects_non_finite():
             project_descending_batch(rows)
     with pytest.raises(ValidationError):
         project_descending_batch(np.full((2, 1), math.nan))
+
+
+# ---------------------------------------------------------------------------
+# pava_descending_rows against pava_descending, row by row
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def equal_length_rows(draw):
+    """(m, n) rows, n = 1..10: tie-heavy levels, two-decimal scores, or
+    values spanning 1e-6..1e8."""
+    m = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["ties", "decimal", "wide"]))
+    if kind == "ties":
+        return draw(arrays(np.int64, (m, n), elements=st.integers(1, 3))).astype(float)
+    if kind == "decimal":
+        return draw(arrays(np.int64, (m, n), elements=st.integers(-1000, 1000))) / 100
+    sign = draw(arrays(np.bool_, (m, n)))
+    power = draw(arrays(np.float64, (m, n), elements=st.floats(-6.0, 8.0)))
+    return np.where(sign, -1.0, 1.0) * 10.0**power
+
+
+@given(equal_length_rows())
+@settings(max_examples=300, deadline=None)
+def test_lockstep_rows_equal_pava_descending(rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pava_descending_rows(rows)
+    assert got.shape == rows.shape
+    for row, fitted in zip(rows, got):
+        assert np.array_equal(fitted, pava_descending(row)[0])
+
+
+def test_lockstep_rows_edge_shapes():
+    assert pava_descending_rows(np.zeros((0, 4))).shape == (0, 4)
+    assert np.array_equal(pava_descending_rows([[3.0], [-1.0]]), [[3.0], [-1.0]])
+    with pytest.raises(ValidationError):
+        pava_descending_rows([1.0, 2.0])
