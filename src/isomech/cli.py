@@ -283,6 +283,8 @@ def _effective(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, 
         raise ValidationError(f"seed: {params['seed']} is negative; seeds are integers >= 0")
     if params.get("threads") is not None:
         params["threads"] = _number(params["threads"], "threads", int)
+        if params["threads"] < 1:
+            raise ValidationError(f"--threads: {params['threads']} is below 1; use 1 or more threads")
     return params
 
 

@@ -713,8 +713,8 @@ def _held_out_reviews(
     return ids, _run_means(scores[rest], counts - 1), scores[held], tie_breaks, skipped
 
 
-# Finite scores near the float64 limit may sum to inf; the table then shows
-# inf or nan cells, silently, as it did when these sums ran on Python floats.
+# Finite scores near the float64 limit may sum or square to inf; the rows'
+# means are checked once at the end, so the array passes run unchecked.
 @np.errstate(over="ignore", invalid="ignore")
 def surrogate_eval(
     reviews: Union[ReviewTable, Iterable[ReviewRecord]],
@@ -731,8 +731,9 @@ def surrogate_eval(
     not permutations, or who reference unknown or dropped submissions, are
     skipped and counted by reason.  Rows aggregate both MSEs over authors
     with the same submission count; counts without authors keep None cells.
-    Non-finite review scores, authors without submissions and authors who
-    list a submission twice raise ``ValidationError``.
+    Non-finite review scores, finite ones whose sums or squares overflow
+    float64, authors without submissions and authors who list a submission
+    twice raise ``ValidationError``.
 
     Reviews arrive as columns (``ReviewTable``; records are converted on
     entry) and are split by submission with array operations.  The authors
@@ -795,6 +796,10 @@ def surrogate_eval(
                 continue
             mse_raw, mse_im = per_author[n]
             raws, ims = float(np.mean(mse_raw)), float(np.mean(mse_im))
+            if not (math.isfinite(raws) and math.isfinite(ims)):
+                raise ValidationError(
+                    f"review scores are too large to pool in float64: the n = {n} MSEs overflow"
+                )
             improvement = (raws - ims) / raws if raws > 0 else 0.0
             rows.append(
                 SurrogateRow(n=n, authors=len(mse_raw), mse_raw=raws, mse_im=ims, improvement=improvement)

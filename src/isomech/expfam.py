@@ -12,6 +12,12 @@ together with seeded sampling, of one draw or of the exact average of several,
 and the KL divergence in closed form.  All math methods accept scalars or numpy
 arrays and broadcast elementwise.  The carrier c(x) never needs a standalone
 representation; it is folded into log_density.
+
+Import policy: the package loads numpy and no scipy module at import.  Only
+``log_density`` evaluates a density, and it loads ``scipy.special`` on first
+use (see ``_gammaln``); ``scipy.optimize`` is loaded only by
+``isotonic.project_descending_batch``.  Projection, the MLE, sampling, the
+sweep and the review table never need either.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import AssumptionViolatedError, InvalidParameterError, ValidationError
 
@@ -40,6 +45,13 @@ __all__ = [
     "verify_variance_assumption",
     "kl_divergence_product",
 ]
+
+
+def _gammaln(x):
+    """log|Gamma(x)| by ``scipy.special.gammaln``, imported on first call."""
+    from scipy.special import gammaln
+
+    return gammaln(x)
 
 
 def _as_float(x) -> np.ndarray | float:
@@ -326,9 +338,9 @@ class Binomial(Family):
         xs = np.where(support, xv, 0.0)
         m = float(self.trials)
         logpmf = (
-            gammaln(m + 1.0)
-            - gammaln(xs + 1.0)
-            - gammaln(m - xs + 1.0)
+            _gammaln(m + 1.0)
+            - _gammaln(xs + 1.0)
+            - _gammaln(m - xs + 1.0)
             + xs * t
             - self.trials * (np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))))
         )
@@ -398,7 +410,7 @@ class Poisson(Family):
         xv = np.asarray(x, dtype=float)
         support = (xv >= 0) & (np.floor(xv) == xv)
         xs = np.where(support, xv, 0.0)
-        out = np.where(support, xs * t - np.exp(t) - gammaln(xs + 1.0), -np.inf)
+        out = np.where(support, xs * t - np.exp(t) - _gammaln(xs + 1.0), -np.inf)
         return out if out.ndim else float(out)
 
     def sample_mean(self, mu, rng, size=None, reps=1):
@@ -476,7 +488,7 @@ class Gamma(Family):
         out = np.where(
             support,
             (self.shape - 1.0) * np.log(xs) + t * xs
-            + self.shape * np.log(-t) - gammaln(self.shape),
+            + self.shape * np.log(-t) - _gammaln(self.shape),
             -np.inf,
         )
         return out if out.ndim else float(out)

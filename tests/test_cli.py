@@ -363,6 +363,33 @@ def test_truthfulness_threads_do_not_change_output(workdir):
     assert (workdir / "serial.csv").read_bytes() == (workdir / "threaded.csv").read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2(workdir, capsys, threads):
+    assert main(TRUTH_ARGS + ["--threads", threads, "--out", "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --threads: {threads} is below 1; use 1 or more threads\n"
+    assert not (workdir / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["fit", "scores.csv", "--ranking", "ranking.csv"],
+     {"scores.csv": "index,score\n1,1e308\n2,1.7e308\n3,1.7e308\n",
+      "ranking.csv": "rank,index\n1,1\n2,2\n3,3\n"}),
+    (["icml", "reviews.csv", "authors.csv"],
+     {"reviews.csv": "submission_id,score,confidence\n"
+                     "a,1e308,5\na,1.7e308,1\na,1e308,3\nb,-1.7e308,5\nb,-1e308,1\n",
+      "authors.csv": "author_id,submission_ids,ranking\nalice,a;b,1;2\n"}),
+])
+def test_overflowing_finite_scores_exit_2(workdir, capsys, argv, files):
+    for name, text in files.items():
+        write(workdir / name, text)
+    assert main(argv + ["--out", "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too large to pool in float64" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not (workdir / "x.csv").exists()
+
+
 def test_minimax_budget_guard_names_c(workdir, capsys):
     argv = ["minimax", "--family", "binomial:10", "--v-min", "0", "--v-max", "10",
             "--n-grid", "8,16", "--trials", "4", "--construction-n", "512"]
@@ -393,6 +420,36 @@ def test_fit_and_icml_leave_scipy_optimize_unloaded(workdir):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_cli_runs_load_no_scipy(workdir):
+    scores_csv(workdir / "scores.csv", [2, 3, 1, 5])
+    ranking_csv(workdir / "ranking.csv", [1, 2, 3, 4])
+    write(workdir / "reviews.csv", "submission_id,score,confidence\na,6,5\na,7,1\nb,4,5\nb,5,1\n")
+    write(workdir / "authors.csv", "author_id,submission_ids,ranking\nalice,a;b,1;2\n")
+    script = (
+        "import math, sys\n"
+        "import isomech\n"
+        "from isomech.cli import main\n"
+        "try:\n"
+        "    main(['--version'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "assert main(['fit', 'scores.csv', '--ranking', 'ranking.csv', '--out', 'fit.csv']) == 0\n"
+        "assert main(['icml', 'reviews.csv', 'authors.csv', '--out', 'table.csv']) == 0\n"
+        "assert main(['truthfulness', '--family', 'binomial:10', '--mu-star', '8,7,6',"
+        " '--trials', '600', '--out', 'utilities.csv']) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(loaded)\n"
+        "from isomech.expfam import Binomial\n"
+        "print(abs(Binomial(2).log_density(0.0, 1) / math.log(0.5) - 1.0) <= 1e-12)\n"
+    )
+    src = str(Path(isomech.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=workdir, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-2:] == ["[]", "True"]
 
 
 VALID_INPUTS = {

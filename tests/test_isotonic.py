@@ -42,6 +42,15 @@ def test_project_errors():
         project_descending([1.0, math.inf])
 
 
+def test_pava_refuses_overflowing_pool():
+    with pytest.raises(ValidationError, match="too large to pool in float64"):
+        pava_descending([1e308, 1.7e308, 1.7e308])
+    with pytest.raises(ValidationError, match="must be finite"):
+        pava_descending([1.0, math.inf])
+    fitted, _ = pava_descending([1.7e308, 1e308, -1.7e308])
+    assert fitted.tolist() == [1.7e308, 1e308, -1.7e308]
+
+
 def test_mechanism_examples():
     assert isotonic_mechanism([1, 2, 3], Ranking([3, 2, 1])).mu_hat.tolist() == [1, 2, 3]
     assert isotonic_mechanism([1, 2, 3], Ranking([1, 2, 3])).mu_hat.tolist() == [2, 2, 2]
