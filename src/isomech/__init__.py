@@ -1,9 +1,9 @@
 """Isotonic Mechanism toolkit.
 
 Ranking-constrained score estimation for exponential-family review scores:
-pool-adjacent-violators projection, the coarse block variant, the equivalent
-natural-parameter MLE, majorization utilities, and Monte-Carlo experiment
-drivers for truthfulness and estimation-rate studies.
+pool-adjacent-violators projection under a full or block ranking, the
+equivalent natural-parameter MLE, majorization utilities, and Monte-Carlo
+experiment drivers for truthfulness and estimation-rate studies.
 """
 
 from .errors import (
@@ -30,7 +30,6 @@ from .isotonic import (
     CoarseRanking,
     IsotonicFit,
     Ranking,
-    coarse_isotonic_mechanism,
     coarse_to_permutation,
     isotonic_mechanism,
     project_descending,

@@ -64,7 +64,6 @@ __all__ = [
     "build_lower_bound",
     "SyntheticRow",
     "synthetic_icml_study",
-    "ReviewRecord",
     "ReviewTable",
     "AuthorRecord",
     "SurrogateRow",
@@ -575,13 +574,6 @@ def synthetic_icml_study(
 
 
 @dataclass(frozen=True)
-class ReviewRecord:
-    submission_id: str
-    score: float
-    confidence: int
-
-
-@dataclass(frozen=True)
 class ReviewTable:
     """Reviews as columns, one entry per review in file order.
 
@@ -601,15 +593,6 @@ class ReviewTable:
         object.__setattr__(self, "confidences", confidences.astype(np.int64, copy=False))
         if not len(self.submission_ids) == len(self.scores) == len(self.confidences):
             raise ValidationError("review columns must have equal lengths")
-
-    @classmethod
-    def from_records(cls, records: Iterable[ReviewRecord]) -> "ReviewTable":
-        records = list(records)
-        return cls(
-            tuple(r.submission_id for r in records),
-            [r.score for r in records],
-            [r.confidence for r in records],
-        )
 
 
 @dataclass(frozen=True)
@@ -717,7 +700,7 @@ def _held_out_reviews(
 # means are checked once at the end, so the array passes run unchecked.
 @np.errstate(over="ignore", invalid="ignore")
 def surrogate_eval(
-    reviews: Union[ReviewTable, Iterable[ReviewRecord]],
+    table: ReviewTable,
     authors: Iterable[AuthorRecord],
     seed: int = 0,
 ) -> SurrogateReport:
@@ -732,17 +715,16 @@ def surrogate_eval(
     skipped and counted by reason.  Rows aggregate both MSEs over authors
     with the same submission count; counts without authors keep None cells.
     Non-finite review scores, finite ones whose sums or squares overflow
-    float64, authors without submissions and authors who list a submission
-    twice raise ``ValidationError``.
+    float64, an improvement that overflows (a subnormal raw MSE), authors
+    without submissions and authors who list a submission twice raise
+    ``ValidationError``.
 
-    Reviews arrive as columns (``ReviewTable``; records are converted on
-    entry) and are split by submission with array operations.  The authors
-    of each submission count n are fitted together: their held-out scores
-    form an (authors, n) matrix in claimed order, which
-    ``pava_descending_rows`` fits exactly as ``pava_descending`` fits one
-    row.
+    Reviews arrive as columns (``ReviewTable``) and are split by submission
+    with array operations.  The authors of each submission count n are
+    fitted together: their held-out scores form an (authors, n) matrix in
+    claimed order, which ``pava_descending_rows`` fits exactly as
+    ``pava_descending`` fits one row.
     """
-    table = reviews if isinstance(reviews, ReviewTable) else ReviewTable.from_records(reviews)
     if not np.isfinite(table.scores).all():
         raise ValidationError("review scores must be finite (no NaN/inf)")
     ids, truth, held_out, tie_breaks, skipped_submissions = _held_out_reviews(
@@ -801,6 +783,8 @@ def surrogate_eval(
                     f"review scores are too large to pool in float64: the n = {n} MSEs overflow"
                 )
             improvement = (raws - ims) / raws if raws > 0 else 0.0
+            if not math.isfinite(improvement):
+                raise ValidationError(f"the n = {n} improvement overflows float64: raw MSE {raws!r}")
             rows.append(
                 SurrogateRow(n=n, authors=len(mse_raw), mse_raw=raws, mse_im=ims, improvement=improvement)
             )

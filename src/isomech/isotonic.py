@@ -5,8 +5,8 @@ descending cone ``x[0] >= x[1] >= ... >= x[n-1]``.  Two kernels compute it:
 
   * ``pava_descending``, a stack-based O(n) pass on Python floats, fits
     single vectors: ``project_descending``, ``isotonic_mechanism`` and the
-    coarse and MLE variants built on it.  Python floats round as float64
-    does, and on one vector they are cheaper than numpy scalars.
+    MLE built on it.  Python floats round as float64 does, and on one
+    vector they are cheaper than numpy scalars.
     ``pava_descending_rows`` runs the same stack pass on every row of a
     matrix in lockstep, bit for bit, for the review table's thousands of
     short rows.
@@ -19,10 +19,10 @@ chunk of trials, by the max-min formula for the descending fit.  It serves
 full rankings in that sweep only, where the budget keeps n <= 8.
 
 ``isotonic_mechanism`` projects under an author-reported ranking (permute,
-project, un-permute); ``coarse_isotonic_mechanism`` reduces ordered blocks to
-a data-dependent full ranking; ``ranking_constrained_mle`` solves the same
-constraint on an exponential family's natural-parameter scale, where it
-pools exactly as the projection does.
+project, un-permute); ordered blocks project under the full ranking that
+``coarse_to_permutation`` reads off the scores.  ``ranking_constrained_mle`` solves
+the same constraint on an exponential family's natural-parameter scale, where
+it pools exactly as the projection does.
 
 Import policy: the package imports numpy and no scipy module up front, so
 runs that only fit records, build the review table or sweep rankings never
@@ -40,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -56,7 +56,6 @@ __all__ = [
     "project_descending",
     "project_descending_batch",
     "isotonic_mechanism",
-    "coarse_isotonic_mechanism",
     "coarse_to_permutation",
     "ranking_constrained_mle",
 ]
@@ -130,10 +129,6 @@ class CoarseRanking:
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
     @classmethod
     def from_ranking(cls, ranking: Ranking, sizes: Sequence[int]) -> "CoarseRanking":
         """Blocks of the given sizes read off a full ranking, best block first."""
@@ -167,21 +162,17 @@ class CoarseRanking:
             yield cls(blocks)
 
 
-Constraint = Union[Ranking, CoarseRanking]
-
-
 @dataclass(frozen=True)
 class IsotonicFit:
     """Result of one ranking-constrained least-squares fit.
 
     ``pools`` lists half-open segments (start, stop, value) of equal adjusted
-    scores over the constraint-sorted order.  ``theta_hat`` is present only
+    scores over the ranking-sorted order.  ``theta_hat`` is present only
     when a family was supplied; pooled means on the boundary of the mean
     image carry +-inf sentinels there.
     """
 
     x: np.ndarray
-    constraint: Constraint
     mu_hat: np.ndarray
     pools: tuple[tuple[int, int, float], ...]
     theta_hat: Optional[np.ndarray] = None
@@ -200,48 +191,38 @@ def _check_scores(x, n_expected: Optional[int] = None) -> np.ndarray:
     return arr
 
 
-def pava_descending(y: np.ndarray, weights: Optional[np.ndarray] = None):
-    """Weighted least-squares fit of a nonincreasing vector to ``y``.
+def pava_descending(y: np.ndarray):
+    """Least-squares fit of a nonincreasing vector to ``y``.
 
     Stack-based pool-adjacent-violators: each element is pushed once and
     merged at most once, so the pass is O(n).  Returns (fitted, pools) with
     fitted a float array and pools as (start, stop, value) half-open
-    segments.  Weights default to ones; the mechanisms here never need
-    anything else.  The stacks hold Python floats, which round exactly as
-    float64 does, so a short vector pays no numpy scalar indexing.  A pooled
-    sum that overflows float64 raises ``ValidationError``.
+    segments.  The stacks hold Python floats, which round exactly as float64
+    does, so a short vector pays no numpy scalar indexing; a pool's length
+    is its weight.  A pooled sum that overflows float64 raises
+    ``ValidationError``.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValidationError("scores must be a 1-d vector")
-    if weights is None:
-        ws = [1.0] * y.size
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != y.shape or np.any(w <= 0):
-            raise ValidationError("weights must be positive and match the scores")
-        ws = w.tolist()
 
-    # parallel stacks: pooled (weighted sum, weight, length)
+    # parallel stacks: pooled (sum, length)
     sums: list[float] = []
-    wts: list[float] = []
     lens: list[int] = []
-    for yi, wi in zip(y.tolist(), ws):
-        s, ww, ln = yi * wi, wi, 1
+    for s in y.tolist():
+        ln = 1
         # merge while the new pool's mean exceeds its left neighbour's
-        while sums and sums[-1] * ww < s * wts[-1]:
+        while sums and sums[-1] * ln < s * lens[-1]:
             s += sums.pop()
-            ww += wts.pop()
             ln += lens.pop()
         sums.append(s)
-        wts.append(ww)
         lens.append(ln)
 
     fitted: list[float] = []
     pools = []
     pos = 0
-    for s, ww, ln in zip(sums, wts, lens):
-        value = s / ww
+    for s, ln in zip(sums, lens):
+        value = s / ln
         fitted += [value] * ln
         pools.append((pos, pos + ln, value))
         pos += ln
@@ -254,12 +235,12 @@ def pava_descending(y: np.ndarray, weights: Optional[np.ndarray] = None):
 
 
 def pava_descending_rows(rows) -> np.ndarray:
-    """``pava_descending`` (unit weights) of every row of an (m, n) matrix.
+    """``pava_descending`` of every row of an (m, n) matrix.
 
     The rows keep one pool stack each and advance in lockstep: element i is
     pushed onto every stack, then the rows whose new pool's mean exceeds its
     left neighbour's merge it, together, until no row does.  The comparison,
-    the order of the additions and the final sum / weight are those of
+    the order of the additions and the final sum / length are those of
     ``pava_descending``, so each fitted row equals it bit for bit.  A pass
     costs O(n) numpy calls per element over the m rows, so it pays on many
     short rows.  Only stack slots a row has filled are ever read.
@@ -269,39 +250,33 @@ def pava_descending_rows(rows) -> np.ndarray:
         raise ValidationError("expected a 2-d (rows, n) array")
     m, n = y.shape
     sums = np.zeros((m, n))
-    wts = np.zeros((m, n))
     lens = np.zeros((m, n), dtype=np.intp)
     depth = np.zeros(m, dtype=np.intp)
     every = np.arange(m)
     for i in range(n):
         s = y[:, i].copy()
-        w = np.ones(m)
         ln = np.ones(m, dtype=np.intp)
         live = every if i else every[:0]  # rows with a pool to the left
         while live.size:
             top = depth[live] - 1
-            merge = sums[live, top] * w[live] < s[live] * wts[live, top]
+            merge = sums[live, top] * ln[live] < s[live] * lens[live, top]
             live, top = live[merge], top[merge]
             s[live] += sums[live, top]
-            w[live] += wts[live, top]
             ln[live] += lens[live, top]
             depth[live] = top
             live = live[top > 0]
         sums[every, depth] = s
-        wts[every, depth] = w
         lens[every, depth] = ln
         depth += 1
     filled = np.arange(n) < depth[:, None]
-    return np.repeat(sums[filled] / wts[filled], lens[filled]).reshape(m, n)
+    return np.repeat(sums[filled] / lens[filled], lens[filled]).reshape(m, n)
 
 
-def project_descending(x, weights=None) -> IsotonicFit:
+def project_descending(x) -> IsotonicFit:
     """Euclidean projection onto the descending cone x1 >= x2 >= ... >= xn."""
     arr = _check_scores(x)
-    fitted, pools = pava_descending(arr, weights)
-    return IsotonicFit(
-        x=arr, constraint=Ranking.identity(arr.size), mu_hat=fitted, pools=pools
-    )
+    fitted, pools = pava_descending(arr)
+    return IsotonicFit(x=arr, mu_hat=fitted, pools=pools)
 
 
 def isotonic_mechanism(x, ranking: Ranking) -> IsotonicFit:
@@ -317,7 +292,7 @@ def isotonic_mechanism(x, ranking: Ranking) -> IsotonicFit:
     fitted_sorted, pools = pava_descending(arr[idx])
     mu_hat = np.empty_like(arr)
     mu_hat[idx] = fitted_sorted
-    return IsotonicFit(x=arr, constraint=ranking, mu_hat=mu_hat, pools=pools)
+    return IsotonicFit(x=arr, mu_hat=mu_hat, pools=pools)
 
 
 def coarse_to_permutation(coarse: CoarseRanking, x) -> Ranking:
@@ -325,7 +300,8 @@ def coarse_to_permutation(coarse: CoarseRanking, x) -> Ranking:
 
     Block order is kept; within each block items are sorted by descending
     score, ties broken by ascending item index.  Pooled fit values do not
-    depend on the tie rule.
+    depend on the tie rule, so ``isotonic_mechanism`` under this ranking is
+    the fit under the blocks (singleton blocks give their own ranking's fit).
     """
     if not isinstance(coarse, CoarseRanking):
         coarse = CoarseRanking(coarse)
@@ -336,22 +312,6 @@ def coarse_to_permutation(coarse: CoarseRanking, x) -> Ranking:
         order = np.argsort(-arr[items - 1], kind="stable")
         perm.extend(items[order])
     return Ranking(perm)
-
-
-def coarse_isotonic_mechanism(x, coarse: CoarseRanking) -> IsotonicFit:
-    """Adjusted scores under an ordered-blocks constraint.
-
-    Solved by reduction to ``isotonic_mechanism`` with the block-respecting,
-    score-sorted full ranking; with singleton blocks the two coincide
-    exactly.
-    """
-    if not isinstance(coarse, CoarseRanking):
-        coarse = CoarseRanking(coarse)
-    ranking = coarse_to_permutation(coarse, x)
-    fit = isotonic_mechanism(x, ranking)
-    return IsotonicFit(
-        x=fit.x, constraint=coarse, mu_hat=fit.mu_hat, pools=fit.pools
-    )
 
 
 def ranking_constrained_mle(family: Family, x, ranking: Ranking) -> IsotonicFit:
@@ -379,7 +339,7 @@ def ranking_constrained_mle(family: Family, x, ranking: Ranking) -> IsotonicFit:
 _BATCH_ROWS = 512  # rows per compiled call; row offsets grow with this
 
 
-def _project_chunk(rows: np.ndarray, isotonic_regression) -> np.ndarray:
+def _project_chunk(rows: np.ndarray, isotonic_regression, first_row: int) -> np.ndarray:
     """Descending projection of each row by one call of scipy's PAVA.
 
     Rows are shifted to their max, scaled by a power of two (exact) into
@@ -390,22 +350,31 @@ def _project_chunk(rows: np.ndarray, isotonic_regression) -> np.ndarray:
     there, which shows as a pool mean above the previous one (lowered to
     it) or as a pool that is a nonincreasing, nonconstant run (its row is
     refitted by ``pava_descending``).  So every row returned is
-    nonincreasing and the fit is exactly idempotent.
+    nonincreasing and the fit is exactly idempotent.  A span or pooled sum
+    that overflows raises ``ValidationError``; rows count from ``first_row``.
     """
     t, n = rows.shape
     # numpy reduces along short rows one row at a time; a transposed copy
     # turns the row extremes into whole-array passes (faster below n = 128)
     cols = rows.T.copy() if n < 128 else rows.T
     top = cols.max(axis=0)[:, None]
-    _, exponent = np.frexp(top - cols.min(axis=0)[:, None])
+    with np.errstate(over="ignore"):
+        span = top - cols.min(axis=0)[:, None]
+    if not np.isfinite(span).all():
+        row = first_row + int(np.argmin(np.isfinite(span)))
+        raise ValidationError(f"scores are too large to pool in float64: row {row}'s max - min overflows")
+    _, exponent = np.frexp(span)
     z = np.ldexp(rows - top, -exponent)
     z -= 3.0 * np.arange(t)[:, None]
     blocks = isotonic_regression(z.ravel(), increasing=False).blocks
     starts, lens = blocks[:-1], np.diff(blocks)
     y = rows.ravel()
     first = y[starts]
-    excess = np.add.reduceat(y - np.repeat(first, lens), starts)
-    means = first + excess / lens
+    with np.errstate(over="ignore"):
+        excess = np.add.reduceat(y - np.repeat(first, lens), starts)
+        means = first + excess / lens
+    if not np.isfinite(means).all():
+        raise ValidationError("scores are too large to pool in float64: a pooled sum overflows")
 
     row = starts // n
     same_row = row[1:] == row[:-1]
@@ -426,7 +395,8 @@ def project_descending_batch(rows) -> np.ndarray:
 
     Matches ``pava_descending`` on every row up to rounding; used by the
     Monte-Carlo drivers.  Rows go to scipy's compiled PAVA in chunks of
-    ``_BATCH_ROWS``.
+    ``_BATCH_ROWS``.  Rows whose span or pooled sums overflow float64 raise
+    ``ValidationError``, as ``pava_descending`` does.
     """
     arr = np.asarray(rows, dtype=float)
     if arr.ndim != 2:
@@ -442,5 +412,5 @@ def project_descending_batch(rows) -> np.ndarray:
 
     out = np.empty_like(arr)
     for lo in range(0, t, _BATCH_ROWS):
-        out[lo : lo + _BATCH_ROWS] = _project_chunk(arr[lo : lo + _BATCH_ROWS], isotonic_regression)
+        out[lo : lo + _BATCH_ROWS] = _project_chunk(arr[lo : lo + _BATCH_ROWS], isotonic_regression, lo)
     return out

@@ -16,8 +16,6 @@ by the larger sup-norm of the two vectors; integer inputs compare exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -29,7 +27,6 @@ __all__ = [
     "weakly_majorizes",
     "is_upward_swap",
     "upward_swap_chain",
-    "SwapChain",
 ]
 
 _REL_TOL = 1e-9
@@ -96,29 +93,18 @@ def is_upward_swap(pi, nu) -> bool:
     return p.perm[i] == v.perm[j] and p.perm[j] == v.perm[i] and p.perm[i] < p.perm[j]
 
 
-@dataclass(frozen=True)
-class SwapChain:
-    """Rankings from a designated start to a target, one upward swap apart.
-
-    Each consecutive pair (chain[k], chain[k+1]) satisfies the upward-swap
-    pattern relative to the start ranking's order; when the start is the
-    identity this is literally ``is_upward_swap``.
-    """
-
-    perms: tuple[Ranking, ...]
-
-    def __len__(self) -> int:
-        return len(self.perms)
-
-
-def upward_swap_chain(pi_star: Ranking, pi: Ranking) -> SwapChain:
+def upward_swap_chain(pi_star: Ranking, pi: Ranking) -> tuple[Ranking, ...]:
     """Connect ``pi_star`` to ``pi`` through single upward swaps.
 
-    Built by fixing the last position first: repeatedly swap the preimage of
-    the largest not-yet-placed item label into its slot, then recurse on the
-    prefix.  The chain has at most n entries, comfortably inside the
-    1 + n(n-1)/2 bound.  Labels are read in the order ``pi_star`` ranks
-    them, so the construction works for any start ranking.
+    Returns the rankings from ``pi_star`` to ``pi``.  Each consecutive pair
+    (chain[k], chain[k+1]) satisfies the upward-swap pattern relative to
+    the start ranking's order; when the start is the identity this is
+    literally ``is_upward_swap``.  Built by fixing the last position first:
+    repeatedly swap the preimage of the largest not-yet-placed item label
+    into its slot, then recurse on the prefix.  The chain has at most n
+    entries, comfortably inside the 1 + n(n-1)/2 bound.  Labels are read in
+    the order ``pi_star`` ranks them, so the construction works for any
+    start ranking.
     """
     start = pi_star if isinstance(pi_star, Ranking) else Ranking(pi_star)
     target = pi if isinstance(pi, Ranking) else Ranking(pi)
@@ -138,8 +124,7 @@ def upward_swap_chain(pi_star: Ranking, pi: Ranking) -> SwapChain:
             backwards.append(tuple(current))
 
     item_of = start.perm  # inverse relabeling
-    chain = [
+    return tuple(
         Ranking(item_of[label - 1] for label in labels)
         for labels in reversed(backwards)
-    ]
-    return SwapChain(perms=tuple(chain))
+    )

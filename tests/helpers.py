@@ -167,14 +167,16 @@ MU_WINDOWS = {
 }
 
 
-def reference_surrogate_eval(reviews, authors, seed: int = 0) -> SurrogateReport:
-    """``experiments.surrogate_eval`` record by record, with numpy arrays and
+def reference_surrogate_eval(table, authors, seed: int = 0) -> SurrogateReport:
+    """``experiments.surrogate_eval`` review by review, with numpy arrays and
     ``np.mean`` per submission and per author.  The library's version must
     match it exactly: same rows, tie-breaks and skip counts."""
     rng = np.random.default_rng(seed)
     by_submission = defaultdict(list)
-    for record in reviews:
-        by_submission[record.submission_id].append(record)
+    for sid, score, confidence in zip(
+        table.submission_ids, table.scores.tolist(), table.confidences.tolist()
+    ):
+        by_submission[sid].append((score, confidence))
 
     surrogate = {}
     tie_breaks = {}
@@ -184,13 +186,13 @@ def reference_surrogate_eval(reviews, authors, seed: int = 0) -> SurrogateReport
         if len(recs) < 2:
             skipped_submissions += 1
             continue
-        confidences = np.asarray([r.confidence for r in recs])
+        confidences = np.asarray([confidence for _, confidence in recs])
         least = np.flatnonzero(confidences == confidences.min())
         pick = int(least[0]) if least.size == 1 else int(rng.choice(least))
         if least.size > 1:
             tie_breaks[sid] = pick
-        held_out = recs[pick].score
-        rest = [r.score for i, r in enumerate(recs) if i != pick]
+        held_out = recs[pick][0]
+        rest = [score for i, (score, _) in enumerate(recs) if i != pick]
         surrogate[sid] = (float(np.mean(rest)), float(held_out))
 
     per_author = defaultdict(list)

@@ -28,7 +28,7 @@ from isomech.experiments import (
     AuthorRecord,
     EstimationConfig,
     LinearRamp,
-    ReviewRecord,
+    ReviewTable,
     build_lower_bound,
     estimation_error_curve,
     rate_check,
@@ -225,10 +225,7 @@ def test_criterion_08_lower_bound_construction():
 def test_criterion_09_review_table_substitutes():
     with criterion(9, "surrogate fixtures exact; synthetic improvement grows with n"):
         # exact fixture: held-out scores that contradict the reported order
-        reviews = [
-            ReviewRecord("a", 8, 5), ReviewRecord("a", 8, 5), ReviewRecord("a", 4, 1),
-            ReviewRecord("b", 5, 5), ReviewRecord("b", 5, 5), ReviewRecord("b", 7, 1),
-        ]
+        reviews = ReviewTable(("a", "a", "a", "b", "b", "b"), [8, 8, 4, 5, 5, 7], [5, 5, 1, 5, 5, 1])
         authors = [AuthorRecord("alice", ("a", "b"), (1, 2))]
         report = surrogate_eval(reviews, authors, seed=0)
         row = next(r for r in report.rows if r.n == 2)
@@ -236,8 +233,7 @@ def test_criterion_09_review_table_substitutes():
         assert row.mse_im == pytest.approx(3.25, abs=1e-12)
 
         constant = surrogate_eval(
-            [ReviewRecord("s", 6, 3), ReviewRecord("s", 6, 2),
-             ReviewRecord("t", 4, 3), ReviewRecord("t", 4, 2)],
+            ReviewTable(("s", "s", "t", "t"), [6, 6, 4, 4], [3, 2, 3, 2]),
             [AuthorRecord("bob", ("s", "t"), (1, 2))], seed=0,
         )
         row = next(r for r in constant.rows if r.n == 2)

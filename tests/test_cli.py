@@ -390,6 +390,19 @@ def test_overflowing_finite_scores_exit_2(workdir, capsys, argv, files):
     assert not (workdir / "x.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_icml_overflowing_improvement_exits_2(workdir, capsys):
+    # a subnormal raw MSE (5e-311) makes (raw - im) / raw overflow to -inf
+    write(workdir / "reviews.csv",
+          "submission_id,score,confidence\na,1e-155,1\na,0,5\na,0,5\nb,1,1\nb,1,5\n")
+    write(workdir / "authors.csv", "author_id,submission_ids,ranking\nalice,a;b,1;2\n")
+    assert main(["icml", "reviews.csv", "authors.csv", "--out", "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n = 2 improvement overflows" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not (workdir / "x.csv").exists()
+
+
 def test_minimax_budget_guard_names_c(workdir, capsys):
     argv = ["minimax", "--family", "binomial:10", "--v-min", "0", "--v-max", "10",
             "--n-grid", "8,16", "--trials", "4", "--construction-n", "512"]

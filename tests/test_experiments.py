@@ -27,7 +27,6 @@ from isomech.experiments import (
     ExplicitScores,
     LinearRamp,
     PoolResample,
-    ReviewRecord,
     ReviewTable,
     _pack_codewords,
     build_lower_bound,
@@ -296,7 +295,13 @@ def test_synthetic_study_zero_raw_error_improves_by_zero():
 
 
 def reviews_for(sid, scored):
-    return [ReviewRecord(sid, score, conf) for score, conf in scored]
+    return [(sid, score, conf) for score, conf in scored]
+
+
+def table_of(reviews):
+    """(submission_id, score, confidence) rows as the columns the CLI reads."""
+    ids, scores, confidences = zip(*reviews)
+    return ReviewTable(ids, scores, confidences)
 
 
 def test_surrogate_identical_scores_give_zero_error():
@@ -304,7 +309,7 @@ def test_surrogate_identical_scores_give_zero_error():
         "b", [(4, 5), (4, 2)]
     )
     authors = [AuthorRecord("alice", ("a", "b"), (1, 2))]
-    report = surrogate_eval(reviews, authors, seed=0)
+    report = surrogate_eval(table_of(reviews), authors, seed=0)
     row = next(r for r in report.rows if r.n == 2)
     assert row.authors == 1
     assert row.mse_raw == 0 and row.mse_im == 0
@@ -317,7 +322,7 @@ def test_surrogate_hand_computed_fixture():
         + reviews_for("b", [(5, 5), (5, 5), (7, 1)])
     )
     authors = [AuthorRecord("alice", ("a", "b"), (1, 2))]
-    report = surrogate_eval(reviews, authors, seed=0)
+    report = surrogate_eval(table_of(reviews), authors, seed=0)
     row = next(r for r in report.rows if r.n == 2)
     # surrogates (8, 5); held-out (4, 7); fit of (4, 7) under a >= b: (5.5, 5.5)
     assert row.mse_raw == pytest.approx((16 + 4) / 2)
@@ -343,7 +348,7 @@ def test_surrogate_filters_and_gaps():
         AuthorRecord("all-first", ("a", "b"), (1, 1)),
         AuthorRecord("unknown", ("a", "zzz"), (1, 2)),
     ]
-    report = surrogate_eval(reviews, authors, seed=1)
+    report = surrogate_eval(table_of(reviews), authors, seed=1)
     assert report.skipped_submissions == 1
     assert report.skipped_authors == {"missing_submission": 2, "malformed_ranking": 1}
     ns = {row.n: row for row in report.rows}
@@ -358,11 +363,11 @@ def test_surrogate_confidence_ties_seeded():
         "b", [(4, 2), (6, 1)]
     )
     authors = [AuthorRecord("alice", ("a", "b"), (1, 2))]
-    first = surrogate_eval(reviews, authors, seed=11)
-    again = surrogate_eval(reviews, authors, seed=11)
+    first = surrogate_eval(table_of(reviews), authors, seed=11)
+    again = surrogate_eval(table_of(reviews), authors, seed=11)
     assert first == again
     assert "a" in first.tie_breaks and "b" not in first.tie_breaks
-    other = surrogate_eval(reviews, authors, seed=13)
+    other = surrogate_eval(table_of(reviews), authors, seed=13)
     assert other.tie_breaks != first.tie_breaks or other == first
 
 
@@ -372,7 +377,7 @@ def test_surrogate_uses_reported_not_truthful_ranking():
         "b", [(2, 5), (2, 4), (2, 1)]
     )
     wrong = [AuthorRecord("bob", ("a", "b"), (2, 1))]  # claims b is best
-    report = surrogate_eval(reviews, wrong, seed=0)
+    report = surrogate_eval(table_of(reviews), wrong, seed=0)
     row = next(r for r in report.rows if r.n == 2)
     # held-out (9, 2) pooled under b >= a: (5.5, 5.5); surrogates (9, 2)
     assert row.mse_im == pytest.approx(((5.5 - 9) ** 2 + (5.5 - 2) ** 2) / 2)
@@ -393,7 +398,7 @@ def review_tables(draw):
     malformed rankings or unknown or single-review submissions."""
     n_subs = draw(st.integers(1, 9))
     reviews = [
-        ReviewRecord(f"s{s}", draw(DECIMAL_SCORES), draw(st.integers(1, 3)))
+        (f"s{s}", draw(DECIMAL_SCORES), draw(st.integers(1, 3)))
         for s in range(n_subs)
         for _ in range(draw(st.integers(1, 10)))
     ]
@@ -408,7 +413,7 @@ def review_tables(draw):
         else:
             ranking = draw(st.lists(st.integers(0, k + 1), min_size=k, max_size=k))
         authors.append(AuthorRecord(f"a{a}", tuple(sids), tuple(ranking)))
-    return reviews, authors
+    return table_of(reviews), authors
 
 
 @given(review_tables(), st.integers(0, 2**32 - 1))
@@ -444,15 +449,14 @@ def large_review_table(seed):
         if k > 1 and rng.random() < 0.05:
             ranking[0] = ranking[1]
         authors.append(AuthorRecord(f"a{a}", sids, tuple(int(r) for r in ranking)))
-    records = list(map(ReviewRecord, ids, scores.tolist(), confidences.tolist()))
-    return table, records, authors
+    return table, authors
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_surrogate_matches_reference_on_a_large_table(seed):
-    table, records, authors = large_review_table(seed)
+    table, authors = large_review_table(seed)
     got = surrogate_eval(table, authors, seed=seed)
-    want = reference_surrogate_eval(records, authors, seed=seed)
+    want = reference_surrogate_eval(table, authors, seed=seed)
     assert got == want
     assert len(got.tie_breaks) > 1000
     assert min(got.skipped_authors.values()) > 10 and got.skipped_submissions > 100
@@ -472,7 +476,7 @@ def test_one_integers_call_draws_as_scalar_calls():
 @pytest.mark.parametrize("confidence", [2**63, -(2**64), 2.5])
 def test_review_table_refuses_confidences_outside_int64(confidence):
     with pytest.raises(ValidationError, match="64-bit integers"):
-        ReviewTable.from_records([ReviewRecord("a", 5.0, 1), ReviewRecord("a", 6.0, confidence)])
+        ReviewTable(("a", "a"), [5.0, 6.0], [1, confidence])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -481,18 +485,18 @@ def test_surrogate_refuses_non_finite_review_scores(bad):
     reviews = reviews_for("a", [(6, 5), (bad, 4), (7, 1)]) + reviews_for("b", [(4, 5), (5, 1)])
     authors = [AuthorRecord("alice", ("a", "b"), (1, 2))]
     with pytest.raises(ValidationError, match="finite"):
-        surrogate_eval(reviews, authors, seed=0)
+        surrogate_eval(table_of(reviews), authors, seed=0)
 
 
 def test_surrogate_refuses_repeated_submission():
     reviews = reviews_for("a", [(6, 5), (7, 1)]) + reviews_for("b", [(4, 5), (5, 1)])
     authors = [AuthorRecord("bob", ("b",), (1,)), AuthorRecord("alice", ("a", "b", "a"), (1, 2, 3))]
     with pytest.raises(ValidationError, match="alice lists submission 'a' twice"):
-        surrogate_eval(reviews, authors, seed=0)
+        surrogate_eval(table_of(reviews), authors, seed=0)
 
 
 def test_surrogate_refuses_author_without_submissions():
     reviews = reviews_for("a", [(6, 5), (7, 1)])
     authors = [AuthorRecord("alice", ("a",), (1,)), AuthorRecord("bob", (), ())]
     with pytest.raises(ValidationError, match="bob lists no submissions"):
-        surrogate_eval(reviews, authors, seed=0)
+        surrogate_eval(table_of(reviews), authors, seed=0)

@@ -16,7 +16,6 @@ from isomech import (
     Poisson,
     Ranking,
     ValidationError,
-    coarse_isotonic_mechanism,
     coarse_to_permutation,
     isotonic_mechanism,
     project_descending,
@@ -74,13 +73,18 @@ def test_ranking_validation():
     assert Ranking([2, 3, 1]).inverse().perm == (3, 1, 2)
 
 
+def fit_blocks(x, coarse):
+    """The fit ``isomech fit --blocks`` writes."""
+    return isotonic_mechanism(x, coarse_to_permutation(coarse, x))
+
+
 def test_coarse_examples():
-    fit = coarse_isotonic_mechanism([5, 4, 1], CoarseRanking([(1, 2), (3,)]))
+    fit = fit_blocks([5, 4, 1], CoarseRanking([(1, 2), (3,)]))
     assert fit.mu_hat.tolist() == [5, 4, 1]
-    fit = coarse_isotonic_mechanism([1, 3], CoarseRanking([(1,), (2,)]))
+    fit = fit_blocks([1, 3], CoarseRanking([(1,), (2,)]))
     assert fit.mu_hat.tolist() == [2, 2]
     x = [3.0, 9.0, 1.0, 4.0]
-    fit = coarse_isotonic_mechanism(x, CoarseRanking([(1, 2, 3, 4)]))
+    fit = fit_blocks(x, CoarseRanking([(1, 2, 3, 4)]))
     assert fit.mu_hat.tolist() == x
 
 
@@ -96,7 +100,7 @@ def test_coarse_validation():
     with pytest.raises(ValidationError):
         CoarseRanking([(1,), ()])
     with pytest.raises(ValidationError):
-        coarse_isotonic_mechanism([1, 2, 3], CoarseRanking([(1,), (2,)]))
+        fit_blocks([1, 2, 3], CoarseRanking([(1,), (2,)]))
 
 
 def test_coarse_tie_rule_does_not_change_fit():
@@ -116,7 +120,7 @@ def test_coarse_tie_rule_does_not_change_fit():
             blocks.append(items[pos : pos + size])
             pos += size
         coarse = CoarseRanking(blocks)
-        fit = coarse_isotonic_mechanism(x, coarse)
+        fit = fit_blocks(x, coarse)
         # alternative tie rule: descending index within blocks
         perm = []
         for block in coarse.blocks:
@@ -132,7 +136,7 @@ def test_singleton_blocks_reduce_to_ranking():
         n = int(rng.integers(1, 9))
         x = rng.normal(size=n)
         perm = Ranking(rng.permutation(n) + 1)
-        a = coarse_isotonic_mechanism(x, CoarseRanking.singletons(perm))
+        a = fit_blocks(x, CoarseRanking.singletons(perm))
         b = isotonic_mechanism(x, perm)
         assert np.array_equal(a.mu_hat, b.mu_hat)
 
@@ -198,19 +202,6 @@ def test_pools_cover_and_decrease():
         assert all(a == b for a, b in zip(stops[:-1], starts[1:]))
         values = [p[2] for p in fit.pools]
         assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_weighted_pava_against_replication():
-    # integer weights agree with replicating entries
-    rng = np.random.default_rng(14)
-    for _ in range(50):
-        n = int(rng.integers(1, 8))
-        x = rng.normal(size=n)
-        w = rng.integers(1, 4, size=n)
-        fitted, _ = pava_descending(x, w.astype(float))
-        replicated = np.repeat(x, w)
-        expanded, _ = pava_descending(replicated)
-        assert np.allclose(np.repeat(fitted, w), expanded, atol=1e-12)
 
 
 def test_error_dominance_monte_carlo():
@@ -410,6 +401,19 @@ def test_batch_rejects_non_finite():
             project_descending_batch(rows)
     with pytest.raises(ValidationError):
         project_descending_batch(np.full((2, 1), math.nan))
+
+
+def test_batch_refuses_finite_rows_that_overflow():
+    # the scaled copy needs each row's max - min; the means need pooled sums
+    for row in ([-1.7e308, 1.7e308, 0.0], [1.7e308, 1e308, -1.7e308]):
+        with pytest.raises(ValidationError, match="row 0's max - min overflows"):
+            project_descending_batch(np.array([row]))
+    rows = np.zeros((600, 4))
+    rows[513] = [0.0, 1e308, 1e308, 1e308]
+    with pytest.raises(ValidationError, match="too large to pool in float64: a pooled sum overflows"):
+        project_descending_batch(rows)
+    with pytest.raises(ValidationError, match="too large to pool in float64"):
+        pava_descending(rows[513])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from isomech import Ranking, ValidationError, project_descending
 from isomech.order import (
-    SwapChain,
     is_upward_swap,
     majorizes,
     majorizes_natural_order,
@@ -106,14 +105,14 @@ def test_chain_trivial_and_single_swap():
     chain = upward_swap_chain(Ranking([1, 2, 3]), Ranking([1, 2, 3]))
     assert len(chain) == 1
     chain = upward_swap_chain(Ranking([1, 2, 3]), Ranking([2, 1, 3]))
-    assert [r.perm for r in chain.perms] == [(1, 2, 3), (2, 1, 3)]
+    assert [r.perm for r in chain] == [(1, 2, 3), (2, 1, 3)]
 
 
 def test_chain_sound_for_all_small_permutations():
     for n in range(1, 7):
         identity = Ranking.identity(n)
         for perm in itertools.permutations(range(1, n + 1)):
-            chain = upward_swap_chain(identity, Ranking(perm)).perms
+            chain = upward_swap_chain(identity, Ranking(perm))
             assert chain[0].perm == identity.perm
             assert chain[-1].perm == perm
             assert len(chain) <= 1 + n * (n - 1) // 2
@@ -127,7 +126,7 @@ def test_chain_relabels_for_general_start():
         n = int(rng.integers(2, 8))
         start = Ranking(rng.permutation(n) + 1)
         target = Ranking(rng.permutation(n) + 1)
-        chain = upward_swap_chain(start, target).perms
+        chain = upward_swap_chain(start, target)
         assert chain[0].perm == start.perm and chain[-1].perm == target.perm
         rank_of = {item: pos + 1 for pos, item in enumerate(start.perm)}
         for left, right in zip(chain, chain[1:]):
@@ -138,5 +137,5 @@ def test_chain_relabels_for_general_start():
 
 def test_chain_type():
     chain = upward_swap_chain(Ranking([2, 1]), Ranking([1, 2]))
-    assert isinstance(chain, SwapChain)
-    assert all(isinstance(r, Ranking) for r in chain.perms)
+    assert isinstance(chain, tuple)
+    assert all(isinstance(r, Ranking) for r in chain)
