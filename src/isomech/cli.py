@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidParameterError, IsomechError, ValidationError
-from .expfam import Family, ScoreBounds, family_from_dict, family_from_spec
+from .expfam import ScoreBounds, family_from_spec
 from .isotonic import (
     CoarseRanking,
     Ranking,
@@ -59,6 +59,8 @@ from .experiments import (
 )
 
 __all__ = ["main"]
+
+_FORMATS = ("csv", "json")  # _write_table writes JSON for "json" and CSV otherwise
 
 
 def _fmt(value: Any) -> str:
@@ -276,6 +278,8 @@ def _effective(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, 
         params[key] = value
     for key, value in defaults.items():
         params.setdefault(key, value)
+    if params.get("format", "csv") not in _FORMATS:
+        raise ValidationError(f"format: {params['format']!r} is not one of {', '.join(_FORMATS)}")
     if params.get("seed") is None:
         params["seed"] = _number(os.environ.get("ISOMECH_SEED", "0"), "ISOMECH_SEED", int)
     params["seed"] = _number(params["seed"], "seed", int)
@@ -288,16 +292,14 @@ def _effective(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, 
     return params
 
 
-def _family_from_params(value: Any) -> Family:
-    if isinstance(value, dict):
-        return family_from_dict(value)
-    return family_from_spec(str(value))
-
-
 def _number(value: Any, name: str, kind: type = float):
     try:
+        # JSON config values skip argparse: refuse what int() or float() would bend
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError(value)
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise ValidationError(f"{name}: {value!r} is not {what}") from None
 
@@ -335,7 +337,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         raise ValidationError("fit needs exactly one of --ranking or --blocks")
     scores = _read_scores(_require(params, "scores", "a scores CSV"))
     n = scores.size
-    family = _family_from_params(params["family"]) if params.get("family") else None
+    family = family_from_spec(params["family"]) if params.get("family") else None
 
     if params.get("ranking"):
         ranking = _read_ranking(params["ranking"], n)
@@ -366,7 +368,7 @@ def _cmd_truthfulness(args: argparse.Namespace) -> int:
         {"out": "utilities.csv", "format": "csv", "utility": "relu_square",
          "scores_per_item": 3, "trials": 100_000},
     )
-    family = _family_from_params(_require(params, "family", "a family spec"))
+    family = family_from_spec(_require(params, "family", "a family spec"))
     mu_star = _float_list(_require(params, "mu_star", "the true scores mu_star"))
     params["mu_star"] = mu_star
     utility = UtilityFn.from_spec(str(params["utility"]))
@@ -406,7 +408,7 @@ def _cmd_estimation(args: argparse.Namespace) -> int:
         {"out": "curve.csv", "format": "csv", "scores_per_item": 3,
          "trials": 1000, "ramp_hi": 9.0, "ramp_lo": 3.0},
     )
-    family = _family_from_params(_require(params, "family", "a family spec"))
+    family = family_from_spec(_require(params, "family", "a family spec"))
     cfg = EstimationConfig(
         family=family,
         n_grid=tuple(_int_list(_require(params, "n_grid", "an n grid"))),
@@ -437,7 +439,7 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
         {"out": "rate.csv", "format": "csv", "trials": 500,
          "construction_out": "construction.json"},
     )
-    family = _family_from_params(_require(params, "family", "a family spec"))
+    family = family_from_spec(_require(params, "family", "a family spec"))
     bounds = ScoreBounds(
         _number(_require(params, "v_min", "v_min"), "v_min"),
         _number(_require(params, "v_max", "v_max"), "v_max"),
@@ -451,7 +453,10 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
     rows = [(p.n, p.risk, p.risk_se) for p in report.points]
     _write_table(out, ["n", "risk", "risk_se"], rows, params["format"])
 
-    construction_n = _number(params.get("construction_n") or max(n_grid), "construction_n", int)
+    construction_n = params.get("construction_n")
+    if construction_n is None:
+        construction_n = max(n_grid)
+    construction_n = _number(construction_n, "construction_n", int)
     c = params.get("c")
     construction = build_lower_bound(
         family, bounds, construction_n,
@@ -595,7 +600,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if threads:
             p.add_argument("--threads", type=int, help="max worker threads for Monte-Carlo chunks")
         p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
+        p.add_argument("--format", choices=_FORMATS, help="output format (default csv)")
         p.add_argument("--log-level", dest="log_level", default="warning",
                        choices=["debug", "info", "warning", "error"],
                        help="least severity of the log lines written to stderr (default warning)")

@@ -10,8 +10,15 @@ and exposes the natural-parameter calculus
 
 together with seeded sampling, of one draw or of the exact average of several,
 and the KL divergence in closed form.  All math methods accept scalars or numpy
-arrays and broadcast elementwise.  The carrier c(x) never needs a standalone
-representation; it is folded into log_density.
+arrays and broadcast elementwise; a scalar input gives a Python float.  The
+carrier c(x) never needs a standalone representation; it is folded into
+log_density.
+
+``Family`` writes the shared contract once: the input checks, the +/-inf
+natural parameters of boundary means, the support mask, the float return for
+scalar input, the variance certificate, and the JSON and spec forms of the
+one shape parameter a class declares.  A family supplies only its formulas
+and constants.  ``_FAMILIES`` registers the concrete classes by kind.
 
 Import policy: the package loads numpy and no scipy module at import.  Only
 ``log_density`` evaluates a density, and it loads ``scipy.special`` on first
@@ -26,7 +33,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -55,6 +62,7 @@ def _gammaln(x):
 
 
 def _as_float(x) -> np.ndarray | float:
+    """``x`` as a float array, or as a Python float when it is a scalar."""
     arr = np.asarray(x, dtype=float)
     return arr if arr.ndim else float(arr)
 
@@ -99,52 +107,85 @@ class VarianceCertificate:
         return self.v_tilde_max - self.v_tilde_min
 
 
+class _Param(NamedTuple):
+    key: str  # JSON key, and the value of the 'kind:param' spec form
+    field: str  # dataclass field that holds it
+    type: type  # int or float, the type to_dict writes
+    required: bool  # if False, a JSON form without the key takes the field's default
+
+
 class Family(ABC):
     """One canonical exponential family with its shape parameter fixed.
 
     Immutable and safe to share across threads.  Sampling always goes
     through an explicit ``numpy.random.Generator`` so that replaying a seed
     reproduces bit-identical draws.
+
+    The public methods run every check and conversion.  A subclass supplies
+    its constants: ``kind``, ``param`` (its shape parameter, or None),
+    ``mean_hull()``, and the ``c_int`` and ``c_var`` of its certificate.  It
+    also supplies its formulas, called on checked input: ``_b``, ``_b1`` and
+    ``_b2`` (b, b', b'' at theta); ``_theta_of`` ((b')^{-1} inside the hull);
+    ``_support`` and ``_log_pdf`` (the log density on its support);
+    ``_draw_average`` (the average of ``reps`` draws); ``_sigma_max`` (max of
+    b'' over the bounds); ``_cert_window`` (where b'' >= c_var * sigma_max).
     """
 
-    kind: str
+    kind: ClassVar[str]
+    param: ClassVar[_Param | None] = None
 
     # -- natural-parameter calculus -----------------------------------
 
-    @abstractmethod
     def log_partition(self, theta):
         """b(theta); raises InvalidParameterError outside the domain."""
+        return _as_float(self._b(self._check_theta(theta)))
 
-    @abstractmethod
     def mean(self, theta):
         """b'(theta)."""
+        return _as_float(self._b1(self._check_theta(theta)))
 
-    @abstractmethod
     def variance(self, theta):
         """b''(theta) > 0."""
+        return _as_float(self._b2(self._check_theta(theta)))
 
-    @abstractmethod
     def natural_param(self, mu, *, allow_boundary: bool = False):
         """(b')^{-1}(mu).
 
-        Boundary means (where theta would be infinite) raise
-        InvalidParameterError unless ``allow_boundary`` is set, in which
-        case +/-inf sentinels are returned.
+        A finite end of ``mean_hull()`` is a boundary mean, where theta would
+        be infinite: it raises InvalidParameterError unless ``allow_boundary``
+        is set, in which case the low end gives -inf and the high end +inf.
         """
+        arr = self.check_mean_hull(mu, "mean")
+        lo, hi = self.mean_hull()
+        at_lo, at_hi = arr == lo, arr == hi
+        if not (at_lo.any() or at_hi.any()):
+            return _as_float(self._theta_of(arr))
+        if not allow_boundary:
+            raise InvalidParameterError(
+                f"mean on the boundary of the {self.kind} mean hull [{lo}, {hi}] "
+                "has no finite theta"
+            )
+        with np.errstate(divide="ignore"):
+            theta = self._theta_of(arr)
+        return _as_float(np.where(at_lo, -np.inf, np.where(at_hi, np.inf, theta)))
 
-    @abstractmethod
     def log_density(self, theta, x):
         """log p_theta(x); -inf for x outside the support (not an error)."""
+        t = self._check_theta(theta)
+        xv = np.asarray(x, dtype=float)
+        support = self._support(xv)
+        # 1 lies in every family's support, so the formula stays finite there
+        logpdf = self._log_pdf(t, np.where(support, xv, 1.0))
+        return _as_float(np.where(support, logpdf, -np.inf))
 
     def kl_divergence(self, theta1, theta2):
         """KL(p_theta1 || p_theta2) = (theta1-theta2) b'(theta1) - b(theta1) + b(theta2)."""
         t1 = self._check_theta(theta1)
         t2 = self._check_theta(theta2)
-        return (t1 - t2) * self.mean(t1) - self.log_partition(t1) + self.log_partition(t2)
+        return _as_float((t1 - t2) * self._b1(t1) - self._b(t1) + self._b(t2))
 
     # -- sampling ------------------------------------------------------
 
-    @abstractmethod
     def sample_mean(self, mu, rng: np.random.Generator, size=None, reps: int = 1):
         """Draw variates with mean ``mu``, each the average of ``reps`` iid draws.
 
@@ -154,10 +195,12 @@ class Family(ABC):
         means where the natural parameter would be infinite (the draw is then
         degenerate).
         """
+        reps = self._check_reps(reps)
+        return self._draw_average(self.check_mean_hull(mu, "mean"), rng, size, reps)
 
     def sample(self, theta, rng: np.random.Generator, size=None):
         """Draw variates at natural parameter ``theta``."""
-        return self.sample_mean(self.mean(self._check_theta(theta)), rng, size)
+        return self.sample_mean(self.mean(theta), rng, size)
 
     # -- ranges ----------------------------------------------------------
 
@@ -186,22 +229,41 @@ class Family(ABC):
                 f"{self.kind} mean hull [{lo}, {hi}]"
             )
 
-    @abstractmethod
     def sigma_max(self, bounds: ScoreBounds) -> float:
         """max of b'' over the natural parameters matching ``bounds`` (closed form)."""
+        self.validate_bounds(bounds)
+        return self._sigma_max(bounds)
 
-    @abstractmethod
     def variance_certificate(self, bounds: ScoreBounds) -> VarianceCertificate:
-        """Closed-form variance-floor certificate for ``bounds`` (not yet grid-checked)."""
+        """Closed-form variance-floor certificate for ``bounds`` (not yet grid-checked).
+
+        The certified interval is ``bounds`` cut to the family's
+        ``_cert_window``; it is refused when it covers less than a ``c_int``
+        share of the range.
+        """
+        self.validate_bounds(bounds)
+        lo, hi = self._cert_window(bounds)
+        cert = VarianceCertificate(
+            v_tilde_min=max(bounds.v_min, lo),
+            v_tilde_max=min(bounds.v_max, hi),
+            c_int=self.c_int,
+            c_var=self.c_var,
+            sigma_sq=self._sigma_max(bounds),
+        )
+        _require_certificate_interval(cert, bounds)
+        return cert
 
     # -- serialization -----------------------------------------------------
 
-    @abstractmethod
-    def to_dict(self) -> dict[str, Any]: ...
+    def to_dict(self) -> dict[str, Any]:
+        """JSON form, e.g. {"kind": "binomial", "m": 10}; see ``family_from_dict``."""
+        out: dict[str, Any] = {"kind": self.kind}
+        if self.param is not None:
+            out[self.param.key] = self.param.type(getattr(self, self.param.field))
+        return out
 
     def __repr__(self) -> str:
-        fields = {k: v for k, v in self.to_dict().items() if k != "kind"}
-        inner = ", ".join(f"{k}={v}" for k, v in fields.items())
+        inner = ", ".join(f"{k}={v}" for k, v in self.to_dict().items() if k != "kind")
         return f"{type(self).__name__}({inner})"
 
     # -- internals ---------------------------------------------------------
@@ -225,63 +287,46 @@ class Gaussian(Family):
 
     variance_param: float = 1.0
     kind = "gaussian"
+    param = _Param("variance", "variance_param", float, required=False)
+    c_int = c_var = 1.0
 
     def __post_init__(self):
         if not (self.variance_param > 0 and math.isfinite(self.variance_param)):
             raise InvalidParameterError("Gaussian variance must be positive and finite")
 
-    def log_partition(self, theta):
-        t = self._check_theta(theta)
+    def _b(self, t):
         return self.variance_param * t * t / 2.0
 
-    def mean(self, theta):
-        return self.variance_param * self._check_theta(theta)
+    def _b1(self, t):
+        return self.variance_param * t
 
-    def variance(self, theta):
-        t = self._check_theta(theta)
-        if np.ndim(t):
-            return np.full(np.shape(t), self.variance_param)
-        return self.variance_param
+    def _b2(self, t):
+        return np.full(np.shape(t), self.variance_param, dtype=float)
 
-    def natural_param(self, mu, *, allow_boundary: bool = False):
-        arr = _as_float(mu)
-        if not np.all(np.isfinite(arr)):
-            raise InvalidParameterError("mean must be finite")
-        return arr / self.variance_param
+    def _theta_of(self, mu):
+        return mu / self.variance_param
 
-    def log_density(self, theta, x):
-        t = self._check_theta(theta)
-        xv = _as_float(x)
+    def _support(self, x):
+        return np.full(np.shape(x), True)
+
+    def _log_pdf(self, t, x):
         mu = self.variance_param * t
-        return -((xv - mu) ** 2) / (2.0 * self.variance_param) - 0.5 * math.log(
+        return -((x - mu) ** 2) / (2.0 * self.variance_param) - 0.5 * math.log(
             2.0 * math.pi * self.variance_param
         )
 
-    def sample_mean(self, mu, rng, size=None, reps=1):
+    def _draw_average(self, mu, rng, size, reps):
         # the mean of r draws is N(mu, sigma^2 / r)
-        reps = self._check_reps(reps)
-        arr = self.check_mean_hull(mu, "mean")
-        return rng.normal(arr, math.sqrt(self.variance_param / reps), size=size)
+        return rng.normal(mu, math.sqrt(self.variance_param / reps), size=size)
 
     def mean_hull(self):
         return (-math.inf, math.inf)
 
-    def sigma_max(self, bounds):
-        self.validate_bounds(bounds)
+    def _sigma_max(self, bounds):
         return self.variance_param
 
-    def variance_certificate(self, bounds):
-        self.validate_bounds(bounds)
-        return VarianceCertificate(
-            v_tilde_min=bounds.v_min,
-            v_tilde_max=bounds.v_max,
-            c_int=1.0,
-            c_var=1.0,
-            sigma_sq=self.sigma_max(bounds),
-        )
-
-    def to_dict(self):
-        return {"kind": "gaussian", "variance": self.variance_param}
+    def _cert_window(self, bounds):
+        return (-math.inf, math.inf)
 
 
 def _sigmoid(t):
@@ -296,88 +341,57 @@ class Binomial(Family):
 
     trials: int = 1
     kind = "binomial"
+    param = _Param("m", "trials", int, required=True)
+    c_int = 0.5
+    c_var = 0.75
 
     def __post_init__(self):
         if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
             raise InvalidParameterError("Binomial trial count must be a positive integer")
 
-    def log_partition(self, theta):
-        t = np.asarray(self._check_theta(theta), dtype=float)
+    def _b(self, t):
         # m * log(1 + e^t), evaluated as m * (max(t, 0) + log1p(e^{-|t|}))
-        val = self.trials * (np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))))
-        return val if val.ndim else float(val)
+        return self.trials * (np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))))
 
-    def mean(self, theta):
-        t = self._check_theta(theta)
-        val = self.trials * _sigmoid(t)
-        return val if np.ndim(t) else float(val)
+    def _b1(self, t):
+        return self.trials * _sigmoid(t)
 
-    def variance(self, theta):
-        t = self._check_theta(theta)
+    def _b2(self, t):
         s = _sigmoid(t)
-        val = self.trials * s * (1.0 - s)
-        return val if np.ndim(t) else float(val)
+        return self.trials * s * (1.0 - s)
 
-    def natural_param(self, mu, *, allow_boundary: bool = False):
-        arr = np.asarray(self.check_mean_hull(mu, "mean"), dtype=float)
-        m = float(self.trials)
-        boundary = (arr == 0.0) | (arr == m)
-        if np.any(boundary) and not allow_boundary:
-            raise InvalidParameterError(
-                f"mean on the boundary of (0, {self.trials}) has no finite theta"
-            )
-        with np.errstate(divide="ignore"):
-            val = np.where(boundary, np.where(arr == 0.0, -np.inf, np.inf),
-                           np.log(arr) - np.log(m - arr))
-        return val if np.ndim(mu) else float(val)
+    def _theta_of(self, mu):
+        return np.log(mu) - np.log(float(self.trials) - mu)
 
-    def log_density(self, theta, x):
-        t = np.asarray(self._check_theta(theta), dtype=float)
-        xv = np.asarray(x, dtype=float)
-        support = (xv >= 0) & (xv <= self.trials) & (np.floor(xv) == xv)
-        xs = np.where(support, xv, 0.0)
+    def _support(self, x):
+        return (x >= 0) & (x <= self.trials) & (np.floor(x) == x)
+
+    def _log_pdf(self, t, x):
         m = float(self.trials)
-        logpmf = (
+        return (
             _gammaln(m + 1.0)
-            - _gammaln(xs + 1.0)
-            - _gammaln(m - xs + 1.0)
-            + xs * t
+            - _gammaln(x + 1.0)
+            - _gammaln(m - x + 1.0)
+            + x * t
             - self.trials * (np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))))
         )
-        out = np.where(support, logpmf, -np.inf)
-        return out if out.ndim else float(out)
 
-    def sample_mean(self, mu, rng, size=None, reps=1):
+    def _draw_average(self, mu, rng, size, reps):
         # r draws of Binomial(m, p) sum to one Binomial(r m, p)
-        reps = self._check_reps(reps)
-        arr = self.check_mean_hull(mu, "mean")
-        p = np.asarray(arr, dtype=float) / self.trials
-        return rng.binomial(reps * self.trials, p, size=size) / reps
+        return rng.binomial(reps * self.trials, mu / self.trials, size=size) / reps
 
     def mean_hull(self):
         return (0.0, float(self.trials))
 
-    def sigma_max(self, bounds):
-        self.validate_bounds(bounds)
+    def _sigma_max(self, bounds):
         m = float(self.trials)
         # b'' = mu (m - mu) / m is concave with peak at mu = m/2
         mu_star = min(max(m / 2.0, bounds.v_min), bounds.v_max)
         return mu_star * (m - mu_star) / m
 
-    def variance_certificate(self, bounds):
-        self.validate_bounds(bounds)
+    def _cert_window(self, bounds):
         m = float(self.trials)
-        lo = max(bounds.v_min, m / 4.0)
-        hi = min(bounds.v_max, 3.0 * m / 4.0)
-        cert = VarianceCertificate(
-            v_tilde_min=lo, v_tilde_max=hi, c_int=0.5, c_var=0.75,
-            sigma_sq=self.sigma_max(bounds),
-        )
-        _require_certificate_interval(cert, bounds)
-        return cert
-
-    def to_dict(self):
-        return {"kind": "binomial", "m": int(self.trials)}
+        return (m / 4.0, 3.0 * m / 4.0)
 
 
 @dataclass(frozen=True, repr=False)
@@ -385,60 +399,34 @@ class Poisson(Family):
     """Poisson(lambda) counts; theta = log(lambda), b(theta) = e^theta."""
 
     kind = "poisson"
+    c_int = c_var = 0.5
 
-    def log_partition(self, theta):
-        t = self._check_theta(theta)
+    def _b(self, t):
         return np.exp(t)
 
-    def mean(self, theta):
-        return np.exp(self._check_theta(theta))
+    _b1 = _b2 = _b  # b = b' = b'' = e^theta
 
-    def variance(self, theta):
-        return np.exp(self._check_theta(theta))
+    def _theta_of(self, mu):
+        return np.log(mu)
 
-    def natural_param(self, mu, *, allow_boundary: bool = False):
-        arr = np.asarray(self.check_mean_hull(mu, "mean"), dtype=float)
-        boundary = arr == 0.0
-        if np.any(boundary) and not allow_boundary:
-            raise InvalidParameterError("mean 0 has no finite theta for Poisson")
-        with np.errstate(divide="ignore"):
-            val = np.log(arr)
-        return val if np.ndim(mu) else float(val)
+    def _support(self, x):
+        return (x >= 0) & (np.floor(x) == x)
 
-    def log_density(self, theta, x):
-        t = np.asarray(self._check_theta(theta), dtype=float)
-        xv = np.asarray(x, dtype=float)
-        support = (xv >= 0) & (np.floor(xv) == xv)
-        xs = np.where(support, xv, 0.0)
-        out = np.where(support, xs * t - np.exp(t) - _gammaln(xs + 1.0), -np.inf)
-        return out if out.ndim else float(out)
+    def _log_pdf(self, t, x):
+        return x * t - np.exp(t) - _gammaln(x + 1.0)
 
-    def sample_mean(self, mu, rng, size=None, reps=1):
+    def _draw_average(self, mu, rng, size, reps):
         # r draws of Poisson(mu) sum to one Poisson(r mu)
-        reps = self._check_reps(reps)
-        arr = self.check_mean_hull(mu, "mean")
-        return rng.poisson(reps * arr, size=size) / reps
+        return rng.poisson(reps * mu, size=size) / reps
 
     def mean_hull(self):
         return (0.0, math.inf)
 
-    def sigma_max(self, bounds):
-        self.validate_bounds(bounds)
+    def _sigma_max(self, bounds):
         return bounds.v_max
 
-    def variance_certificate(self, bounds):
-        self.validate_bounds(bounds)
-        cert = VarianceCertificate(
-            v_tilde_min=max(bounds.v_min, bounds.v_max / 2.0),
-            v_tilde_max=bounds.v_max,
-            c_int=0.5, c_var=0.5,
-            sigma_sq=self.sigma_max(bounds),
-        )
-        _require_certificate_interval(cert, bounds)
-        return cert
-
-    def to_dict(self):
-        return {"kind": "poisson"}
+    def _cert_window(self, bounds):
+        return (bounds.v_max / 2.0, math.inf)
 
 
 @dataclass(frozen=True, repr=False)
@@ -447,6 +435,9 @@ class Gamma(Family):
 
     shape: float = 1.0
     kind = "gamma"
+    param = _Param("shape", "shape", float, required=True)
+    c_int = 0.5
+    c_var = 0.25
 
     def __post_init__(self):
         if not (self.shape > 0 and math.isfinite(self.shape)):
@@ -458,71 +449,49 @@ class Gamma(Family):
             raise InvalidParameterError("Gamma natural parameter must be negative")
         return arr
 
-    def log_partition(self, theta):
-        t = self._check_theta(theta)
-        val = -self.shape * np.log(-np.asarray(t, dtype=float))
-        return val if np.ndim(t) else float(val)
+    def _b(self, t):
+        return -self.shape * np.log(-t)
 
-    def mean(self, theta):
-        t = self._check_theta(theta)
+    def _b1(self, t):
         return -self.shape / t
 
-    def variance(self, theta):
-        t = self._check_theta(theta)
+    def _b2(self, t):
         return self.shape / (t * t)
 
-    def natural_param(self, mu, *, allow_boundary: bool = False):
-        arr = np.asarray(self.check_mean_hull(mu, "mean"), dtype=float)
-        boundary = arr == 0.0
-        if np.any(boundary) and not allow_boundary:
-            raise InvalidParameterError("mean 0 has no finite theta for Gamma")
-        with np.errstate(divide="ignore"):
-            val = np.where(boundary, -np.inf, -self.shape / np.where(boundary, 1.0, arr))
-        return val if np.ndim(mu) else float(val)
+    def _theta_of(self, mu):
+        return -self.shape / mu
 
-    def log_density(self, theta, x):
-        t = np.asarray(self._check_theta(theta), dtype=float)
-        xv = np.asarray(x, dtype=float)
-        support = xv > 0
-        xs = np.where(support, xv, 1.0)
-        out = np.where(
-            support,
-            (self.shape - 1.0) * np.log(xs) + t * xs
-            + self.shape * np.log(-t) - _gammaln(self.shape),
-            -np.inf,
+    def _support(self, x):
+        return x > 0
+
+    def _log_pdf(self, t, x):
+        return (
+            (self.shape - 1.0) * np.log(x) + t * x
+            + self.shape * np.log(-t) - _gammaln(self.shape)
         )
-        return out if out.ndim else float(out)
 
-    def sample_mean(self, mu, rng, size=None, reps=1):
+    def _draw_average(self, mu, rng, size, reps):
         # the mean of r draws of Gamma(a, scale s) is Gamma(r a, scale s / r)
-        reps = self._check_reps(reps)
-        arr = np.asarray(self.check_mean_hull(mu, "mean"), dtype=float)
-        if np.any(arr <= 0):
+        if np.any(mu <= 0):
             raise InvalidParameterError("Gamma sampling needs a strictly positive mean")
         shape = reps * self.shape
-        return rng.gamma(shape, scale=arr / shape, size=size)
+        return rng.gamma(shape, scale=mu / shape, size=size)
 
     def mean_hull(self):
         # x = 0 is measure-zero but harmless as a data value (log-density -inf)
         return (0.0, math.inf)
 
-    def sigma_max(self, bounds):
-        self.validate_bounds(bounds)
+    def _sigma_max(self, bounds):
         return bounds.v_max**2 / self.shape
 
-    def variance_certificate(self, bounds):
-        self.validate_bounds(bounds)
-        cert = VarianceCertificate(
-            v_tilde_min=max(bounds.v_min, bounds.v_max / 2.0),
-            v_tilde_max=bounds.v_max,
-            c_int=0.5, c_var=0.25,
-            sigma_sq=self.sigma_max(bounds),
-        )
-        _require_certificate_interval(cert, bounds)
-        return cert
+    def _cert_window(self, bounds):
+        return (bounds.v_max / 2.0, math.inf)
 
-    def to_dict(self):
-        return {"kind": "gamma", "shape": float(self.shape)}
+
+# Every concrete family, by kind: the JSON and spec parsers read this table.
+_FAMILIES: dict[str, type[Family]] = {
+    cls.kind: cls for cls in (Gaussian, Binomial, Poisson, Gamma)
+}
 
 
 def _require_certificate_interval(cert: VarianceCertificate, bounds: ScoreBounds) -> None:
@@ -591,40 +560,32 @@ def kl_divergence_product(family: Family, theta1, theta2):
     return float(np.sum(family.kl_divergence(t1, t2)))
 
 
-# Key of the parameter that the 'kind:param' spec form sets, per family kind.
-_SPEC_PARAMS = {"gaussian": "variance", "binomial": "m", "poisson": None, "gamma": "shape"}
-
-
-def _family_number(kind: str, key: str, value: Any, convert: type):
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        what = "an integer" if convert is int else "a number"
-        raise ValidationError(f"{kind} family: {key} must be {what}, got {value!r}") from None
-
-
 def family_from_dict(spec: dict[str, Any]) -> Family:
     """Build a family from its JSON form, e.g. {"kind": "binomial", "m": 10}."""
-    kind = str(spec.get("kind", "")).lower()
-    if kind == "gaussian":
-        variance = _family_number(kind, "variance", spec.get("variance", 1.0), float)
-        return Gaussian(variance_param=variance)
-    if kind == "binomial":
-        if "m" not in spec:
-            raise ValidationError("binomial family needs a trial count 'm'")
-        return Binomial(trials=_family_number(kind, "m", spec["m"], int))
-    if kind == "poisson":
-        return Poisson()
-    if kind == "gamma":
-        if "shape" not in spec:
-            raise ValidationError("gamma family needs a 'shape' parameter")
-        return Gamma(shape=_family_number(kind, "shape", spec["shape"], float))
-    raise ValidationError(f"unknown family kind {spec.get('kind')!r}")
+    cls = _FAMILIES.get(str(spec.get("kind", "")).lower())
+    if cls is None:
+        raise ValidationError(f"unknown family kind {spec.get('kind')!r}")
+    param = cls.param
+    if param is None or (param.key not in spec and not param.required):
+        return cls()
+    if param.key not in spec:
+        raise ValidationError(f"{cls.kind} family needs a parameter {param.key!r}")
+    try:
+        value = param.type(spec[param.key])
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if param.type is int else "a number"
+        raise ValidationError(
+            f"{cls.kind} family: {param.key} must be {what}, got {spec[param.key]!r}"
+        ) from None
+    return cls(**{param.field: value})
 
 
-def family_from_spec(spec: str) -> Family:
-    """Parse 'poisson', 'gaussian:2.0', 'binomial:10', 'gamma:4', or a JSON object."""
-    text = spec.strip()
+def family_from_spec(spec: str | dict[str, Any]) -> Family:
+    """Parse 'poisson', 'gaussian:2.0', 'binomial:10', 'gamma:4', or the JSON form
+    (a dict, or its text)."""
+    if isinstance(spec, dict):
+        return family_from_dict(spec)
+    text = str(spec).strip()
     if text.startswith("{"):
         try:
             data = json.loads(text)
@@ -633,11 +594,9 @@ def family_from_spec(spec: str) -> Family:
         return family_from_dict(data)
     kind, _, param = text.partition(":")
     kind = kind.strip().lower()
-    if kind not in _SPEC_PARAMS:
-        raise ValidationError(f"unknown family kind {kind!r}")
-    key = _SPEC_PARAMS[kind]
-    if key is None:
-        return Poisson()
+    cls = _FAMILIES.get(kind)
+    if cls is None or cls.param is None:
+        return family_from_dict({"kind": kind})
     if not param:
         raise ValidationError(f"family {kind!r} needs a parameter, e.g. '{kind}:10'")
-    return family_from_dict({"kind": kind, key: param.strip()})
+    return family_from_dict({"kind": kind, cls.param.key: param.strip()})

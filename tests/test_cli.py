@@ -301,6 +301,8 @@ def test_bad_header_is_named(workdir, capsys):
      "hinge:nan"),
     (["truthfulness", "--family", "binomial:10", "--mu-star", "8,7", "--utility", "exp:inf"],
      "exp:inf"),
+    (["truthfulness", "--family", '{"kind": "binomial", "m": 1e999}', "--mu-star", "8,7"],
+     "m must be an integer, got inf"),
 ])
 def test_malformed_flag_values_exit_2(workdir, capsys, argv, token):
     assert main(argv + ["--out", "x.csv"]) == 2
@@ -320,6 +322,12 @@ TRUTH_ARGS = ["truthfulness", "--family", "binomial:10", "--mu-star", "8,7", "--
     (MINIMAX_ARGS, {"v_min": "a"}, None, "'a'"),
     (TRUTH_ARGS, None, "zz", "'zz'"),
     (TRUTH_ARGS, None, "-3", "-3 is negative"),
+    # config values skip argparse's types and choices
+    (TRUTH_ARGS[:-2], {"trials": 2.7}, None, "trials: 2.7 is not an integer"),
+    (TRUTH_ARGS[:-2], {"trials": float("inf")}, None, "trials: inf is not an integer"),
+    (TRUTH_ARGS, {"seed": True}, None, "seed: True is not an integer"),
+    (MINIMAX_ARGS, {"v_min": 10**400}, None, "is not a number"),
+    (TRUTH_ARGS, {"format": "xml"}, None, "format: 'xml'"),
 ])
 def test_malformed_config_and_env_numbers_exit_2(workdir, capsys, monkeypatch,
                                                  argv, config, env_seed, token):
@@ -401,6 +409,15 @@ def test_icml_overflowing_improvement_exits_2(workdir, capsys):
     assert err.startswith("error: ") and "n = 2 improvement overflows" in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert not (workdir / "x.csv").exists()
+
+
+def test_minimax_construction_n_zero_exits_2(workdir, capsys):
+    # 0 is a given size, not a missing one: it must not fall back to max(n_grid)
+    argv = MINIMAX_ARGS + ["--v-min", "0", "--trials", "4", "--construction-n", "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "needs n >= 8" in err
+    assert not (workdir / "construction.json").exists()
 
 
 def test_minimax_budget_guard_names_c(workdir, capsys):

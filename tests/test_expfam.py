@@ -1,3 +1,5 @@
+import inspect
+import json
 import math
 
 import numpy as np
@@ -12,13 +14,14 @@ from isomech import (
     InvalidParameterError,
     Poisson,
     ScoreBounds,
+    ValidationError,
     VarianceCertificate,
     family_from_dict,
     family_from_spec,
     kl_divergence_product,
     verify_variance_assumption,
 )
-from isomech.expfam import check_variance_floor
+from isomech.expfam import _FAMILIES, Family, check_variance_floor
 
 from helpers import (
     ALL_FAMILIES,
@@ -301,3 +304,76 @@ def test_family_serialization_roundtrip():
     assert family_from_spec("gaussian:2.0") == Gaussian(2.0)
     assert family_from_spec("poisson") == Poisson()
     assert family_from_spec("gamma:4") == Gamma(4.0)
+
+
+# -- the contract every family shares ---------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FAMILIES))
+def test_scalar_inputs_give_python_floats(name):
+    family = ALL_FAMILIES[name]
+    lo, hi = THETA_WINDOWS[name]
+    theta = 0.5 * (lo + hi)
+    values = [
+        family.log_partition(theta),
+        family.mean(theta),
+        family.variance(theta),
+        family.natural_param(family.mean(theta)),
+        family.log_density(theta, 1.0),
+        family.log_density(theta, -1.0),  # off the support of all but Gaussian
+        family.kl_divergence(theta, lo),
+    ]
+    assert [type(v) for v in values] == [float] * len(values)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FAMILIES))
+def test_finite_hull_ends_are_the_boundary_means(name):
+    family = ALL_FAMILIES[name]
+    for end, sentinel in zip(family.mean_hull(), (-math.inf, math.inf)):
+        if not math.isfinite(end):
+            continue
+        with pytest.raises(InvalidParameterError, match="boundary"):
+            family.natural_param(end)
+        theta = family.natural_param(end, allow_boundary=True)
+        assert type(theta) is float and theta == sentinel
+        inner = MU_WINDOWS[name][0]
+        row = family.natural_param(np.array([end, inner]), allow_boundary=True)
+        assert row[0] == sentinel and row[1] == family.natural_param(inner)
+
+
+SERIALIZED = [Gaussian(2), Gaussian(2.5), Binomial(10), Binomial(np.int64(3)), Poisson(),
+              Gamma(4), Gamma(3.5)]
+
+
+def test_every_registered_kind_is_serialized_below():
+    assert {f.kind for f in SERIALIZED} == set(_FAMILIES)
+
+
+@pytest.mark.parametrize("family", SERIALIZED, ids=repr)
+def test_json_and_spec_forms_build_the_same_family(family):
+    data = family.to_dict()
+    assert family_from_dict(data) == family
+    assert family_from_spec(data) == family
+    assert family_from_spec(json.dumps(data)) == family
+    if family.param is None:
+        assert data == {"kind": family.kind}
+        assert family_from_spec(family.kind) == family
+    else:
+        value = data[family.param.key]
+        assert type(value) is family.param.type
+        assert family_from_spec(f"{family.kind}:{value}") == family
+        assert repr(family) == f"{type(family).__name__}({family.param.key}={value})"
+
+
+def test_json_form_defaults_the_gaussian_variance_only():
+    assert family_from_dict({"kind": "gaussian"}) == Gaussian(1.0)
+    assert family_from_spec({"kind": "Gaussian"}) == Gaussian(1.0)
+    for kind in ("binomial", "gamma"):
+        with pytest.raises(ValidationError, match="needs a parameter"):
+            family_from_dict({"kind": kind})
+
+
+def test_registry_lists_every_concrete_family():
+    concrete = {cls for cls in Family.__subclasses__() if not inspect.isabstract(cls)}
+    assert set(_FAMILIES.values()) == concrete
+    assert all(_FAMILIES[cls.kind] is cls for cls in concrete)
