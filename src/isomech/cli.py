@@ -7,14 +7,25 @@ and ``synthetic`` produce the review-data style tables, and
 ``check-majorization`` compares two vectors.
 
 Conventions: CSV in and out with header rows, UTF-8, '.' decimal, floats at
-12 significant digits.  Every file-producing run writes a ``<out>.meta.json``
-sidecar with the effective parameters; feeding that sidecar back through
-``--config`` replays the run byte for byte.  Flags override config-file
-values; a missing seed falls back to the ISOMECH_SEED environment variable,
-then to 0.  Exit codes: 0 success, 1 computation failure (running out of
-memory included), 2 invalid input.  ``--log-level`` (default warning) sets
-which library log lines reach stderr, such as the records ``icml`` skips;
-it is not a parameter of the run, so the sidecar does not record it.
+12 significant digits.  Exit codes: 0 success, 1 computation failure
+(running out of memory included), 2 invalid input.
+
+Parameters take one path.  ``_PARAMS`` declares each run parameter once,
+with its converter and help line, and ``_COMMANDS`` says which ones a
+subcommand takes.  A value from a flag, from a ``--config`` file or from a
+default goes through the same converter, so ``--trials x`` and
+``{"trials": "x"}`` both fail with the same one-line error.  Flags override
+config-file values; a missing seed falls back to the ISOMECH_SEED
+environment variable, then to 0.
+
+A command computes all its results before ``_finish`` writes anything, so a
+failed run writes no file.  ``_finish`` writes the table, any extra JSON
+file, and last a ``<out>.meta.json`` sidecar.  The sidecar records the
+converted parameters (a family in its JSON form, a grid as a list of
+numbers); feeding it back through ``--config`` replays the run byte for
+byte.  ``--log-level`` (default warning) sets which library log lines reach
+stderr, such as the records ``icml`` skips; it is not a parameter of the
+run, so the sidecar does not record it.
 """
 
 from __future__ import annotations
@@ -27,13 +38,13 @@ import json
 import logging
 import os
 import sys
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .errors import InvalidParameterError, IsomechError, ValidationError
-from .expfam import ScoreBounds, family_from_spec
+from .expfam import ScoreBounds, _as_number, family_from_dict, family_from_spec
 from .isotonic import (
     CoarseRanking,
     Ranking,
@@ -60,8 +71,6 @@ from .experiments import (
 
 __all__ = ["main"]
 
-_FORMATS = ("csv", "json")  # _write_table writes JSON for "json" and CSV otherwise
-
 
 def _fmt(value: Any) -> str:
     if value is None:
@@ -85,17 +94,29 @@ def _write_table(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]
         writer.writerows(map(functools.partial(map, _fmt), rows))
 
 
-def _write_sidecar(out_path: str, command: str, params: dict[str, Any],
-                   outputs: Sequence[str]) -> None:
-    sidecar = {
-        "command": command,
-        "params": params,
-        "outputs": list(outputs),
-        "version": __version__,
-    }
-    with open(out_path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+def _write_json(path: str, payload: Any) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _finish(command: str, params: dict[str, Any], header: Sequence[str],
+            rows: Iterable[Sequence[Any]], extra: Optional[tuple[str, Any]] = None,
+            record: Optional[dict[str, Any]] = None) -> int:
+    """Write a computed run: the table at ``out``, then the ``extra`` (path,
+    payload) JSON file, then the sidecar of ``params`` and any ``record``."""
+    outputs = [params["out"]]
+    _write_table(params["out"], header, rows, params["format"])
+    if extra is not None:
+        _write_json(*extra)
+        outputs.append(extra[0])
+    _write_json(params["out"] + ".meta.json", {
+        "command": command,
+        "params": {**params, **(record or {})},
+        "outputs": outputs,
+        "version": __version__,
+    })
+    return 0
 
 
 def _read_csv(path: str, columns: Sequence[str]) -> tuple[Sequence[int], dict[str, list[str]]]:
@@ -246,9 +267,123 @@ def _read_column(path: str, column: str) -> np.ndarray:
     return _parse_finite(path, linenos, column, cols[column])
 
 
+
+
 # ---------------------------------------------------------------------------
-# Config plumbing
+# Parameters
 # ---------------------------------------------------------------------------
+
+
+def _number(value: Any, name: str, kind: type = float):
+    try:
+        return _as_number(value, kind)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{name}: {value!r} is not {what}") from None
+
+
+def _number_list(value: Any, name: str, kind: type) -> list:
+    tokens = value.replace(",", " ").split() if isinstance(value, str) else value
+    if not isinstance(tokens, (list, tuple)):
+        raise ValidationError(f"{name}: expected a comma-separated list, got {value!r}")
+    return [_number(tok, name, kind) for tok in tokens]
+
+
+def _choice(*options: str) -> Callable[[Any, str], str]:
+    def convert(value: Any, name: str) -> str:
+        if value not in options:
+            raise ValidationError(f"{name}: {value!r} is not one of {', '.join(options)}")
+        return value
+    return convert
+
+
+def _family(value: Any, name: str) -> Any:
+    # an empty spec names no family, which only fit accepts
+    return family_from_spec(value).to_dict() if value != "" else value
+
+
+class _Param(NamedTuple):
+    convert: Optional[Callable[[Any, str], Any]]  # (value, name) -> value; None keeps it as given
+    help: str
+    what: str = ""  # how the 'missing ...' error names a required value
+
+
+_INT = functools.partial(_number, kind=int)
+_PARAMS: dict[str, _Param] = {
+    "seed": _Param(_INT, "RNG seed (fallback: ISOMECH_SEED, then 0)"),
+    "threads": _Param(_INT, "max worker threads for Monte-Carlo chunks"),
+    "out": _Param(None, "output file path"),
+    "format": _Param(_choice("csv", "json"), "output format: csv or json (default csv)"),
+    "scores": _Param(None, "CSV with header index,score", "a scores CSV"),
+    "ranking": _Param(None, "CSV with header rank,index (rank 1 = best)"),
+    "blocks": _Param(None, "CSV with header block,index (block 1 = best)"),
+    "family": _Param(_family, "family spec, e.g. binomial:10 or JSON", "a family spec"),
+    "mu_star": _Param(functools.partial(_number_list, kind=float),
+                      "true scores, e.g. '8,7,6,4'", "the true scores mu_star"),
+    "utility": _Param(None, "relu_square | identity | exp:ALPHA | hinge:T"),
+    "scores_per_item": _Param(_INT, "reviews averaged into each observed score"),
+    "trials": _Param(_INT, "Monte-Carlo trials"),
+    "n_grid": _Param(functools.partial(_number_list, kind=int),
+                     "submission counts, e.g. '10,50,200'", "an n grid"),
+    "ramp_hi": _Param(_number, "true score of the best submission on the ramp"),
+    "ramp_lo": _Param(_number, "true score of the worst submission on the ramp"),
+    "pool": _Param(None, "one-column CSV of scores to resample (header: score)",
+                   "a score-pool CSV"),
+    "v_min": _Param(_number, "least true score", "v_min"),
+    "v_max": _Param(_number, "greatest true score", "v_max"),
+    "construction_n": _Param(_INT, "size of the lower-bound construction (default max n)"),
+    "c": _Param(_number, "packing perturbation scale (default c_var/16)"),
+    "construction_out": _Param(None, "construction JSON path"),
+    "reviews": _Param(None, "CSV: submission_id,score,confidence", "a reviews CSV"),
+    "authors": _Param(None, "CSV: author_id,submission_ids,ranking", "an authors CSV"),
+    "a": _Param(None, "one-column CSV (header: value)", "the first vector CSV"),
+    "b": _Param(None, "one-column CSV (header: value)", "the second vector CSV"),
+    "mode": _Param(_choice("standard", "natural", "weak"),
+                   "standard, natural or weak (default standard)"),
+}
+
+
+class _Command(NamedTuple):
+    help: str
+    inputs: tuple[str, ...]  # positional, each optional on the command line
+    flags: tuple[str, ...]  # besides --seed, --out and --format, which all take
+    required: tuple[str, ...]
+    defaults: dict[str, Any]
+
+
+_COMMANDS: dict[str, _Command] = {
+    "fit": _Command(
+        "adjust one score vector under a ranking or blocks", ("scores",),
+        ("ranking", "blocks", "family"), ("scores",), {"out": "adjusted.csv"}),
+    "truthfulness": _Command(
+        "expected utility of every ranking", (),
+        ("family", "mu_star", "utility", "scores_per_item", "trials", "threads"),
+        ("family", "mu_star"),
+        {"out": "utilities.csv", "utility": "relu_square", "scores_per_item": 3,
+         "trials": 100_000}),
+    "estimation": _Command(
+        "error of adjusted vs raw scores across n", (),
+        ("family", "n_grid", "ramp_hi", "ramp_lo", "pool", "mu_star", "scores_per_item",
+         "trials", "threads"),
+        ("family", "n_grid"),
+        {"out": "curve.csv", "scores_per_item": 3, "trials": 1000, "ramp_hi": 9.0,
+         "ramp_lo": 3.0}),
+    "minimax": _Command(
+        "risk-vs-n slope plus the lower-bound construction", (),
+        ("family", "v_min", "v_max", "n_grid", "trials", "construction_n", "c",
+         "construction_out", "threads"),
+        ("family", "v_min", "v_max", "n_grid"),
+        {"out": "rate.csv", "trials": 500, "construction_out": "construction.json"}),
+    "icml": _Command(
+        "surrogate-truth evaluation of review/author CSVs", ("reviews", "authors"), (),
+        ("reviews", "authors"), {"out": "table1.csv"}),
+    "synthetic": _Command(
+        "synthetic review study from a score pool", ("pool",), ("n_grid", "trials", "threads"),
+        ("pool",), {"out": "table2.csv", "trials": 1000, "n_grid": list(range(2, 18))}),
+    "check-majorization": _Command(
+        "majorization verdict for two vectors", ("a", "b"), ("mode",), ("a", "b"),
+        {"mode": "standard"}),
+}
 
 
 def _load_config(path: Optional[str]) -> dict[str, Any]:
@@ -269,54 +404,31 @@ def _load_config(path: Optional[str]) -> dict[str, Any]:
     return dict(params)
 
 
-def _effective(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any]:
-    """Config-file values, overridden by explicit flags, backfilled by defaults."""
-    params = _load_config(getattr(args, "config", None))
-    for key, value in vars(args).items():
-        if key in ("command", "config", "func", "log_level") or value is None:
-            continue
-        params[key] = value
-    for key, value in defaults.items():
+def _effective(args: argparse.Namespace) -> dict[str, Any]:
+    """Config-file values, overridden by explicit flags, backfilled by defaults,
+    each converted by its ``_PARAMS`` entry."""
+    command = _COMMANDS[args.command]
+    params = _load_config(args.config)
+    params.update((key, value) for key, value in vars(args).items()
+                  if key in _PARAMS and value is not None)
+    for key, value in {"format": "csv", **command.defaults}.items():
         params.setdefault(key, value)
-    if params.get("format", "csv") not in _FORMATS:
-        raise ValidationError(f"format: {params['format']!r} is not one of {', '.join(_FORMATS)}")
     if params.get("seed") is None:
         params["seed"] = _number(os.environ.get("ISOMECH_SEED", "0"), "ISOMECH_SEED", int)
-    params["seed"] = _number(params["seed"], "seed", int)
+    for key in command.required:
+        if params.get(key) in (None, ""):
+            raise ValidationError(
+                f"missing {_PARAMS[key].what}; pass it as an argument or in --config"
+            )
+    for key, value in params.items():
+        param = _PARAMS.get(key)
+        if param is not None and param.convert is not None and value is not None:
+            params[key] = param.convert(value, key)
     if params["seed"] < 0:
         raise ValidationError(f"seed: {params['seed']} is negative; seeds are integers >= 0")
-    if params.get("threads") is not None:
-        params["threads"] = _number(params["threads"], "threads", int)
-        if params["threads"] < 1:
-            raise ValidationError(f"--threads: {params['threads']} is below 1; use 1 or more threads")
+    if params.get("threads") is not None and params["threads"] < 1:
+        raise ValidationError(f"--threads: {params['threads']} is below 1; use 1 or more threads")
     return params
-
-
-def _number(value: Any, name: str, kind: type = float):
-    try:
-        # JSON config values skip argparse: refuse what int() or float() would bend
-        if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                       and not value.is_integer()):
-            raise ValueError(value)
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise ValidationError(f"{name}: {value!r} is not {what}") from None
-
-
-def _number_list(value: Any, flag: str, kind: type) -> list:
-    tokens = value.replace(",", " ").split() if isinstance(value, str) else value
-    if not isinstance(tokens, (list, tuple)):
-        raise ValidationError(f"{flag}: expected a comma-separated list, got {value!r}")
-    return [_number(tok, flag, kind) for tok in tokens]
-
-
-def _int_list(value: Any) -> list[int]:
-    return _number_list(value, "--n-grid", int)
-
-
-def _float_list(value: Any) -> list[float]:
-    return _number_list(value, "--mu-star", float)
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +436,12 @@ def _float_list(value: Any) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _require(params: dict[str, Any], key: str, what: str) -> Any:
-    value = params.get(key)
-    if value in (None, ""):
-        raise ValidationError(f"missing {what}; pass it as an argument or in --config")
-    return value
-
-
-def _cmd_fit(args: argparse.Namespace) -> int:
-    params = _effective(args, {"out": "adjusted.csv", "format": "csv"})
+def _cmd_fit(params: dict[str, Any]) -> int:
     if bool(params.get("ranking")) == bool(params.get("blocks")):
         raise ValidationError("fit needs exactly one of --ranking or --blocks")
-    scores = _read_scores(_require(params, "scores", "a scores CSV"))
+    scores = _read_scores(params["scores"])
     n = scores.size
-    family = family_from_spec(params["family"]) if params.get("family") else None
+    family = family_from_dict(params["family"]) if params.get("family") else None
 
     if params.get("ranking"):
         ranking = _read_ranking(params["ranking"], n)
@@ -353,30 +457,15 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     columns = [range(1, n + 1), scores.tolist(), fit.mu_hat.tolist()]
     if family is not None:
         columns.append(fit.theta_hat.tolist())
-    rows = zip(*columns)
-    out = params["out"]
-    _write_table(out, header, rows, params["format"])
-    if family is not None:
-        params["family"] = family.to_dict()
-    _write_sidecar(out, "fit", params, [out])
-    return 0
+    return _finish("fit", params, header, zip(*columns))
 
 
-def _cmd_truthfulness(args: argparse.Namespace) -> int:
-    params = _effective(
-        args,
-        {"out": "utilities.csv", "format": "csv", "utility": "relu_square",
-         "scores_per_item": 3, "trials": 100_000},
-    )
-    family = family_from_spec(_require(params, "family", "a family spec"))
-    mu_star = _float_list(_require(params, "mu_star", "the true scores mu_star"))
-    params["mu_star"] = mu_star
-    utility = UtilityFn.from_spec(str(params["utility"]))
+def _cmd_truthfulness(params: dict[str, Any]) -> int:
+    mu_star = params["mu_star"]
     results = rank_all_utilities(
-        family, mu_star, utility,
-        scores_per_item=_number(params["scores_per_item"], "scores_per_item", int),
-        trials=_number(params["trials"], "trials", int), seed=params["seed"],
-        max_workers=params.get("threads"),
+        family_from_dict(params["family"]), mu_star, UtilityFn.from_spec(str(params["utility"])),
+        scores_per_item=params["scores_per_item"], trials=params["trials"],
+        seed=params["seed"], max_workers=params.get("threads"),
     )
     truthful = Ranking.from_scores(mu_star).perm
     rows = [
@@ -384,11 +473,7 @@ def _cmd_truthfulness(args: argparse.Namespace) -> int:
          int(ranking.perm == truthful))
         for ranking, est in results
     ]
-    out = params["out"]
-    _write_table(out, ["ranking", "mean", "std_error", "truthful"], rows, params["format"])
-    params["family"] = family.to_dict()
-    _write_sidecar(out, "truthfulness", params, [out])
-    return 0
+    return _finish("truthfulness", params, ["ranking", "mean", "std_error", "truthful"], rows)
 
 
 def _make_generator(params: dict[str, Any]):
@@ -396,25 +481,17 @@ def _make_generator(params: dict[str, Any]):
         pool = _read_column(str(params["pool"]), "score")
         return PoolResample(pool=tuple(float(v) for v in pool))
     if params.get("mu_star"):
-        return ExplicitScores(values=tuple(_float_list(params["mu_star"])))
-    return LinearRamp(
-        hi=_number(params["ramp_hi"], "ramp_hi"), lo=_number(params["ramp_lo"], "ramp_lo")
-    )
+        return ExplicitScores(values=tuple(params["mu_star"]))
+    return LinearRamp(hi=params["ramp_hi"], lo=params["ramp_lo"])
 
 
-def _cmd_estimation(args: argparse.Namespace) -> int:
-    params = _effective(
-        args,
-        {"out": "curve.csv", "format": "csv", "scores_per_item": 3,
-         "trials": 1000, "ramp_hi": 9.0, "ramp_lo": 3.0},
-    )
-    family = family_from_spec(_require(params, "family", "a family spec"))
+def _cmd_estimation(params: dict[str, Any]) -> int:
     cfg = EstimationConfig(
-        family=family,
-        n_grid=tuple(_int_list(_require(params, "n_grid", "an n grid"))),
+        family=family_from_dict(params["family"]),
+        n_grid=tuple(params["n_grid"]),
         generator=_make_generator(params),
-        scores_per_item=_number(params["scores_per_item"], "scores_per_item", int),
-        trials=_number(params["trials"], "trials", int),
+        scores_per_item=params["scores_per_item"],
+        trials=params["trials"],
         seed=params["seed"],
     )
     points = estimation_error_curve(cfg, max_workers=params.get("threads"))
@@ -422,45 +499,22 @@ def _cmd_estimation(args: argparse.Namespace) -> int:
         (p.n, p.trials, p.mse_im, p.mse_im_se, p.mse_raw, p.mse_raw_se)
         for p in points
     ]
-    out = params["out"]
-    _write_table(
-        out, ["n", "trials", "mse_im", "mse_im_se", "mse_raw", "mse_raw_se"],
-        rows, params["format"],
-    )
-    params["family"] = family.to_dict()
-    params["n_grid"] = list(cfg.n_grid)
-    _write_sidecar(out, "estimation", params, [out])
-    return 0
+    return _finish("estimation", params,
+                   ["n", "trials", "mse_im", "mse_im_se", "mse_raw", "mse_raw_se"], rows)
 
 
-def _cmd_minimax(args: argparse.Namespace) -> int:
-    params = _effective(
-        args,
-        {"out": "rate.csv", "format": "csv", "trials": 500,
-         "construction_out": "construction.json"},
-    )
-    family = family_from_spec(_require(params, "family", "a family spec"))
-    bounds = ScoreBounds(
-        _number(_require(params, "v_min", "v_min"), "v_min"),
-        _number(_require(params, "v_max", "v_max"), "v_max"),
-    )
-    n_grid = _int_list(_require(params, "n_grid", "an n grid"))
+def _cmd_minimax(params: dict[str, Any]) -> int:
+    family = family_from_dict(params["family"])
+    bounds = ScoreBounds(params["v_min"], params["v_max"])
+    n_grid = params["n_grid"]
     report = rate_check(
-        family, bounds, n_grid, trials=_number(params["trials"], "trials", int),
+        family, bounds, n_grid, trials=params["trials"],
         seed=params["seed"], max_workers=params.get("threads"),
     )
-    out = params["out"]
-    rows = [(p.n, p.risk, p.risk_se) for p in report.points]
-    _write_table(out, ["n", "risk", "risk_se"], rows, params["format"])
-
     construction_n = params.get("construction_n")
-    if construction_n is None:
-        construction_n = max(n_grid)
-    construction_n = _number(construction_n, "construction_n", int)
-    c = params.get("c")
     construction = build_lower_bound(
-        family, bounds, construction_n,
-        c=_number(c, "c") if c is not None else None, seed=params["seed"],
+        family, bounds, max(n_grid) if construction_n is None else construction_n,
+        c=params.get("c"), seed=params["seed"],
     )
     summary = {
         "n": construction.n,
@@ -474,13 +528,9 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
         "slope": report.slope,
         "intercept": report.intercept,
     }
-    cons_out = params["construction_out"]
-    with open(cons_out, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    params["family"] = family.to_dict()
-    params["n_grid"] = list(n_grid)
-    _write_sidecar(out, "minimax", params, [out, cons_out])
+    rows = [(p.n, p.risk, p.risk_se) for p in report.points]
+    _finish("minimax", params, ["n", "risk", "risk_se"], rows,
+            extra=(params["construction_out"], summary))
     print(f"slope={report.slope:.6g} intercept={report.intercept:.6g}")
     return 0
 
@@ -522,31 +572,25 @@ def _read_authors(path: str) -> list[AuthorRecord]:
     return authors
 
 
-def _cmd_icml(args: argparse.Namespace) -> int:
-    params = _effective(args, {"out": "table1.csv", "format": "csv"})
-    reviews = _read_reviews(_require(params, "reviews", "a reviews CSV"))
-    authors = _read_authors(_require(params, "authors", "an authors CSV"))
+
+def _cmd_icml(params: dict[str, Any]) -> int:
+    reviews = _read_reviews(params["reviews"])
+    authors = _read_authors(params["authors"])
     report = surrogate_eval(reviews, authors, seed=params["seed"])
     rows = [
         (r.n, r.authors, r.mse_raw, r.mse_im, r.improvement) for r in report.rows
     ]
-    out = params["out"]
-    _write_table(out, ["n", "authors", "mse_raw", "mse_im", "improvement"], rows, params["format"])
-    params["skipped_submissions"] = report.skipped_submissions
-    params["skipped_authors"] = report.skipped_authors
-    params["tie_breaks"] = report.tie_breaks
-    _write_sidecar(out, "icml", params, [out])
-    return 0
-
-
-def _cmd_synthetic(args: argparse.Namespace) -> int:
-    params = _effective(
-        args, {"out": "table2.csv", "format": "csv", "trials": 1000,
-               "n_grid": list(range(2, 18))},
+    return _finish(
+        "icml", params, ["n", "authors", "mse_raw", "mse_im", "improvement"], rows,
+        record={"skipped_submissions": report.skipped_submissions,
+                "skipped_authors": report.skipped_authors, "tie_breaks": report.tie_breaks},
     )
-    pool = _read_column(str(_require(params, "pool", "a score-pool CSV")), "score")
+
+
+def _cmd_synthetic(params: dict[str, Any]) -> int:
+    pool = _read_column(str(params["pool"]), "score")
     rows_out = synthetic_icml_study(
-        pool, n_grid=_int_list(params["n_grid"]), trials=_number(params["trials"], "trials", int),
+        pool, n_grid=params["n_grid"], trials=params["trials"],
         seed=params["seed"], max_workers=params.get("threads"),
     )
     rows = [
@@ -554,29 +598,21 @@ def _cmd_synthetic(args: argparse.Namespace) -> int:
          r.mse_raw_std, r.improvement)
         for r in rows_out
     ]
-    out = params["out"]
-    _write_table(
-        out,
+    return _finish(
+        "synthetic", params,
         ["n", "trials", "mse_im_mean", "mse_im_std", "mse_raw_mean", "mse_raw_std", "improvement"],
-        rows, params["format"],
+        rows,
     )
-    params["n_grid"] = _int_list(params["n_grid"])
-    _write_sidecar(out, "synthetic", params, [out])
-    return 0
 
 
-def _cmd_check_majorization(args: argparse.Namespace) -> int:
-    params = _effective(args, {"mode": "standard"})
-    a = _read_column(_require(params, "a", "the first vector CSV"), "value")
-    b = _read_column(_require(params, "b", "the second vector CSV"), "value")
-    mode = str(params["mode"])
+def _cmd_check_majorization(params: dict[str, Any]) -> int:
+    a = _read_column(params["a"], "value")
+    b = _read_column(params["b"], "value")
     predicate = {
         "standard": majorizes,
         "natural": majorizes_natural_order,
         "weak": weakly_majorizes,
-    }.get(mode)
-    if predicate is None:
-        raise ValidationError(f"unknown mode {mode!r}; pick standard, natural, or weak")
+    }[params["mode"]]
     print("true" if predicate(a, b) else "false")
     return 0
 
@@ -593,79 +629,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"isomech {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, threads: bool = True) -> None:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in command.inputs:
+            p.add_argument(key, nargs="?", help=_PARAMS[key].help)
+        for key in command.flags + ("seed", "out", "format"):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_PARAMS[key].help)
         p.add_argument("--config", help="JSON config or replay sidecar; flags override")
-        p.add_argument("--seed", type=int, help="RNG seed (fallback: ISOMECH_SEED, then 0)")
-        if threads:
-            p.add_argument("--threads", type=int, help="max worker threads for Monte-Carlo chunks")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=_FORMATS, help="output format (default csv)")
         p.add_argument("--log-level", dest="log_level", default="warning",
                        choices=["debug", "info", "warning", "error"],
                        help="least severity of the log lines written to stderr (default warning)")
-
-    p = sub.add_parser("fit", help="adjust one score vector under a ranking or blocks")
-    p.add_argument("scores", nargs="?", help="CSV with header index,score")
-    p.add_argument("--ranking", help="CSV with header rank,index (rank 1 = best)")
-    p.add_argument("--blocks", help="CSV with header block,index (block 1 = best)")
-    p.add_argument("--family", help="family spec, e.g. binomial:10 or JSON")
-    common(p, threads=False)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("truthfulness", help="expected utility of every ranking")
-    p.add_argument("--family", help="family spec")
-    p.add_argument("--mu-star", dest="mu_star", help="true scores, e.g. '8,7,6,4'")
-    p.add_argument("--utility", help="relu_square | identity | exp:ALPHA | hinge:T")
-    p.add_argument("--scores-per-item", dest="scores_per_item", type=int)
-    p.add_argument("--trials", type=int)
-    common(p)
-    p.set_defaults(func=_cmd_truthfulness)
-
-    p = sub.add_parser("estimation", help="error of adjusted vs raw scores across n")
-    p.add_argument("--family", help="family spec")
-    p.add_argument("--n-grid", dest="n_grid", help="submission counts, e.g. '10,50,200'")
-    p.add_argument("--ramp-hi", dest="ramp_hi", type=float)
-    p.add_argument("--ramp-lo", dest="ramp_lo", type=float)
-    p.add_argument("--pool", help="CSV score pool (header: score) to resample true scores")
-    p.add_argument("--mu-star", dest="mu_star", help="explicit true scores")
-    p.add_argument("--scores-per-item", dest="scores_per_item", type=int)
-    p.add_argument("--trials", type=int)
-    common(p)
-    p.set_defaults(func=_cmd_estimation)
-
-    p = sub.add_parser("minimax", help="risk-vs-n slope plus the lower-bound construction")
-    p.add_argument("--family", help="family spec")
-    p.add_argument("--v-min", dest="v_min", type=float)
-    p.add_argument("--v-max", dest="v_max", type=float)
-    p.add_argument("--n-grid", dest="n_grid", help="e.g. '32,64,128'")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--construction-n", dest="construction_n", type=int)
-    p.add_argument("--c", type=float, help="packing perturbation scale (default c_var/16)")
-    p.add_argument("--construction-out", dest="construction_out")
-    common(p)
-    p.set_defaults(func=_cmd_minimax)
-
-    p = sub.add_parser("icml", help="surrogate-truth evaluation of review/author CSVs")
-    p.add_argument("reviews", nargs="?", help="CSV: submission_id,score,confidence")
-    p.add_argument("authors", nargs="?", help="CSV: author_id,submission_ids,ranking")
-    common(p, threads=False)
-    p.set_defaults(func=_cmd_icml)
-
-    p = sub.add_parser("synthetic", help="synthetic review study from a score pool")
-    p.add_argument("pool", nargs="?", help="one-column CSV (header: score)")
-    p.add_argument("--n-grid", dest="n_grid")
-    p.add_argument("--trials", type=int)
-    common(p)
-    p.set_defaults(func=_cmd_synthetic)
-
-    p = sub.add_parser("check-majorization", help="majorization verdict for two vectors")
-    p.add_argument("a", nargs="?", help="one-column CSV (header: value)")
-    p.add_argument("b", nargs="?", help="one-column CSV (header: value)")
-    p.add_argument("--mode", choices=["standard", "natural", "weak"])
-    common(p, threads=False)
-    p.set_defaults(func=_cmd_check_majorization)
-
+        p.set_defaults(func=globals()["_cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -679,7 +653,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logger.setLevel(args.log_level.upper())
     logger.addHandler(handler)
     try:
-        return args.func(args)
+        return args.func(_effective(args))
     except (ValidationError, InvalidParameterError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

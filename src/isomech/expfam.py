@@ -61,6 +61,16 @@ def _gammaln(x):
     return gammaln(x)
 
 
+def _as_number(value, kind: type = float):
+    """``kind(value)`` for a parameter read from text or JSON, refusing what
+    int() or float() would bend: a bool, and a fractional float where an int
+    is asked for.  Raises TypeError, ValueError or OverflowError."""
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(value)
+    return kind(value)
+
+
 def _as_float(x) -> np.ndarray | float:
     """``x`` as a float array, or as a Python float when it is a scalar."""
     arr = np.asarray(x, dtype=float)
@@ -561,17 +571,24 @@ def kl_divergence_product(family: Family, theta1, theta2):
 
 
 def family_from_dict(spec: dict[str, Any]) -> Family:
-    """Build a family from its JSON form, e.g. {"kind": "binomial", "m": 10}."""
+    """Build a family from its JSON form, e.g. {"kind": "binomial", "m": 10}.
+
+    Keys other than ``kind`` and the family's declared parameter are refused.
+    """
     cls = _FAMILIES.get(str(spec.get("kind", "")).lower())
     if cls is None:
         raise ValidationError(f"unknown family kind {spec.get('kind')!r}")
     param = cls.param
+    keys = ("kind",) if param is None else ("kind", param.key)
+    unknown = [key for key in spec if key not in keys]
+    if unknown:
+        raise ValidationError(f"family {cls.kind!r} takes no parameter {unknown[0]!r}")
     if param is None or (param.key not in spec and not param.required):
         return cls()
     if param.key not in spec:
         raise ValidationError(f"{cls.kind} family needs a parameter {param.key!r}")
     try:
-        value = param.type(spec[param.key])
+        value = _as_number(spec[param.key], param.type)
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if param.type is int else "a number"
         raise ValidationError(
@@ -595,6 +612,8 @@ def family_from_spec(spec: str | dict[str, Any]) -> Family:
     kind, _, param = text.partition(":")
     kind = kind.strip().lower()
     cls = _FAMILIES.get(kind)
+    if cls is not None and cls.param is None and param.strip():
+        raise ValidationError(f"family {kind!r} takes no parameter")
     if cls is None or cls.param is None:
         return family_from_dict({"kind": kind})
     if not param:

@@ -90,15 +90,6 @@ def test_fit_needs_exactly_one_constraint(workdir, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
-def test_fit_replay_is_byte_identical(workdir):
-    scores_csv(workdir / "scores.csv", [2, 3, 1])
-    ranking_csv(workdir / "ranking.csv", [3, 1, 2])
-    main(["fit", "scores.csv", "--ranking", "ranking.csv", "--out", "adjusted.csv"])
-    first = (workdir / "adjusted.csv").read_bytes()
-    assert main(["fit", "--config", "adjusted.csv.meta.json"]) == 0
-    assert (workdir / "adjusted.csv").read_bytes() == first
-
-
 def test_truthfulness_outputs_flagged_table(workdir):
     assert main([
         "truthfulness", "--family", "binomial:10", "--mu-star", "8,7,6,4",
@@ -125,17 +116,6 @@ def test_estimation_poisson_curve_decreases(workdir):
     assert mse_im == sorted(mse_im, reverse=True)
     mse_raw = [float(row["mse_raw"]) for row in rows]
     assert max(mse_raw) / min(mse_raw) < 1.1
-
-
-def test_estimation_replay_is_byte_identical(workdir):
-    args = [
-        "estimation", "--family", "binomial:10", "--n-grid", "10,30",
-        "--trials", "120", "--seed", "9", "--out", "curve.csv",
-    ]
-    assert main(args) == 0
-    first = (workdir / "curve.csv").read_bytes()
-    assert main(["estimation", "--config", "curve.csv.meta.json"]) == 0
-    assert (workdir / "curve.csv").read_bytes() == first
 
 
 def test_minimax_writes_rate_and_construction(workdir, capsys):
@@ -290,6 +270,13 @@ def test_bad_header_is_named(workdir, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+MINIMAX_ARGS = ["minimax", "--family", "binomial:10", "--v-max", "10", "--n-grid", "8,16"]
+TRUTH_ARGS = ["truthfulness", "--family", "binomial:10", "--mu-star", "8,7", "--trials", "10"]
+TRUTH_FLAGS = TRUTH_ARGS[:-2]
+ESTIMATION_FLAGS = ["estimation", "--family", "binomial:10", "--n-grid", "10"]
+MINIMAX_FLAGS = MINIMAX_ARGS + ["--v-min", "0"]
+
+
 @pytest.mark.parametrize("argv, token", [
     (["truthfulness", "--family", "binomial:10", "--mu-star", "8,x,6", "--trials", "10"], "'x'"),
     (["estimation", "--family", "binomial:10", "--n-grid", "10,abc", "--trials", "10"], "'abc'"),
@@ -303,6 +290,37 @@ def test_bad_header_is_named(workdir, capsys):
      "exp:inf"),
     (["truthfulness", "--family", '{"kind": "binomial", "m": 1e999}', "--mu-star", "8,7"],
      "m must be an integer, got inf"),
+    # a family parameter is not bent to its type, and one the family lacks is refused
+    (["truthfulness", "--family", '{"kind": "binomial", "m": 10.7}', "--mu-star", "8,7"],
+     "m must be an integer, got 10.7"),
+    (["truthfulness", "--family", '{"kind": "binomial", "m": true}', "--mu-star", "8,7"],
+     "m must be an integer, got True"),
+    (["truthfulness", "--family", '{"kind": "gaussian", "variance": true}', "--mu-star", "8,7"],
+     "variance must be a number, got True"),
+    (["truthfulness", "--family", '{"kind": "gamma", "shape": false}', "--mu-star", "8,7"],
+     "shape must be a number, got False"),
+    (["truthfulness", "--family", "poisson:5", "--mu-star", "8,7"],
+     "family 'poisson' takes no parameter"),
+    (["truthfulness", "--family", '{"kind": "poisson", "mean": 5}', "--mu-star", "8,7"],
+     "family 'poisson' takes no parameter 'mean'"),
+    (["truthfulness", "--family", '{"kind": "binomial", "m": 10, "p": 0.5}', "--mu-star", "8,7"],
+     "family 'binomial' takes no parameter 'p'"),
+    # a bad flag value gets the one-line error a bad config value gets, not argparse usage
+    (TRUTH_FLAGS + ["--seed", "x"], "seed: 'x' is not an integer"),
+    (TRUTH_FLAGS + ["--threads", "x"], "threads: 'x' is not an integer"),
+    (TRUTH_FLAGS + ["--trials", "1.5"], "trials: '1.5' is not an integer"),
+    (TRUTH_FLAGS + ["--scores-per-item", "x"], "scores_per_item: 'x' is not an integer"),
+    (TRUTH_FLAGS + ["--format", "xml"], "format: 'xml' is not one of csv, json"),
+    (ESTIMATION_FLAGS + ["--ramp-hi", "x"], "ramp_hi: 'x' is not a number"),
+    (ESTIMATION_FLAGS + ["--ramp-lo", "x"], "ramp_lo: 'x' is not a number"),
+    (ESTIMATION_FLAGS + ["--mu-star", "1,y"], "mu_star: 'y' is not a number"),
+    (MINIMAX_FLAGS + ["--v-min", "x"], "v_min: 'x' is not a number"),
+    (MINIMAX_FLAGS + ["--v-max", "x"], "v_max: 'x' is not a number"),
+    (MINIMAX_FLAGS + ["--construction-n", "x"], "construction_n: 'x' is not an integer"),
+    (MINIMAX_FLAGS + ["--c", "x"], "c: 'x' is not a number"),
+    (["synthetic", "pool.csv", "--n-grid", "2,z"], "n_grid: 'z' is not an integer"),
+    (["check-majorization", "a.csv", "b.csv", "--mode", "bogus"],
+     "mode: 'bogus' is not one of standard, natural, weak"),
 ])
 def test_malformed_flag_values_exit_2(workdir, capsys, argv, token):
     assert main(argv + ["--out", "x.csv"]) == 2
@@ -312,8 +330,6 @@ def test_malformed_flag_values_exit_2(workdir, capsys, argv, token):
     assert not (workdir / "x.csv").exists()
 
 
-MINIMAX_ARGS = ["minimax", "--family", "binomial:10", "--v-max", "10", "--n-grid", "8,16"]
-TRUTH_ARGS = ["truthfulness", "--family", "binomial:10", "--mu-star", "8,7", "--trials", "10"]
 
 
 @pytest.mark.parametrize("argv, config, env_seed, token", [
@@ -418,6 +434,7 @@ def test_minimax_construction_n_zero_exits_2(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "needs n >= 8" in err
     assert not (workdir / "construction.json").exists()
+    assert not (workdir / "rate.csv").exists() and not (workdir / "rate.csv.meta.json").exists()
 
 
 def test_minimax_budget_guard_names_c(workdir, capsys):
@@ -427,6 +444,18 @@ def test_minimax_budget_guard_names_c(workdir, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "k = 132" in err and "use c >= " in err
+    assert not (workdir / "rate.csv").exists() and not (workdir / "rate.csv.meta.json").exists()
+
+
+def test_minimax_failed_construction_writes_nothing(workdir, capsys):
+    argv = ["minimax", "--family", "binomial:10", "--v-min", "0", "--v-max", "10",
+            "--n-grid", "8,16", "--trials", "20", "--construction-n", "64", "--c", "0.3",
+            "--out", "m.csv"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: KL budget ") and "is not below" in err
+    assert len(err.strip().splitlines()) == 1
+    assert list(workdir.iterdir()) == []
 
 
 def test_fit_and_icml_leave_scipy_optimize_unloaded(workdir):
@@ -615,3 +644,74 @@ def test_icml_log_level_shows_skips_and_leaves_no_handler(workdir, capsys):
     assert "log_level" not in sidecar["params"]
     assert main(ICML) == 0
     assert capsys.readouterr().err == ""
+
+
+# One run of each file-writing command, by parameter; the CSV inputs are positional.
+RUNS = {
+    "fit": {"scores": "scores.csv", "ranking": "ranking.csv"},
+    "truthfulness": {"family": "binomial:10", "mu_star": [8, 7, 6], "trials": 600, "seed": 4},
+    "estimation": {"family": "binomial:10", "n_grid": [10, 30], "trials": 120, "seed": 9},
+    "minimax": {"family": "gaussian:1.0", "v_min": 0, "v_max": 6, "n_grid": [32, 64],
+                "trials": 20, "construction_n": 64, "seed": 2},
+    "icml": {"reviews": "reviews.csv", "authors": "authors.csv", "seed": 5},
+    "synthetic": {"pool": "pool.csv", "n_grid": [2, 5], "trials": 100, "seed": 1},
+}
+RUN_INPUTS = {
+    **VALID_INPUTS,
+    "ranking.csv": "rank,index\n1,3\n2,1\n3,2\n",
+    "pool.csv": "score\n" + "".join(f"{3 + 0.0625 * i}\n" for i in range(80)),
+}
+
+
+def as_text(value):
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def run_argv(command, params):
+    argv = [command]
+    for key, value in params.items():
+        if key in ("scores", "reviews", "authors", "pool"):
+            argv.append(value)
+        else:
+            argv += ["--" + key.replace("_", "-"), as_text(value)]
+    return argv
+
+
+def take_outputs(workdir):
+    """Bytes of the sidecar at out.csv and of every file it names, then removed."""
+    sidecar = workdir / "out.csv.meta.json"
+    names = json.loads(sidecar.read_text())["outputs"] + [sidecar.name]
+    files = {name: (workdir / name).read_bytes() for name in names}
+    for name in names:
+        (workdir / name).unlink()
+    return files
+
+
+@pytest.mark.parametrize("command", list(RUNS))
+def test_replay_is_byte_identical(workdir, capsys, command):
+    for name, text in RUN_INPUTS.items():
+        write(workdir / name, text)
+    assert main(run_argv(command, RUNS[command]) + ["--out", "out.csv"]) == 0
+    stdout = capsys.readouterr().out
+    write(workdir / "replay.json", (workdir / "out.csv.meta.json").read_text())
+    first = take_outputs(workdir)
+    assert main([command, "--config", "replay.json"]) == 0
+    assert capsys.readouterr().out == stdout
+    assert take_outputs(workdir) == first
+
+
+@pytest.mark.parametrize("numbers_as_text", [False, True])
+@pytest.mark.parametrize("command", list(RUNS))
+def test_flags_and_config_give_the_same_run(workdir, capsys, command, numbers_as_text):
+    for name, text in RUN_INPUTS.items():
+        write(workdir / name, text)
+    params = RUNS[command]
+    assert main(run_argv(command, params) + ["--out", "out.csv"]) == 0
+    stdout = capsys.readouterr().out
+    from_flags = take_outputs(workdir)
+    if numbers_as_text:
+        params = {key: as_text(value) for key, value in params.items()}
+    write(workdir / "cfg.json", json.dumps({**params, "out": "out.csv"}))
+    assert main([command, "--config", "cfg.json"]) == 0
+    assert capsys.readouterr().out == stdout
+    assert take_outputs(workdir) == from_flags

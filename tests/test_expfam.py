@@ -304,6 +304,7 @@ def test_family_serialization_roundtrip():
     assert family_from_spec("gaussian:2.0") == Gaussian(2.0)
     assert family_from_spec("poisson") == Poisson()
     assert family_from_spec("gamma:4") == Gamma(4.0)
+    assert family_from_dict({"kind": "binomial", "m": 10.0}) == Binomial(10)
 
 
 # -- the contract every family shares ---------------------------------------
