@@ -10,17 +10,32 @@ Conventions: CSV in and out with header rows, UTF-8, '.' decimal, floats at
 12 significant digits.  Exit codes: 0 success, 1 computation failure
 (running out of memory included), 2 invalid input.
 
+CSV is read and written a column at a time.  ``_read_csv`` hands a plain
+file (a regular file with the exact header, no quote, no carriage return
+and no empty line) to one ``np.loadtxt`` call, which parses the numeric
+columns in C and keeps text columns as strings; where it accepts a number,
+the value is the one ``int()`` or ``float()`` gives.  Checks such as "the
+indices are a permutation" then run on the arrays.  A file loadtxt refuses
+(a bad cell, a non-finite score, a spelling only Python takes such as
+``1_0``), or one that is not plain, goes through the csv walk, which reads
+it row by row and names the first bad line.  ``_write_table`` builds one
+``str.format`` template per table from its column kinds (``{}`` for ints,
+``{:.12g}`` for floats, ``_fmt`` and csv quoting for None and strings) and
+streams the rows through it.
+
 Parameters take one path.  ``_PARAMS`` declares each run parameter once,
 with its converter and help line, and ``_COMMANDS`` says which ones a
 subcommand takes.  A value from a flag, from a ``--config`` file or from a
 default goes through the same converter, so ``--trials x`` and
 ``{"trials": "x"}`` both fail with the same one-line error.  Flags override
-config-file values; a missing seed falls back to the ISOMECH_SEED
-environment variable, then to 0.
+config-file values.  Every command but ``check-majorization`` writes files
+and takes ``--seed``, ``--out`` and ``--format``; its missing seed falls
+back to the ISOMECH_SEED environment variable, then to 0.
 
 A command computes all its results before ``_finish`` writes anything, so a
 failed run writes no file.  ``_finish`` writes the table, any extra JSON
-file, and last a ``<out>.meta.json`` sidecar.  The sidecar records the
+file, and last a ``<out>.meta.json`` sidecar; if one of them cannot be
+written, it removes those it wrote and exits 2.  The sidecar records the
 converted parameters (a family in its JSON form, a grid as a list of
 numbers); feeding it back through ``--config`` replays the run byte for
 byte.  ``--log-level`` (default warning) sets which library log lines reach
@@ -31,14 +46,17 @@ run, so the sidecar does not record it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import io
 import itertools
 import json
 import logging
 import os
 import sys
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+import types
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -80,65 +98,168 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _write_table(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]],
+def _quoted(texts: Iterable[str]) -> list[str]:
+    """``texts`` as csv.writer spells them inside a row, quoted where it quotes."""
+    lines: list[str] = []
+    writer = csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\n")
+    # a second, empty field keeps a lone empty cell from being written as ""
+    writer.writerows((text, "") for text in texts)
+    return [line[:-2] for line in lines]
+
+
+def _write_table(fh: TextIO, header: Sequence[str], columns: Sequence[Iterable[Any]],
                  fmt: str) -> None:
+    """One row per position of ``columns``.  A CSV row is one ``str.format``
+    template: ``{}`` for an int column, ``{:.12g}`` for a float column, and
+    ``_fmt`` plus csv quoting for a column holding anything else (None,
+    strings)."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
     if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(fh, [dict(zip(header, row)) for row in zip(*columns)])
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(map(functools.partial(map, _fmt), rows))
+    fields = []
+    for k, column in enumerate(columns):
+        kinds = set(map(type, column))
+        if kinds <= {int}:
+            fields.append("{}")
+        elif kinds <= {float}:
+            fields.append("{:.12g}")
+        else:
+            columns[k] = _quoted(map(_fmt, column))
+            fields.append("{}")
+    fh.write(",".join(_quoted(header)) + "\n")
+    fh.writelines(map((",".join(fields) + "\n").format, *columns))
 
 
-def _write_json(path: str, payload: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_json(fh: TextIO, payload: Any) -> None:
+    json.dump(payload, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _finish(command: str, params: dict[str, Any], header: Sequence[str],
-            rows: Iterable[Sequence[Any]], extra: Optional[tuple[str, Any]] = None,
+            columns: Sequence[Iterable[Any]], extra: Optional[tuple[str, Any]] = None,
             record: Optional[dict[str, Any]] = None) -> int:
     """Write a computed run: the table at ``out``, then the ``extra`` (path,
-    payload) JSON file, then the sidecar of ``params`` and any ``record``."""
-    outputs = [params["out"]]
-    _write_table(params["out"], header, rows, params["format"])
+    payload) JSON file, then the sidecar of ``params`` and any ``record``.
+    An ``OSError`` removes the files this call has opened and exits 2."""
+    out, fmt = params["out"], params["format"]
+    files: list[tuple[str, Optional[str], Callable[[TextIO], None]]] = [
+        (out, "" if fmt == "csv" else None, lambda fh: _write_table(fh, header, columns, fmt))]
     if extra is not None:
-        _write_json(*extra)
-        outputs.append(extra[0])
-    _write_json(params["out"] + ".meta.json", {
+        files.append((extra[0], None, lambda fh: _write_json(fh, extra[1])))
+    sidecar = {
         "command": command,
         "params": {**params, **(record or {})},
-        "outputs": outputs,
+        "outputs": [path for path, _, _ in files],
         "version": __version__,
-    })
+    }
+    files.append((out + ".meta.json", None, lambda fh: _write_json(fh, sidecar)))
+    written: list[str] = []
+    for path, newline, write in files:
+        try:
+            with open(path, "w", encoding="utf-8", newline=newline) as fh:
+                written.append(path)
+                write(fh)
+        except OSError as exc:
+            for done in written:
+                with contextlib.suppress(OSError):
+                    os.remove(done)
+            raise ValidationError(f"{path}: {exc.strerror or exc}") from None
     return 0
 
 
-def _read_csv(path: str, columns: Sequence[str]) -> tuple[Sequence[int], dict[str, list[str]]]:
-    """Data of a headered CSV as (line numbers, stripped cells per column).
+# the suffixes by which np.loadtxt decompresses a file it opens
+_COMPRESSED = (".bz2", ".gz", ".xz", ".lzma")
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not a readable UTF-8 CSV file ({exc})") from None
+
+
+def _read_csv(path: str, columns: Sequence[str], kinds: Optional[dict[str, type]] = None
+              ) -> tuple[Sequence[int], dict[str, Any]]:
+    """Data of a headered CSV as (line numbers, values per column).
 
     Strict schema: the header must name ``columns`` in order and every
     non-blank row must have that many fields.  Blank and whitespace-only
-    rows are skipped.  Line numbers count CSV records, header = line 1.
-    The usual file (every row full width, no empty cell) is split into
-    columns in bulk; any other file takes a row-by-row pass.
+    rows are skipped.  Line numbers count CSV records, header = line 1.  A
+    column named in ``kinds`` (int or float) comes back as an int64 or
+    float64 array, finite if float; any other as a list of stripped cells.
+    A plain file is parsed by ``_read_plain``; any other file, or one it
+    refuses, takes the csv walk, which names the first bad line.
     """
+    kinds = kinds or {}
+    text = _read_text(path)
+    plain = _read_plain(path, text, columns, kinds)
+    if plain is not None:
+        return plain
+    linenos, cells = _walk_csv(path, text, columns)
+    for name, kind in kinds.items():
+        cells[name] = _parse_array(path, linenos, name, cells[name], kind)
+    return linenos, cells
+
+
+def _read_plain(path: str, text: str, columns: Sequence[str], kinds: dict[str, type]
+                ) -> Optional[tuple[Sequence[int], dict[str, Any]]]:
+    """``_read_csv``'s result for a plain file, or None for any other.
+
+    Plain: a regular file whose name has no suffix that numpy decompresses,
+    with the exact header, no quote, no carriage return, no empty line, no
+    line longer than csv's field size limit, and cells that one
+    ``np.loadtxt`` call takes: ``len(columns)`` on every line, numeric
+    where ``kinds`` says so (finite if float) and not blank otherwise.
+    Where loadtxt takes a number, its value is that of ``int()`` or
+    ``float()``.  A text column is read as an object field, so it keeps
+    every character.  loadtxt reads the file again from its absolute path,
+    which numpy cannot take for a URL.
+    """
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    records = ends.size + (not text.endswith("\n")) - 1
+    if (records < 1 or not os.path.isfile(path) or os.path.splitext(path)[1] in _COMPRESSED
+            or '"' in text or "\r" in text or "\n\n" in text
+            or [h.strip() for h in text[:ends[0]].split(",")] != list(columns)
+            or np.diff(ends, prepend=-1, append=raw.size).max() > csv.field_size_limit() + 1):
+        return None
+    dtype = [(name, {int: np.int64, float: np.float64}.get(kinds.get(name), object))
+             for name in columns]
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            rows = list(reader)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise ValidationError(f"{path}: not a readable UTF-8 CSV file ({exc})") from None
+        data = np.loadtxt(os.path.abspath(path), dtype=dtype, delimiter=",", comments=None,
+                          skiprows=1, encoding="utf-8", ndmin=1)
+    except (ValueError, OSError):
+        return None
+    if len(data) != records:
+        return None
+    values: dict[str, Any] = {}
+    for name in columns:
+        if name not in kinds:
+            values[name] = list(map(str.strip, data[name].tolist()))
+            if "" in values[name]:
+                return None  # the walk skips a blank row
+        else:
+            values[name] = np.ascontiguousarray(data[name])
+            if kinds[name] is float and not np.isfinite(values[name]).all():
+                return None  # the walk names the line
+    return range(2, records + 2), values
+
+
+def _walk_csv(path: str, text: str, columns: Sequence[str]
+              ) -> tuple[Sequence[int], dict[str, list[str]]]:
+    """(line numbers, stripped cells per column) of a CSV text by csv.reader.
+    The usual file (every row full width, no empty cell) is split into
+    columns in bulk; any other file takes a row-by-row pass."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: not a readable UTF-8 CSV file ({exc})") from None
     if header is None:
         raise ValidationError(f"{path} line 1: missing header row")
     header = [h.strip() for h in header]
@@ -185,48 +306,57 @@ def _parse_column(path: str, linenos: Iterable[int], name: str, texts: Sequence[
         raise
 
 
-def _parse_finite(path: str, linenos: Sequence[int], name: str,
-                  texts: Sequence[str]) -> np.ndarray:
-    """Floats of a score or value column, which refuses nan and inf."""
-    values = np.asarray(_parse_column(path, linenos, name, texts), dtype=float)
-    finite = np.isfinite(values)
+def _parse_array(path: str, linenos: Sequence[int], name: str, texts: Sequence[str],
+                 kind: type) -> np.ndarray:
+    """A column of cells as an int64 array, or as a float64 array that
+    refuses nan and inf."""
+    values = _parse_column(path, linenos, name, texts, kind)
+    if kind is int:
+        try:
+            return np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            k = next(k for k, v in enumerate(values) if not -2**63 <= v < 2**63)
+            raise ValidationError(
+                f"{path} line {linenos[k]}: {name} must be a 64-bit integer, got {texts[k]!r}"
+            ) from None
+    array = np.asarray(values, dtype=float)
+    finite = np.isfinite(array)
     if not finite.all():
         k = int(np.argmin(finite))
         raise ValidationError(
             f"{path} line {linenos[k]}: {name} must be a finite number, got {texts[k]!r}"
         )
-    return values
+    return array
 
 
 def _read_scores(path: str) -> np.ndarray:
-    linenos, cols = _read_csv(path, ("index", "score"))
+    linenos, cols = _read_csv(path, ("index", "score"), {"index": int, "score": float})
     if not linenos:
         raise ValidationError(f"{path}: no score rows")
     n = len(linenos)
-    idx = _parse_column(path, linenos, "index", cols["index"], int)
-    if sorted(idx) != list(range(1, n + 1)):
+    idx = cols["index"]
+    if not np.array_equal(np.sort(idx), np.arange(1, n + 1)):
         seen = set()
-        for lineno, i in zip(linenos, idx):
+        for lineno, i in zip(linenos, idx.tolist()):
             if not 1 <= i <= n or i in seen:
                 raise ValidationError(
                     f"{path} line {lineno}: index {i} is not a fresh value in 1..{n}"
                 )
             seen.add(i)
     scores = np.empty(n)
-    scores[np.asarray(idx) - 1] = _parse_finite(path, linenos, "score", cols["score"])
+    scores[idx - 1] = cols["score"]
     return scores
 
 
 def _read_ranking(path: str, n: int) -> Ranking:
-    linenos, cols = _read_csv(path, ("rank", "index"))
+    linenos, cols = _read_csv(path, ("rank", "index"), {"rank": int, "index": int})
     if len(linenos) != n:
         raise ValidationError(f"{path}: expected {n} ranking rows, found {len(linenos)}")
-    ranks = _parse_column(path, linenos, "rank", cols["rank"], int)
-    idxs = _parse_column(path, linenos, "index", cols["index"], int)
-    every = list(range(1, n + 1))
-    if sorted(ranks) != every or sorted(idxs) != every:
+    ranks, idxs = cols["rank"], cols["index"]
+    every = np.arange(1, n + 1)
+    if not (np.array_equal(np.sort(ranks), every) and np.array_equal(np.sort(idxs), every)):
         taken, seen = set(), set()
-        for lineno, rank, idx in zip(linenos, ranks, idxs):
+        for lineno, rank, idx in zip(linenos, ranks.tolist(), idxs.tolist()):
             if not 1 <= rank <= n or rank in taken:
                 raise ValidationError(f"{path} line {lineno}: rank {rank} invalid or repeated")
             if not 1 <= idx <= n:
@@ -237,36 +367,34 @@ def _read_ranking(path: str, n: int) -> Ranking:
                 raise ValidationError(f"{path} line {lineno}: index {idx} ranked twice")
             taken.add(rank)
             seen.add(idx)
-    perm = [0] * n
-    for rank, idx in zip(ranks, idxs):
-        perm[rank - 1] = idx
-    return Ranking(perm)
+    perm = np.empty(n, dtype=np.int64)
+    perm[ranks - 1] = idxs
+    return Ranking(perm.tolist())
 
 
 def _read_blocks(path: str, n: int) -> CoarseRanking:
-    linenos, cols = _read_csv(path, ("block", "index"))
-    block_ids = _parse_column(path, linenos, "block", cols["block"], int)
-    idxs = _parse_column(path, linenos, "index", cols["index"], int)
-    blocks: dict[int, list[int]] = {}
-    for lineno, block, idx in zip(linenos, block_ids, idxs):
-        if not 1 <= idx <= n:
-            raise ValidationError(f"{path} line {lineno}: index {idx} not in 1..{n}")
-        blocks.setdefault(block, []).append(idx)
-    if sorted(blocks) != list(range(1, len(blocks) + 1)):
+    linenos, cols = _read_csv(path, ("block", "index"), {"block": int, "index": int})
+    block_ids, idxs = cols["block"], cols["index"]
+    outside = (idxs < 1) | (idxs > n)
+    if outside.any():
+        k = int(outside.argmax())
+        raise ValidationError(f"{path} line {linenos[k]}: index {idxs[k]} not in 1..{n}")
+    # one stable sort groups the rows by block, each block in file order
+    order = np.argsort(block_ids, kind="stable")
+    ids, starts = np.unique(block_ids[order], return_index=True)
+    if not np.array_equal(ids, np.arange(1, ids.size + 1)):
         raise ValidationError(f"{path}: block ids must be 1..p in any row order")
     try:
-        return CoarseRanking(blocks[b] for b in sorted(blocks))
+        return CoarseRanking(block.tolist() for block in np.split(idxs[order], starts[1:]))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
 def _read_column(path: str, column: str) -> np.ndarray:
-    linenos, cols = _read_csv(path, (column,))
+    linenos, cols = _read_csv(path, (column,), {column: float})
     if not linenos:
         raise ValidationError(f"{path}: no data rows")
-    return _parse_finite(path, linenos, column, cols[column])
-
-
+    return cols[column]
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +474,13 @@ _PARAMS: dict[str, _Param] = {
 class _Command(NamedTuple):
     help: str
     inputs: tuple[str, ...]  # positional, each optional on the command line
-    flags: tuple[str, ...]  # besides --seed, --out and --format, which all take
+    flags: tuple[str, ...]  # besides _OUTPUT_FLAGS, which every writing command takes
     required: tuple[str, ...]
     defaults: dict[str, Any]
+    writes: bool = True  # writes a table and a sidecar, from a seeded run
+
+
+_OUTPUT_FLAGS = ("seed", "out", "format")
 
 
 _COMMANDS: dict[str, _Command] = {
@@ -382,7 +514,7 @@ _COMMANDS: dict[str, _Command] = {
         ("pool",), {"out": "table2.csv", "trials": 1000, "n_grid": list(range(2, 18))}),
     "check-majorization": _Command(
         "majorization verdict for two vectors", ("a", "b"), ("mode",), ("a", "b"),
-        {"mode": "standard"}),
+        {"mode": "standard"}, writes=False),
 }
 
 
@@ -411,10 +543,12 @@ def _effective(args: argparse.Namespace) -> dict[str, Any]:
     params = _load_config(args.config)
     params.update((key, value) for key, value in vars(args).items()
                   if key in _PARAMS and value is not None)
-    for key, value in {"format": "csv", **command.defaults}.items():
+    for key, value in command.defaults.items():
         params.setdefault(key, value)
-    if params.get("seed") is None:
-        params["seed"] = _number(os.environ.get("ISOMECH_SEED", "0"), "ISOMECH_SEED", int)
+    if command.writes:
+        params.setdefault("format", "csv")
+        if params.get("seed") is None:
+            params["seed"] = _number(os.environ.get("ISOMECH_SEED", "0"), "ISOMECH_SEED", int)
     for key in command.required:
         if params.get(key) in (None, ""):
             raise ValidationError(
@@ -424,7 +558,7 @@ def _effective(args: argparse.Namespace) -> dict[str, Any]:
         param = _PARAMS.get(key)
         if param is not None and param.convert is not None and value is not None:
             params[key] = param.convert(value, key)
-    if params["seed"] < 0:
+    if params.get("seed") is not None and params["seed"] < 0:
         raise ValidationError(f"seed: {params['seed']} is negative; seeds are integers >= 0")
     if params.get("threads") is not None and params["threads"] < 1:
         raise ValidationError(f"--threads: {params['threads']} is below 1; use 1 or more threads")
@@ -454,10 +588,10 @@ def _cmd_fit(params: dict[str, Any]) -> int:
         fit = isotonic_mechanism(scores, ranking)
 
     header = ["index", "score", "adjusted"] + (["theta"] if family is not None else [])
-    columns = [range(1, n + 1), scores.tolist(), fit.mu_hat.tolist()]
+    columns = [np.arange(1, n + 1), scores, fit.mu_hat]
     if family is not None:
-        columns.append(fit.theta_hat.tolist())
-    return _finish("fit", params, header, zip(*columns))
+        columns.append(fit.theta_hat)
+    return _finish("fit", params, header, columns)
 
 
 def _cmd_truthfulness(params: dict[str, Any]) -> int:
@@ -468,12 +602,18 @@ def _cmd_truthfulness(params: dict[str, Any]) -> int:
         seed=params["seed"], max_workers=params.get("threads"),
     )
     truthful = Ranking.from_scores(mu_star).perm
-    rows = [
-        (";".join(map(str, ranking.perm)), est.mean, est.std_error,
-         int(ranking.perm == truthful))
-        for ranking, est in results
+    columns = [
+        [";".join(map(str, ranking.perm)) for ranking, _ in results],
+        [est.mean for _, est in results],
+        [est.std_error for _, est in results],
+        [int(ranking.perm == truthful) for ranking, _ in results],
     ]
-    return _finish("truthfulness", params, ["ranking", "mean", "std_error", "truthful"], rows)
+    return _finish("truthfulness", params, ["ranking", "mean", "std_error", "truthful"], columns)
+
+
+def _fields(records: Sequence[Any], names: Sequence[str]) -> list[list[Any]]:
+    """One column per attribute name, for a table whose header is those names."""
+    return [[getattr(record, name) for record in records] for name in names]
 
 
 def _make_generator(params: dict[str, Any]):
@@ -495,12 +635,8 @@ def _cmd_estimation(params: dict[str, Any]) -> int:
         seed=params["seed"],
     )
     points = estimation_error_curve(cfg, max_workers=params.get("threads"))
-    rows = [
-        (p.n, p.trials, p.mse_im, p.mse_im_se, p.mse_raw, p.mse_raw_se)
-        for p in points
-    ]
-    return _finish("estimation", params,
-                   ["n", "trials", "mse_im", "mse_im_se", "mse_raw", "mse_raw_se"], rows)
+    header = ["n", "trials", "mse_im", "mse_im_se", "mse_raw", "mse_raw_se"]
+    return _finish("estimation", params, header, _fields(points, header))
 
 
 def _cmd_minimax(params: dict[str, Any]) -> int:
@@ -528,37 +664,40 @@ def _cmd_minimax(params: dict[str, Any]) -> int:
         "slope": report.slope,
         "intercept": report.intercept,
     }
-    rows = [(p.n, p.risk, p.risk_se) for p in report.points]
-    _finish("minimax", params, ["n", "risk", "risk_se"], rows,
+    header = ["n", "risk", "risk_se"]
+    _finish("minimax", params, header, _fields(report.points, header),
             extra=(params["construction_out"], summary))
     print(f"slope={report.slope:.6g} intercept={report.intercept:.6g}")
     return 0
 
 
 def _read_reviews(path: str) -> ReviewTable:
-    linenos, cols = _read_csv(path, ("submission_id", "score", "confidence"))
-    scores = _parse_finite(path, linenos, "score", cols["score"])
-    confidences = _parse_column(path, linenos, "confidence", cols["confidence"], int)
-    try:
-        confidences = np.asarray(confidences, dtype=np.int64)
-    except OverflowError:
-        k = next(k for k, c in enumerate(confidences) if not -2**63 <= c < 2**63)
-        raise ValidationError(
-            f"{path} line {linenos[k]}: confidence must be a 64-bit integer, "
-            f"got {cols['confidence'][k]!r}"
-        ) from None
-    return ReviewTable(tuple(cols["submission_id"]), scores, confidences)
+    _, cols = _read_csv(path, ("submission_id", "score", "confidence"),
+                        {"score": float, "confidence": int})
+    ids = cols["submission_id"]
+    # repeated ids share one string object, so the table holds one per submission
+    unique = dict(zip(ids, ids))
+    return ReviewTable(tuple(map(unique.__getitem__, ids)), cols["score"], cols["confidence"])
 
 
 def _read_authors(path: str) -> list[AuthorRecord]:
     linenos, cols = _read_csv(path, ("author_id", "submission_ids", "ranking"))
+    # every rank token goes through one int() pass, then back to its row by
+    # the rows' token counts; only a failed pass is walked to name its line
+    tokens = [list(filter(str.strip, cell.split(";"))) for cell in cols["ranking"]]
+    try:
+        every_rank = list(map(int, itertools.chain.from_iterable(tokens)))
+    except ValueError:
+        for lineno, row in zip(linenos, tokens):
+            _parse_column(path, itertools.repeat(lineno), "ranking", row, int)
+        raise
+    next_ranks = iter(every_rank)
     authors = []
-    for lineno, author_id, sid_cell, rank_cell in zip(
-        linenos, cols["author_id"], cols["submission_ids"], cols["ranking"]
+    for lineno, author_id, sid_cell, row in zip(
+        linenos, cols["author_id"], cols["submission_ids"], tokens
     ):
-        sids = tuple(tok.strip() for tok in sid_cell.split(";") if tok.strip())
-        tokens = [tok for tok in rank_cell.split(";") if tok.strip()]
-        ranks = tuple(_parse_column(path, itertools.repeat(lineno), "ranking", tokens, int))
+        sids = tuple(filter(None, map(str.strip, sid_cell.split(";"))))
+        ranks = tuple(itertools.islice(next_ranks, len(row)))
         if not sids:
             raise ValidationError(f"{path} line {lineno}: author {author_id} lists no submissions")
         if len(sids) != len(ranks):
@@ -572,16 +711,13 @@ def _read_authors(path: str) -> list[AuthorRecord]:
     return authors
 
 
-
 def _cmd_icml(params: dict[str, Any]) -> int:
     reviews = _read_reviews(params["reviews"])
     authors = _read_authors(params["authors"])
     report = surrogate_eval(reviews, authors, seed=params["seed"])
-    rows = [
-        (r.n, r.authors, r.mse_raw, r.mse_im, r.improvement) for r in report.rows
-    ]
+    header = ["n", "authors", "mse_raw", "mse_im", "improvement"]
     return _finish(
-        "icml", params, ["n", "authors", "mse_raw", "mse_im", "improvement"], rows,
+        "icml", params, header, _fields(report.rows, header),
         record={"skipped_submissions": report.skipped_submissions,
                 "skipped_authors": report.skipped_authors, "tie_breaks": report.tie_breaks},
     )
@@ -593,16 +729,9 @@ def _cmd_synthetic(params: dict[str, Any]) -> int:
         pool, n_grid=params["n_grid"], trials=params["trials"],
         seed=params["seed"], max_workers=params.get("threads"),
     )
-    rows = [
-        (r.n, r.trials, r.mse_im_mean, r.mse_im_std, r.mse_raw_mean,
-         r.mse_raw_std, r.improvement)
-        for r in rows_out
-    ]
-    return _finish(
-        "synthetic", params,
-        ["n", "trials", "mse_im_mean", "mse_im_std", "mse_raw_mean", "mse_raw_std", "improvement"],
-        rows,
-    )
+    header = ["n", "trials", "mse_im_mean", "mse_im_std", "mse_raw_mean", "mse_raw_std",
+              "improvement"]
+    return _finish("synthetic", params, header, _fields(rows_out, header))
 
 
 def _cmd_check_majorization(params: dict[str, Any]) -> int:
@@ -633,7 +762,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         for key in command.inputs:
             p.add_argument(key, nargs="?", help=_PARAMS[key].help)
-        for key in command.flags + ("seed", "out", "format"):
+        for key in command.flags + (_OUTPUT_FLAGS if command.writes else ()):
             p.add_argument("--" + key.replace("_", "-"), dest=key, help=_PARAMS[key].help)
         p.add_argument("--config", help="JSON config or replay sidecar; flags override")
         p.add_argument("--log-level", dest="log_level", default="warning",
@@ -654,7 +783,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logger.addHandler(handler)
     try:
         return args.func(_effective(args))
-    except (ValidationError, InvalidParameterError, FileNotFoundError) as exc:
+    except (ValidationError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IsomechError as exc:

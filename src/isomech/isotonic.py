@@ -68,13 +68,10 @@ class Ranking:
     perm: tuple[int, ...]
 
     def __init__(self, perm: Iterable[int]):
-        object.__setattr__(self, "perm", tuple(int(p) for p in perm))
+        object.__setattr__(self, "perm", tuple(map(int, perm)))
         n = len(self.perm)
-        seen = [False] * n
-        for p in self.perm:
-            if not 1 <= p <= n or seen[p - 1]:
-                raise ValidationError(f"not a permutation of 1..{n}: {self.perm}")
-            seen[p - 1] = True
+        if sorted(self.perm) != list(range(1, n + 1)):
+            raise ValidationError(f"not a permutation of 1..{n}: {self.perm}")
 
     def __len__(self) -> int:
         return len(self.perm)
@@ -116,7 +113,7 @@ class CoarseRanking:
     blocks: tuple[tuple[int, ...], ...]
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
-        normalized = tuple(tuple(sorted(int(i) for i in block)) for block in blocks)
+        normalized = tuple(tuple(sorted(map(int, block))) for block in blocks)
         object.__setattr__(self, "blocks", normalized)
         if not normalized or any(len(b) == 0 for b in normalized):
             raise ValidationError("blocks must be nonempty")
@@ -302,16 +299,17 @@ def coarse_to_permutation(coarse: CoarseRanking, x) -> Ranking:
     score, ties broken by ascending item index.  Pooled fit values do not
     depend on the tie rule, so ``isotonic_mechanism`` under this ranking is
     the fit under the blocks (singleton blocks give their own ranking's fit).
+    One ``np.lexsort`` orders all items by (block, -score); it is stable and
+    each block lists its items in ascending order, so a tie keeps the
+    item's position in its block.
     """
     if not isinstance(coarse, CoarseRanking):
         coarse = CoarseRanking(coarse)
     arr = _check_scores(x, coarse.n)
-    perm: list[int] = []
-    for block in coarse.blocks:
-        items = np.asarray(block, dtype=np.intp)
-        order = np.argsort(-arr[items - 1], kind="stable")
-        perm.extend(items[order])
-    return Ranking(perm)
+    items = np.fromiter(itertools.chain.from_iterable(coarse.blocks), dtype=np.intp,
+                        count=coarse.n)
+    block_of = np.repeat(np.arange(len(coarse.blocks)), list(map(len, coarse.blocks)))
+    return Ranking(items[np.lexsort((-arr[items - 1], block_of))].tolist())
 
 
 def ranking_constrained_mle(family: Family, x, ranking: Ranking) -> IsotonicFit:

@@ -5,11 +5,14 @@ projection oracle enumerates pooling patterns, KL oracles integrate or sum
 densities, and derivatives come from finite differences.  The one exception
 is ``reference_surrogate_eval``, a per-record restatement of the review
 table's bookkeeping that is compared for exact equality, so it fits with the
-library's own projection.
+library's own projection.  ``reference_csv_table`` is the CLI's former
+row-by-row table writer, which the template writer must match byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from collections import defaultdict
@@ -235,3 +238,23 @@ def reference_surrogate_eval(table, authors, seed: int = 0) -> SurrogateReport:
         tie_breaks=tie_breaks,
         seed=seed,
     )
+
+
+def reference_fmt(value) -> str:
+    """A table cell as the CLI spells it: NA for None, 12 significant digits
+    for a float, ``str`` for anything else."""
+    if value is None:
+        return "NA"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def reference_csv_table(header, rows) -> bytes:
+    """The bytes of a CSV table written row by row: every cell through
+    ``reference_fmt``, every row through csv.writer."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([reference_fmt(value) for value in row] for row in rows)
+    return buf.getvalue().encode("utf-8")

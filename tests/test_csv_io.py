@@ -1,0 +1,254 @@
+"""CSV reading and writing of the CLI.
+
+A plain file is parsed by one ``np.loadtxt`` call and any other file by the
+csv walk; both must give the same values.  Every table goes through one
+``str.format`` template per table, which must write the bytes of the former
+row-by-row writer (``helpers.reference_csv_table``).
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from helpers import reference_csv_table
+from isomech import cli
+from isomech.cli import main
+
+
+def write(path, text):
+    path.write_text(text, encoding="utf-8")
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """The number of ``np.loadtxt`` calls made so far, in a one-element list."""
+    calls = [0]
+    real = np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# Writing: every table command against the reference writer
+# ---------------------------------------------------------------------------
+
+TABLE_INPUTS = {
+    "scores.csv": "index,score\n1,4.25\n2,6\n3,5.5\n4,1e-3\n5,7.125\n",
+    "ranking.csv": "rank,index\n1,3\n2,1\n3,5\n4,2\n5,4\n",
+    "blocks.csv": "block,index\n1,5\n1,2\n2,1\n2,4\n2,3\n",
+    # n = 3 has no complete author, so its row holds NA cells
+    "reviews.csv": "submission_id,score,confidence\n"
+                   "a,6,5\na,7,1\nb,4,5\nb,5,1\n"
+                   "c,5,3\nc,6,2\nd,3,3\nd,4,2\ne,8,3\ne,7,2\nf,6,3\nf,5,2\n",
+    "authors.csv": "author_id,submission_ids,ranking\nalice,a;b,1;2\nbob,c;d;e;f,2;4;1;3\n",
+    "pool.csv": "score\n" + "".join(f"{3 + 0.0625 * i}\n" for i in range(80)),
+}
+TABLE_RUNS = {
+    "fit-ranking": ["fit", "scores.csv", "--ranking", "ranking.csv"],
+    "fit-blocks": ["fit", "scores.csv", "--blocks", "blocks.csv"],
+    "fit-family": ["fit", "scores.csv", "--ranking", "ranking.csv", "--family", "binomial:10"],
+    "icml": ["icml", "reviews.csv", "authors.csv", "--seed", "5"],
+    "truthfulness": ["truthfulness", "--family", "binomial:10", "--mu-star", "8,7,6",
+                     "--trials", "600", "--seed", "4"],
+    "estimation": ["estimation", "--family", "binomial:10", "--n-grid", "10,30",
+                   "--trials", "120", "--seed", "9"],
+    "synthetic": ["synthetic", "pool.csv", "--n-grid", "2,5", "--trials", "100", "--seed", "1"],
+    "minimax": ["minimax", "--family", "gaussian:1.0", "--v-min", "0", "--v-max", "6",
+                "--n-grid", "32,64", "--trials", "20", "--construction-n", "64", "--seed", "2"],
+}
+
+
+@pytest.mark.parametrize("run", list(TABLE_RUNS))
+def test_tables_match_the_reference_writer(workdir, monkeypatch, capsys, run):
+    for name, text in TABLE_INPUTS.items():
+        write(workdir / name, text)
+    tables = []
+    real = cli._write_table
+
+    def recording(fh, header, columns, fmt):
+        tables.append((list(header), [c.tolist() if isinstance(c, np.ndarray) else list(c)
+                                      for c in columns]))
+        real(fh, header, columns, fmt)
+
+    monkeypatch.setattr(cli, "_write_table", recording)
+    assert main(TABLE_RUNS[run] + ["--out", "out.csv"]) == 0
+    capsys.readouterr()
+    [(header, columns)] = tables
+    assert (workdir / "out.csv").read_bytes() == reference_csv_table(header, zip(*columns))
+    if run == "icml":
+        assert None in columns[2]
+    if run == "truthfulness":
+        assert all(isinstance(cell, str) for cell in columns[0])
+        assert main(TABLE_RUNS[run] + ["--out", "out.json", "--format", "json"]) == 0
+        rows = json.loads((workdir / "out.json").read_text())
+        assert rows == [dict(zip(header, row)) for row in zip(*columns)]
+
+
+def test_string_cells_are_quoted_as_csv_quotes_them(workdir):
+    header = ["text", "value", "count"]
+    columns = [["plain", "a,b", 'say "hi"', "two\nlines", "", None],
+               [1.5, 2.0, float("inf"), -0.0, 1e-300, 3.0],
+               [1, 2, 3, 4, 5, 6]]
+    with open(workdir / "t.csv", "w", encoding="utf-8", newline="") as fh:
+        cli._write_table(fh, header, columns, "csv")
+    assert (workdir / "t.csv").read_bytes() == reference_csv_table(header, zip(*columns))
+
+
+# ---------------------------------------------------------------------------
+# Reading: a plain file and the same data through the csv walk
+# ---------------------------------------------------------------------------
+
+
+def _numbers(rng, size):
+    """Decimal spellings of scores, as a CSV writer or a person would put them."""
+    values = rng.uniform(-50, 50, size).tolist()
+    spellings = [f"{values[0]:.6f}", repr(values[1]), f"{values[2]:.3e}", "7", "-0", "1E2",
+                 "  2.5 ", ".5", "5.", "1e-320", "00012"]
+    return spellings + [repr(v) if i % 2 else f"{v:.4f}" for i, v in enumerate(values[11:])]
+
+
+def _rows(rng):
+    n = 40
+    scores = _numbers(rng, n)
+    index = rng.permutation(n) + 1
+    ranked = rng.permutation(n) + 1
+    ids = [f"s{k:02d}" for k in rng.integers(0, 12, 3 * n)] + ["é", " padded id "]
+    authors = [(f"a{k}", f"s{2 * k:02d};s{2 * k + 1:02d}", "1;2" if k % 3 else " 2 ; 1")
+               for k in range(6)]
+    return {
+        "scores": (["index", "score"], list(zip(map(str, index), scores)),
+                   lambda path: cli._read_scores(path)),
+        "ranking": (["rank", "index"], list(zip(map(str, range(1, n + 1)), map(str, ranked))),
+                    lambda path: cli._read_ranking(path, n).perm),
+        "blocks": (["block", "index"],
+                   [(str(1 + r // 7), str(i)) for r, i in enumerate(ranked)],
+                   lambda path: cli._read_blocks(path, n).blocks),
+        "pool": (["score"], [(s,) for s in scores], lambda path: cli._read_column(path, "score")),
+        "reviews": (["submission_id", "score", "confidence"],
+                    [(sid, scores[k % n], str(k % 5 + 1)) for k, sid in enumerate(ids)],
+                    lambda path: cli._read_reviews(path)),
+        "authors": (["author_id", "submission_ids", "ranking"], authors,
+                    lambda path: cli._read_authors(path)),
+    }
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, cli.ReviewTable):
+        return (a.submission_ids == b.submission_ids and _same(a.scores, b.scores)
+                and _same(a.confidences, b.confidences))
+    return a == b
+
+
+@pytest.mark.parametrize("reader", ["scores", "ranking", "blocks", "pool", "reviews", "authors"])
+@pytest.mark.parametrize("walked", ["crlf", "quoted", "suffix"])
+def test_plain_and_walked_files_read_the_same(workdir, loadtxt_calls, reader, walked):
+    header, rows, read = _rows(np.random.default_rng(17))[reader]
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    write(workdir / "plain.csv", "\n".join(lines) + "\n")
+    plain = read("plain.csv")
+    assert loadtxt_calls == [1]
+    if walked == "crlf":
+        name, text = "walked.csv", "\r\n".join(lines) + "\r\n"
+    elif walked == "quoted":  # every cell of the first row quoted
+        quoted = '"' + '","'.join(rows[0]) + '"'
+        name, text = "walked.csv", "\n".join([lines[0], quoted] + lines[2:]) + "\n"
+    else:  # numpy would decompress a file of this name
+        name, text = "walked.csv.gz", "\n".join(lines) + "\n"
+    write(workdir / name, text)
+    assert _same(read(name), plain)
+    assert loadtxt_calls == [1]
+
+
+def test_repeated_review_ids_share_one_string(workdir):
+    write(workdir / "reviews.csv",
+          "submission_id,score,confidence\n" + "".join(f"s{k % 3},5,1\n" for k in range(9)))
+    ids = cli._read_reviews("reviews.csv").submission_ids
+    assert ids == tuple(f"s{k % 3}" for k in range(9))
+    assert len({id(s) for s in ids}) == 3
+
+
+@pytest.mark.parametrize("python_only, usual", [
+    ("index,score\n1,1_0.5\n٢,٣\n", "index,score\n1,10.5\n2,3\n"),
+    ("index,score\n1,４\n2,2_5e-1\n", "index,score\n1,4\n2,25e-1\n"),
+])
+def test_python_only_spellings_still_parse(workdir, loadtxt_calls, python_only, usual):
+    write(workdir / "odd.csv", python_only)
+    write(workdir / "usual.csv", usual)
+    assert _same(cli._read_scores("odd.csv"), cli._read_scores("usual.csv"))
+    # loadtxt refused the first file, which the walk then read
+    assert loadtxt_calls == [2]
+    write(workdir / "reviews.csv", "submission_id,score,confidence\na,٤,1_0\na,5,٣\n")
+    table = cli._read_reviews("reviews.csv")
+    assert table.scores.tolist() == [4.0, 5.0] and table.confidences.tolist() == [10, 3]
+
+
+def test_plain_file_with_a_blank_row_keeps_line_numbers(workdir, capsys):
+    write(workdir / "scores.csv", "index,score\n1,2\n\n2,x\n")
+    write(workdir / "ranking.csv", "rank,index\n1,1\n2,2\n")
+    assert main(["fit", "scores.csv", "--ranking", "ranking.csv", "--out", "out.csv"]) == 2
+    assert capsys.readouterr().err == "error: scores.csv line 4: score must be a number, got 'x'\n"
+
+
+# ---------------------------------------------------------------------------
+# Output faults
+# ---------------------------------------------------------------------------
+
+FIT = ["fit", "scores.csv", "--ranking", "ranking.csv"]
+MINIMAX = ["minimax", "--family", "gaussian:1.0", "--v-min", "0", "--v-max", "6",
+           "--n-grid", "32,64", "--trials", "20", "--construction-n", "64"]
+
+
+@pytest.mark.parametrize("argv, setup, message, gone", [
+    (FIT + ["--out", "outdir"], "outdir", "outdir: Is a directory", []),
+    (MINIMAX + ["--construction-out", "nodir/c.json", "--out", "r.csv"], None,
+     "nodir/c.json: No such file or directory", ["r.csv"]),
+    (FIT + ["--out", "x.csv"], "x.csv.meta.json", "x.csv.meta.json: Is a directory", ["x.csv"]),
+])
+def test_output_faults_exit_2_and_leave_no_file(workdir, capsys, argv, setup, message, gone):
+    for name in ("scores.csv", "ranking.csv"):
+        write(workdir / name, TABLE_INPUTS[name])
+    if setup:
+        (workdir / setup).mkdir()
+    before = sorted(p.name for p in workdir.iterdir())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in workdir.iterdir()) == before
+    assert not any((workdir / name).exists() for name in gone)
+
+
+# ---------------------------------------------------------------------------
+# A command that writes nothing takes no output flags
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--out", "x.csv"], ["--format", "json"]])
+def test_check_majorization_takes_no_output_flags(workdir, capsys, flag):
+    write(workdir / "a.csv", "value\n2\n0\n")
+    write(workdir / "b.csv", "value\n1\n1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["check-majorization", "a.csv", "b.csv"] + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (workdir / "x.csv").exists()
+
+
+def test_check_majorization_ignores_a_malformed_env_seed(workdir, capsys, monkeypatch):
+    write(workdir / "a.csv", "value\n2\n0\n")
+    write(workdir / "b.csv", "value\n1\n1\n")
+    monkeypatch.setenv("ISOMECH_SEED", "abc")
+    assert main(["check-majorization", "a.csv", "b.csv"]) == 0
+    assert capsys.readouterr().out == "true\n"

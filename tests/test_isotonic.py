@@ -94,6 +94,23 @@ def test_coarse_to_permutation():
     assert coarse_to_permutation(CoarseRanking([(1, 2), (3,)]), [5, 5, 0]).perm == (1, 2, 3)
 
 
+def test_coarse_to_permutation_matches_per_block_sort():
+    """The one lexsort against a stable argsort of each block in turn, on
+    scores with many ties and signed zeros."""
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        x = rng.choice([-1.0, -0.0, 0.0, 2.5, 7.0], size=n)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, int(rng.integers(0, 5))),
+                                  replace=False))
+        coarse = CoarseRanking(np.split(rng.permutation(n) + 1, cuts))
+        expected = []
+        for block in coarse.blocks:
+            items = np.asarray(block)
+            expected += items[np.argsort(-x[items - 1], kind="stable")].tolist()
+        assert coarse_to_permutation(coarse, x).perm == tuple(expected)
+
+
 def test_coarse_validation():
     with pytest.raises(ValidationError):
         CoarseRanking([(1, 2), (2, 3)])
