@@ -7,10 +7,15 @@ Four drivers built on the isotonic machinery:
   * ``rate_check``              log-log slope of the total risk against n,
     for comparison with the n^(1/3) minimax rate,
   * ``build_lower_bound``       the packing construction behind the minimax
-    lower bound (codewords, perturbed mean vectors, KL budget), with an
-    exhaustive verifier,
+    lower bound (codewords, perturbed mean vectors, KL budget), with a
+    verifier that compares every pair of codewords exactly, in row tiles,
   * ``synthetic_icml_study`` / ``surrogate_eval``  conference-review style
     evaluations on synthetic pools and on review/author records.
+
+Every mean vector of the construction takes one of two values per block,
+so its natural parameters and KL terms are computed on those 2k levels and
+gathered; the verifier works on tiles of ``_VERIFY_ROWS`` codewords against
+all the others, so no size x size array is held.
 
 ``surrogate_eval`` takes reviews as columns (``ReviewTable``) and works on
 whole arrays: submissions are split by a stable sort, ties are drawn in one
@@ -73,9 +78,13 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Memory the lower-bound construction may take for its linear code, its
-# mean vectors and the verifier's size x size Gram matrix.
+# Memory the lower-bound construction may take for its linear code and its
+# mean vectors, with a size x size float64 term that bounds the verifier's
+# pairwise work (it holds no size x size matrix, see ``_VERIFY_ROWS``).
 _CONSTRUCTION_MAX_BYTES = 1 << 30
+
+# Codewords per row tile of the exhaustive pairwise verifier.
+_VERIFY_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +179,12 @@ def _mse_samples(
         mu = np.sort(mu, axis=-1)[..., ::-1]
         x = sample_scores(family, mu, scores_per_item, rng, count)
         fitted = project_descending_batch(x)
-        mse_im = np.square(fitted - mu).sum(axis=1) / n
-        mse_raw = np.square(x - mu).sum(axis=1) / n
-        return mse_im, mse_raw
+        # both arrays belong to this chunk, so the residuals overwrite them
+        fitted -= mu
+        np.square(fitted, out=fitted)
+        x -= mu
+        np.square(x, out=x)
+        return fitted.sum(axis=1) / n, x.sum(axis=1) / n
 
     parts = _map_chunks(one_chunk, trials, seed_seq, max_workers)
     return (
@@ -309,20 +321,41 @@ class LowerBoundConstruction:
     def verify(self) -> dict[str, float]:
         """Exhaustively re-check every invariant; raises on any violation.
 
+        Every pair of codewords is compared exactly, ``_VERIFY_ROWS`` rows
+        at a time against the rows from the tile's first on: one matrix
+        product of augmented rows gives the tile's pairwise Hamming
+        distances, a second its block-weighted disagreements, and running
+        minima keep the closest pair.  Entries are small integers, so the
+        float arithmetic is exact.  Probe rows cross-check the weighted
+        distances against direct mean-vector norms and the stored KL values
+        against the family's KL.
+
         Returns the achieved margins (minimum Hamming distance, minimum
         pairwise squared mean distance, KL budget and its cap).
         """
-        # One size x size matrix at a time, built in place: pairwise Hamming
-        # distances, then block-weighted disagreements.  Entries are small
-        # integers, so the float arithmetic is exact.
         w = self.codewords.astype(np.float64)
-        ones = w.sum(axis=1)
-        m = w @ w.T
-        m *= -2.0
-        m += ones[:, None]
-        m += ones[None, :]
-        np.fill_diagonal(m, np.inf)
-        min_dh = float(m.min())
+        wn = w * np.asarray(self.block_sizes, dtype=np.float64)
+        hw, sq = w.sum(axis=1, keepdims=True), wn.sum(axis=1, keepdims=True)
+        one, zero = np.ones_like(hw), np.zeros_like(hw)
+        # [w_i, hw_i, 1, 0] . [-2 w_j, 1, hw_j, sq_j] is the Hamming distance
+        # of rows i and j; [wn_i, sq_i, 0, 1] with the same right-hand row is
+        # their block-weighted disagreement count
+        right = np.hstack([-2.0 * w, one, hw, sq])
+        left_h = np.hstack([w, hw, one, zero])
+        left_w = np.hstack([wn, sq, zero, one])
+        min_dh = min_weighted = math.inf
+        for lo in range(0, self.size, _VERIFY_ROWS):
+            # rows lo:hi against rows lo: covers every pair once; the tile's
+            # leading square holds the self-pairs on its diagonal
+            rows = slice(lo, lo + _VERIFY_ROWS)
+            tile = np.matmul(left_w[rows], right[lo:].T)
+            if lo == 0:
+                row0 = tile[0].copy()
+            np.fill_diagonal(tile, np.inf)
+            min_weighted = min(min_weighted, float(tile.min()))
+            np.matmul(left_h[rows], right[lo:].T, out=tile)
+            np.fill_diagonal(tile, np.inf)
+            min_dh = min(min_dh, float(tile.min()))
         if min_dh < self.k / 8.0:
             raise ConstructionFailedError(
                 f"pairwise Hamming distance {min_dh} below k/8 = {self.k / 8}"
@@ -332,27 +365,23 @@ class LowerBoundConstruction:
         if self.mu_rows.min() < lo - 1e-9 or self.mu_rows.max() > hi + 1e-9:
             raise ConstructionFailedError("a mean vector leaves the certified interval")
 
-        # exact pairwise squared distances via block-weighted disagreements
-        wn = w * np.asarray(self.block_sizes, dtype=np.float64)
-        sq = wn.sum(axis=1)
-        np.matmul(wn, w.T, out=m)
-        m *= -2.0
-        m += sq[:, None]
-        m += sq[None, :]
-        m *= self.gamma**2
-        column0 = m[:, 0].copy()
-        np.fill_diagonal(m, np.inf)
-        min_dist2 = float(m.min())
+        g2 = self.gamma**2
+        min_dist2 = g2 * min_weighted
         floor = (self.c**2 / 8.0) * self.certificate.sigma_sq * self.k
         if min_dist2 < floor - 1e-9 * max(1.0, floor):
             raise ConstructionFailedError(
                 f"pairwise squared mean distance {min_dist2} below (c^2/8) sigma^2 k = {floor}"
             )
-        # spot-check the weighted form against direct norms
+        # spot-check the weighted form against direct norms, and the stored
+        # KL values against the family's KL, on rows spread over the packing
         probe = np.linspace(0, self.size - 1, num=min(self.size, 32), dtype=int)
         direct = np.square(self.mu_rows[probe] - self.mu_rows[0]).sum(axis=1)
-        if not np.allclose(direct, column0[probe], rtol=1e-8, atol=1e-8):
+        if not np.allclose(direct, g2 * row0[probe], rtol=1e-8, atol=1e-8):
             raise ConstructionFailedError("mean-distance bookkeeping is inconsistent")
+        theta = self.family.natural_param(self.mu_rows[probe])  # probe[0] is row 0
+        kl_direct = np.asarray(self.family.kl_divergence(theta, theta[0]), dtype=float).sum(axis=1)
+        if not np.allclose(kl_direct, self.kl_values[probe], rtol=1e-8, atol=1e-8):
+            raise ConstructionFailedError("KL bookkeeping is inconsistent")
 
         cap = math.log(self.size) / 8.0
         if not self.kl_budget < cap:
@@ -376,7 +405,9 @@ def _packing_target(k: int) -> int:
 
 
 def _construction_bytes(k: int, n: int) -> int:
-    """Bytes of the linear code (uint8), mean vectors and Gram matrix for k blocks."""
+    """Bytes of the linear code (uint8) and mean vectors for k blocks, plus a
+    size x size float64 term.  The verifier compares every pair in row tiles
+    and keeps no size x size matrix; the term bounds its pairwise work."""
     target = _packing_target(k)
     return (1 << (target - 1).bit_length()) * k + 8 * target * (n + target)
 
@@ -398,10 +429,11 @@ def _pack_codewords(
     nonzero codeword clears both weight floors, every pair of rows does.
     """
     d = (target - 1).bit_length()
-    bits = (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(np.uint8)
+    code = np.zeros((1 << d, k), dtype=np.uint8)
     for child in seed_seq.spawn(max_restarts):
         gen = np.random.default_rng(child).integers(0, 2, size=(d, k), dtype=np.uint8)
-        code = bits @ gen & 1  # entries sum at most d bits; their parity is the GF(2) sum
+        for b in range(d):  # rows with top bit b are the rows below it plus gen[b]
+            np.bitwise_xor(code[: 1 << b], gen[b], out=code[1 << b : 2 << b])
         if (code[1:].sum(axis=1).min() >= min_hamming
                 and (code[1:] @ block_sizes).min() >= min_weighted):
             return code[:target]
@@ -430,10 +462,10 @@ def build_lower_bound(
     divide n, the shorter blocks sit first and the code also clears the
     block-weighted separation, so the distance invariant holds exactly.
 
-    Before packing, the code, mean vectors and the verifier's Gram matrix
-    are sized against a fixed memory budget (1 GiB).  A c whose k exceeds
-    it raises InvalidParameterError naming the smallest c that fits; the
-    guard only refuses work, it never samples pairs.
+    Before packing, the code, the mean vectors and a size x size term for
+    the verifier's pairwise work are sized against a fixed budget (1 GiB).
+    A c whose k exceeds it raises InvalidParameterError naming the smallest
+    c that fits; the guard only refuses work, it never samples pairs.
     """
     if n < 8:
         raise ValidationError("lower-bound construction needs n >= 8")
@@ -480,15 +512,19 @@ def build_lower_bound(
         seed_seq=np.random.SeedSequence(seed),
     )
 
-    block_of = np.repeat(np.arange(k), block_sizes)
-    staircase = cert.v_tilde_min + block_of * (v_tilde / k)
-    mu_rows = staircase[None, :] + gamma * codewords[:, block_of].astype(float)
-
-    theta_rows = family.natural_param(mu_rows)
-    kl_values = np.asarray(
-        family.kl_divergence(theta_rows, np.broadcast_to(theta_rows[0], theta_rows.shape)),
-        dtype=float,
-    ).sum(axis=1)
+    # Each block takes one of two means, its staircase step or that step
+    # plus gamma, so the family's calculus runs on those (2, k) levels and
+    # every (size, n) array is gathered from them.
+    blocks = np.arange(k)
+    levels = (cert.v_tilde_min + blocks * (v_tilde / k)) + gamma * np.array([[0.0], [1.0]])
+    theta = family.natural_param(levels)
+    kl_level = np.asarray(
+        family.kl_divergence(theta, theta[codewords[0], blocks]), dtype=float
+    )
+    block_of = np.repeat(blocks, block_sizes)
+    bits = codewords[:, block_of]
+    mu_rows = levels[bits, block_of]
+    kl_values = kl_level[bits, block_of].sum(axis=1)
     kl_bound = gamma**2 * n / (2.0 * cert.c_var**2 * sigma_sq)
 
     construction = LowerBoundConstruction(

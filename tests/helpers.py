@@ -7,6 +7,10 @@ is ``reference_surrogate_eval``, a per-record restatement of the review
 table's bookkeeping that is compared for exact equality, so it fits with the
 library's own projection.  ``reference_csv_table`` is the CLI's former
 row-by-row table writer, which the template writer must match byte for byte.
+``reference_lower_bound`` is the lower-bound construction as it was built
+elementwise over every (codeword, coordinate) pair and checked with full
+size x size Gram matrices; the gathered construction and tiled verifier must
+match it exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from scipy.integrate import quad
 
 from isomech import Binomial, Gamma, Gaussian, Poisson, Ranking, isotonic_mechanism
 from isomech.experiments import SurrogateReport, SurrogateRow
+from isomech.expfam import verify_variance_assumption
 
 
 def compositions(n: int):
@@ -258,3 +263,83 @@ def reference_csv_table(header, rows) -> bytes:
     writer.writerow(header)
     writer.writerows([reference_fmt(value) for value in row] for row in rows)
     return buf.getvalue().encode("utf-8")
+
+
+def reference_lower_bound(family, bounds, n: int, c=None, seed: int = 0, grid_points: int = 1024):
+    """The lower-bound construction computed elementwise and verified with
+    full Gram matrices.  Returns codewords, mean vectors, KL values and the
+    verifier's margins; the memory guard is left out."""
+    cert = verify_variance_assumption(family, bounds, grid_points)
+    sigma_sq = cert.sigma_sq
+    if c is None:
+        c = cert.c_var / 16.0
+    v_tilde = cert.width
+    k = min(int(math.floor((n * v_tilde**2 / (c**2 * sigma_sq)) ** (1.0 / 3.0))), n)
+    gamma = c * math.sqrt(sigma_sq * k / n)
+    base, rem = divmod(n, k)
+    block_sizes = np.asarray([base] * (k - rem) + [base + 1] * rem, dtype=np.int64)
+    target = max(2, math.ceil(2.0 ** (k / 8.0)))
+
+    # packing: row i sums the generator rows picked by the bits of i
+    d = (target - 1).bit_length()
+    bits = (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(np.uint8)
+    for child in np.random.SeedSequence(seed).spawn(100):
+        gen = np.random.default_rng(child).integers(0, 2, size=(d, k), dtype=np.uint8)
+        code = bits @ gen & 1
+        if (code[1:].sum(axis=1).min() >= math.ceil(k / 8.0)
+                and (code[1:] @ block_sizes).min() >= math.ceil(n / 8.0)):
+            codewords = code[:target]
+            break
+    else:
+        raise AssertionError("reference packing failed")
+
+    block_of = np.repeat(np.arange(k), block_sizes)
+    staircase = cert.v_tilde_min + block_of * (v_tilde / k)
+    mu_rows = staircase[None, :] + gamma * codewords[:, block_of].astype(float)
+    theta_rows = family.natural_param(mu_rows)
+    kl_values = np.asarray(
+        family.kl_divergence(theta_rows, np.broadcast_to(theta_rows[0], theta_rows.shape)),
+        dtype=float,
+    ).sum(axis=1)
+    kl_bound = gamma**2 * n / (2.0 * cert.c_var**2 * sigma_sq)
+
+    # verifier: pairwise Hamming distances, then block-weighted disagreements
+    w = codewords.astype(np.float64)
+    ones = w.sum(axis=1)
+    m = w @ w.T
+    m *= -2.0
+    m += ones[:, None]
+    m += ones[None, :]
+    np.fill_diagonal(m, np.inf)
+    min_dh = float(m.min())
+    assert min_dh >= k / 8.0
+    lo, hi = cert.v_tilde_min, cert.v_tilde_max
+    assert lo - 1e-9 <= mu_rows.min() and mu_rows.max() <= hi + 1e-9
+    wn = w * np.asarray(block_sizes, dtype=np.float64)
+    sq = wn.sum(axis=1)
+    np.matmul(wn, w.T, out=m)
+    m *= -2.0
+    m += sq[:, None]
+    m += sq[None, :]
+    m *= gamma**2
+    column0 = m[:, 0].copy()
+    np.fill_diagonal(m, np.inf)
+    min_dist2 = float(m.min())
+    floor = (c**2 / 8.0) * cert.sigma_sq * k
+    assert min_dist2 >= floor - 1e-9 * max(1.0, floor)
+    probe = np.linspace(0, len(codewords) - 1, num=min(len(codewords), 32), dtype=int)
+    direct = np.square(mu_rows[probe] - mu_rows[0]).sum(axis=1)
+    assert np.allclose(direct, column0[probe], rtol=1e-8, atol=1e-8)
+    cap = math.log(len(codewords)) / 8.0
+    kl_budget = float(np.max(kl_values))
+    assert kl_budget < cap
+    assert not np.any(kl_values > kl_bound + 1e-9 * max(1.0, kl_bound))
+    margins = {
+        "min_hamming": min_dh,
+        "min_dist2": min_dist2,
+        "dist2_floor": floor,
+        "kl_budget": kl_budget,
+        "kl_cap": cap,
+        "kl_bound": float(kl_bound),
+    }
+    return codewords, mu_rows, kl_values, margins

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_surrogate_eval
+from helpers import reference_lower_bound, reference_surrogate_eval
 from isomech import (
     Binomial,
     ConstructionFailedError,
+    Gamma,
     Gaussian,
     InvalidParameterError,
     Poisson,
@@ -196,6 +198,69 @@ def test_verify_rejects_duplicate_codeword_and_moved_mean():
     moved[1] += built.certificate.width
     with pytest.raises(ConstructionFailedError, match="certified interval"):
         dataclasses.replace(built, mu_rows=moved).verify()
+
+
+def test_verify_checks_the_kl_bookkeeping():
+    built = build_lower_bound(Binomial(10), ScoreBounds(0, 10), 64, seed=5)
+    kl = built.kl_values.copy()
+    kl[-1] /= 2  # the last row is always probed; half a KL stays under the bound
+    with pytest.raises(ConstructionFailedError, match="KL bookkeeping is inconsistent"):
+        dataclasses.replace(built, kl_values=kl).verify()
+
+
+# (family, bounds, n, c); the n = 512 case holds 2,234 codewords, not a
+# multiple of the verifier's row tile
+LOWER_BOUND_ORACLE_CASES = [
+    (Gaussian(1.0), ScoreBounds(0, 6), 64, None),
+    (Gaussian(1.0), ScoreBounds(0, 1.2), 20, None),
+    (Gaussian(1.0), ScoreBounds(0, 2), 8, None),
+    (Binomial(10), ScoreBounds(0, 10), 64, None),
+    (Binomial(10), ScoreBounds(0, 10), 512, 0.085),
+    (Binomial(10), ScoreBounds(0, 10), 1000, 0.09),
+    (Poisson(), ScoreBounds(1, 8), 300, 0.1),
+    (Gamma(2.0), ScoreBounds(1, 8), 200, 0.1),
+]
+
+
+@pytest.mark.parametrize("family, bounds, n, c", LOWER_BOUND_ORACLE_CASES)
+def test_lower_bound_matches_the_elementwise_reference(family, bounds, n, c):
+    built = build_lower_bound(family, bounds, n, c=c, seed=11)
+    codewords, mu_rows, kl_values, margins = reference_lower_bound(family, bounds, n, c=c, seed=11)
+    assert np.array_equal(built.codewords, codewords)
+    assert built.mu_rows.tobytes() == mu_rows.tobytes()
+    assert built.kl_values.tobytes() == kl_values.tobytes()
+    assert built.margins == margins
+
+
+@pytest.fixture(scope="module")
+def multi_tile():
+    # 2,234 codewords: eight full row tiles of the verifier and a partial one
+    built = build_lower_bound(Binomial(10), ScoreBounds(0, 10), 512, c=0.085, seed=5)
+    assert built.size == 2234 and built.size % experiments._VERIFY_ROWS != 0
+    return built
+
+
+@pytest.mark.parametrize("row", [1, 255, 256, -1])
+def test_verify_finds_a_repeated_codeword_across_tiles(multi_tile, row):
+    built = multi_tile
+    dup = dataclasses.replace(
+        built,
+        codewords=np.vstack([built.codewords, built.codewords[row]]),
+        mu_rows=np.vstack([built.mu_rows, built.mu_rows[row]]),
+        kl_values=np.append(built.kl_values, built.kl_values[row]),
+    )
+    with pytest.raises(ConstructionFailedError, match="Hamming"):
+        dup.verify()
+
+
+def test_verify_holds_no_size_by_size_matrix(multi_tile):
+    tracemalloc.start()
+    try:
+        multi_tile.verify()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < multi_tile.size**2 * 8
 
 
 def test_lower_bound_budget_guard(monkeypatch):
