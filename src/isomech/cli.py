@@ -79,7 +79,6 @@ from .experiments import (
     LinearRamp,
     PoolResample,
     ReviewTable,
-    _first_repeat,
     build_lower_bound,
     estimation_error_curve,
     rate_check,
@@ -251,9 +250,9 @@ def _read_plain(path: str, text: str, columns: Sequence[str], kinds: dict[str, t
 
 def _walk_csv(path: str, text: str, columns: Sequence[str]
               ) -> tuple[Sequence[int], dict[str, list[str]]]:
-    """(line numbers, stripped cells per column) of a CSV text by csv.reader.
-    The usual file (every row full width, no empty cell) is split into
-    columns in bulk; any other file takes a row-by-row pass."""
+    """(line numbers, stripped cells per column) of a CSV text by csv.reader,
+    row by row: blank and whitespace-only rows are skipped, and the first
+    row of the wrong width is named."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
@@ -268,14 +267,8 @@ def _walk_csv(path: str, text: str, columns: Sequence[str]
             f"{path} line 1: expected header {','.join(columns)!r}, got {','.join(header)!r}"
         )
     width = len(columns)
-    linenos: Sequence[int] = range(2, len(rows) + 2)
-    if set(map(len, rows)) == {width}:
-        cells = [list(map(str.strip, col)) for col in zip(*rows)]
-        # no empty cell means no blank row
-        if all("" not in col for col in cells):
-            return linenos, dict(zip(columns, cells))
     kept_lines, kept = [], []
-    for lineno, row in zip(linenos, rows):
+    for lineno, row in enumerate(rows, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != width:
@@ -698,16 +691,10 @@ def _read_authors(path: str) -> list[AuthorRecord]:
     ):
         sids = tuple(filter(None, map(str.strip, sid_cell.split(";"))))
         ranks = tuple(itertools.islice(next_ranks, len(row)))
-        if not sids:
-            raise ValidationError(f"{path} line {lineno}: author {author_id} lists no submissions")
-        if len(sids) != len(ranks):
-            raise ValidationError(
-                f"{path} line {lineno}: {len(sids)} submissions but {len(ranks)} ranks"
-            )
-        repeated = _first_repeat(sids)
-        if repeated is not None:
-            raise ValidationError(f"{path} line {lineno}: submission {repeated!r} listed twice")
-        authors.append(AuthorRecord(author_id, sids, ranks))
+        try:
+            authors.append(AuthorRecord(author_id, sids, ranks))
+        except ValidationError as exc:
+            raise ValidationError(f"{path} line {lineno}: {exc}") from None
     return authors
 
 

@@ -430,8 +430,9 @@ def _pack_codewords(
     """
     d = (target - 1).bit_length()
     code = np.zeros((1 << d, k), dtype=np.uint8)
-    for child in seed_seq.spawn(max_restarts):
-        gen = np.random.default_rng(child).integers(0, 2, size=(d, k), dtype=np.uint8)
+    for _ in range(max_restarts):  # a seed per restart; the first code usually passes
+        rng = np.random.default_rng(seed_seq.spawn(1)[0])
+        gen = rng.integers(0, 2, size=(d, k), dtype=np.uint8)
         for b in range(d):  # rows with top bit b are the rows below it plus gen[b]
             np.bitwise_xor(code[: 1 << b], gen[b], out=code[1 << b : 2 << b])
         if (code[1:].sum(axis=1).min() >= min_hamming
@@ -633,9 +634,23 @@ class ReviewTable:
 
 @dataclass(frozen=True)
 class AuthorRecord:
+    """One author's submissions and reported ranking.  A record without
+    submissions, with a rank count unlike its submission count, or listing
+    a submission twice raises ``ValidationError`` naming the author."""
+
     author_id: str
     submission_ids: tuple[str, ...]
     ranking: tuple[int, ...]  # ranking[j] = rank position of submission j, 1 = best
+
+    def __post_init__(self):
+        ids, who = self.submission_ids, f"author {self.author_id} lists"
+        if not ids:
+            raise ValidationError(f"{who} no submissions")
+        if len(self.ranking) != len(ids):
+            raise ValidationError(f"{who} {len(ids)} submissions but {len(self.ranking)} ranks")
+        if len(set(ids)) != len(ids):
+            repeated = next(sid for i, sid in enumerate(ids) if sid in ids[:i])
+            raise ValidationError(f"{who} submission {repeated!r} twice")
 
 
 @dataclass(frozen=True)
@@ -679,13 +694,6 @@ def _run_means(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(~short):
         means[i] = np.mean(values[ends[i] - lengths[i] : ends[i]])
     return means
-
-
-def _first_repeat(ids: Sequence[str]) -> Optional[str]:
-    """The first id that ``ids`` lists a second time, or None."""
-    if len(set(ids)) == len(ids):
-        return None
-    return next(sid for i, sid in enumerate(ids) if sid in ids[:i])
 
 
 def _held_out_reviews(
@@ -751,9 +759,9 @@ def surrogate_eval(
     skipped and counted by reason.  Rows aggregate both MSEs over authors
     with the same submission count; counts without authors keep None cells.
     Non-finite review scores, finite ones whose sums or squares overflow
-    float64, an improvement that overflows (a subnormal raw MSE), authors
-    without submissions and authors who list a submission twice raise
-    ``ValidationError``.
+    float64 and an improvement that overflows (a subnormal raw MSE) raise
+    ``ValidationError``; an author without submissions or listing one twice
+    is refused by ``AuthorRecord`` itself.
 
     Reviews arrive as columns (``ReviewTable``) and are split by submission
     with array operations.  The authors of each submission count n are
@@ -774,9 +782,6 @@ def surrogate_eval(
     skipped_authors: dict[str, int] = defaultdict(int)
     for author in authors:
         n = len(author.submission_ids)
-        repeated = _first_repeat(author.submission_ids)
-        if repeated is not None:
-            raise ValidationError(f"author {author.author_id} lists submission {repeated!r} twice")
         if sorted(author.ranking) != list(range(1, n + 1)):
             skipped_authors["malformed_ranking"] += 1
             logger.info("author %s skipped: ranking is not a permutation", author.author_id)
@@ -786,8 +791,6 @@ def surrogate_eval(
             skipped_authors["missing_submission"] += 1
             logger.info("author %s skipped: submission without usable reviews", author.author_id)
             continue
-        if not n:
-            raise ValidationError(f"author {author.author_id} lists no submissions")
         used, rankings = per_n[n]
         used.append(rows_used)
         rankings.append(author.ranking)

@@ -20,7 +20,9 @@ full rankings in that sweep only, where the budget keeps n <= 8.
 
 ``isotonic_mechanism`` projects under an author-reported ranking (permute,
 project, un-permute); ordered blocks project under the full ranking that
-``coarse_to_permutation`` reads off the scores.  ``ranking_constrained_mle`` solves
+``coarse_to_permutation`` reads off the scores.  That within-block order rule,
+``_block_order``, also orders every trial of a coarse claim in
+``mechanism.utility_trials``.  ``ranking_constrained_mle`` solves
 the same constraint on an exponential family's natural-parameter scale, where
 it pools exactly as the projection does.
 
@@ -83,16 +85,6 @@ class Ranking:
         """0-based item indices, best first."""
         return np.asarray(self.perm, dtype=np.intp) - 1
 
-    def inverse(self) -> "Ranking":
-        inv = [0] * len(self.perm)
-        for pos, item in enumerate(self.perm, start=1):
-            inv[item - 1] = pos
-        return Ranking(inv)
-
-    @classmethod
-    def identity(cls, n: int) -> "Ranking":
-        return cls(range(1, n + 1))
-
     @classmethod
     def from_scores(cls, scores) -> "Ranking":
         """Truthful ranking of a score vector: descending, ties by ascending index."""
@@ -125,38 +117,6 @@ class CoarseRanking:
     @property
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
-
-    @classmethod
-    def from_ranking(cls, ranking: Ranking, sizes: Sequence[int]) -> "CoarseRanking":
-        """Blocks of the given sizes read off a full ranking, best block first."""
-        if sum(sizes) != len(ranking):
-            raise ValidationError("block sizes must sum to the ranking length")
-        blocks, pos = [], 0
-        for size in sizes:
-            blocks.append(ranking.perm[pos : pos + size])
-            pos += size
-        return cls(blocks)
-
-    @classmethod
-    def singletons(cls, ranking: Ranking) -> "CoarseRanking":
-        return cls((i,) for i in ranking.perm)
-
-    @classmethod
-    def all_coarse_rankings(cls, n: int, sizes: Sequence[int]) -> Iterator["CoarseRanking"]:
-        """Every ordered partition of {1..n} into blocks of the given sizes."""
-        if sum(sizes) != n:
-            raise ValidationError("block sizes must sum to n")
-
-        def rec(remaining: frozenset[int], level: int):
-            if level == len(sizes):
-                yield ()
-                return
-            for combo in itertools.combinations(sorted(remaining), sizes[level]):
-                for rest in rec(remaining - set(combo), level + 1):
-                    yield (combo,) + rest
-
-        for blocks in rec(frozenset(range(1, n + 1)), 0):
-            yield cls(blocks)
 
 
 @dataclass(frozen=True)
@@ -292,24 +252,35 @@ def isotonic_mechanism(x, ranking: Ranking) -> IsotonicFit:
     return IsotonicFit(x=arr, mu_hat=mu_hat, pools=pools)
 
 
+def _block_order(blocks: Sequence[Sequence[int]], scores: np.ndarray) -> np.ndarray:
+    """0-based items, best first, in the order that ordered ``blocks`` claim
+    on ``scores``: a score vector, or each row of a (trials, n) matrix.
+
+    Block order is kept; within a block items follow descending score.  One
+    ``np.lexsort`` orders all items by (block, -score); it is stable and
+    each block lists its items in ascending order, so a tie keeps the
+    item's position in its block.
+    """
+    sizes = list(map(len, blocks))
+    items = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.intp,
+                        count=sum(sizes)) - 1
+    keys = -scores[..., items]
+    block_of = np.broadcast_to(np.repeat(np.arange(len(sizes)), sizes), keys.shape)
+    return items[np.lexsort((keys, block_of), axis=-1)]
+
+
 def coarse_to_permutation(coarse: CoarseRanking, x) -> Ranking:
     """Full ranking induced by a coarse ranking on a score vector.
 
-    Block order is kept; within each block items are sorted by descending
-    score, ties broken by ascending item index.  Pooled fit values do not
-    depend on the tie rule, so ``isotonic_mechanism`` under this ranking is
-    the fit under the blocks (singleton blocks give their own ranking's fit).
-    One ``np.lexsort`` orders all items by (block, -score); it is stable and
-    each block lists its items in ascending order, so a tie keeps the
-    item's position in its block.
+    Items are ordered by ``_block_order``, so ties within a block go by
+    ascending item index.  Pooled fit values do not depend on the tie rule,
+    so ``isotonic_mechanism`` under this ranking is the fit under the blocks
+    (singleton blocks give their own ranking's fit).
     """
     if not isinstance(coarse, CoarseRanking):
         coarse = CoarseRanking(coarse)
     arr = _check_scores(x, coarse.n)
-    items = np.fromiter(itertools.chain.from_iterable(coarse.blocks), dtype=np.intp,
-                        count=coarse.n)
-    block_of = np.repeat(np.arange(len(coarse.blocks)), list(map(len, coarse.blocks)))
-    return Ranking(items[np.lexsort((-arr[items - 1], block_of))].tolist())
+    return Ranking((_block_order(coarse.blocks, arr) + 1).tolist())
 
 
 def ranking_constrained_mle(family: Family, x, ranking: Ranking) -> IsotonicFit:

@@ -1,4 +1,4 @@
-"""The Monte-Carlo core, and expected utility of reported rankings.
+"""The Monte-Carlo core, and the utility an author gets from a claim.
 
 The core serves every simulation in the package, the estimation drivers in
 ``experiments`` included.  Trials run in chunks of ``_CHUNK``, each on an
@@ -10,20 +10,24 @@ every trial of a chunk (a 1-d vector) are drawn item-major in one call;
 means that vary by trial (a 2-d array) are drawn elementwise.
 ``_mean_se`` reduces per-trial samples to a mean and standard error.
 
-An author with true scores ``mu_star`` reports a ranking or coarse ranking
-and collects utility ``sum_i U(adjusted_i)`` for a nondecreasing convex U.
-Rankings compared within one call share the sampled scores (common random
-numbers), which makes small utility gaps resolvable at desk-scale trial
-counts.
+An author with true scores ``mu_star`` reports a claim, a full ranking or
+ordered blocks, and collects utility ``sum_i U(adjusted_i)`` for a
+nondecreasing convex U.  Two evaluators estimate it, and claims compared
+within one call share the sampled scores (common random numbers), which
+makes small utility gaps resolvable at desk-scale trial counts.
 
-The all-rankings sweep has its own evaluator.  Under a full ranking every
-segment of the claimed order is a set of items, so one table of the 2^n - 1
-subset means per chunk of ``_SWEEP_CHUNK`` trials gives the descending fit
-of all n! rankings by running max and min over its rows, with nothing
-permuted or projected.  Each ranking's utilities are folded into running
-moments before the next, so memory grows with trials * n, not trials * n!.
-Every other driver, coarse claims included, projects with
-``project_descending_batch``.
+``utility_trials`` is the per-trial evaluator: it returns every trial's
+utility of every claim it is given.  Each trial's scores are put in the
+claimed order (within a block, by ``isotonic._block_order``) and projected
+with ``project_descending_batch``.
+
+``rank_all_utilities``, the all-rankings sweep, has its own evaluator.
+Under a full ranking every segment of the claimed order is a set of items,
+so one table of the 2^n - 1 subset means per chunk of ``_SWEEP_CHUNK``
+trials gives the descending fit of all n! rankings by running max and min
+over its rows, with nothing permuted or projected.  Each ranking's
+utilities are folded into running moments before the next, so memory grows
+with trials * n, not trials * n!.
 """
 
 from __future__ import annotations
@@ -39,16 +43,14 @@ import numpy as np
 
 from .errors import InvalidParameterError, ValidationError
 from .expfam import Family
-from .isotonic import CoarseRanking, Ranking, project_descending_batch
+from .isotonic import CoarseRanking, Ranking, _block_order, project_descending_batch
 
 __all__ = [
     "UtilityFn",
     "UtilityEstimate",
     "sample_scores",
     "simulate_scores",
-    "realized_utility",
     "utility_trials",
-    "expected_utility",
     "rank_all_utilities",
 ]
 
@@ -220,43 +222,24 @@ class UtilityEstimate:
     seed: int
 
 
-def _estimate(samples: np.ndarray, seed: int) -> UtilityEstimate:
-    mean, se = _mean_se(samples)
-    return UtilityEstimate(mean=mean, std_error=se, trials=samples.size, seed=seed)
-
-
-def realized_utility(mu_hat, utility: UtilityFn) -> float:
-    """sum_i U(mu_hat_i) for one adjusted score vector."""
-    v = np.asarray(mu_hat, dtype=float)
-    if v.size and not np.all(np.isfinite(v)):
-        raise ValidationError("adjusted scores must be finite")
-    return float(np.sum(utility(v)))
-
-
 Claim = Union[Ranking, CoarseRanking, Sequence[int]]
 
 
 def _claimed_order(scores: np.ndarray, claim: Claim) -> np.ndarray:
     """Columns of ``scores`` in the order ``claim`` asserts, best first.
 
-    A full ranking is a coarse ranking of singletons.  Within a longer block
-    the claimed order follows that trial's scores (descending), which
-    reduces the block constraint to a trial-specific full ranking.
+    Within a block of a coarse ranking the claimed order follows that
+    trial's scores, by ``_block_order``, which reduces the block constraint
+    to a trial-specific full ranking.  A full ranking is gathered as it is.
     """
-    if isinstance(claim, CoarseRanking):
-        blocks = claim.blocks
-    else:
-        blocks = [(i,) for i in (claim if isinstance(claim, Ranking) else Ranking(claim))]
-    if sum(map(len, blocks)) != scores.shape[1]:
+    coarse = isinstance(claim, CoarseRanking)
+    if not coarse and not isinstance(claim, Ranking):
+        claim = Ranking(claim)
+    if (claim.n if coarse else len(claim)) != scores.shape[1]:
         raise ValidationError("ranking length must match mu_star")
-    ordered = scores[:, np.concatenate(blocks) - 1]
-    start = 0
-    for block in blocks:
-        stop = start + len(block)
-        if len(block) > 1:
-            ordered[:, start:stop] = np.sort(ordered[:, start:stop], axis=1)[:, ::-1]
-        start = stop
-    return ordered
+    if coarse:
+        return np.take_along_axis(scores, _block_order(claim.blocks, scores), axis=1)
+    return scores[:, claim.as_indices()]
 
 
 def _trial_utilities(scores: np.ndarray, claim: Claim, utility: UtilityFn) -> np.ndarray:
@@ -295,20 +278,6 @@ def utility_trials(
     for k, claim in enumerate(rankings):
         out[:, k] = _trial_utilities(scores, claim, utility)
     return out
-
-
-def expected_utility(
-    family: Family,
-    mu_star: Sequence[float],
-    ranking: Claim,
-    utility: UtilityFn,
-    scores_per_item: int = 3,
-    trials: int = 100_000,
-    seed: int = 0,
-) -> UtilityEstimate:
-    """Monte-Carlo expected utility of reporting ``ranking`` (full or coarse)."""
-    scores = simulate_scores(family, mu_star, scores_per_item, trials, seed)
-    return _estimate(_trial_utilities(scores, ranking, utility), seed)
 
 
 def _check_sweep_budget(n: int, trials: int) -> None:
@@ -415,7 +384,7 @@ def rank_all_utilities(
     trials x n! matrix is held.  The estimates match projecting each ranking
     with ``project_descending_batch`` up to rounding.  Sweeps over 2^23
     table rows (n! * n^2 per chunk) are refused before sampling; call
-    ``expected_utility`` on rankings of interest instead.  A utility that
+    ``utility_trials`` on rankings of interest instead.  A utility that
     overflows on the scores raises ``InvalidParameterError``.
     ``max_workers`` threads draw the scores; the estimates do not depend on it.
     """

@@ -10,7 +10,8 @@ row-by-row table writer, which the template writer must match byte for byte.
 ``reference_lower_bound`` is the lower-bound construction as it was built
 elementwise over every (codeword, coordinate) pair and checked with full
 size x size Gram matrices; the gathered construction and tiled verifier must
-match it exactly.
+match it exactly.  ``all_coarse_rankings`` lists the coarse claims that the
+truthfulness tests compare.
 """
 
 from __future__ import annotations
@@ -24,7 +25,15 @@ from collections import defaultdict
 import numpy as np
 from scipy.integrate import quad
 
-from isomech import Binomial, Gamma, Gaussian, Poisson, Ranking, isotonic_mechanism
+from isomech import (
+    Binomial,
+    CoarseRanking,
+    Gamma,
+    Gaussian,
+    Poisson,
+    Ranking,
+    isotonic_mechanism,
+)
 from isomech.experiments import SurrogateReport, SurrogateRow
 from isomech.expfam import verify_variance_assumption
 
@@ -42,6 +51,21 @@ def compositions(n: int):
                 run += 1
         sizes.append(run)
         yield tuple(sizes)
+
+
+def all_coarse_rankings(n: int, sizes):
+    """Every ordered partition of {1..n} into blocks of the given sizes."""
+    assert sum(sizes) == n, "block sizes must sum to n"
+
+    def rec(remaining: frozenset[int], level: int):
+        if level == len(sizes):
+            yield ()
+            return
+        for combo in itertools.combinations(sorted(remaining), sizes[level]):
+            for rest in rec(remaining - set(combo), level + 1):
+                yield (combo,) + rest
+
+    return [CoarseRanking(blocks) for blocks in rec(frozenset(range(1, n + 1)), 0)]
 
 
 def brute_force_project_descending(x) -> np.ndarray:

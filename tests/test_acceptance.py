@@ -41,6 +41,7 @@ from helpers import (
     ALL_FAMILIES,
     MU_WINDOWS,
     THETA_WINDOWS,
+    all_coarse_rankings,
     batch_oracle_project,
     finite_difference_mean_slope,
     kl_oracle,
@@ -131,7 +132,7 @@ def test_criterion_04_truthfulness_property_suite():
                     family, mu, rankings, UtilityFn.relu_square(),
                     scores_per_item=3, trials=trials, seed=seed,
                 )
-                truthful = rankings.index(Ranking.identity(n))
+                truthful = rankings.index(Ranking(range(1, n + 1)))
                 for k in range(len(rankings)):
                     if k == truthful:
                         continue
@@ -140,9 +141,9 @@ def test_criterion_04_truthfulness_property_suite():
                     assert gap.mean() >= -3 * se, (name, n, rankings[k].perm)
 
                 sizes = COARSE_SIZES[n]
-                coarse_all = list(CoarseRanking.all_coarse_rankings(n, sizes))
+                coarse_all = all_coarse_rankings(n, sizes)
                 truthful_coarse = coarse_all.index(
-                    CoarseRanking.from_ranking(Ranking.identity(n), sizes)
+                    CoarseRanking(np.split(np.arange(1, n + 1), np.cumsum(sizes)[:-1]))
                 )
                 coarse_samples = utility_trials(
                     family, mu, coarse_all, UtilityFn.relu_square(),

@@ -592,12 +592,15 @@ MAJORIZATION = ["check-majorization", "a.csv", "b.csv"]
     (MAJORIZATION, "a.csv", "value\n", "a.csv: no data rows"),
     # one submission listed twice in an author row
     (ICML, "authors.csv", "author_id,submission_ids,ranking\nbob,b,1\nalice,a;a,1;2\n",
-     "authors.csv line 3: submission 'a' listed twice"),
+     "authors.csv line 3: author alice lists submission 'a' twice"),
     # an author row without submissions, and a confidence beyond int64
     (ICML, "authors.csv", "author_id,submission_ids,ranking\nalice,a,1\nbob,,\n",
      "authors.csv line 3: author bob lists no submissions"),
     (ICML, "reviews.csv", "submission_id,score,confidence\na,6,5\na,7,99999999999999999999\n",
      "reviews.csv line 3: confidence must be a 64-bit integer, got '99999999999999999999'"),
+    # an author row whose rank count differs from its submission count
+    (ICML, "authors.csv", "author_id,submission_ids,ranking\nalice,a;b,1\n",
+     "authors.csv line 2: author alice lists 2 submissions but 1 ranks"),
 ])
 def test_malformed_csv_names_file_and_line(workdir, capsys, argv, name, text, message):
     for path, content in {**VALID_INPUTS, name: text}.items():

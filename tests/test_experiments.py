@@ -555,13 +555,14 @@ def test_surrogate_refuses_non_finite_review_scores(bad):
 
 def test_surrogate_refuses_repeated_submission():
     reviews = reviews_for("a", [(6, 5), (7, 1)]) + reviews_for("b", [(4, 5), (5, 1)])
-    authors = [AuthorRecord("bob", ("b",), (1,)), AuthorRecord("alice", ("a", "b", "a"), (1, 2, 3))]
     with pytest.raises(ValidationError, match="alice lists submission 'a' twice"):
+        authors = [AuthorRecord("bob", ("b",), (1,)),
+                   AuthorRecord("alice", ("a", "b", "a"), (1, 2, 3))]
         surrogate_eval(table_of(reviews), authors, seed=0)
 
 
 def test_surrogate_refuses_author_without_submissions():
     reviews = reviews_for("a", [(6, 5), (7, 1)])
-    authors = [AuthorRecord("alice", ("a",), (1,)), AuthorRecord("bob", (), ())]
     with pytest.raises(ValidationError, match="bob lists no submissions"):
+        authors = [AuthorRecord("alice", ("a",), (1,)), AuthorRecord("bob", (), ())]
         surrogate_eval(table_of(reviews), authors, seed=0)

@@ -16,23 +16,14 @@ from isomech.mechanism import (
     _Moments,
     _subset_means,
     _trial_utilities,
-    expected_utility,
     rank_all_utilities,
-    realized_utility,
     sample_scores,
     simulate_scores,
     utility_trials,
 )
 from isomech.order import is_upward_swap
 
-from helpers import brute_force_project_descending
-
-
-def test_realized_utility_examples():
-    assert realized_utility([1, 2], UtilityFn.identity()) == 3
-    assert realized_utility([-1, 2], UtilityFn.relu_square()) == 4
-    assert realized_utility([0, 0, 0], UtilityFn.relu_square()) == 0
-    assert realized_utility([0, 0, 0], UtilityFn.hinge(0.0)) == 0
+from helpers import all_coarse_rankings, brute_force_project_descending
 
 
 def test_utility_kinds_are_nondecreasing_and_convex():
@@ -61,48 +52,44 @@ def test_utility_parsing_and_validation():
 
 def test_zero_variance_proxy_recovers_noiseless_utility():
     mu = [4.0, 3.0, 2.0, 1.0]
-    est = expected_utility(
-        Gaussian(1e-12), mu, Ranking([1, 2, 3, 4]), UtilityFn.relu_square(),
+    samples = utility_trials(
+        Gaussian(1e-12), mu, [Ranking([1, 2, 3, 4])], UtilityFn.relu_square(),
         scores_per_item=3, trials=200, seed=1,
     )
-    assert est.mean == pytest.approx(sum(v**2 for v in mu), abs=1e-4)
+    mean, _ = _mean_se(samples[:, 0])
+    assert mean == pytest.approx(sum(v**2 for v in mu), abs=1e-4)
 
 
 def test_common_random_numbers_are_deterministic():
-    est1 = expected_utility(
-        Binomial(10), [8, 7, 6, 4], Ranking([2, 1, 3, 4]), UtilityFn.relu_square(),
-        trials=2000, seed=42,
-    )
-    est2 = expected_utility(
-        Binomial(10), [8, 7, 6, 4], Ranking([2, 1, 3, 4]), UtilityFn.relu_square(),
-        trials=2000, seed=42,
-    )
+    args = (Binomial(10), [8, 7, 6, 4], [Ranking([2, 1, 3, 4])], UtilityFn.relu_square())
+    first = utility_trials(*args, trials=2000, seed=42)
+    second = utility_trials(*args, trials=2000, seed=42)
+    assert first.shape == (2000, 1)
+    est1, est2 = _mean_se(first[:, 0]), _mean_se(second[:, 0])
     assert est1 == est2
-    assert est1.seed == 42 and est1.trials == 2000 and est1.std_error > 0
+    assert est1[1] > 0
 
 
 def test_singleton_blocks_match_full_ranking_exactly():
     perm = Ranking([3, 1, 4, 2])
-    full = expected_utility(
-        Poisson(), [8, 7, 6, 4], perm, UtilityFn.relu_square(), trials=3000, seed=9
-    )
-    coarse = expected_utility(
-        Poisson(), [8, 7, 6, 4], CoarseRanking.singletons(perm),
-        UtilityFn.relu_square(), trials=3000, seed=9,
-    )
-    assert full == coarse
+    args = (Poisson(), [8, 7, 6, 4])
+    full = utility_trials(*args, [perm], UtilityFn.relu_square(), trials=3000, seed=9)
+    coarse = utility_trials(*args, [CoarseRanking((i,) for i in perm)], UtilityFn.relu_square(),
+                            trials=3000, seed=9)
+    assert _mean_se(full[:, 0]) == _mean_se(coarse[:, 0])
 
 
 def test_single_block_is_unconstrained():
     mu = [8.0, 7.0, 6.0, 4.0]
     seed, trials = 5, 4000
-    est = expected_utility(
-        Binomial(10), mu, CoarseRanking([(1, 2, 3, 4)]), UtilityFn.relu_square(),
+    samples = utility_trials(
+        Binomial(10), mu, [CoarseRanking([(1, 2, 3, 4)])], UtilityFn.relu_square(),
         trials=trials, seed=seed,
     )
+    mean, _ = _mean_se(samples[:, 0])
     scores = simulate_scores(Binomial(10), mu, 3, trials, seed)
     raw_utility = np.square(np.maximum(scores, 0)).sum(axis=1)
-    assert est.mean == pytest.approx(raw_utility.mean(), rel=1e-12)
+    assert mean == pytest.approx(raw_utility.mean(), rel=1e-12)
 
 
 def test_truthful_beats_alternatives_quick():
@@ -180,15 +167,15 @@ def test_sweep_budget_arithmetic():
 
 def test_mu_star_validation():
     with pytest.raises(InvalidParameterError):
-        expected_utility(
-            Binomial(10), [8, 11], Ranking([1, 2]), UtilityFn.identity(),
+        utility_trials(
+            Binomial(10), [8, 11], [Ranking([1, 2])], UtilityFn.identity(),
             trials=10, seed=0,
         )
 
 
 def test_coarse_truthful_best_over_fixed_sizes():
     mu = [8.0, 7.0, 6.0, 4.0]
-    coarse_rankings = list(CoarseRanking.all_coarse_rankings(4, (1, 3)))
+    coarse_rankings = all_coarse_rankings(4, (1, 3))
     assert len(coarse_rankings) == 4
     samples = utility_trials(
         Binomial(10), mu, coarse_rankings, UtilityFn.relu_square(),
@@ -226,12 +213,10 @@ def test_overflowing_utility_is_refused():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("call", [expected_utility, utility_trials])
-def test_overflowing_utility_is_refused_per_claim(call):
-    claim = Ranking([1, 2])
+def test_overflowing_utility_is_refused_per_claim():
     with pytest.raises(InvalidParameterError, match="exp:100.*smaller parameter"):
-        call(Binomial(10), [8, 7], claim if call is expected_utility else [claim],
-             UtilityFn.exponential(100), trials=50, seed=0)
+        utility_trials(Binomial(10), [8, 7], [Ranking([1, 2])],
+                       UtilityFn.exponential(100), trials=50, seed=0)
 
 
 def _table_fits(rows, ranking):

@@ -110,7 +110,7 @@ def test_chain_trivial_and_single_swap():
 
 def test_chain_sound_for_all_small_permutations():
     for n in range(1, 7):
-        identity = Ranking.identity(n)
+        identity = Ranking(range(1, n + 1))
         for perm in itertools.permutations(range(1, n + 1)):
             chain = upward_swap_chain(identity, Ranking(perm))
             assert chain[0].perm == identity.perm
