@@ -131,8 +131,27 @@ def _write_table(fh: TextIO, header: Sequence[str], columns: Sequence[Iterable[A
 
 
 def _write_json(fh: TextIO, payload: Any) -> None:
-    json.dump(payload, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    fh.write(_json_text(payload) + "\n")
+
+
+_json_encoder = functools.lru_cache(maxsize=None)(
+    lambda indent: json.JSONEncoder(sort_keys=True, separators=(",\n" + indent, ": ")).encode)
+
+
+def _json_text(obj: Any, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for str-keyed ``obj`` by the
+    C encoder, which CPython takes only without ``indent``: a container of no
+    containers is one call, with the newline and indent in its item separator."""
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj if isinstance(obj, (list, tuple)) else ()
+    inner, sep = indent + "  ", ",\n" + indent + "  "
+    if not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values))):
+        text = _json_encoder(inner)(obj)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}" if values else text
+    parts = ([f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
+             if is_dict else [_json_text(v, inner) for v in obj])
+    ends = "{}" if is_dict else "[]"
+    return f"{ends[0]}\n{inner}{sep.join(parts)}\n{indent}{ends[1]}"
 
 
 def _finish(command: str, params: dict[str, Any], header: Sequence[str],

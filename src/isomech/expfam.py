@@ -139,6 +139,8 @@ class Family(ABC):
     ``_support`` and ``_log_pdf`` (the log density on its support);
     ``_draw_average`` (the average of ``reps`` draws); ``_sigma_max`` (max of
     b'' over the bounds); ``_cert_window`` (where b'' >= c_var * sigma_max).
+    ``sample_rows``, the (trials, n) rows at shared means that the
+    Monte-Carlo core projects, may be overridden by a faster exact sampler.
     """
 
     kind: ClassVar[str]
@@ -211,6 +213,14 @@ class Family(ABC):
     def sample(self, theta, rng: np.random.Generator, size=None):
         """Draw variates at natural parameter ``theta``."""
         return self.sample_mean(self.mean(theta), rng, size)
+
+    def sample_rows(self, mu, rng: np.random.Generator, trials: int, reps: int = 1) -> np.ndarray:
+        """C-contiguous float64 (trials, n) ``sample_mean`` draws at the (n,)
+        means ``mu`` that every row shares.  Drawn item-major, so numpy sets a
+        sampler up once per item, not per draw, then copied to row-major."""
+        mu = np.asarray(mu, dtype=float)
+        block = self.sample_mean(mu[:, None], rng, (mu.size, trials), reps)
+        return np.ascontiguousarray(block.T)
 
     # -- ranges ----------------------------------------------------------
 
@@ -354,6 +364,7 @@ class Binomial(Family):
     param = _Param("m", "trials", int, required=True)
     c_int = 0.5
     c_var = 0.75
+    _MAX_INVERSION = 127  # int8 count limit; rng.binomial + copy wins from N ~ 135-150
 
     def __post_init__(self):
         if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
@@ -389,6 +400,23 @@ class Binomial(Family):
     def _draw_average(self, mu, rng, size, reps):
         # r draws of Binomial(m, p) sum to one Binomial(r m, p)
         return rng.binomial(reps * self.trials, mu / self.trials, size=size) / reps
+
+    def sample_rows(self, mu, rng, trials, reps=1):
+        # Inversion by sequential search (Devroye 1986, ch. III): a draw counts
+        # the thresholds F(0..N-1) of its item's CDF, N = reps * m, that u clears.
+        support = self._check_reps(reps) * self.trials
+        if support > self._MAX_INVERSION:
+            return super().sample_rows(mu, rng, trials, reps)
+        p = self.check_mean_hull(mu, "mean") / self.trials
+        k = np.arange(support)[:, None]
+        comb = np.array([math.comb(support, j) for j in range(support)], dtype=float)
+        cdf = np.cumsum(comb[:, None] * p**k * (1.0 - p) ** (support - k), axis=0)
+        u = rng.random((trials, p.size))
+        count = np.zeros(u.shape, np.int8)
+        for threshold in cdf:
+            count += u >= threshold  # >=, so p = 1 gives N even at u = 0.0
+        del u  # freed before the float64 result is made
+        return count / reps
 
     def mean_hull(self):
         return (0.0, float(self.trials))

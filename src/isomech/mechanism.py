@@ -6,8 +6,9 @@ RNG substream spawned from the seed, so a seed gives the same numbers with
 or without worker threads.  ``sample_scores`` is the one sampler: an
 observed score averages ``scores_per_item`` draws at its true mean, and it
 is drawn once, from the family's law of that average.  Means shared by
-every trial of a chunk (a 1-d vector) are drawn item-major in one call;
-means that vary by trial (a 2-d array) are drawn elementwise.
+every trial of a chunk (a 1-d vector) go to ``Family.sample_rows``, which
+returns the (trials, n) rows the projection reads; means that vary by trial
+(a 2-d array) are drawn elementwise.
 ``_mean_se`` reduces per-trial samples to a mean and standard error.
 
 An author with true scores ``mu_star`` reports a claim, a full ranking or
@@ -162,20 +163,15 @@ def _map_chunks(
 def sample_scores(
     family: Family, mu, scores_per_item: int, rng: np.random.Generator, trials: int
 ) -> np.ndarray:
-    """(trials, n) observed scores at true means ``mu``, one ``sample_mean``
-    draw per score; each score is the average of ``scores_per_item`` draws.
-
-    A 1-d ``mu`` holds every trial's means.  It is drawn item-major, as an
-    (n, trials) block: each item's mean stays put for ``trials`` consecutive
-    draws, so numpy sets a sampler up once per item, not once per draw.  The
-    block is returned as a row-major (trials, n) copy, which the batch
-    projection reads faster than a transposed view.  A 2-d ``mu`` gives each
-    of the ``trials`` rows its own means and is drawn elementwise.
+    """(trials, n) observed scores at true means ``mu``; each averages
+    ``scores_per_item`` draws and is drawn once, from the law of that average.
+    A 1-d ``mu``, shared by every trial, goes to ``family.sample_rows``: its
+    C-contiguous rows are what ``project_descending_batch`` reads.  A 2-d
+    ``mu`` gives each row its own means and is drawn by ``sample_mean``.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim == 1:
-        block = family.sample_mean(mu[:, None], rng, (mu.size, trials), scores_per_item)
-        return np.ascontiguousarray(block.T)
+        return family.sample_rows(mu, rng, trials, scores_per_item)
     if mu.ndim != 2 or mu.shape[0] != trials:
         raise ValidationError(f"expected (n,) or ({trials}, n) true means, got shape {mu.shape}")
     return family.sample_mean(mu, rng, reps=scores_per_item)

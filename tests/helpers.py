@@ -11,7 +11,8 @@ row-by-row table writer, which the template writer must match byte for byte.
 elementwise over every (codeword, coordinate) pair and checked with full
 size x size Gram matrices; the gathered construction and tiled verifier must
 match it exactly.  ``all_coarse_rankings`` lists the coarse claims that the
-truthfulness tests compare.
+truthfulness tests compare.  ``binomial_pmf``, ``sum_pmf`` and
+``chi_square_p`` are the goodness-of-fit oracle for the samplers.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from collections import defaultdict
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.stats import chisquare
 
 from isomech import (
     Binomial,
@@ -155,6 +157,30 @@ def kl_oracle(family, theta1: float, theta2: float) -> float:
         val, _ = quad(integrand, 0.0, np.inf, limit=400)
         return float(val)
     raise TypeError(f"no oracle for {family!r}")
+
+
+def binomial_pmf(m: int, p: float) -> np.ndarray:
+    """Binomial(m, p) pmf on 0, ..., m from the binomial coefficients."""
+    return np.array([math.comb(m, j) * p**j * (1 - p) ** (m - j) for j in range(m + 1)])
+
+
+def sum_pmf(pmf: np.ndarray, reps: int) -> np.ndarray:
+    """pmf of the sum of ``reps`` iid draws on 0, 1, ..., by repeated convolution."""
+    out = np.ones(1)
+    for _ in range(reps):
+        out = np.convolve(out, pmf)
+    return out
+
+
+def chi_square_p(counts: np.ndarray, pmf: np.ndarray) -> float:
+    """Pearson chi-square p-value of counts on 0, 1, ... against ``pmf``; cells
+    expected below 5 are pooled into one, with the mass ``pmf`` leaves out."""
+    total = counts.sum()
+    expected = total * pmf
+    keep = expected >= 5
+    observed = np.append(counts[: pmf.size][keep], total - counts[: pmf.size][keep].sum())
+    expected = np.append(expected[keep], total - expected[keep].sum())
+    return float(chisquare(observed, expected).pvalue)
 
 
 def majorizing_pair(rng: np.random.Generator, n: int):

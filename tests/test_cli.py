@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isomech
-from isomech.cli import main
+from isomech.cli import _json_text, main
 
 
 def write(path, text):
@@ -502,7 +504,12 @@ def test_cli_runs_load_no_scipy(workdir):
         " '--trials', '600', '--out', 'utilities.csv']) == 0\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "print(loaded)\n"
+        "import numpy as np\n"
         "from isomech.expfam import Binomial\n"
+        "from isomech.mechanism import sample_scores\n"
+        "for reps in (1, 3):\n"
+        "    sample_scores(Binomial(10), [0.0, 2.5, 10.0], reps, np.random.default_rng(reps), 64)\n"
+        "assert not [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "print(abs(Binomial(2).log_density(0.0, 1) / math.log(0.5) - 1.0) <= 1e-12)\n"
     )
     src = str(Path(isomech.__file__).resolve().parents[1])
@@ -511,6 +518,29 @@ def test_cli_runs_load_no_scipy(workdir):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-2:] == ["[]", "True"]
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_is_the_indented_sorted_dump(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_text_writes_a_sidecar_shape_byte_for_byte():
+    payload = {"command": "icml", "outputs": ["t.csv"], "version": "0.1.0",
+               "params": {"seed": 5, "skipped": {}, "empty": [], "nan": float("nan"),
+                          "tie_breaks": {f"s{k:05d}": k % 5 for k in range(2000)},
+                          "rows": [{"x": 1.5, "y": None}, {"n\u00e9": [1, [2, {}]]}]}}
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 VALID_INPUTS = {

@@ -1,10 +1,10 @@
 import inspect
 import json
 import math
+import types
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
 
 from isomech import (
     AssumptionViolatedError,
@@ -27,8 +27,11 @@ from helpers import (
     ALL_FAMILIES,
     MU_WINDOWS,
     THETA_WINDOWS,
+    binomial_pmf,
+    chi_square_p,
     finite_difference_mean_slope,
     kl_oracle,
+    sum_pmf,
 )
 
 
@@ -182,25 +185,6 @@ def test_boundary_means_reject_and_sentinel():
     assert b.sample_mean(10.0, np.random.default_rng(0), size=5).tolist() == [10] * 5
 
 
-def _sum_pmf(pmf: np.ndarray, reps: int) -> np.ndarray:
-    """pmf of the sum of ``reps`` iid draws on 0, 1, ..., by repeated convolution."""
-    out = np.ones(1)
-    for _ in range(reps):
-        out = np.convolve(out, pmf)
-    return out
-
-
-def _chi_square_p(counts: np.ndarray, pmf: np.ndarray) -> float:
-    """Pearson chi-square p-value of counts on 0, 1, ... against ``pmf``; cells
-    expected below 5 are pooled into one, with the mass ``pmf`` leaves out."""
-    total = counts.sum()
-    expected = total * pmf
-    keep = expected >= 5
-    observed = np.append(counts[: pmf.size][keep], total - counts[: pmf.size][keep].sum())
-    expected = np.append(expected[keep], total - expected[keep].sum())
-    return float(chisquare(observed, expected).pvalue)
-
-
 @pytest.mark.parametrize("family, mu, seed", [
     (Binomial(10), 6.2, 2401),
     (Poisson(), 2.5, 2402),
@@ -212,13 +196,42 @@ def test_average_of_reps_matches_the_convolved_pmf(family, mu, seed):
     assert np.all(np.abs(averages * reps - sums) < 1e-9)  # averages sit on the 1/reps lattice
     k = np.arange(61)
     if isinstance(family, Binomial):
-        one = np.array([math.comb(10, j) * (mu / 10) ** j * (1 - mu / 10) ** (10 - j)
-                        for j in range(11)])
+        one = binomial_pmf(10, mu / 10)
     else:
         one = np.array([math.exp(-mu) * mu**j / math.factorial(j) for j in k])
-    pmf = _sum_pmf(one, reps)[: k.size]
+    pmf = sum_pmf(one, reps)[: k.size]
     counts = np.bincount(sums.astype(int), minlength=pmf.size)
-    assert _chi_square_p(counts, pmf) > 1e-3
+    assert chi_square_p(counts, pmf) > 1e-3
+
+
+# p = 0.005, 0.49 and 0.995; 4,000 rows leave a pooled tail cell at every p
+@pytest.mark.parametrize("reps, seed", [(1, 2411), (3, 2413)])
+def test_sample_rows_match_the_exact_pmf_item_by_item(reps, seed):
+    family, trials, mu = Binomial(10), 4000, np.array([0.05, 4.9, 9.95])
+    rows = family.sample_rows(mu, np.random.default_rng(seed), trials, reps)
+    for item, mean in enumerate(mu):
+        pmf = sum_pmf(binomial_pmf(10, mean / 10), reps)
+        counts = np.bincount(np.rint(rows[:, item] * reps).astype(int), minlength=pmf.size)
+        assert chi_square_p(counts, pmf) > 1e-3
+
+
+@pytest.mark.parametrize("reps", [1, 3, 12])
+def test_sample_rows_layout_and_lattice(reps):
+    mu = np.linspace(10.0, 0.0, 41)  # a ramp with both ends of the hull
+    rows = Binomial(10).sample_rows(mu, np.random.default_rng(2420 + reps), 300, reps)
+    assert rows.shape == (300, 41) and rows.dtype == np.float64 and rows.flags.c_contiguous
+    assert rows.min() >= 0.0 and rows.max() <= 10.0
+    np.testing.assert_array_equal(rows * reps, np.rint(rows * reps))
+    assert np.all(rows[:, 0] == 10.0) and np.all(rows[:, -1] == 0.0)
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+def test_sample_rows_are_exact_at_the_hull_ends_for_extreme_uniforms(reps):
+    # u = 0.0 and the largest u below 1 still give N at p = 1 and 0 at p = 0
+    for u in (0.0, np.nextafter(1.0, 0.0)):
+        fixed = types.SimpleNamespace(random=lambda shape, u=u: np.full(shape, u))
+        rows = Binomial(10).sample_rows([10.0, 0.0], fixed, 4, reps)
+        assert rows.tolist() == [[10.0, 0.0]] * 4
 
 
 @pytest.mark.parametrize("reps", [0, -1, 1.5, "3"])

@@ -23,7 +23,13 @@ from isomech.mechanism import (
 )
 from isomech.order import is_upward_swap
 
-from helpers import all_coarse_rankings, brute_force_project_descending
+from helpers import (
+    all_coarse_rankings,
+    binomial_pmf,
+    brute_force_project_descending,
+    chi_square_p,
+    sum_pmf,
+)
 
 
 def test_utility_kinds_are_nondecreasing_and_convex():
@@ -150,6 +156,25 @@ def test_sample_scores_shapes():
     for mu in (np.full((7, 3), 2.0), np.full((5, 3, 1), 2.0)):
         with pytest.raises(ValidationError, match=r"expected \(n,\) or \(5, n\) true means"):
             sample_scores(Poisson(), mu, 3, rng, 5)
+
+
+def test_items_drawn_in_one_chunk_are_uncorrelated():
+    trials = 100_000
+    scores = sample_scores(Binomial(10), [8.0, 5.0, 5.0, 2.0], 3, np.random.default_rng(2430), trials)
+    corr = np.corrcoef(scores, rowvar=False)
+    off_diagonal = corr[~np.eye(4, dtype=bool)]
+    assert np.all(np.abs(off_diagonal) < 4.0 / math.sqrt(trials))
+
+
+def test_support_above_the_inversion_cutoff_falls_back_and_fits_the_pmf():
+    reps, mu = 13, np.array([0.05, 4.9, 9.95])
+    assert reps * 10 > Binomial._MAX_INVERSION  # drawn by rng.binomial
+    scores = sample_scores(Binomial(10), mu, reps, np.random.default_rng(2431), 4000)
+    assert scores.shape == (4000, 3) and scores.flags.c_contiguous
+    for item, mean in enumerate(mu):
+        pmf = sum_pmf(binomial_pmf(10, mean / 10), reps)
+        counts = np.bincount(np.rint(scores[:, item] * reps).astype(int), minlength=pmf.size)
+        assert chi_square_p(counts, pmf) > 1e-3
 
 
 def test_sweep_budget_arithmetic():
