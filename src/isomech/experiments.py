@@ -52,7 +52,7 @@ from .expfam import (
     VarianceCertificate,
     verify_variance_assumption,
 )
-from .isotonic import pava_descending_rows, project_descending_batch
+from .isotonic import _block_rows, pava_descending_rows, project_descending_batch
 from .mechanism import _map_chunks, _mean_se, sample_scores
 
 __all__ = [
@@ -170,7 +170,9 @@ def _mse_samples(
     The generator gives one (n,) mean vector for every trial or a (count, n)
     array of them.  Items are exchangeable given their means, so sampling at
     the means sorted descending is the same as sampling and then sorting by
-    the true order.
+    the true order.  Each chunk's scores are projected and reduced a block of
+    ``isotonic._block_rows(n)`` rows at a time, so the only (count, n) array
+    a chunk holds is its scores.
     """
 
     def one_chunk(count, rng):
@@ -178,13 +180,18 @@ def _mse_samples(
         family.check_mean_hull(mu, "true score")
         mu = np.sort(mu, axis=-1)[..., ::-1]
         x = sample_scores(family, mu, scores_per_item, rng, count)
-        fitted = project_descending_batch(x)
-        # both arrays belong to this chunk, so the residuals overwrite them
-        fitted -= mu
-        np.square(fitted, out=fitted)
-        x -= mu
-        np.square(x, out=x)
-        return fitted.sum(axis=1) / n, x.sum(axis=1) / n
+        im, raw = np.empty(count), np.empty(count)
+        step = _block_rows(n)
+        for lo in range(0, count, step):
+            block = slice(lo, lo + step)
+            xb, mb = x[block], mu if mu.ndim == 1 else mu[block]
+            fitted = project_descending_batch(xb)
+            # both arrays belong to this chunk, so the residuals overwrite them
+            fitted -= mb
+            im[block] = np.square(fitted, out=fitted).sum(axis=1)
+            xb -= mb
+            raw[block] = np.square(xb, out=xb).sum(axis=1)
+        return im / n, raw / n
 
     parts = _map_chunks(one_chunk, trials, seed_seq, max_workers)
     return (

@@ -38,6 +38,7 @@ from typing import Any, ClassVar, NamedTuple
 import numpy as np
 
 from .errors import AssumptionViolatedError, InvalidParameterError, ValidationError
+from .isotonic import _block_rows
 
 __all__ = [
     "Family",
@@ -402,8 +403,11 @@ class Binomial(Family):
         return rng.binomial(reps * self.trials, mu / self.trials, size=size) / reps
 
     def sample_rows(self, mu, rng, trials, reps=1):
-        # Inversion by sequential search (Devroye 1986, ch. III): a draw counts
-        # the thresholds F(0..N-1) of its item's CDF, N = reps * m, that u clears.
+        """Inversion by sequential search (Devroye 1986, ch. III): a draw
+        counts the thresholds F(0..N-1) of its item's CDF, N = reps * m, that
+        its uniform clears.  The rows are drawn and counted a block of
+        ``isotonic._block_rows(n)`` rows at a time, straight into the output;
+        the uniforms are those of one ``rng.random((trials, n))`` call."""
         support = self._check_reps(reps) * self.trials
         if support > self._MAX_INVERSION:
             return super().sample_rows(mu, rng, trials, reps)
@@ -411,12 +415,15 @@ class Binomial(Family):
         k = np.arange(support)[:, None]
         comb = np.array([math.comb(support, j) for j in range(support)], dtype=float)
         cdf = np.cumsum(comb[:, None] * p**k * (1.0 - p) ** (support - k), axis=0)
-        u = rng.random((trials, p.size))
-        count = np.zeros(u.shape, np.int8)
-        for threshold in cdf:
-            count += u >= threshold  # >=, so p = 1 gives N even at u = 0.0
-        del u  # freed before the float64 result is made
-        return count / reps
+        out = np.empty((trials, p.size))
+        step = _block_rows(p.size)
+        for lo in range(0, trials, step):
+            u = rng.random((min(step, trials - lo), p.size))
+            count = np.zeros(u.shape, np.int8)
+            for threshold in cdf:
+                count += u >= threshold  # >=, so p = 1 gives N even at u = 0.0
+            np.divide(count, reps, out=out[lo : lo + step])
+        return out
 
     def mean_hull(self):
         return (0.0, float(self.trials))

@@ -11,7 +11,10 @@ descending cone ``x[0] >= x[1] >= ... >= x[n-1]``.  Two kernels compute it:
     matrix in lockstep, bit for bit, for the review table's thousands of
     short rows.
   * ``project_descending_batch`` fits the (trials, n) matrices of the
-    Monte-Carlo drivers, up to 512 rows per call of scipy's compiled PAVA.
+    Monte-Carlo drivers, one row block per call of scipy's compiled PAVA.
+    ``_block_rows`` sizes those blocks to about ``_BLOCK_ELEMENTS`` values;
+    the Binomial sampler and ``experiments._mse_samples`` walk the same
+    blocks, so a (trials, n) pass keeps its temporaries in cache.
 
 The all-rankings sweep (``mechanism.rank_all_utilities``) needs neither: it
 reads the fits of all n! full rankings off one table of subset means per
@@ -42,12 +45,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .expfam import Family
+
+if TYPE_CHECKING:  # expfam imports this module for ``_block_rows``
+    from .expfam import Family
 
 __all__ = [
     "Ranking",
@@ -305,22 +310,36 @@ def ranking_constrained_mle(family: Family, x, ranking: Ranking) -> IsotonicFit:
 # Batched projection for Monte-Carlo loops
 # ---------------------------------------------------------------------------
 
-_BATCH_ROWS = 512  # rows per compiled call; row offsets grow with this
+# Rows per compiled call at most: row r of a call is offset by -3r, so the
+# pool-deciding copy resolves less of a row's span the more rows a call takes.
+_BATCH_ROWS = 512
+
+# float64 values per row block of a Monte-Carlo (trials, n) pass: 512 KiB,
+# so a block and its temporaries stay in a 2 MiB L2 cache.  Rows shorter
+# than _BLOCK_ELEMENTS / _BATCH_ROWS = 128 take _BATCH_ROWS rows per block.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of a (trials, n) pass: ``_BLOCK_ELEMENTS // n``, at
+    least one row and at most ``_BATCH_ROWS``."""
+    return min(_BATCH_ROWS, max(1, _BLOCK_ELEMENTS // n))
 
 
 def _project_chunk(rows: np.ndarray, isotonic_regression, first_row: int) -> np.ndarray:
-    """Descending projection of each row by one call of scipy's PAVA.
+    """Descending projection of a block of rows by one call of scipy's PAVA.
 
     Rows are shifted to their max, scaled by a power of two (exact) into
-    (-1, 0] and offset by -3r for row r, so no pool spans two rows.  That
-    copy only decides the pools; means come from the original values,
-    anchored at each pool's first value so that equal values stay exact.
-    The copy resolves about 2^-42 of a row's span.  Closer values may tie
-    there, which shows as a pool mean above the previous one (lowered to
-    it) or as a pool that is a nonincreasing, nonconstant run (its row is
-    refitted by ``pava_descending``).  So every row returned is
-    nonincreasing and the fit is exactly idempotent.  A span or pooled sum
-    that overflows raises ``ValidationError``; rows count from ``first_row``.
+    (-1, 0] and offset by -3r for row r of the block, so no pool spans two
+    rows.  That copy only decides the pools; means come from the original
+    values, anchored at each pool's first value so that equal values stay
+    exact.  The copy resolves about 2^-42 of a row's span.  Closer values
+    may tie there, which shows as a pool mean above the previous one
+    (lowered to it) or as a pool that is a nonincreasing, nonconstant run;
+    each row holding such a pool is refitted, once, by ``pava_descending``.
+    So every row returned is nonincreasing and the fit is exactly
+    idempotent.  A span or pooled sum that overflows raises
+    ``ValidationError``; rows count from ``first_row``.
     """
     t, n = rows.shape
     # numpy reduces along short rows one row at a time; a transposed copy
@@ -352,10 +371,10 @@ def _project_chunk(rows: np.ndarray, isotonic_regression, first_row: int) -> np.
         means[1:][rising] = means[:-1][rising]
         rising = (means[1:] > means[:-1]) & same_row
     out = np.repeat(means, lens).reshape(t, n)
-    for p in np.flatnonzero(excess < 0):
-        pool = y[starts[p] : starts[p] + lens[p]]
-        if pool.max() == pool[0]:
-            out[row[p]], _ = pava_descending(rows[row[p]])
+    runs = {int(row[p]) for p in np.flatnonzero(excess < 0)
+            if y[starts[p] : starts[p] + lens[p]].max() == y[starts[p]]}
+    for r in runs:
+        out[r], _ = pava_descending(rows[r])
     return out
 
 
@@ -363,9 +382,10 @@ def project_descending_batch(rows) -> np.ndarray:
     """Row-wise descending projection of a (trials, n) matrix.
 
     Matches ``pava_descending`` on every row up to rounding; used by the
-    Monte-Carlo drivers.  Rows go to scipy's compiled PAVA in chunks of
-    ``_BATCH_ROWS``.  Rows whose span or pooled sums overflow float64 raise
-    ``ValidationError``, as ``pava_descending`` does.
+    Monte-Carlo drivers.  Rows go to scipy's compiled PAVA in blocks of
+    ``_block_rows(n)``: about ``_BLOCK_ELEMENTS`` values, at most
+    ``_BATCH_ROWS`` rows.  Rows whose span or pooled sums overflow float64
+    raise ``ValidationError``, as ``pava_descending`` does.
     """
     arr = np.asarray(rows, dtype=float)
     if arr.ndim != 2:
@@ -380,6 +400,7 @@ def project_descending_batch(rows) -> np.ndarray:
     from scipy.optimize import isotonic_regression
 
     out = np.empty_like(arr)
-    for lo in range(0, t, _BATCH_ROWS):
-        out[lo : lo + _BATCH_ROWS] = _project_chunk(arr[lo : lo + _BATCH_ROWS], isotonic_regression, lo)
+    step = _block_rows(n)
+    for lo in range(0, t, step):
+        out[lo : lo + step] = _project_chunk(arr[lo : lo + step], isotonic_regression, lo)
     return out

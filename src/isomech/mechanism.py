@@ -143,8 +143,11 @@ def _map_chunks(
     """``fn(count, rng)`` on each chunk of ``trials``, results in chunk order.
 
     Each chunk's rng is its own substream of ``seed_seq``, so the results do
-    not depend on ``max_workers``.
+    not depend on ``max_workers``.  Fewer than one trial raises
+    ``ValidationError``.
     """
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
     sizes = [_CHUNK] * (trials // _CHUNK)
     if trials % _CHUNK:
         sizes.append(trials % _CHUNK)

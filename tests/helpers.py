@@ -12,7 +12,10 @@ elementwise over every (codeword, coordinate) pair and checked with full
 size x size Gram matrices; the gathered construction and tiled verifier must
 match it exactly.  ``all_coarse_rankings`` lists the coarse claims that the
 truthfulness tests compare.  ``binomial_pmf``, ``sum_pmf`` and
-``chi_square_p`` are the goodness-of-fit oracle for the samplers.
+``chi_square_p`` are the goodness-of-fit oracle for the samplers;
+``binomial_rows_by_inversion`` is whole-array inversion from one uniform
+draw, which the blocked Binomial sampler must equal bit for bit.
+``traced_peak`` measures what a call allocates, by ``tracemalloc``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import csv
 import io
 import itertools
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -170,6 +174,28 @@ def sum_pmf(pmf: np.ndarray, reps: int) -> np.ndarray:
     for _ in range(reps):
         out = np.convolve(out, pmf)
     return out
+
+
+def binomial_rows_by_inversion(m: int, reps: int, mu, rng: np.random.Generator,
+                               trials: int) -> np.ndarray:
+    """(trials, n) averages of ``reps`` Binomial(m) draws at the means ``mu``,
+    all from one ``rng.random((trials, n))`` call: a draw counts the values
+    F(0), ..., F(N - 1) of its item's CDF, N = reps * m, that its uniform
+    clears.  The CDF is the running sum of the convolved pmf."""
+    cdf = np.stack([np.cumsum(sum_pmf(binomial_pmf(m, q / m), reps))[: m * reps] for q in mu])
+    u = rng.random((trials, len(mu)))
+    return (u[:, :, None] >= cdf).sum(axis=2) / reps
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes ``tracemalloc`` traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def chi_square_p(counts: np.ndarray, pmf: np.ndarray) -> float:

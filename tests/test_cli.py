@@ -441,6 +441,16 @@ def test_minimax_construction_n_zero_exits_2(workdir, capsys):
     assert not (workdir / "rate.csv").exists() and not (workdir / "rate.csv.meta.json").exists()
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("argv", [MINIMAX_ARGS + ["--v-min", "0"],
+                                  ["synthetic", "pool.csv", "--n-grid", "2"]])
+def test_trials_below_one_exit_2(workdir, capsys, argv, trials):
+    write(workdir / "pool.csv", "score\n5\n6\n")
+    assert main(argv + ["--trials", trials]) == 2
+    assert capsys.readouterr().err == f"error: trials must be >= 1, got {trials}\n"
+    assert [p.name for p in workdir.iterdir()] == ["pool.csv"]  # no output, no sidecar
+
+
 def test_minimax_budget_guard_names_c(workdir, capsys):
     argv = ["minimax", "--family", "binomial:10", "--v-min", "0", "--v-max", "10",
             "--n-grid", "8,16", "--trials", "4", "--construction-n", "512"]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_lower_bound, reference_surrogate_eval
+from helpers import reference_lower_bound, reference_surrogate_eval, traced_peak
 from isomech import (
     Binomial,
     ConstructionFailedError,
@@ -30,6 +30,7 @@ from isomech.experiments import (
     LinearRamp,
     PoolResample,
     ReviewTable,
+    _mse_samples,
     _pack_codewords,
     build_lower_bound,
     estimation_error_curve,
@@ -118,6 +119,15 @@ def test_rate_check_slope_near_cube_root():
     assert 0.18 <= report.slope <= 0.48
     risks = [p.risk for p in report.points]
     assert all(a < b for a, b in zip(risks, risks[1:]))  # total risk grows
+
+
+def test_mse_chunk_holds_only_its_scores():
+    family, ramp = Binomial(10), LinearRamp(hi=10.0, lo=0.0)
+    _mse_samples(family, ramp, 64, 1, 4, np.random.SeedSequence(0))  # imports scipy.optimize
+    scores = 500 * 4096 * 8  # one 500-trial chunk of (500, 4096) float64 scores
+    (im, raw), peak = traced_peak(_mse_samples, family, ramp, 4096, 1, 500, np.random.SeedSequence(5))
+    assert im.shape == raw.shape == (500,) and np.all(im < raw)
+    assert peak <= scores + (8 << 20), peak - scores
 
 
 def test_rate_check_degenerate_grid_errors():

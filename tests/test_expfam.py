@@ -22,16 +22,19 @@ from isomech import (
     verify_variance_assumption,
 )
 from isomech.expfam import _FAMILIES, Family, check_variance_floor
+from isomech.isotonic import _block_rows
 
 from helpers import (
     ALL_FAMILIES,
     MU_WINDOWS,
     THETA_WINDOWS,
     binomial_pmf,
+    binomial_rows_by_inversion,
     chi_square_p,
     finite_difference_mean_slope,
     kl_oracle,
     sum_pmf,
+    traced_peak,
 )
 
 
@@ -232,6 +235,23 @@ def test_sample_rows_are_exact_at_the_hull_ends_for_extreme_uniforms(reps):
         fixed = types.SimpleNamespace(random=lambda shape, u=u: np.full(shape, u))
         rows = Binomial(10).sample_rows([10.0, 0.0], fixed, 4, reps)
         assert rows.tolist() == [[10.0, 0.0]] * 4
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+def test_sample_rows_blocks_equal_one_whole_array_inversion(reps):
+    n, trials = 3000, 50
+    step = _block_rows(n)
+    assert trials > 2 * step and trials % step  # several blocks and a partial last one
+    mu = np.linspace(10.0, 0.0, n)
+    rows = Binomial(10).sample_rows(mu, np.random.default_rng(2430 + reps), trials, reps)
+    want = binomial_rows_by_inversion(10, reps, mu, np.random.default_rng(2430 + reps), trials)
+    np.testing.assert_array_equal(rows, want)
+
+
+def test_sample_rows_hold_no_full_size_temporary():
+    mu = np.linspace(10.0, 0.0, 4096)
+    rows, peak = traced_peak(Binomial(10).sample_rows, mu, np.random.default_rng(2440), 500)
+    assert peak <= rows.nbytes + (4 << 20), peak - rows.nbytes
 
 
 @pytest.mark.parametrize("reps", [0, -1, 1.5, "3"])

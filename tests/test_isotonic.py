@@ -21,14 +21,16 @@ from isomech import (
     project_descending,
     ranking_constrained_mle,
 )
+from isomech import isotonic
 from isomech.isotonic import (
     _block_order,
+    _block_rows,
     pava_descending,
     pava_descending_rows,
     project_descending_batch,
 )
 
-from helpers import ALL_FAMILIES, MU_WINDOWS, brute_force_project_descending
+from helpers import ALL_FAMILIES, MU_WINDOWS, brute_force_project_descending, traced_peak
 
 
 def test_project_examples():
@@ -416,6 +418,42 @@ def test_batch_crosses_chunk_boundary():
     got = project_descending_batch(rows)
     assert_matches_reference(rows, got)
     assert np.array_equal(got[511], got[512]) and np.array_equal(got[512], got[513])
+
+
+def test_block_rows_follow_the_element_budget():
+    # 512 rows up to n = 128, then 2^16 // n rows, and never fewer than one
+    assert [_block_rows(n) for n in (1, 128, 129, 3000, 4096, 1 << 16, 1 << 20)] == [
+        512, 512, 508, 21, 16, 1, 1]
+
+
+def test_batch_crosses_block_boundary_on_long_rows():
+    rng = np.random.default_rng(19)
+    rows = rng.normal(size=(70, 3000)) * 10.0 ** rng.integers(-6, 7, size=(70, 1))
+    step = _block_rows(3000)
+    assert step < 70 and 70 % step  # several blocks and a partial last one
+    rows[step - 1 : step + 2] = rows[0]  # the same row on both sides of a block boundary
+    got = project_descending_batch(rows)
+    assert_matches_reference(rows, got)
+    assert np.array_equal(got[step - 1], got[step]) and np.array_equal(got[step], got[step + 1])
+    assert np.array_equal(project_descending_batch(got), got)
+
+
+def test_batch_holds_no_full_size_temporary():
+    rows = np.random.default_rng(20).binomial(10, np.linspace(1.0, 0.0, 4096), (500, 4096)) / 1.0
+    project_descending_batch(rows[:2])  # imports scipy.optimize outside the trace
+    got, peak = traced_peak(project_descending_batch, rows)
+    assert peak <= got.nbytes + (8 << 20), peak - got.nbytes
+
+
+def test_batch_refits_a_row_once(monkeypatch):
+    # at a span of 1e9 the pool-deciding copy ties 1 + 1e-10 with 1 and
+    # 0.5 + 1e-10 with 0.5: two nonincreasing runs pooled in one row
+    row = np.array([1e9, 1 + 1e-10, 1.0, 0.5 + 1e-10, 0.5, 0.0])
+    calls = []
+    monkeypatch.setattr(isotonic, "pava_descending", lambda y: calls.append(y) or pava_descending(y))
+    got = project_descending_batch(row[None, :])
+    assert len(calls) == 1
+    assert np.array_equal(got[0], row)  # the row is feasible, so its fit is itself
 
 
 def test_batch_rejects_non_finite():
