@@ -170,7 +170,8 @@ def _mse_samples(
     The generator gives one (n,) mean vector for every trial or a (count, n)
     array of them.  Items are exchangeable given their means, so sampling at
     the means sorted descending is the same as sampling and then sorting by
-    the true order.  Each chunk's scores are projected and reduced a block of
+    the true order.  Each chunk's scores are projected by
+    ``project_descending_batch`` and reduced a block of
     ``isotonic._block_rows(n)`` rows at a time, so the only (count, n) array
     a chunk holds is its scores.
     """
@@ -329,11 +330,12 @@ class LowerBoundConstruction:
         """Exhaustively re-check every invariant; raises on any violation.
 
         Every pair of codewords is compared exactly, ``_VERIFY_ROWS`` rows
-        at a time against the rows from the tile's first on: one matrix
-        product of augmented rows gives the tile's pairwise Hamming
-        distances, a second its block-weighted disagreements, and running
-        minima keep the closest pair.  Entries are small integers, so the
-        float arithmetic is exact.  Probe rows cross-check the weighted
+        at a time against the rows from the tile's first on: the tile's
+        pairwise Hamming distances are ``hw_i + hw_j - 2 w_i.w_j`` and its
+        block-weighted disagreements ``sq_i + sq_j - 2 wn_i.w_j``, each one
+        matrix product finished in place, and running minima keep the
+        closest pair.  Entries are small integers, so the float arithmetic
+        is exact.  Probe rows cross-check the weighted
         distances against direct mean-vector norms and the stored KL values
         against the family's KL.
 
@@ -342,25 +344,22 @@ class LowerBoundConstruction:
         """
         w = self.codewords.astype(np.float64)
         wn = w * np.asarray(self.block_sizes, dtype=np.float64)
-        hw, sq = w.sum(axis=1, keepdims=True), wn.sum(axis=1, keepdims=True)
-        one, zero = np.ones_like(hw), np.zeros_like(hw)
-        # [w_i, hw_i, 1, 0] . [-2 w_j, 1, hw_j, sq_j] is the Hamming distance
-        # of rows i and j; [wn_i, sq_i, 0, 1] with the same right-hand row is
-        # their block-weighted disagreement count
-        right = np.hstack([-2.0 * w, one, hw, sq])
-        left_h = np.hstack([w, hw, one, zero])
-        left_w = np.hstack([wn, sq, zero, one])
+        hw, sq = w.sum(axis=1), wn.sum(axis=1)
         min_dh = min_weighted = math.inf
         for lo in range(0, self.size, _VERIFY_ROWS):
             # rows lo:hi against rows lo: covers every pair once; the tile's
             # leading square holds the self-pairs on its diagonal
             rows = slice(lo, lo + _VERIFY_ROWS)
-            tile = np.matmul(left_w[rows], right[lo:].T)
+            tile = np.matmul(-2.0 * wn[rows], w[lo:].T)
+            tile += sq[rows, None]
+            tile += sq[lo:]
             if lo == 0:
                 row0 = tile[0].copy()
             np.fill_diagonal(tile, np.inf)
             min_weighted = min(min_weighted, float(tile.min()))
-            np.matmul(left_h[rows], right[lo:].T, out=tile)
+            np.matmul(-2.0 * w[rows], w[lo:].T, out=tile)
+            tile += hw[rows, None]
+            tile += hw[lo:]
             np.fill_diagonal(tile, np.inf)
             min_dh = min(min_dh, float(tile.min()))
         if min_dh < self.k / 8.0:
@@ -810,11 +809,8 @@ def surrogate_eval(
         claimed = np.argsort(position, axis=1)  # submission indices, claimed best first
         fitted = pava_descending_rows(np.take_along_axis(x, claimed, axis=1))
         adjusted = np.take_along_axis(fitted, position, axis=1)
-        lengths = np.full(len(used), n)
-        per_author[n] = (
-            _run_means(((x - mu) * (x - mu)).ravel(), lengths),
-            _run_means(((adjusted - mu) * (adjusted - mu)).ravel(), lengths),
-        )
+        per_author[n] = (((x - mu) * (x - mu)).mean(axis=1),
+                         ((adjusted - mu) * (adjusted - mu)).mean(axis=1))
 
     rows = []
     if per_author:

@@ -23,8 +23,9 @@ and constants.  ``_FAMILIES`` registers the concrete classes by kind.
 Import policy: the package loads numpy and no scipy module at import.  Only
 ``log_density`` evaluates a density, and it loads ``scipy.special`` on first
 use (see ``_gammaln``); ``scipy.optimize`` is loaded only by
-``isotonic.project_descending_batch``.  Projection, the MLE, sampling, the
-sweep and the review table never need either.
+``isotonic.project_descending_batch``, for rows of ``_LOCKSTEP_N`` or more
+items.  Projection, the MLE, sampling, the sweep and the review table never
+need either.
 """
 
 from __future__ import annotations

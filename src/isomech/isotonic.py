@@ -8,13 +8,16 @@ descending cone ``x[0] >= x[1] >= ... >= x[n-1]``.  Two kernels compute it:
     MLE built on it.  Python floats round as float64 does, and on one
     vector they are cheaper than numpy scalars.
     ``pava_descending_rows`` runs the same stack pass on every row of a
-    matrix in lockstep, bit for bit, for the review table's thousands of
-    short rows.
+    matrix in lockstep, bit for bit, for many short rows: the review
+    table's and the short Monte-Carlo rows below.
   * ``project_descending_batch`` fits the (trials, n) matrices of the
-    Monte-Carlo drivers, one row block per call of scipy's compiled PAVA.
-    ``_block_rows`` sizes those blocks to about ``_BLOCK_ELEMENTS`` values;
-    the Binomial sampler and ``experiments._mse_samples`` walk the same
-    blocks, so a (trials, n) pass keeps its temporaries in cache.
+    Monte-Carlo drivers.  It routes on the row length: rows shorter than
+    ``_LOCKSTEP_N`` go to ``pava_descending_rows``, longer ones to scipy's
+    compiled PAVA one row per call, except that a long row already
+    nonincreasing is returned as it is.  The Binomial
+    sampler and ``experiments._mse_samples`` walk (trials, n) passes in
+    blocks of ``_block_rows(n)`` rows, about ``_BLOCK_ELEMENTS`` values, so
+    a pass keeps its temporaries in cache.
 
 The all-rankings sweep (``mechanism.rank_all_utilities``) needs neither: it
 reads the fits of all n! full rankings off one table of subset means per
@@ -33,8 +36,8 @@ Import policy: the package imports numpy and no scipy module up front, so
 runs that only fit records, build the review table or sweep rankings never
 pay for scipy (``scipy.special`` alone took about 0.28 s and 26 MiB to
 import on a 2-core host).  ``project_descending_batch`` imports
-``scipy.optimize`` on its first call; ``Family.log_density`` imports
-``scipy.special`` on its first call.
+``scipy.optimize`` on its first call with rows of ``_LOCKSTEP_N`` or more;
+``Family.log_density`` imports ``scipy.special`` on its first call.
 
 Ranking convention throughout: position 1 of a ranking names the BEST item
 (largest mean).  All operations are pure functions; nothing here keeps state.
@@ -161,8 +164,9 @@ def pava_descending(y: np.ndarray):
     fitted a float array and pools as (start, stop, value) half-open
     segments.  The stacks hold Python floats, which round exactly as float64
     does, so a short vector pays no numpy scalar indexing; a pool's length
-    is its weight.  A pooled sum that overflows float64 raises
-    ``ValidationError``.
+    is its weight.  Pools merge on their rounded means, the values the fit
+    returns, so the fit is nonincreasing as stored and exactly idempotent.
+    A pooled sum that overflows float64 raises ``ValidationError``.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
@@ -174,7 +178,7 @@ def pava_descending(y: np.ndarray):
     for s in y.tolist():
         ln = 1
         # merge while the new pool's mean exceeds its left neighbour's
-        while sums and sums[-1] * ln < s * lens[-1]:
+        while sums and sums[-1] / lens[-1] < s / ln:
             s += sums.pop()
             ln += lens.pop()
         sums.append(s)
@@ -221,7 +225,7 @@ def pava_descending_rows(rows) -> np.ndarray:
         live = every if i else every[:0]  # rows with a pool to the left
         while live.size:
             top = depth[live] - 1
-            merge = sums[live, top] * ln[live] < s[live] * lens[live, top]
+            merge = sums[live, top] / lens[live, top] < s[live] / ln[live]
             live, top = live[merge], top[merge]
             s[live] += sums[live, top]
             ln[live] += lens[live, top]
@@ -310,97 +314,54 @@ def ranking_constrained_mle(family: Family, x, ranking: Ranking) -> IsotonicFit:
 # Batched projection for Monte-Carlo loops
 # ---------------------------------------------------------------------------
 
-# Rows per compiled call at most: row r of a call is offset by -3r, so the
-# pool-deciding copy resolves less of a row's span the more rows a call takes.
-_BATCH_ROWS = 512
-
 # float64 values per row block of a Monte-Carlo (trials, n) pass: 512 KiB,
-# so a block and its temporaries stay in a 2 MiB L2 cache.  Rows shorter
-# than _BLOCK_ELEMENTS / _BATCH_ROWS = 128 take _BATCH_ROWS rows per block.
+# so a block and its temporaries stay in a 2 MiB L2 cache.
 _BLOCK_ELEMENTS = 1 << 16
+
+# Rows shorter than this go to the lockstep kernel, longer ones to scipy's
+# PAVA one row per call.  At 512 Binomial(10) ramp rows, lockstep vs
+# per-row scipy took 2.6 vs 3.9 ms at n = 32, 3.6 vs 4.2 ms at n = 40,
+# 4.5 vs 4.0 ms at n = 48 and 6.3 vs 4.1 ms at n = 64 (2 cores, numpy
+# 2.4.6, scipy 1.17.1).
+_LOCKSTEP_N = 48
 
 
 def _block_rows(n: int) -> int:
     """Rows per block of a (trials, n) pass: ``_BLOCK_ELEMENTS // n``, at
-    least one row and at most ``_BATCH_ROWS``."""
-    return min(_BATCH_ROWS, max(1, _BLOCK_ELEMENTS // n))
-
-
-def _project_chunk(rows: np.ndarray, isotonic_regression, first_row: int) -> np.ndarray:
-    """Descending projection of a block of rows by one call of scipy's PAVA.
-
-    Rows are shifted to their max, scaled by a power of two (exact) into
-    (-1, 0] and offset by -3r for row r of the block, so no pool spans two
-    rows.  That copy only decides the pools; means come from the original
-    values, anchored at each pool's first value so that equal values stay
-    exact.  The copy resolves about 2^-42 of a row's span.  Closer values
-    may tie there, which shows as a pool mean above the previous one
-    (lowered to it) or as a pool that is a nonincreasing, nonconstant run;
-    each row holding such a pool is refitted, once, by ``pava_descending``.
-    So every row returned is nonincreasing and the fit is exactly
-    idempotent.  A span or pooled sum that overflows raises
-    ``ValidationError``; rows count from ``first_row``.
-    """
-    t, n = rows.shape
-    # numpy reduces along short rows one row at a time; a transposed copy
-    # turns the row extremes into whole-array passes (faster below n = 128)
-    cols = rows.T.copy() if n < 128 else rows.T
-    top = cols.max(axis=0)[:, None]
-    with np.errstate(over="ignore"):
-        span = top - cols.min(axis=0)[:, None]
-    if not np.isfinite(span).all():
-        row = first_row + int(np.argmin(np.isfinite(span)))
-        raise ValidationError(f"scores are too large to pool in float64: row {row}'s max - min overflows")
-    _, exponent = np.frexp(span)
-    z = np.ldexp(rows - top, -exponent)
-    z -= 3.0 * np.arange(t)[:, None]
-    blocks = isotonic_regression(z.ravel(), increasing=False).blocks
-    starts, lens = blocks[:-1], np.diff(blocks)
-    y = rows.ravel()
-    first = y[starts]
-    with np.errstate(over="ignore"):
-        excess = np.add.reduceat(y - np.repeat(first, lens), starts)
-        means = first + excess / lens
-    if not np.isfinite(means).all():
-        raise ValidationError("scores are too large to pool in float64: a pooled sum overflows")
-
-    row = starts // n
-    same_row = row[1:] == row[:-1]
-    rising = (means[1:] > means[:-1]) & same_row
-    while rising.any():
-        means[1:][rising] = means[:-1][rising]
-        rising = (means[1:] > means[:-1]) & same_row
-    out = np.repeat(means, lens).reshape(t, n)
-    runs = {int(row[p]) for p in np.flatnonzero(excess < 0)
-            if y[starts[p] : starts[p] + lens[p]].max() == y[starts[p]]}
-    for r in runs:
-        out[r], _ = pava_descending(rows[r])
-    return out
+    least one row."""
+    return max(1, _BLOCK_ELEMENTS // n)
 
 
 def project_descending_batch(rows) -> np.ndarray:
     """Row-wise descending projection of a (trials, n) matrix.
 
-    Matches ``pava_descending`` on every row up to rounding; used by the
-    Monte-Carlo drivers.  Rows go to scipy's compiled PAVA in blocks of
-    ``_block_rows(n)``: about ``_BLOCK_ELEMENTS`` values, at most
-    ``_BATCH_ROWS`` rows.  Rows whose span or pooled sums overflow float64
-    raise ``ValidationError``, as ``pava_descending`` does.
+    Used by the Monte-Carlo drivers.  Rows shorter than ``_LOCKSTEP_N`` go
+    to ``pava_descending_rows`` and equal ``pava_descending`` bit for bit.
+    Longer rows go to ``scipy.optimize.isotonic_regression``, one call per
+    row, and match ``pava_descending`` up to rounding; a long row that is
+    already nonincreasing is its own projection and is returned as it is,
+    since scipy would re-round its tied pools.  So every row returned is
+    nonincreasing and the fit is exactly idempotent.  Rows whose pooled
+    sums overflow float64 raise ``ValidationError``, as
+    ``pava_descending`` does.
     """
     arr = np.asarray(rows, dtype=float)
     if arr.ndim != 2:
         raise ValidationError("expected a 2-d (trials, n) array")
-    t, n = arr.shape
-    if n == 0:
+    if arr.shape[1] == 0:
         raise ValidationError("rows must be nonempty")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("scores must be finite (no NaN/inf)")
-    if n == 1:
-        return arr.copy()
-    from scipy.optimize import isotonic_regression
+    if arr.shape[1] < _LOCKSTEP_N:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = pava_descending_rows(arr)
+    else:
+        from scipy.optimize import isotonic_regression
 
-    out = np.empty_like(arr)
-    step = _block_rows(n)
-    for lo in range(0, t, step):
-        out[lo : lo + step] = _project_chunk(arr[lo : lo + step], isotonic_regression, lo)
+        out = arr.copy()
+        descending = (arr[:, 1:] <= arr[:, :-1]).all(axis=1)
+        for r in np.flatnonzero(~descending):
+            out[r] = isotonic_regression(arr[r], increasing=False).x
+    if not np.isfinite(out).all():
+        raise ValidationError("scores are too large to pool in float64: a pooled sum overflows")
     return out

@@ -20,7 +20,8 @@ makes small utility gaps resolvable at desk-scale trial counts.
 ``utility_trials`` is the per-trial evaluator: it returns every trial's
 utility of every claim it is given.  Each trial's scores are put in the
 claimed order (within a block, by ``isotonic._block_order``) and projected
-with ``project_descending_batch``.
+with ``project_descending_batch``; claims shorter than
+``isotonic._LOCKSTEP_N`` take its lockstep route and load no scipy.
 
 ``rank_all_utilities``, the all-rankings sweep, has its own evaluator.
 Under a full ranking every segment of the claimed order is a set of items,

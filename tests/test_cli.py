@@ -516,9 +516,12 @@ def test_cli_runs_load_no_scipy(workdir):
         "print(loaded)\n"
         "import numpy as np\n"
         "from isomech.expfam import Binomial\n"
-        "from isomech.mechanism import sample_scores\n"
+        "from isomech.isotonic import CoarseRanking, Ranking\n"
+        "from isomech.mechanism import UtilityFn, sample_scores, utility_trials\n"
         "for reps in (1, 3):\n"
         "    sample_scores(Binomial(10), [0.0, 2.5, 10.0], reps, np.random.default_rng(reps), 64)\n"
+        "utility_trials(Binomial(10), [8.0, 7.0, 6.0], [Ranking([1, 2, 3]),"
+        " CoarseRanking([(1, 2), (3,)])], UtilityFn.relu_square(), trials=600)\n"
         "assert not [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "print(abs(Binomial(2).log_density(0.0, 1) / math.log(0.5) - 1.0) <= 1e-12)\n"
     )

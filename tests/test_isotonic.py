@@ -180,11 +180,16 @@ def test_matches_bruteforce_oracle():
 
 def test_idempotence_exact():
     rng = np.random.default_rng(8)
-    for _ in range(300):
-        x = rng.normal(size=int(rng.integers(1, 40)))
+    # the first three values pool to a mean that rounds below the last -0.2,
+    # so a fit that did not pool all four would rise at its end
+    cases = [[-0.9, -0.2, 0.5, -0.2]] + [rng.normal(size=int(rng.integers(1, 40))) for _ in range(300)]
+    for x in cases:
         once = project_descending(x).mu_hat
+        assert np.all(once[1:] <= once[:-1])
         twice = project_descending(once).mu_hat
         assert np.array_equal(once, twice)
+    # the lockstep kernel pools the near tie the same way
+    assert np.array_equal(pava_descending_rows([cases[0]]), [[-0.2] * 4])
 
 
 def test_contraction():
@@ -326,8 +331,8 @@ def batch_tolerance(rows):
     """Per-row bound on the batch kernel's distance from ``pava_descending``.
 
     The reference accumulates running sums, so it rounds at about n ulps of
-    the row's magnitude; the kernel decides pools on a rescaled copy whose
-    resolution is far below 1e-12 of the row's span.
+    the row's magnitude; scipy's PAVA, which fits the long rows, sums its
+    pools in another order.
     """
     span = np.ptp(rows, axis=1)
     ulp = np.spacing(np.abs(rows).max(axis=1))
@@ -336,12 +341,19 @@ def batch_tolerance(rows):
 
 def assert_matches_reference(rows, got):
     want = np.stack([pava_descending(row)[0] for row in rows])
+    if rows.shape[1] < isotonic._LOCKSTEP_N:  # the lockstep route
+        assert np.array_equal(got, want)
+    assert np.all(got[:, 1:] <= got[:, :-1])
     err = np.abs(got - want).max(axis=1)
     assert np.all(err <= batch_tolerance(rows)), (err, batch_tolerance(rows))
 
 
+# row lengths on both routes of project_descending_batch
+MAX_N = 2 * isotonic._LOCKSTEP_N
+
+
 @st.composite
-def mixed_batches(draw, max_rows=24, max_n=20):
+def mixed_batches(draw, max_rows=24, max_n=MAX_N):
     """Batches whose rows mix spans from 1e-6 to 1e6 and offsets up to 1e8."""
     t = draw(st.integers(1, max_rows))
     n = draw(st.integers(1, max_n))
@@ -352,7 +364,7 @@ def mixed_batches(draw, max_rows=24, max_n=20):
 
 
 @st.composite
-def tied_feasible_batches(draw, max_rows=24, max_n=20):
+def tied_feasible_batches(draw, max_rows=24, max_n=MAX_N):
     """Nonincreasing rows with many ties, some of them constant."""
     t = draw(st.integers(1, max_rows))
     n = draw(st.integers(1, max_n))
@@ -414,16 +426,16 @@ def test_batch_shift_and_scale_equivariance(rows, scale, shift):
 def test_batch_crosses_chunk_boundary():
     rng = np.random.default_rng(18)
     rows = rng.normal(size=(1100, 9)) * 10.0 ** rng.integers(-6, 7, size=(1100, 1))
-    rows[511:514] = rows[0]  # the same row on both sides of the 512-row boundary
+    rows[511:514] = rows[0]  # three copies of row 0 deep in the batch
     got = project_descending_batch(rows)
     assert_matches_reference(rows, got)
     assert np.array_equal(got[511], got[512]) and np.array_equal(got[512], got[513])
 
 
 def test_block_rows_follow_the_element_budget():
-    # 512 rows up to n = 128, then 2^16 // n rows, and never fewer than one
+    # 2^16 // n rows, and never fewer than one
     assert [_block_rows(n) for n in (1, 128, 129, 3000, 4096, 1 << 16, 1 << 20)] == [
-        512, 512, 508, 21, 16, 1, 1]
+        65536, 512, 508, 21, 16, 1, 1]
 
 
 def test_batch_crosses_block_boundary_on_long_rows():
@@ -445,17 +457,6 @@ def test_batch_holds_no_full_size_temporary():
     assert peak <= got.nbytes + (8 << 20), peak - got.nbytes
 
 
-def test_batch_refits_a_row_once(monkeypatch):
-    # at a span of 1e9 the pool-deciding copy ties 1 + 1e-10 with 1 and
-    # 0.5 + 1e-10 with 0.5: two nonincreasing runs pooled in one row
-    row = np.array([1e9, 1 + 1e-10, 1.0, 0.5 + 1e-10, 0.5, 0.0])
-    calls = []
-    monkeypatch.setattr(isotonic, "pava_descending", lambda y: calls.append(y) or pava_descending(y))
-    got = project_descending_batch(row[None, :])
-    assert len(calls) == 1
-    assert np.array_equal(got[0], row)  # the row is feasible, so its fit is itself
-
-
 def test_batch_rejects_non_finite():
     rows = np.zeros((3, 4))
     for bad in (math.nan, math.inf, -math.inf):
@@ -467,16 +468,21 @@ def test_batch_rejects_non_finite():
 
 
 def test_batch_refuses_finite_rows_that_overflow():
-    # the scaled copy needs each row's max - min; the means need pooled sums
-    for row in ([-1.7e308, 1.7e308, 0.0], [1.7e308, 1e308, -1.7e308]):
-        with pytest.raises(ValidationError, match="row 0's max - min overflows"):
-            project_descending_batch(np.array([row]))
-    rows = np.zeros((600, 4))
-    rows[513] = [0.0, 1e308, 1e308, 1e308]
-    with pytest.raises(ValidationError, match="too large to pool in float64: a pooled sum overflows"):
-        project_descending_batch(rows)
-    with pytest.raises(ValidationError, match="too large to pool in float64"):
-        pava_descending(rows[513])
+    # a row whose max - min overflows but whose pooled sums do not is fitted
+    # on both routes: [-a, a] pools to 0, and a nonincreasing row is kept
+    long = isotonic._LOCKSTEP_N
+    for row in ([-1.7e308, 1.7e308, 0.0], [1.7e308, 1e308, -1.7e308],
+                [-1.7e308, 1.7e308] + [0.0] * long, [1.7e308] * long + [-1.7e308] * long):
+        got = project_descending_batch(np.array([row]))
+        assert np.array_equal(got[0], pava_descending(row)[0])
+    # a pooled sum that overflows is refused on both routes
+    for n in (4, long):
+        rows = np.zeros((600, n))
+        rows[513, 1:] = 1e308
+        with pytest.raises(ValidationError, match="too large to pool in float64: a pooled sum overflows"):
+            project_descending_batch(rows)
+        with pytest.raises(ValidationError, match="too large to pool in float64"):
+            pava_descending(rows[513])
 
 
 # ---------------------------------------------------------------------------
