@@ -23,7 +23,6 @@ from .expfam import (
     VarianceCertificate,
     family_from_dict,
     family_from_spec,
-    kl_divergence_product,
     verify_variance_assumption,
 )
 from .isotonic import (

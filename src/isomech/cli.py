@@ -27,10 +27,11 @@ Parameters take one path.  ``_PARAMS`` declares each run parameter once,
 with its converter and help line, and ``_COMMANDS`` says which ones a
 subcommand takes.  A value from a flag, from a ``--config`` file or from a
 default goes through the same converter, so ``--trials x`` and
-``{"trials": "x"}`` both fail with the same one-line error.  Flags override
-config-file values.  Every command but ``check-majorization`` writes files
-and takes ``--seed``, ``--out`` and ``--format``; its missing seed falls
-back to the ISOMECH_SEED environment variable, then to 0.
+``{"trials": "x"}`` both fail with the same one-line error.  A config key
+the subcommand does not take, a misspelt one say, is refused.  Flags
+override config-file values.  Every command but ``check-majorization``
+writes files and takes ``--seed``, ``--out`` and ``--format``; its missing
+seed falls back to the ISOMECH_SEED environment variable, then to 0.
 
 A command computes all its results before ``_finish`` writes anything, so a
 failed run writes no file.  ``_finish`` writes the table, any extra JSON
@@ -74,7 +75,6 @@ from .mechanism import UtilityFn, rank_all_utilities
 from .order import majorizes, majorizes_natural_order, weakly_majorizes
 from .experiments import (
     AuthorRecord,
-    EstimationConfig,
     ExplicitScores,
     LinearRamp,
     PoolResample,
@@ -490,6 +490,7 @@ class _Command(NamedTuple):
     required: tuple[str, ...]
     defaults: dict[str, Any]
     writes: bool = True  # writes a table and a sidecar, from a seeded run
+    record: tuple[str, ...] = ()  # run facts the sidecar adds to params; a replay holds them
 
 
 _OUTPUT_FLAGS = ("seed", "out", "format")
@@ -520,7 +521,8 @@ _COMMANDS: dict[str, _Command] = {
         {"out": "rate.csv", "trials": 500, "construction_out": "construction.json"}),
     "icml": _Command(
         "surrogate-truth evaluation of review/author CSVs", ("reviews", "authors"), (),
-        ("reviews", "authors"), {"out": "table1.csv"}),
+        ("reviews", "authors"), {"out": "table1.csv"},
+        record=("skipped_submissions", "skipped_authors", "tie_breaks")),
     "synthetic": _Command(
         "synthetic review study from a score pool", ("pool",), ("n_grid", "trials", "threads"),
         ("pool",), {"out": "table2.csv", "trials": 1000, "n_grid": list(range(2, 18))}),
@@ -550,9 +552,15 @@ def _load_config(path: Optional[str]) -> dict[str, Any]:
 
 def _effective(args: argparse.Namespace) -> dict[str, Any]:
     """Config-file values, overridden by explicit flags, backfilled by defaults,
-    each converted by its ``_PARAMS`` entry."""
+    each converted by its ``_PARAMS`` entry.  A config key that is neither a
+    parameter of the command nor one of its ``record`` keys is refused."""
     command = _COMMANDS[args.command]
     params = _load_config(args.config)
+    known = command.inputs + command.flags + command.record + (
+        _OUTPUT_FLAGS if command.writes else ())
+    unknown = [key for key in params if key not in known]
+    if unknown:
+        raise ValidationError(f"{args.config}: {args.command} takes no parameter {unknown[0]!r}")
     params.update((key, value) for key, value in vars(args).items()
                   if key in _PARAMS and value is not None)
     for key, value in command.defaults.items():
@@ -638,15 +646,11 @@ def _make_generator(params: dict[str, Any]):
 
 
 def _cmd_estimation(params: dict[str, Any]) -> int:
-    cfg = EstimationConfig(
-        family=family_from_dict(params["family"]),
-        n_grid=tuple(params["n_grid"]),
-        generator=_make_generator(params),
-        scores_per_item=params["scores_per_item"],
-        trials=params["trials"],
-        seed=params["seed"],
+    points = estimation_error_curve(
+        family_from_dict(params["family"]), params["n_grid"], _make_generator(params),
+        scores_per_item=params["scores_per_item"], trials=params["trials"],
+        seed=params["seed"], max_workers=params.get("threads"),
     )
-    points = estimation_error_curve(cfg, max_workers=params.get("threads"))
     header = ["n", "trials", "mse_im", "mse_im_se", "mse_raw", "mse_raw_se"]
     return _finish("estimation", params, header, _fields(points, header))
 

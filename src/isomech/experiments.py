@@ -50,16 +50,16 @@ from .expfam import (
     Binomial,
     ScoreBounds,
     VarianceCertificate,
+    _block_rows,
     verify_variance_assumption,
 )
-from .isotonic import _block_rows, pava_descending_rows, project_descending_batch
+from .isotonic import pava_descending_rows, project_descending_batch
 from .mechanism import _map_chunks, _mean_se, sample_scores
 
 __all__ = [
     "LinearRamp",
     "PoolResample",
     "ExplicitScores",
-    "EstimationConfig",
     "EstimationPoint",
     "estimation_error_curve",
     "RatePoint",
@@ -135,22 +135,6 @@ class ExplicitScores:
 ScoreGenerator = Union[LinearRamp, PoolResample, ExplicitScores]
 
 
-@dataclass(frozen=True)
-class EstimationConfig:
-    family: Family
-    n_grid: tuple[int, ...]
-    generator: ScoreGenerator
-    scores_per_item: int = 3
-    trials: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.n_grid or any(n < 1 for n in self.n_grid):
-            raise ValidationError("n_grid must hold positive submission counts")
-        if self.trials < 1 or self.scores_per_item < 1:
-            raise ValidationError("trials and scores_per_item must be >= 1")
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo estimation error
 # ---------------------------------------------------------------------------
@@ -172,7 +156,7 @@ def _mse_samples(
     the means sorted descending is the same as sampling and then sorting by
     the true order.  Each chunk's scores are projected by
     ``project_descending_batch`` and reduced a block of
-    ``isotonic._block_rows(n)`` rows at a time, so the only (count, n) array
+    ``expfam._block_rows(n)`` rows at a time, so the only (count, n) array
     a chunk holds is its scores.
     """
 
@@ -212,24 +196,29 @@ class EstimationPoint:
 
 
 def estimation_error_curve(
-    cfg: EstimationConfig, max_workers: Optional[int] = None
+    family: Family,
+    n_grid: Sequence[int],
+    generator: ScoreGenerator,
+    scores_per_item: int = 3,
+    trials: int = 1000,
+    seed: int = 0,
+    max_workers: Optional[int] = None,
 ) -> list[EstimationPoint]:
     """Per-coordinate estimation error of adjusted vs raw scores across n.
 
     For every n in the grid, Monte-Carlo means of |adjusted - truth|^2 / n
     under the truthful ranking, against |raw - truth|^2 / n.
     """
-    root = np.random.SeedSequence(cfg.seed)
-    per_n = root.spawn(len(cfg.n_grid))
+    if not n_grid or any(n < 1 for n in n_grid):
+        raise ValidationError("n_grid must hold positive submission counts")
+    if trials < 1 or scores_per_item < 1:
+        raise ValidationError("trials and scores_per_item must be >= 1")
     points = []
-    for n, child in zip(cfg.n_grid, per_n):
-        im, raw = _mse_samples(
-            cfg.family, cfg.generator, n, cfg.scores_per_item, cfg.trials,
-            child, max_workers,
-        )
+    for n, child in zip(n_grid, np.random.SeedSequence(seed).spawn(len(n_grid))):
+        im, raw = _mse_samples(family, generator, n, scores_per_item, trials, child, max_workers)
         m_im, se_im = _mean_se(im)
         m_raw, se_raw = _mean_se(raw)
-        points.append(EstimationPoint(n, m_im, se_im, m_raw, se_raw, cfg.trials))
+        points.append(EstimationPoint(n, m_im, se_im, m_raw, se_raw, trials))
     return points
 
 
@@ -257,15 +246,16 @@ def rate_check(
     bounds: ScoreBounds,
     n_grid: Sequence[int],
     trials: int = 500,
-    scores_per_item: int = 1,
     seed: int = 0,
     max_workers: Optional[int] = None,
 ) -> RateReport:
     """Least-squares slope of log total risk vs log n for the adjusted scores.
 
     The true scores ramp linearly across the full score range, a worst-case
-    style configuration; in the regime where the cube-root term dominates,
-    the fitted slope should sit near 1/3.
+    style configuration, and each item is scored once; in the regime where
+    the cube-root term dominates, the fitted slope should sit near 1/3.  A
+    grid point whose risk is 0, where every score is exact, has no log and
+    raises ``ValidationError``.
     """
     grid = sorted(set(int(n) for n in n_grid))
     if len(grid) < 2 or grid[0] < 2:
@@ -275,9 +265,15 @@ def rate_check(
     root = np.random.SeedSequence(seed)
     points = []
     for n, child in zip(grid, root.spawn(len(grid))):
-        im, _ = _mse_samples(family, gen, n, scores_per_item, trials, child, max_workers)
+        im, _ = _mse_samples(family, gen, n, 1, trials, child, max_workers)
         total = im * n  # _mse_samples normalizes by n
         mean, se = _mean_se(total)
+        if not mean > 0:
+            raise ValidationError(
+                f"rate check: the risk at n = {n} is 0, every score being exact at its mean, "
+                f"so log risk is undefined; drop n = {n} or keep the bounds off the ends of "
+                f"the {family.kind} mean hull"
+            )
         points.append(RatePoint(n=n, risk=mean, risk_se=se))
     slope, intercept = np.polyfit(
         np.log([p.n for p in points]), np.log([p.risk for p in points]), deg=1
@@ -455,7 +451,6 @@ def build_lower_bound(
     n: int,
     c: Optional[float] = None,
     seed: int = 0,
-    grid_points: int = 1024,
 ) -> LowerBoundConstruction:
     """Construct and verify the perturbed-mean family behind the lower bound.
 
@@ -476,7 +471,7 @@ def build_lower_bound(
     """
     if n < 8:
         raise ValidationError("lower-bound construction needs n >= 8")
-    cert = verify_variance_assumption(family, bounds, grid_points)
+    cert = verify_variance_assumption(family, bounds)
     sigma_sq = cert.sigma_sq
     if c is None:
         c = cert.c_var / 16.0

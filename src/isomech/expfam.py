@@ -20,12 +20,14 @@ scalar input, the variance certificate, and the JSON and spec forms of the
 one shape parameter a class declares.  A family supplies only its formulas
 and constants.  ``_FAMILIES`` registers the concrete classes by kind.
 
-Import policy: the package loads numpy and no scipy module at import.  Only
-``log_density`` evaluates a density, and it loads ``scipy.special`` on first
-use (see ``_gammaln``); ``scipy.optimize`` is loaded only by
-``isotonic.project_descending_batch``, for rows of ``_LOCKSTEP_N`` or more
-items.  Projection, the MLE, sampling, the sweep and the review table never
-need either.
+Import policy: of the package this module imports only ``errors``, so it
+also holds ``_block_rows``, the row blocks in which the Binomial sampler and
+``experiments._mse_samples`` walk (trials, n) passes.  The package loads
+numpy and no scipy module at import.  Only ``log_density`` evaluates a
+density, and it loads ``scipy.special`` on first use (see ``_gammaln``);
+``scipy.optimize`` is loaded only by ``isotonic.project_descending_batch``,
+for rows of ``_LOCKSTEP_N`` or more items.  Projection, the MLE, sampling,
+the sweep and the review table never need either.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from typing import Any, ClassVar, NamedTuple
 import numpy as np
 
 from .errors import AssumptionViolatedError, InvalidParameterError, ValidationError
-from .isotonic import _block_rows
 
 __all__ = [
     "Family",
@@ -52,8 +53,17 @@ __all__ = [
     "family_from_dict",
     "family_from_spec",
     "verify_variance_assumption",
-    "kl_divergence_product",
 ]
+
+# float64 values per row block of a Monte-Carlo (trials, n) pass: 512 KiB,
+# so a block and its temporaries stay in a 2 MiB L2 cache.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of a (trials, n) pass: ``_BLOCK_ELEMENTS // n``, at
+    least one row."""
+    return max(1, _BLOCK_ELEMENTS // n)
 
 
 def _gammaln(x):
@@ -407,7 +417,7 @@ class Binomial(Family):
         """Inversion by sequential search (Devroye 1986, ch. III): a draw
         counts the thresholds F(0..N-1) of its item's CDF, N = reps * m, that
         its uniform clears.  The rows are drawn and counted a block of
-        ``isotonic._block_rows(n)`` rows at a time, straight into the output;
+        ``_block_rows(n)`` rows at a time, straight into the output;
         the uniforms are those of one ``rng.random((trials, n))`` call."""
         support = self._check_reps(reps) * self.trials
         if support > self._MAX_INVERSION:
@@ -554,16 +564,16 @@ def _require_certificate_interval(cert: VarianceCertificate, bounds: ScoreBounds
         )
 
 
-def check_variance_floor(
-    family: Family, cert: VarianceCertificate, grid_points: int = 1024
-) -> None:
-    """Confirm b'' >= c_var * sigma_sq on a uniform mean grid over the certificate.
+_FLOOR_GRID_POINTS = 1024  # means on the grid that check_variance_floor checks
+
+
+def check_variance_floor(family: Family, cert: VarianceCertificate) -> None:
+    """Confirm b'' >= c_var * sigma_sq on a uniform grid of
+    ``_FLOOR_GRID_POINTS`` means over the certificate.
 
     Raises AssumptionViolatedError carrying the first offending mean.
     """
-    if grid_points < 2:
-        raise InvalidParameterError("grid_points must be at least 2")
-    grid = np.linspace(cert.v_tilde_min, cert.v_tilde_max, grid_points)
+    grid = np.linspace(cert.v_tilde_min, cert.v_tilde_max, _FLOOR_GRID_POINTS)
     theta = family.natural_param(grid, allow_boundary=True)
     finite = np.isfinite(theta)
     floor = cert.c_var * cert.sigma_sq
@@ -580,30 +590,15 @@ def check_variance_floor(
         )
 
 
-def verify_variance_assumption(
-    family: Family, bounds: ScoreBounds, grid_points: int = 1024
-) -> VarianceCertificate:
+def verify_variance_assumption(family: Family, bounds: ScoreBounds) -> VarianceCertificate:
     """Certificate for the variance floor on a sub-interval of ``bounds``.
 
-    Returns the family's closed-form certificate after confirming the floor
-    inequality on a uniform grid of ``grid_points`` means.
+    Returns the family's closed-form certificate after ``check_variance_floor``
+    confirms the floor inequality on its mean grid.
     """
     cert = family.variance_certificate(bounds)
-    check_variance_floor(family, cert, grid_points)
+    check_variance_floor(family, cert)
     return cert
-
-
-def kl_divergence_product(family: Family, theta1, theta2):
-    """KL divergence between product distributions with per-coordinate parameters.
-
-    Exactly the coordinate-wise sum, since KL is additive over independent
-    coordinates.
-    """
-    t1 = np.asarray(theta1, dtype=float)
-    t2 = np.asarray(theta2, dtype=float)
-    if t1.shape != t2.shape:
-        raise ValidationError("parameter vectors must have equal length")
-    return float(np.sum(family.kl_divergence(t1, t2)))
 
 
 def family_from_dict(spec: dict[str, Any]) -> Family:

@@ -14,10 +14,7 @@ descending cone ``x[0] >= x[1] >= ... >= x[n-1]``.  Two kernels compute it:
     Monte-Carlo drivers.  It routes on the row length: rows shorter than
     ``_LOCKSTEP_N`` go to ``pava_descending_rows``, longer ones to scipy's
     compiled PAVA one row per call, except that a long row already
-    nonincreasing is returned as it is.  The Binomial
-    sampler and ``experiments._mse_samples`` walk (trials, n) passes in
-    blocks of ``_block_rows(n)`` rows, about ``_BLOCK_ELEMENTS`` values, so
-    a pass keeps its temporaries in cache.
+    nonincreasing is returned as it is.
 
 The all-rankings sweep (``mechanism.rank_all_utilities``) needs neither: it
 reads the fits of all n! full rankings off one table of subset means per
@@ -30,7 +27,7 @@ project, un-permute); ordered blocks project under the full ranking that
 ``_block_order``, also orders every trial of a coarse claim in
 ``mechanism.utility_trials``.  ``ranking_constrained_mle`` solves
 the same constraint on an exponential family's natural-parameter scale, where
-it pools exactly as the projection does.
+its fitted means are those of the projection.
 
 Import policy: the package imports numpy and no scipy module up front, so
 runs that only fit records, build the review table or sweep rankings never
@@ -48,14 +45,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-
-if TYPE_CHECKING:  # expfam imports this module for ``_block_rows``
-    from .expfam import Family
+from .expfam import Family
 
 __all__ = [
     "Ranking",
@@ -129,17 +124,15 @@ class CoarseRanking:
 
 @dataclass(frozen=True)
 class IsotonicFit:
-    """Result of one ranking-constrained least-squares fit.
+    """Result of one ranking-constrained least-squares fit: the scores ``x``
+    and the adjusted scores ``mu_hat``, both in item order.
 
-    ``pools`` lists half-open segments (start, stop, value) of equal adjusted
-    scores over the ranking-sorted order.  ``theta_hat`` is present only
-    when a family was supplied; pooled means on the boundary of the mean
-    image carry +-inf sentinels there.
+    ``theta_hat`` is present only when a family was supplied; pooled means
+    on the boundary of the mean image carry +-inf sentinels there.
     """
 
     x: np.ndarray
     mu_hat: np.ndarray
-    pools: tuple[tuple[int, int, float], ...]
     theta_hat: Optional[np.ndarray] = None
 
 
@@ -156,17 +149,16 @@ def _check_scores(x, n_expected: Optional[int] = None) -> np.ndarray:
     return arr
 
 
-def pava_descending(y: np.ndarray):
-    """Least-squares fit of a nonincreasing vector to ``y``.
+def pava_descending(y: np.ndarray) -> np.ndarray:
+    """Least-squares fit of a nonincreasing vector to ``y``, as a float array.
 
     Stack-based pool-adjacent-violators: each element is pushed once and
-    merged at most once, so the pass is O(n).  Returns (fitted, pools) with
-    fitted a float array and pools as (start, stop, value) half-open
-    segments.  The stacks hold Python floats, which round exactly as float64
-    does, so a short vector pays no numpy scalar indexing; a pool's length
-    is its weight.  Pools merge on their rounded means, the values the fit
-    returns, so the fit is nonincreasing as stored and exactly idempotent.
-    A pooled sum that overflows float64 raises ``ValidationError``.
+    merged at most once, so the pass is O(n).  The stacks hold Python
+    floats, which round exactly as float64 does, so a short vector pays no
+    numpy scalar indexing; a pool's length is its weight.  Pools merge on
+    their rounded means, the values the fit returns, so the fit is
+    nonincreasing as stored and exactly idempotent.  A pooled sum that
+    overflows float64 raises ``ValidationError``.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
@@ -184,20 +176,12 @@ def pava_descending(y: np.ndarray):
         sums.append(s)
         lens.append(ln)
 
-    fitted: list[float] = []
-    pools = []
-    pos = 0
-    for s, ln in zip(sums, lens):
-        value = s / ln
-        fitted += [value] * ln
-        pools.append((pos, pos + ln, value))
-        pos += ln
-    out = np.array(fitted, dtype=float)
+    out = np.repeat(np.array(sums) / np.array(lens), lens)
     if not np.isfinite(out).all():
         if not np.isfinite(y).all():
             raise ValidationError("scores must be finite (no NaN/inf)")
         raise ValidationError("scores are too large to pool in float64: a pooled sum overflows")
-    return out, tuple(pools)
+    return out
 
 
 def pava_descending_rows(rows) -> np.ndarray:
@@ -241,8 +225,7 @@ def pava_descending_rows(rows) -> np.ndarray:
 def project_descending(x) -> IsotonicFit:
     """Euclidean projection onto the descending cone x1 >= x2 >= ... >= xn."""
     arr = _check_scores(x)
-    fitted, pools = pava_descending(arr)
-    return IsotonicFit(x=arr, mu_hat=fitted, pools=pools)
+    return IsotonicFit(x=arr, mu_hat=pava_descending(arr))
 
 
 def isotonic_mechanism(x, ranking: Ranking) -> IsotonicFit:
@@ -255,10 +238,9 @@ def isotonic_mechanism(x, ranking: Ranking) -> IsotonicFit:
         ranking = Ranking(ranking)
     arr = _check_scores(x, len(ranking))
     idx = ranking.as_indices()
-    fitted_sorted, pools = pava_descending(arr[idx])
     mu_hat = np.empty_like(arr)
-    mu_hat[idx] = fitted_sorted
-    return IsotonicFit(x=arr, mu_hat=mu_hat, pools=pools)
+    mu_hat[idx] = pava_descending(arr[idx])
+    return IsotonicFit(x=arr, mu_hat=mu_hat)
 
 
 def _block_order(blocks: Sequence[Sequence[int]], scores: np.ndarray) -> np.ndarray:
@@ -314,22 +296,12 @@ def ranking_constrained_mle(family: Family, x, ranking: Ranking) -> IsotonicFit:
 # Batched projection for Monte-Carlo loops
 # ---------------------------------------------------------------------------
 
-# float64 values per row block of a Monte-Carlo (trials, n) pass: 512 KiB,
-# so a block and its temporaries stay in a 2 MiB L2 cache.
-_BLOCK_ELEMENTS = 1 << 16
-
 # Rows shorter than this go to the lockstep kernel, longer ones to scipy's
 # PAVA one row per call.  At 512 Binomial(10) ramp rows, lockstep vs
 # per-row scipy took 2.6 vs 3.9 ms at n = 32, 3.6 vs 4.2 ms at n = 40,
 # 4.5 vs 4.0 ms at n = 48 and 6.3 vs 4.1 ms at n = 64 (2 cores, numpy
 # 2.4.6, scipy 1.17.1).
 _LOCKSTEP_N = 48
-
-
-def _block_rows(n: int) -> int:
-    """Rows per block of a (trials, n) pass: ``_BLOCK_ELEMENTS // n``, at
-    least one row."""
-    return max(1, _BLOCK_ELEMENTS // n)
 
 
 def project_descending_batch(rows) -> np.ndarray:

@@ -109,22 +109,6 @@ class UtilityFn:
         return f"{self.fn_kind}:{self.param:g}" if self.fn_kind in ("exp", "hinge") else self.fn_kind
 
     @classmethod
-    def relu_square(cls) -> "UtilityFn":
-        return cls("relu_square")
-
-    @classmethod
-    def identity(cls) -> "UtilityFn":
-        return cls("identity")
-
-    @classmethod
-    def exponential(cls, alpha: float) -> "UtilityFn":
-        return cls("exp", float(alpha))
-
-    @classmethod
-    def hinge(cls, threshold: float) -> "UtilityFn":
-        return cls("hinge", float(threshold))
-
-    @classmethod
     def from_spec(cls, spec: str) -> "UtilityFn":
         """Parse 'relu_square', 'identity', 'exp:0.5', or 'hinge:2'."""
         fn_kind, _, param = spec.strip().partition(":")

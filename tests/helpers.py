@@ -341,11 +341,11 @@ def reference_csv_table(header, rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def reference_lower_bound(family, bounds, n: int, c=None, seed: int = 0, grid_points: int = 1024):
+def reference_lower_bound(family, bounds, n: int, c=None, seed: int = 0):
     """The lower-bound construction computed elementwise and verified with
     full Gram matrices.  Returns codewords, mean vectors, KL values and the
     verifier's margins; the memory guard is left out."""
-    cert = verify_variance_assumption(family, bounds, grid_points)
+    cert = verify_variance_assumption(family, bounds)
     sigma_sq = cert.sigma_sq
     if c is None:
         c = cert.c_var / 16.0

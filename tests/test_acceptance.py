@@ -26,7 +26,6 @@ from isomech import (
 )
 from isomech.experiments import (
     AuthorRecord,
-    EstimationConfig,
     LinearRamp,
     ReviewTable,
     build_lower_bound,
@@ -102,7 +101,7 @@ def test_criterion_03_full_ranking_sweep_reproduces_figure():
     with criterion(3, "four-paper sweep: truthful ranking first, known runner-up set"):
         for family in (Binomial(10), Poisson()):
             results = rank_all_utilities(
-                family, [8.0, 7.0, 6.0, 4.0], UtilityFn.relu_square(),
+                family, [8.0, 7.0, 6.0, 4.0], UtilityFn("relu_square"),
                 scores_per_item=3, trials=100_000, seed=20230701,
             )
             assert len(results) == 24
@@ -129,7 +128,7 @@ def test_criterion_04_truthfulness_property_suite():
 
                 rankings = list(Ranking.all_rankings(n))
                 samples = utility_trials(
-                    family, mu, rankings, UtilityFn.relu_square(),
+                    family, mu, rankings, UtilityFn("relu_square"),
                     scores_per_item=3, trials=trials, seed=seed,
                 )
                 truthful = rankings.index(Ranking(range(1, n + 1)))
@@ -146,7 +145,7 @@ def test_criterion_04_truthfulness_property_suite():
                     CoarseRanking(np.split(np.arange(1, n + 1), np.cumsum(sizes)[:-1]))
                 )
                 coarse_samples = utility_trials(
-                    family, mu, coarse_all, UtilityFn.relu_square(),
+                    family, mu, coarse_all, UtilityFn("relu_square"),
                     scores_per_item=3, trials=trials, seed=seed,
                 )
                 for k in range(len(coarse_all)):
@@ -176,11 +175,10 @@ FIG3_GRID = (10, 25, 50, 100, 150, 200)
 def test_criterion_06_error_curves_shape():
     with criterion(6, "adjusted-score error falls with n while raw error stays flat"):
         for family in (Binomial(10), Poisson()):
-            cfg = EstimationConfig(
+            points = estimation_error_curve(
                 family=family, n_grid=FIG3_GRID, generator=LinearRamp(9, 3),
                 scores_per_item=3, trials=1000, seed=606,
             )
-            points = estimation_error_curve(cfg)
             for point in points:
                 gap_se = math.hypot(point.mse_im_se, point.mse_raw_se)
                 assert point.mse_im < point.mse_raw, (family.kind, point.n)

@@ -363,6 +363,30 @@ def test_malformed_config_and_env_numbers_exit_2(workdir, capsys, monkeypatch,
     assert not (workdir / "x.csv").exists()
 
 
+FIT_CONFIG = {"scores": "scores.csv", "ranking": "ranking.csv"}
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    # misspelt keys
+    (["fit"], {**FIT_CONFIG, "trails": 5}, "trails"),
+    (TRUTH_ARGS, {"trails": 5}, "trails"),
+    # keys of another command, a record key of icml's sidecar included
+    (["fit"], {**FIT_CONFIG, "mode": "weak"}, "mode"),
+    (MINIMAX_FLAGS, {"tie_breaks": {"a": 1}}, "tie_breaks"),
+    (["check-majorization", "a.csv", "b.csv"], {"seed": 3}, "seed"),
+])
+def test_config_keys_the_command_does_not_take_exit_2(workdir, capsys, argv, config, key):
+    scores_csv(workdir / "scores.csv", [2, 3, 1])
+    ranking_csv(workdir / "ranking.csv", [1, 2, 3])
+    write(workdir / "cfg.json", json.dumps(config))
+    inputs = sorted(p.name for p in workdir.iterdir())
+    assert main(argv + ["--config", "cfg.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cfg.json: {argv[0]} takes no parameter {key!r}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in workdir.iterdir()) == inputs
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_utility_exits_2_before_writing(workdir, capsys):
     argv = TRUTH_ARGS + ["--utility", "exp:100", "--out", "x.csv"]
@@ -472,6 +496,19 @@ def test_minimax_failed_construction_writes_nothing(workdir, capsys):
     assert list(workdir.iterdir()) == []
 
 
+@pytest.mark.parametrize("family, v_min, v_max", [("binomial:10", "0", "10"), ("poisson", "0", "0")])
+def test_minimax_zero_risk_exits_2(workdir, capsys, family, v_min, v_max):
+    # at n = 2 the ramp (v_max, v_min) sits on the mean hull's ends, so every draw is exact
+    argv = ["minimax", "--family", family, "--v-min", v_min, "--v-max", v_max,
+            "--n-grid", "2,4", "--trials", "3", "--construction-n", "8"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: rate check: the risk at n = 2 is 0")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+    assert list(workdir.iterdir()) == []
+
+
 def test_fit_and_icml_leave_scipy_optimize_unloaded(workdir):
     scores_csv(workdir / "scores.csv", [2, 3, 1, 5])
     ranking_csv(workdir / "ranking.csv", [1, 2, 3, 4])
@@ -521,7 +558,7 @@ def test_cli_runs_load_no_scipy(workdir):
         "for reps in (1, 3):\n"
         "    sample_scores(Binomial(10), [0.0, 2.5, 10.0], reps, np.random.default_rng(reps), 64)\n"
         "utility_trials(Binomial(10), [8.0, 7.0, 6.0], [Ranking([1, 2, 3]),"
-        " CoarseRanking([(1, 2), (3,)])], UtilityFn.relu_square(), trials=600)\n"
+        " CoarseRanking([(1, 2), (3,)])], UtilityFn('relu_square'), trials=600)\n"
         "assert not [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "print(abs(Binomial(2).log_density(0.0, 1) / math.log(0.5) - 1.0) <= 1e-12)\n"
     )

@@ -25,7 +25,6 @@ from isomech.isotonic import project_descending_batch
 from isomech import experiments
 from isomech.experiments import (
     AuthorRecord,
-    EstimationConfig,
     ExplicitScores,
     LinearRamp,
     PoolResample,
@@ -41,6 +40,7 @@ from isomech.experiments import (
 
 
 def make_cfg(**kwargs):
+    """Keyword arguments of ``estimation_error_curve``."""
     base = dict(
         family=Binomial(10),
         n_grid=(10, 40),
@@ -50,12 +50,12 @@ def make_cfg(**kwargs):
         seed=3,
     )
     base.update(kwargs)
-    return EstimationConfig(**base)
+    return base
 
 
 def test_noiseless_gaussian_curve_is_zero():
     cfg = make_cfg(family=Gaussian(1e-12), trials=100)
-    for point in estimation_error_curve(cfg):
+    for point in estimation_error_curve(**cfg):
         assert point.mse_im == pytest.approx(0.0, abs=1e-6)
         assert point.mse_raw == pytest.approx(0.0, abs=1e-6)
 
@@ -63,7 +63,7 @@ def test_noiseless_gaussian_curve_is_zero():
 def test_binomial_raw_error_matches_variance_oracle():
     n = 40
     cfg = make_cfg(n_grid=(n,), trials=4000)
-    point = estimation_error_curve(cfg)[0]
+    point = estimation_error_curve(**cfg)[0]
     family, s = Binomial(10), 3
     ramp = 9 - 6 * np.arange(n) / (n - 1)
     expected = float(np.mean(family.variance(family.natural_param(ramp)) / s))
@@ -72,26 +72,26 @@ def test_binomial_raw_error_matches_variance_oracle():
 
 def test_adjusted_beats_raw_on_ramp():
     cfg = make_cfg(n_grid=(100,), trials=400)
-    point = estimation_error_curve(cfg)[0]
+    point = estimation_error_curve(**cfg)[0]
     gap_se = math.hypot(point.mse_im_se, point.mse_raw_se)
     assert point.mse_im < point.mse_raw - 5 * gap_se
 
 
 def test_curve_deterministic_across_workers():
     cfg = make_cfg(trials=300)
-    assert estimation_error_curve(cfg) == estimation_error_curve(cfg, max_workers=4)
-    assert estimation_error_curve(cfg) == estimation_error_curve(cfg)
+    assert estimation_error_curve(**cfg) == estimation_error_curve(**cfg, max_workers=4)
+    assert estimation_error_curve(**cfg) == estimation_error_curve(**cfg)
 
 
 def test_curve_on_the_thread_pool_matches_serial():
     # 1,100 trials make three 512-trial chunks, so two workers really share them
     cfg = make_cfg(n_grid=(10,), trials=1100)
-    assert estimation_error_curve(cfg, max_workers=2) == estimation_error_curve(cfg, max_workers=1)
+    assert estimation_error_curve(**cfg, max_workers=2) == estimation_error_curve(**cfg, max_workers=1)
 
 
 def test_curve_ignores_the_order_of_explicit_scores():
     curves = [
-        estimation_error_curve(make_cfg(generator=ExplicitScores(values), n_grid=(3,), trials=700))
+        estimation_error_curve(**make_cfg(generator=ExplicitScores(values), n_grid=(3,), trials=700))
         for values in [(3.0, 9.0, 5.0), (9.0, 5.0, 3.0)]
     ]
     assert curves[0] == curves[1]
@@ -100,14 +100,14 @@ def test_curve_ignores_the_order_of_explicit_scores():
 
 def test_generator_validation():
     with pytest.raises(ValidationError):
-        estimation_error_curve(make_cfg(n_grid=(1,), trials=10))  # ramp needs n >= 2
+        estimation_error_curve(**make_cfg(n_grid=(1,), trials=10))  # ramp needs n >= 2
     with pytest.raises(InvalidParameterError):
-        estimation_error_curve(make_cfg(generator=ExplicitScores((4.0, 12.0)), n_grid=(2,), trials=5))
+        estimation_error_curve(**make_cfg(generator=ExplicitScores((4.0, 12.0)), n_grid=(2,), trials=5))
     with pytest.raises(ValidationError):
-        EstimationConfig(Binomial(10), (), LinearRamp(), trials=10)
+        estimation_error_curve(Binomial(10), (), LinearRamp(), trials=10)
     with pytest.raises(ValidationError):
         estimation_error_curve(
-            make_cfg(generator=PoolResample(pool=()), n_grid=(3,), trials=5)
+            **make_cfg(generator=PoolResample(pool=()), n_grid=(3,), trials=5)
         )
 
 

@@ -18,11 +18,9 @@ from isomech import (
     VarianceCertificate,
     family_from_dict,
     family_from_spec,
-    kl_divergence_product,
     verify_variance_assumption,
 )
-from isomech.expfam import _FAMILIES, Family, check_variance_floor
-from isomech.isotonic import _block_rows
+from isomech.expfam import _FAMILIES, Family, _block_rows, check_variance_floor
 
 from helpers import (
     ALL_FAMILIES,
@@ -137,17 +135,6 @@ def test_kl_matches_oracle_spot_checks():
             assert family.kl_divergence(t1, t2) == pytest.approx(
                 kl_oracle(family, t1, t2), abs=1e-6
             )
-
-
-def test_kl_additivity_over_coordinates():
-    rng = np.random.default_rng(9)
-    for name, family in ALL_FAMILIES.items():
-        lo, hi = THETA_WINDOWS[name]
-        t1 = rng.uniform(lo, hi, size=20)
-        t2 = rng.uniform(lo, hi, size=20)
-        total = kl_divergence_product(family, t1, t2)
-        coordinate_sum = sum(family.kl_divergence(a, b) for a, b in zip(t1, t2))
-        assert total == pytest.approx(coordinate_sum, rel=1e-12)
 
 
 def test_sampling_is_seed_deterministic():
@@ -310,7 +297,7 @@ def test_variance_floor_violation_carries_mu():
         v_tilde_min=2.5, v_tilde_max=7.5, c_int=0.5, c_var=1.5, sigma_sq=2.5
     )
     with pytest.raises(AssumptionViolatedError) as excinfo:
-        check_variance_floor(b, bogus, grid_points=64)
+        check_variance_floor(b, bogus)
     assert 2.5 <= excinfo.value.mu <= 7.5
 
 
@@ -324,8 +311,6 @@ def test_bounds_validation():
         ScoreBounds(3, 2)
     with pytest.raises(InvalidParameterError):
         Binomial(10).sigma_max(ScoreBounds(0, 11))
-    with pytest.raises(InvalidParameterError):
-        verify_variance_assumption(Poisson(), ScoreBounds(1, 8), grid_points=1)
 
 
 def test_family_serialization_roundtrip():

@@ -22,9 +22,9 @@ from isomech import (
     ranking_constrained_mle,
 )
 from isomech import isotonic
+from isomech.expfam import _block_rows
 from isomech.isotonic import (
     _block_order,
-    _block_rows,
     pava_descending,
     pava_descending_rows,
     project_descending_batch,
@@ -53,7 +53,7 @@ def test_pava_refuses_overflowing_pool():
         pava_descending([1e308, 1.7e308, 1.7e308])
     with pytest.raises(ValidationError, match="must be finite"):
         pava_descending([1.0, math.inf])
-    fitted, _ = pava_descending([1.7e308, 1e308, -1.7e308])
+    fitted = pava_descending([1.7e308, 1e308, -1.7e308])
     assert fitted.tolist() == [1.7e308, 1e308, -1.7e308]
 
 
@@ -223,19 +223,6 @@ def test_feasible_input_is_fixed_point():
         assert np.array_equal(fit.mu_hat, x)
 
 
-def test_pools_cover_and_decrease():
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        x = rng.normal(size=int(rng.integers(1, 30)))
-        fit = project_descending(x)
-        stops = [p[1] for p in fit.pools]
-        starts = [p[0] for p in fit.pools]
-        assert starts[0] == 0 and stops[-1] == x.size
-        assert all(a == b for a, b in zip(stops[:-1], starts[1:]))
-        values = [p[2] for p in fit.pools]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-
 def test_error_dominance_monte_carlo():
     rng = np.random.default_rng(15)
     mu = np.array([3.0, 2.0, 2.0, 1.0, 0.0, -1.0])
@@ -256,7 +243,7 @@ def test_batch_matches_scalar():
         rows = rng.normal(size=(60, n))
         batch = project_descending_batch(rows)
         for row, got in zip(rows, batch):
-            want, _ = pava_descending(row)
+            want = pava_descending(row)
             assert np.allclose(got, want, atol=1e-10), n
 
 
@@ -281,7 +268,6 @@ def test_mle_matches_isotonic_mechanism():
             mle = ranking_constrained_mle(family, x, perm)
             plain = isotonic_mechanism(x, perm)
             assert np.array_equal(mle.mu_hat, plain.mu_hat)
-            assert mle.pools == plain.pools
             interior = np.isfinite(mle.theta_hat)
             assert np.allclose(
                 family.mean(mle.theta_hat[interior]), mle.mu_hat[interior], atol=1e-9
@@ -340,7 +326,7 @@ def batch_tolerance(rows):
 
 
 def assert_matches_reference(rows, got):
-    want = np.stack([pava_descending(row)[0] for row in rows])
+    want = np.stack([pava_descending(row) for row in rows])
     if rows.shape[1] < isotonic._LOCKSTEP_N:  # the lockstep route
         assert np.array_equal(got, want)
     assert np.all(got[:, 1:] <= got[:, :-1])
@@ -474,7 +460,7 @@ def test_batch_refuses_finite_rows_that_overflow():
     for row in ([-1.7e308, 1.7e308, 0.0], [1.7e308, 1e308, -1.7e308],
                 [-1.7e308, 1.7e308] + [0.0] * long, [1.7e308] * long + [-1.7e308] * long):
         got = project_descending_batch(np.array([row]))
-        assert np.array_equal(got[0], pava_descending(row)[0])
+        assert np.array_equal(got[0], pava_descending(row))
     # a pooled sum that overflows is refused on both routes
     for n in (4, long):
         rows = np.zeros((600, n))
@@ -514,7 +500,7 @@ def test_lockstep_rows_equal_pava_descending(rows):
         got = pava_descending_rows(rows)
     assert got.shape == rows.shape
     for row, fitted in zip(rows, got):
-        assert np.array_equal(fitted, pava_descending(row)[0])
+        assert np.array_equal(fitted, pava_descending(row))
 
 
 def test_lockstep_rows_edge_shapes():

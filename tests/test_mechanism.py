@@ -36,10 +36,10 @@ def test_utility_kinds_are_nondecreasing_and_convex():
     grid = np.linspace(-4, 6, 201)
     h = grid[1] - grid[0]
     for u in (
-        UtilityFn.relu_square(),
-        UtilityFn.identity(),
-        UtilityFn.exponential(0.4),
-        UtilityFn.hinge(1.5),
+        UtilityFn("relu_square"),
+        UtilityFn("identity"),
+        UtilityFn("exp", 0.4),
+        UtilityFn("hinge", 1.5),
     ):
         values = u(grid)
         slopes = np.diff(values) / h
@@ -48,18 +48,18 @@ def test_utility_kinds_are_nondecreasing_and_convex():
 
 
 def test_utility_parsing_and_validation():
-    assert UtilityFn.from_spec("exp:0.5") == UtilityFn.exponential(0.5)
-    assert UtilityFn.from_spec("relu_square") == UtilityFn.relu_square()
+    assert UtilityFn.from_spec("exp:0.5") == UtilityFn("exp", 0.5)
+    assert UtilityFn.from_spec("relu_square") == UtilityFn("relu_square")
     with pytest.raises(ValidationError):
         UtilityFn.from_spec("cubic")
     with pytest.raises(InvalidParameterError):
-        UtilityFn.exponential(-1.0)
+        UtilityFn("exp", -1.0)
 
 
 def test_zero_variance_proxy_recovers_noiseless_utility():
     mu = [4.0, 3.0, 2.0, 1.0]
     samples = utility_trials(
-        Gaussian(1e-12), mu, [Ranking([1, 2, 3, 4])], UtilityFn.relu_square(),
+        Gaussian(1e-12), mu, [Ranking([1, 2, 3, 4])], UtilityFn("relu_square"),
         scores_per_item=3, trials=200, seed=1,
     )
     mean, _ = _mean_se(samples[:, 0])
@@ -67,7 +67,7 @@ def test_zero_variance_proxy_recovers_noiseless_utility():
 
 
 def test_common_random_numbers_are_deterministic():
-    args = (Binomial(10), [8, 7, 6, 4], [Ranking([2, 1, 3, 4])], UtilityFn.relu_square())
+    args = (Binomial(10), [8, 7, 6, 4], [Ranking([2, 1, 3, 4])], UtilityFn("relu_square"))
     first = utility_trials(*args, trials=2000, seed=42)
     second = utility_trials(*args, trials=2000, seed=42)
     assert first.shape == (2000, 1)
@@ -79,8 +79,8 @@ def test_common_random_numbers_are_deterministic():
 def test_singleton_blocks_match_full_ranking_exactly():
     perm = Ranking([3, 1, 4, 2])
     args = (Poisson(), [8, 7, 6, 4])
-    full = utility_trials(*args, [perm], UtilityFn.relu_square(), trials=3000, seed=9)
-    coarse = utility_trials(*args, [CoarseRanking((i,) for i in perm)], UtilityFn.relu_square(),
+    full = utility_trials(*args, [perm], UtilityFn("relu_square"), trials=3000, seed=9)
+    coarse = utility_trials(*args, [CoarseRanking((i,) for i in perm)], UtilityFn("relu_square"),
                             trials=3000, seed=9)
     assert _mean_se(full[:, 0]) == _mean_se(coarse[:, 0])
 
@@ -89,7 +89,7 @@ def test_single_block_is_unconstrained():
     mu = [8.0, 7.0, 6.0, 4.0]
     seed, trials = 5, 4000
     samples = utility_trials(
-        Binomial(10), mu, [CoarseRanking([(1, 2, 3, 4)])], UtilityFn.relu_square(),
+        Binomial(10), mu, [CoarseRanking([(1, 2, 3, 4)])], UtilityFn("relu_square"),
         trials=trials, seed=seed,
     )
     mean, _ = _mean_se(samples[:, 0])
@@ -101,7 +101,7 @@ def test_single_block_is_unconstrained():
 def test_truthful_beats_alternatives_quick():
     mu = [8.0, 7.0, 6.0, 4.0]
     results = rank_all_utilities(
-        Binomial(10), mu, UtilityFn.relu_square(), trials=20_000, seed=3
+        Binomial(10), mu, UtilityFn("relu_square"), trials=20_000, seed=3
     )
     assert results[0][0].perm == (1, 2, 3, 4)
 
@@ -119,7 +119,7 @@ def test_upward_swap_improves_utility():
                 continue
             pi = swaps[int(rng.integers(len(swaps)))]
             samples = utility_trials(
-                family, mu, [pi, nu], UtilityFn.relu_square(),
+                family, mu, [pi, nu], UtilityFn("relu_square"),
                 trials=20_000, seed=int(rng.integers(1 << 30)),
             )
             gap = samples[:, 0] - samples[:, 1]
@@ -129,12 +129,12 @@ def test_upward_swap_improves_utility():
 
 def test_rank_all_utilities_guards():
     single = rank_all_utilities(
-        Poisson(), [4.0], UtilityFn.identity(), trials=100, seed=0
+        Poisson(), [4.0], UtilityFn("identity"), trials=100, seed=0
     )
     assert len(single) == 1
     with pytest.raises(ValidationError):
         rank_all_utilities(
-            Poisson(), list(range(1, 10)), UtilityFn.identity(), trials=10, seed=0
+            Poisson(), list(range(1, 10)), UtilityFn("identity"), trials=10, seed=0
         )
 
 
@@ -193,7 +193,7 @@ def test_sweep_budget_arithmetic():
 def test_mu_star_validation():
     with pytest.raises(InvalidParameterError):
         utility_trials(
-            Binomial(10), [8, 11], [Ranking([1, 2])], UtilityFn.identity(),
+            Binomial(10), [8, 11], [Ranking([1, 2])], UtilityFn("identity"),
             trials=10, seed=0,
         )
 
@@ -203,7 +203,7 @@ def test_coarse_truthful_best_over_fixed_sizes():
     coarse_rankings = all_coarse_rankings(4, (1, 3))
     assert len(coarse_rankings) == 4
     samples = utility_trials(
-        Binomial(10), mu, coarse_rankings, UtilityFn.relu_square(),
+        Binomial(10), mu, coarse_rankings, UtilityFn("relu_square"),
         trials=100_000, seed=11,
     )
     assert samples.shape == (100_000, 4)
@@ -219,7 +219,7 @@ def test_rank_all_utilities_holds_no_all_rankings_matrix():
     tracemalloc.start()
     try:
         results = rank_all_utilities(
-            Binomial(10), [8.0, 7.0, 6.0, 5.0, 4.0], UtilityFn.relu_square(),
+            Binomial(10), [8.0, 7.0, 6.0, 5.0, 4.0], UtilityFn("relu_square"),
             trials=trials, seed=1,
         )
         _, peak = tracemalloc.get_traced_memory()
@@ -233,7 +233,7 @@ def test_rank_all_utilities_holds_no_all_rankings_matrix():
 def test_overflowing_utility_is_refused():
     with pytest.raises(InvalidParameterError, match="exp:100.*smaller parameter"):
         rank_all_utilities(
-            Binomial(10), [8.0, 7.0], UtilityFn.exponential(100.0), trials=50, seed=0
+            Binomial(10), [8.0, 7.0], UtilityFn("exp", 100.0), trials=50, seed=0
         )
 
 
@@ -241,7 +241,7 @@ def test_overflowing_utility_is_refused():
 def test_overflowing_utility_is_refused_per_claim():
     with pytest.raises(InvalidParameterError, match="exp:100.*smaller parameter"):
         utility_trials(Binomial(10), [8, 7], [Ranking([1, 2])],
-                       UtilityFn.exponential(100), trials=50, seed=0)
+                       UtilityFn("exp", 100.0), trials=50, seed=0)
 
 
 def _table_fits(rows, ranking):
@@ -297,10 +297,10 @@ def test_streamed_moments_match_mean_se(trials):
 def test_sweep_matches_projecting_each_ranking(family, mu):
     trials, seed = _SWEEP_CHUNK + 9, 17
     scores = simulate_scores(family, mu, 3, trials, seed)
-    results = rank_all_utilities(family, mu, UtilityFn.relu_square(), trials=trials, seed=seed)
+    results = rank_all_utilities(family, mu, UtilityFn("relu_square"), trials=trials, seed=seed)
     assert len(results) == math.factorial(len(mu))
     for ranking, est in results:
-        mean, se = _mean_se(_trial_utilities(scores, ranking, UtilityFn.relu_square()))
+        mean, se = _mean_se(_trial_utilities(scores, ranking, UtilityFn("relu_square")))
         assert est.mean == pytest.approx(mean, rel=1e-13)
         assert est.std_error == pytest.approx(se, rel=1e-12)
         assert (est.trials, est.seed) == (trials, seed)
