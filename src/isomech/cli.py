@@ -2,8 +2,9 @@
 
 Subcommands wire CSV/JSON files to the library: ``fit`` adjusts one score
 vector, ``truthfulness`` sweeps all rankings of a small instance,
-``estimation``/``minimax`` run the error-curve and rate studies, ``icml``
-and ``synthetic`` produce the review-data style tables, and
+``estimation``/``minimax`` run the error-curve and rate studies (``estimation
+--family binomial:10 --pool POOL --scores-per-item 3`` is the simulated
+review study), ``icml`` produces the review-data style table, and
 ``check-majorization`` compares two vectors.
 
 Conventions: CSV in and out with header rows, UTF-8, '.' decimal, floats at
@@ -83,7 +84,6 @@ from .experiments import (
     estimation_error_curve,
     rate_check,
     surrogate_eval,
-    synthetic_icml_study,
 )
 
 __all__ = ["main"]
@@ -507,7 +507,7 @@ _COMMANDS: dict[str, _Command] = {
         {"out": "utilities.csv", "utility": "relu_square", "scores_per_item": 3,
          "trials": 100_000}),
     "estimation": _Command(
-        "error of adjusted vs raw scores across n", (),
+        "error of adjusted vs raw scores across n, and the relative improvement", (),
         ("family", "n_grid", "ramp_hi", "ramp_lo", "pool", "mu_star", "scores_per_item",
          "trials", "threads"),
         ("family", "n_grid"),
@@ -523,9 +523,6 @@ _COMMANDS: dict[str, _Command] = {
         "surrogate-truth evaluation of review/author CSVs", ("reviews", "authors"), (),
         ("reviews", "authors"), {"out": "table1.csv"},
         record=("skipped_submissions", "skipped_authors", "tie_breaks")),
-    "synthetic": _Command(
-        "synthetic review study from a score pool", ("pool",), ("n_grid", "trials", "threads"),
-        ("pool",), {"out": "table2.csv", "trials": 1000, "n_grid": list(range(2, 18))}),
     "check-majorization": _Command(
         "majorization verdict for two vectors", ("a", "b"), ("mode",), ("a", "b"),
         {"mode": "standard"}, writes=False),
@@ -651,7 +648,7 @@ def _cmd_estimation(params: dict[str, Any]) -> int:
         scores_per_item=params["scores_per_item"], trials=params["trials"],
         seed=params["seed"], max_workers=params.get("threads"),
     )
-    header = ["n", "trials", "mse_im", "mse_im_se", "mse_raw", "mse_raw_se"]
+    header = ["n", "trials", "mse_im", "mse_im_se", "mse_raw", "mse_raw_se", "improvement"]
     return _finish("estimation", params, header, _fields(points, header))
 
 
@@ -731,17 +728,6 @@ def _cmd_icml(params: dict[str, Any]) -> int:
         record={"skipped_submissions": report.skipped_submissions,
                 "skipped_authors": report.skipped_authors, "tie_breaks": report.tie_breaks},
     )
-
-
-def _cmd_synthetic(params: dict[str, Any]) -> int:
-    pool = _read_column(str(params["pool"]), "score")
-    rows_out = synthetic_icml_study(
-        pool, n_grid=params["n_grid"], trials=params["trials"],
-        seed=params["seed"], max_workers=params.get("threads"),
-    )
-    header = ["n", "trials", "mse_im_mean", "mse_im_std", "mse_raw_mean", "mse_raw_std",
-              "improvement"]
-    return _finish("synthetic", params, header, _fields(rows_out, header))
 
 
 def _cmd_check_majorization(params: dict[str, Any]) -> int:

@@ -3,14 +3,17 @@
 Four drivers built on the isotonic machinery:
 
   * ``estimation_error_curve``  per-coordinate MSE of adjusted vs raw scores
-    across a grid of submission counts,
-  * ``rate_check``              log-log slope of the total risk against n,
-    for comparison with the n^(1/3) minimax rate,
+    across a grid of submission counts, the one Monte-Carlo loop over n;
+    true scores resampled from a pool of review scores (``PoolResample``)
+    make it the simulated conference-review study,
+  * ``rate_check``              that curve on a ramp with one score per
+    item, and the log-log slope of the total risk against n, for
+    comparison with the n^(1/3) minimax rate,
   * ``build_lower_bound``       the packing construction behind the minimax
     lower bound (codewords, perturbed mean vectors, KL budget), with a
     verifier that compares every pair of codewords exactly, in row tiles,
-  * ``synthetic_icml_study`` / ``surrogate_eval``  conference-review style
-    evaluations on synthetic pools and on review/author records.
+  * ``surrogate_eval``          the conference-review evaluation on
+    review/author records.
 
 Every mean vector of the construction takes one of two values per block,
 so its natural parameters and KL terms are computed on those 2k levels and
@@ -47,7 +50,6 @@ from .errors import (
 )
 from .expfam import (
     Family,
-    Binomial,
     ScoreBounds,
     VarianceCertificate,
     _block_rows,
@@ -67,8 +69,6 @@ __all__ = [
     "rate_check",
     "LowerBoundConstruction",
     "build_lower_bound",
-    "SyntheticRow",
-    "synthetic_icml_study",
     "ReviewTable",
     "AuthorRecord",
     "SurrogateRow",
@@ -194,6 +194,11 @@ class EstimationPoint:
     mse_raw_se: float
     trials: int
 
+    @property
+    def improvement(self) -> float:
+        """Relative error saved by adjusting, (mse_raw - mse_im) / mse_raw; 0 without raw error."""
+        return (self.mse_raw - self.mse_im) / self.mse_raw if self.mse_raw > 0 else 0.0
+
 
 def estimation_error_curve(
     family: Family,
@@ -211,8 +216,11 @@ def estimation_error_curve(
     """
     if not n_grid or any(n < 1 for n in n_grid):
         raise ValidationError("n_grid must hold positive submission counts")
-    if trials < 1 or scores_per_item < 1:
-        raise ValidationError("trials and scores_per_item must be >= 1")
+    if scores_per_item < 1:
+        raise ValidationError(f"scores_per_item must be >= 1, got {scores_per_item}")
+    if isinstance(generator, PoolResample):
+        # the draws are checked too, but a pool value no trial draws must not slip through
+        family.check_mean_hull(generator.pool, "true score")
     points = []
     for n, child in zip(n_grid, np.random.SeedSequence(seed).spawn(len(n_grid))):
         im, raw = _mse_samples(family, generator, n, scores_per_item, trials, child, max_workers)
@@ -251,8 +259,9 @@ def rate_check(
 ) -> RateReport:
     """Least-squares slope of log total risk vs log n for the adjusted scores.
 
-    The true scores ramp linearly across the full score range, a worst-case
-    style configuration, and each item is scored once; in the regime where
+    This is ``estimation_error_curve`` on a linear ramp across the full score
+    range, a worst-case style configuration, with one score per item; the
+    total risk at n is n times its per-coordinate MSE.  In the regime where
     the cube-root term dominates, the fitted slope should sit near 1/3.  A
     grid point whose risk is 0, where every score is exact, has no log and
     raises ``ValidationError``.
@@ -261,24 +270,20 @@ def rate_check(
     if len(grid) < 2 or grid[0] < 2:
         raise ValidationError("rate check needs at least two submission counts >= 2")
     family.validate_bounds(bounds)
-    gen = LinearRamp(hi=bounds.v_max, lo=bounds.v_min)
-    root = np.random.SeedSequence(seed)
-    points = []
-    for n, child in zip(grid, root.spawn(len(grid))):
-        im, _ = _mse_samples(family, gen, n, 1, trials, child, max_workers)
-        total = im * n  # _mse_samples normalizes by n
-        mean, se = _mean_se(total)
-        if not mean > 0:
-            raise ValidationError(
-                f"rate check: the risk at n = {n} is 0, every score being exact at its mean, "
-                f"so log risk is undefined; drop n = {n} or keep the bounds off the ends of "
-                f"the {family.kind} mean hull"
-            )
-        points.append(RatePoint(n=n, risk=mean, risk_se=se))
+    ramp = LinearRamp(hi=bounds.v_max, lo=bounds.v_min)
+    curve = estimation_error_curve(family, grid, ramp, 1, trials, seed, max_workers)
+    points = tuple(RatePoint(p.n, p.n * p.mse_im, p.n * p.mse_im_se) for p in curve)
+    zero = next((p.n for p in points if not p.risk > 0), None)
+    if zero is not None:
+        raise ValidationError(
+            f"rate check: the risk at n = {zero} is 0, every score being exact at its mean, "
+            f"so log risk is undefined; drop n = {zero} or keep the bounds off the ends of "
+            f"the {family.kind} mean hull"
+        )
     slope, intercept = np.polyfit(
         np.log([p.n for p in points]), np.log([p.risk for p in points]), deg=1
     )
-    return RateReport(slope=float(slope), intercept=float(intercept), points=tuple(points))
+    return RateReport(slope=float(slope), intercept=float(intercept), points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -545,65 +550,6 @@ def build_lower_bound(
         target_size=target,
     )
     return replace(construction, margins=construction.verify())
-
-
-# ---------------------------------------------------------------------------
-# Synthetic conference-review study
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SyntheticRow:
-    n: int
-    mse_im_mean: float
-    mse_im_std: float
-    mse_raw_mean: float
-    mse_raw_std: float
-    improvement: float
-    trials: int
-
-
-def synthetic_icml_study(
-    score_pool: Sequence[float],
-    n_grid: Sequence[int] = tuple(range(2, 18)),
-    trials: int = 1000,
-    seed: int = 0,
-    max_workers: Optional[int] = None,
-) -> list[SyntheticRow]:
-    """Review-score simulation over a pool of plausible true scores.
-
-    Per trial, n true scores are resampled from the pool; each observed score
-    averages three Binomial(10, mu/10) draws; the truthful ranking adjusts
-    them.  Rows report mean and standard deviation of both per-author MSEs
-    plus the relative improvement of the adjusted scores (0 without raw error).
-    """
-    if not n_grid or any(n < 1 for n in n_grid):
-        raise ValidationError("n_grid must hold positive submission counts")
-    pool = np.asarray(list(score_pool), dtype=float)
-    if pool.size == 0:
-        raise ValidationError("score pool must be nonempty")
-    if pool.min() < 0 or pool.max() > 10:
-        raise InvalidParameterError("pool scores must lie in [0, 10]")
-    family = Binomial(10)
-    gen = PoolResample(pool=tuple(pool))
-    root = np.random.SeedSequence(seed)
-    rows = []
-    for n, child in zip(n_grid, root.spawn(len(n_grid))):
-        im, raw = _mse_samples(family, gen, int(n), 3, trials, child, max_workers)
-        im_mean, raw_mean = im.mean(), raw.mean()
-        improvement = float((raw_mean - im_mean) / raw_mean) if raw_mean > 0 else 0.0
-        rows.append(
-            SyntheticRow(
-                n=int(n),
-                mse_im_mean=float(im_mean),
-                mse_im_std=float(im.std(ddof=1)) if trials > 1 else 0.0,
-                mse_raw_mean=float(raw_mean),
-                mse_raw_std=float(raw.std(ddof=1)) if trials > 1 else 0.0,
-                improvement=improvement,
-                trials=trials,
-            )
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------

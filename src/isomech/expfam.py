@@ -222,10 +222,6 @@ class Family(ABC):
         reps = self._check_reps(reps)
         return self._draw_average(self.check_mean_hull(mu, "mean"), rng, size, reps)
 
-    def sample(self, theta, rng: np.random.Generator, size=None):
-        """Draw variates at natural parameter ``theta``."""
-        return self.sample_mean(self.mean(theta), rng, size)
-
     def sample_rows(self, mu, rng: np.random.Generator, trials: int, reps: int = 1) -> np.ndarray:
         """C-contiguous float64 (trials, n) ``sample_mean`` draws at the (n,)
         means ``mu`` that every row shares.  Drawn item-major, so numpy sets a

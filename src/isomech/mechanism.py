@@ -187,8 +187,8 @@ def simulate_scores(
     mu = family.check_mean_hull(np.asarray(mu_star, dtype=float), "true score")
     if mu.ndim != 1 or mu.size == 0:
         raise ValidationError("mu_star must be a nonempty 1-d vector")
-    if scores_per_item < 1 or trials < 1:
-        raise ValidationError("scores_per_item and trials must be >= 1")
+    if scores_per_item < 1:
+        raise ValidationError(f"scores_per_item must be >= 1, got {scores_per_item}")
 
     def one_chunk(count, rng):
         return sample_scores(family, mu, scores_per_item, rng, count)

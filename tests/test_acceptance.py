@@ -27,12 +27,12 @@ from isomech import (
 from isomech.experiments import (
     AuthorRecord,
     LinearRamp,
+    PoolResample,
     ReviewTable,
     build_lower_bound,
     estimation_error_curve,
     rate_check,
     surrogate_eval,
-    synthetic_icml_study,
 )
 from isomech.mechanism import UtilityFn, rank_all_utilities, utility_trials
 from isomech.order import majorizes
@@ -239,7 +239,9 @@ def test_criterion_09_review_table_substitutes():
         assert row.mse_raw == 0 and row.mse_im == 0
 
         pool = np.random.default_rng(909).uniform(3, 8, size=1000)
-        rows = synthetic_icml_study(pool, n_grid=tuple(range(2, 18)), trials=1000, seed=909)
+        rows = estimation_error_curve(
+            Binomial(10), tuple(range(2, 18)), PoolResample(tuple(pool)), 3, trials=1000, seed=909
+        )
         improvements = [r.improvement for r in rows]
         assert improvements[0] > 0.05
         assert improvements[-1] >= improvements[0] + 0.20
@@ -265,7 +267,8 @@ def test_criterion_10_family_calculus_suite():
             n = 1_000_000
             theta = 0.55 * lo + 0.45 * hi
             sampler_seed = 31 + sorted(ALL_FAMILIES).index(name)
-            draws = family.sample(theta, np.random.default_rng(sampler_seed), size=n)
+            draws = family.sample_mean(family.mean(theta), np.random.default_rng(sampler_seed),
+                                       size=n)
             mean_se = math.sqrt(family.variance(theta) / n)
             assert abs(draws.mean() - family.mean(theta)) <= 5 * mean_se, name
             m4 = float(np.mean((draws - draws.mean()) ** 4))

@@ -3,6 +3,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,10 @@ def read_rows(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+# the simulated review study: three Binomial(10) reviews per item, true scores from pool.csv
+POOL_ARGS = ["estimation", "--family", "binomial:10", "--pool", "pool.csv"]
 
 
 def test_fit_pools_violators(workdir):
@@ -164,27 +169,45 @@ def test_synthetic_command_and_replay(workdir):
         workdir / "pool.csv",
         "score\n" + "".join(f"{v:.3f}\n" for v in rng.uniform(3, 8, size=80)),
     )
-    args = [
-        "synthetic", "pool.csv", "--n-grid", "2,5", "--trials", "100",
-        "--seed", "1", "--out", "table2.csv",
-    ]
+    args = POOL_ARGS + ["--n-grid", "2,5", "--trials", "100", "--seed", "1",
+                        "--out", "table2.csv"]
     assert main(args) == 0
     first = (workdir / "table2.csv").read_bytes()
     rows = read_rows(workdir / "table2.csv")
     assert [row["n"] for row in rows] == ["2", "5"]
-    assert main(["synthetic", "--config", "table2.csv.meta.json"]) == 0
+    assert main(["estimation", "--config", "table2.csv.meta.json"]) == 0
     assert (workdir / "table2.csv").read_bytes() == first
+
+
+def test_estimation_improvement_column(workdir, capsys):
+    write(workdir / "pool.csv", "score\n" + "".join(f"{3 + 0.0625 * i}\n" for i in range(80)))
+    assert main(POOL_ARGS + ["--n-grid", "2,5,17", "--trials", "200", "--seed", "3"]) == 0
+    rows = read_rows(workdir / "curve.csv")
+    assert [row["n"] for row in rows] == ["2", "5", "17"]
+    for row in rows:
+        raw, im = float(row["mse_raw"]), float(row["mse_im"])
+        # each of the three cells is rounded to 12 significant digits
+        assert float(row["improvement"]) == pytest.approx((raw - im) / raw, rel=0, abs=2e-12)
+    # a pool at the boundary mean 0 makes every score exact: 0, not a 0/0 warning
+    write(workdir / "pool.csv", "score\n0\n0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(POOL_ARGS + ["--n-grid", "2,3", "--trials", "50"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_rows(workdir / "curve.csv")
+    assert [(row["mse_raw"], row["improvement"]) for row in rows] == [("0", "0")] * 2
 
 
 def test_synthetic_rejects_out_of_range_pool(workdir, capsys):
     write(workdir / "pool.csv", "score\n5\n11\n")
-    assert main(["synthetic", "pool.csv", "--n-grid", "2", "--trials", "10"]) == 2
-    assert "pool" in capsys.readouterr().err
+    assert main(POOL_ARGS + ["--n-grid", "2", "--trials", "10"]) == 2
+    assert capsys.readouterr().err == (
+        "error: true score outside the binomial mean hull [0.0, 10.0]\n")
 
 
 def test_synthetic_rejects_empty_submission_count(workdir, capsys):
     write(workdir / "pool.csv", "score\n5\n6\n")
-    assert main(["synthetic", "pool.csv", "--n-grid", "0", "--trials", "10"]) == 2
+    assert main(POOL_ARGS + ["--n-grid", "0", "--trials", "10"]) == 2
     assert "n_grid" in capsys.readouterr().err
 
 
@@ -242,7 +265,7 @@ def test_env_seed_fallback(workdir, monkeypatch):
         "score\n" + "".join(f"{v:.3f}\n" for v in rng.uniform(3, 8, size=40)),
     )
     monkeypatch.setenv("ISOMECH_SEED", "123")
-    main(["synthetic", "pool.csv", "--n-grid", "2", "--trials", "50", "--out", "t.csv"])
+    main(POOL_ARGS + ["--n-grid", "2", "--trials", "50", "--out", "t.csv"])
     sidecar = json.loads((workdir / "t.csv.meta.json").read_text())
     assert sidecar["params"]["seed"] == 123
 
@@ -320,7 +343,7 @@ MINIMAX_FLAGS = MINIMAX_ARGS + ["--v-min", "0"]
     (MINIMAX_FLAGS + ["--v-max", "x"], "v_max: 'x' is not a number"),
     (MINIMAX_FLAGS + ["--construction-n", "x"], "construction_n: 'x' is not an integer"),
     (MINIMAX_FLAGS + ["--c", "x"], "c: 'x' is not a number"),
-    (["synthetic", "pool.csv", "--n-grid", "2,z"], "n_grid: 'z' is not an integer"),
+    (POOL_ARGS + ["--n-grid", "2,z"], "n_grid: 'z' is not an integer"),
     (["check-majorization", "a.csv", "b.csv", "--mode", "bogus"],
      "mode: 'bogus' is not one of standard, natural, weak"),
 ])
@@ -467,7 +490,7 @@ def test_minimax_construction_n_zero_exits_2(workdir, capsys):
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
 @pytest.mark.parametrize("argv", [MINIMAX_ARGS + ["--v-min", "0"],
-                                  ["synthetic", "pool.csv", "--n-grid", "2"]])
+                                  POOL_ARGS + ["--n-grid", "2"]])
 def test_trials_below_one_exit_2(workdir, capsys, argv, trials):
     write(workdir / "pool.csv", "score\n5\n6\n")
     assert main(argv + ["--trials", trials]) == 2
@@ -606,7 +629,7 @@ VALID_INPUTS = {
 FIT_RANKING = ["fit", "scores.csv", "--ranking", "ranking.csv", "--out", "out.csv"]
 FIT_BLOCKS = ["fit", "scores.csv", "--blocks", "blocks.csv", "--out", "out.csv"]
 ICML = ["icml", "reviews.csv", "authors.csv", "--out", "out.csv"]
-SYNTHETIC = ["synthetic", "pool.csv", "--n-grid", "2", "--trials", "10", "--out", "out.csv"]
+SYNTHETIC = POOL_ARGS + ["--n-grid", "2", "--trials", "10", "--out", "out.csv"]
 MAJORIZATION = ["check-majorization", "a.csv", "b.csv"]
 
 
@@ -732,6 +755,7 @@ def test_icml_log_level_shows_skips_and_leaves_no_handler(workdir, capsys):
 
 
 # One run of each file-writing command, by parameter; the CSV inputs are positional.
+# The "synthetic" run is the simulated review study, an estimation run on a score pool.
 RUNS = {
     "fit": {"scores": "scores.csv", "ranking": "ranking.csv"},
     "truthfulness": {"family": "binomial:10", "mu_star": [8, 7, 6], "trials": 600, "seed": 4},
@@ -739,8 +763,10 @@ RUNS = {
     "minimax": {"family": "gaussian:1.0", "v_min": 0, "v_max": 6, "n_grid": [32, 64],
                 "trials": 20, "construction_n": 64, "seed": 2},
     "icml": {"reviews": "reviews.csv", "authors": "authors.csv", "seed": 5},
-    "synthetic": {"pool": "pool.csv", "n_grid": [2, 5], "trials": 100, "seed": 1},
+    "synthetic": {"family": "binomial:10", "pool": "pool.csv", "n_grid": [2, 5], "trials": 100,
+                  "seed": 1},
 }
+RUN_COMMANDS = {"synthetic": "estimation"}
 RUN_INPUTS = {
     **VALID_INPUTS,
     "ranking.csv": "rank,index\n1,3\n2,1\n3,2\n",
@@ -752,10 +778,10 @@ def as_text(value):
     return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
-def run_argv(command, params):
-    argv = [command]
+def run_argv(run, params):
+    argv = [RUN_COMMANDS.get(run, run)]
     for key, value in params.items():
-        if key in ("scores", "reviews", "authors", "pool"):
+        if key in ("scores", "reviews", "authors"):
             argv.append(value)
         else:
             argv += ["--" + key.replace("_", "-"), as_text(value)]
@@ -772,31 +798,31 @@ def take_outputs(workdir):
     return files
 
 
-@pytest.mark.parametrize("command", list(RUNS))
-def test_replay_is_byte_identical(workdir, capsys, command):
+@pytest.mark.parametrize("run", list(RUNS))
+def test_replay_is_byte_identical(workdir, capsys, run):
     for name, text in RUN_INPUTS.items():
         write(workdir / name, text)
-    assert main(run_argv(command, RUNS[command]) + ["--out", "out.csv"]) == 0
+    assert main(run_argv(run, RUNS[run]) + ["--out", "out.csv"]) == 0
     stdout = capsys.readouterr().out
     write(workdir / "replay.json", (workdir / "out.csv.meta.json").read_text())
     first = take_outputs(workdir)
-    assert main([command, "--config", "replay.json"]) == 0
+    assert main([RUN_COMMANDS.get(run, run), "--config", "replay.json"]) == 0
     assert capsys.readouterr().out == stdout
     assert take_outputs(workdir) == first
 
 
 @pytest.mark.parametrize("numbers_as_text", [False, True])
-@pytest.mark.parametrize("command", list(RUNS))
-def test_flags_and_config_give_the_same_run(workdir, capsys, command, numbers_as_text):
+@pytest.mark.parametrize("run", list(RUNS))
+def test_flags_and_config_give_the_same_run(workdir, capsys, run, numbers_as_text):
     for name, text in RUN_INPUTS.items():
         write(workdir / name, text)
-    params = RUNS[command]
-    assert main(run_argv(command, params) + ["--out", "out.csv"]) == 0
+    params = RUNS[run]
+    assert main(run_argv(run, params) + ["--out", "out.csv"]) == 0
     stdout = capsys.readouterr().out
     from_flags = take_outputs(workdir)
     if numbers_as_text:
         params = {key: as_text(value) for key, value in params.items()}
     write(workdir / "cfg.json", json.dumps({**params, "out": "out.csv"}))
-    assert main([command, "--config", "cfg.json"]) == 0
+    assert main([RUN_COMMANDS.get(run, run), "--config", "cfg.json"]) == 0
     assert capsys.readouterr().out == stdout
     assert take_outputs(workdir) == from_flags

@@ -64,7 +64,9 @@ TABLE_RUNS = {
                      "--trials", "600", "--seed", "4"],
     "estimation": ["estimation", "--family", "binomial:10", "--n-grid", "10,30",
                    "--trials", "120", "--seed", "9"],
-    "synthetic": ["synthetic", "pool.csv", "--n-grid", "2,5", "--trials", "100", "--seed", "1"],
+    # the simulated review study: estimation on a score pool
+    "synthetic": ["estimation", "--family", "binomial:10", "--pool", "pool.csv", "--n-grid", "2,5",
+                  "--trials", "100", "--seed", "1"],
     "minimax": ["minimax", "--family", "gaussian:1.0", "--v-min", "0", "--v-max", "6",
                 "--n-grid", "32,64", "--trials", "20", "--construction-n", "64", "--seed", "2"],
 }

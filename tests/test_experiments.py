@@ -35,7 +35,6 @@ from isomech.experiments import (
     estimation_error_curve,
     rate_check,
     surrogate_eval,
-    synthetic_icml_study,
 )
 
 
@@ -323,10 +322,10 @@ def test_packing_restarts_until_a_code_clears_both_floors():
 
 
 def test_synthetic_study_constant_pool():
-    rows = synthetic_icml_study([5.0], n_grid=(2, 5), trials=300, seed=4)
-    for row in rows:
-        assert row.mse_im_mean <= row.mse_raw_mean
-        assert row.improvement >= 0
+    points = estimation_error_curve(Binomial(10), (2, 5), PoolResample((5.0,)), 3, 300, 4)
+    for p in points:
+        assert p.mse_im <= p.mse_raw
+        assert p.improvement >= 0
     # trialwise: projection toward the feasible constant truth contracts
     rng = np.random.default_rng(0)
     x = Binomial(10).sample_mean(np.full((500, 5, 3), 5.0), rng).mean(axis=2)
@@ -339,29 +338,36 @@ def test_synthetic_study_constant_pool():
 def test_synthetic_study_improvement_grows():
     rng = np.random.default_rng(12)
     pool = rng.uniform(3, 8, size=500)
-    rows = synthetic_icml_study(pool, n_grid=(2, 8, 17), trials=400, seed=12)
-    improvements = [row.improvement for row in rows]
+    points = estimation_error_curve(
+        Binomial(10), (2, 8, 17), PoolResample(tuple(pool)), 3, 400, 12
+    )
+    improvements = [p.improvement for p in points]
     assert improvements[0] > 0.05
     assert improvements[-1] > improvements[0] + 0.20
 
 
 def test_synthetic_study_pool_validation():
+    def study(pool, n_grid):
+        return estimation_error_curve(Binomial(10), n_grid, PoolResample(pool), 3, 10)
+
     with pytest.raises(InvalidParameterError):
-        synthetic_icml_study([5.0, 11.0], n_grid=(2,), trials=10)
+        study((5.0, 11.0), (2,))
+    with pytest.raises(InvalidParameterError, match="mean hull"):
+        study((5.0,) * 999 + (11.0,), (2,))  # refused even where no trial draws the 11
     with pytest.raises(ValidationError):
-        synthetic_icml_study([], n_grid=(2,), trials=10)
+        study((), (2,))
     with pytest.raises(ValidationError, match="n_grid"):
-        synthetic_icml_study([5.0], n_grid=(2, 0), trials=10)
+        study((5.0,), (2, 0))
 
 
 def test_synthetic_study_zero_raw_error_improves_by_zero():
     # a pool at the boundary mean 0 makes every score exact: no 0/0 improvement
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = synthetic_icml_study([0.0, 0.0], n_grid=(2, 3), trials=50, seed=1)
-    for row in rows:
-        assert row.mse_raw_mean == 0.0 and row.mse_im_mean == 0.0
-        assert row.improvement == 0.0
+        points = estimation_error_curve(Binomial(10), (2, 3), PoolResample((0.0, 0.0)), 3, 50, 1)
+        for p in points:
+            assert p.mse_raw == 0.0 and p.mse_im == 0.0
+            assert p.improvement == 0.0
 
 
 # ---------------------------------------------------------------------------
