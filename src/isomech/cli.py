@@ -63,7 +63,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Text
 import numpy as np
 
 from . import __version__
-from .errors import InvalidParameterError, IsomechError, ValidationError
+from .errors import AuthorRowError, InvalidParameterError, IsomechError, ValidationError
 from .expfam import ScoreBounds, _as_number, family_from_dict, family_from_spec
 from .isotonic import (
     CoarseRanking,
@@ -75,7 +75,7 @@ from .isotonic import (
 from .mechanism import UtilityFn, rank_all_utilities
 from .order import majorizes, majorizes_natural_order, weakly_majorizes
 from .experiments import (
-    AuthorRecord,
+    AuthorTable,
     ExplicitScores,
     LinearRamp,
     PoolResample,
@@ -396,8 +396,9 @@ def _read_blocks(path: str, n: int) -> CoarseRanking:
     ids, starts = np.unique(block_ids[order], return_index=True)
     if not np.array_equal(ids, np.arange(1, ids.size + 1)):
         raise ValidationError(f"{path}: block ids must be 1..p in any row order")
+    flat, bounds = idxs[order].tolist(), starts.tolist() + [len(idxs)]
     try:
-        return CoarseRanking(block.tolist() for block in np.split(idxs[order], starts[1:]))
+        return CoarseRanking(flat[a:b] for a, b in zip(bounds, bounds[1:]))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
@@ -687,40 +688,26 @@ def _cmd_minimax(params: dict[str, Any]) -> int:
 def _read_reviews(path: str) -> ReviewTable:
     _, cols = _read_csv(path, ("submission_id", "score", "confidence"),
                         {"score": float, "confidence": int})
-    ids = cols["submission_id"]
-    # repeated ids share one string object, so the table holds one per submission
-    unique = dict(zip(ids, ids))
-    return ReviewTable(tuple(map(unique.__getitem__, ids)), cols["score"], cols["confidence"])
+    return ReviewTable(cols["submission_id"], cols["score"], cols["confidence"])
 
 
-def _read_authors(path: str) -> list[AuthorRecord]:
+def _read_authors(path: str, reviews: ReviewTable) -> AuthorTable:
     linenos, cols = _read_csv(path, ("author_id", "submission_ids", "ranking"))
-    # every rank token goes through one int() pass, then back to its row by
-    # the rows' token counts; only a failed pass is walked to name its line
-    tokens = [list(filter(str.strip, cell.split(";"))) for cell in cols["ranking"]]
+    sids = [list(filter(None, map(str.strip, cell.split(";")))) for cell in cols["submission_ids"]]
+    ranks = [list(filter(str.strip, cell.split(";"))) for cell in cols["ranking"]]
     try:
-        every_rank = list(map(int, itertools.chain.from_iterable(tokens)))
-    except ValueError:
-        for lineno, row in zip(linenos, tokens):
+        return AuthorTable(reviews, cols["author_id"], sids, ranks)
+    except AuthorRowError as exc:
+        raise ValidationError(f"{path} line {linenos[exc.row]}: {exc}") from None
+    except ValueError:  # a rank int() refuses: only now is each row walked to name its line
+        for lineno, row in zip(linenos, ranks):
             _parse_column(path, itertools.repeat(lineno), "ranking", row, int)
         raise
-    next_ranks = iter(every_rank)
-    authors = []
-    for lineno, author_id, sid_cell, row in zip(
-        linenos, cols["author_id"], cols["submission_ids"], tokens
-    ):
-        sids = tuple(filter(None, map(str.strip, sid_cell.split(";"))))
-        ranks = tuple(itertools.islice(next_ranks, len(row)))
-        try:
-            authors.append(AuthorRecord(author_id, sids, ranks))
-        except ValidationError as exc:
-            raise ValidationError(f"{path} line {lineno}: {exc}") from None
-    return authors
 
 
 def _cmd_icml(params: dict[str, Any]) -> int:
     reviews = _read_reviews(params["reviews"])
-    authors = _read_authors(params["authors"])
+    authors = _read_authors(params["authors"], reviews)
     report = surrogate_eval(reviews, authors, seed=params["seed"])
     header = ["n", "authors", "mse_raw", "mse_im", "improvement"]
     return _finish(
@@ -747,7 +734,9 @@ def _cmd_check_majorization(params: dict[str, Any]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(fill: Sequence[str]) -> argparse.ArgumentParser:
+    """Every subcommand, with arguments only for those named in ``fill``: a
+    parse reads those of the first argument's subcommand, if it names one."""
     parser = argparse.ArgumentParser(
         prog="isomech",
         description="Ranking-constrained score adjustment and its experiment suite.",
@@ -756,6 +745,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
+        if name not in fill:
+            continue
         for key in command.inputs:
             p.add_argument(key, nargs="?", help=_PARAMS[key].help)
         for key in command.flags + (_OUTPUT_FLAGS if command.writes else ()):
@@ -769,7 +760,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(sys.argv[1:2] if argv is None else argv[:1]).parse_args(argv)
     # the stderr of this call (tests and in-process callers swap it), detached on return
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))

@@ -13,6 +13,14 @@ class ValidationError(IsomechError, ValueError):
     """Structurally invalid input: bad permutation, NaN scores, schema violation."""
 
 
+class AuthorRowError(ValidationError):
+    """A refused row of an author table; carries its index in file order in ``row``."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 class AssumptionViolatedError(IsomechError):
     """A variance-floor check failed on the verification grid.
 

@@ -12,18 +12,18 @@ Four drivers built on the isotonic machinery:
   * ``build_lower_bound``       the packing construction behind the minimax
     lower bound (codewords, perturbed mean vectors, KL budget), with a
     verifier that compares every pair of codewords exactly, in row tiles,
-  * ``surrogate_eval``          the conference-review evaluation on
-    review/author records.
+  * ``surrogate_eval``          the conference-review evaluation of a
+    ``ReviewTable`` and an ``AuthorTable``.
 
 Every mean vector of the construction takes one of two values per block,
 so its natural parameters and KL terms are computed on those 2k levels and
 gathered; the verifier works on tiles of ``_VERIFY_ROWS`` codewords against
 all the others, so no size x size array is held.
 
-``surrogate_eval`` takes reviews as columns (``ReviewTable``) and works on
-whole arrays: submissions are split by a stable sort, ties are drawn in one
-call, and the authors of each submission count are fitted together by the
-lockstep PAVA ``pava_descending_rows``.
+The review evaluation works on columns from file to table: ids factorised
+once by ``ReviewTable``, authors as CSR rows of codes and ranks checked by
+array passes, ties drawn in one call, and the authors of each submission
+count fitted together by the lockstep PAVA ``pava_descending_rows``.
 
 Every driver is a pure function of (config, seed).  The Monte-Carlo
 drivers run on the core in ``mechanism`` that the truthfulness sweep also
@@ -39,11 +39,12 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
+    AuthorRowError,
     ConstructionFailedError,
     InvalidParameterError,
     ValidationError,
@@ -70,7 +71,7 @@ __all__ = [
     "LowerBoundConstruction",
     "build_lower_bound",
     "ReviewTable",
-    "AuthorRecord",
+    "AuthorTable",
     "SurrogateRow",
     "SurrogateReport",
     "surrogate_eval",
@@ -557,47 +558,71 @@ def build_lower_bound(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ReviewTable:
-    """Reviews as columns, one entry per review in file order.
+    """Reviews as columns in file order, ids factorised once: ``ids`` holds
+    the distinct ones in ``sorted`` order (numpy's fixed-width strings drop
+    trailing NULs), ``code_of`` maps an id to its place there and ``codes``
+    holds each review's.  Scores are float64; a confidence outside int64 is
+    refused."""
 
-    ``scores`` is stored as float64 and ``confidences`` as int64; a
-    confidence that is not an integer in int64's range is refused.
-    """
-
-    submission_ids: Sequence[str]
-    scores: np.ndarray
-    confidences: np.ndarray
-
-    def __post_init__(self):
-        confidences = np.asarray(self.confidences)
+    def __init__(self, submission_ids: Sequence[str], scores, confidences):
+        confidences = np.asarray(confidences)
         if confidences.size and confidences.dtype.kind not in "bi":
             raise ValidationError("review confidences must be 64-bit integers")
-        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=float))
-        object.__setattr__(self, "confidences", confidences.astype(np.int64, copy=False))
-        if not len(self.submission_ids) == len(self.scores) == len(self.confidences):
+        self.scores = np.asarray(scores, dtype=float)
+        self.confidences = confidences.astype(np.int64, copy=False)
+        self.code_of = dict.fromkeys(submission_ids)
+        self.ids = sorted(self.code_of)
+        self.code_of.update(zip(self.ids, itertools.count()))
+        self.codes = np.fromiter(map(self.code_of.__getitem__, submission_ids), dtype=np.intp,
+                                 count=len(submission_ids))
+        if not len(self.codes) == len(self.scores) == len(self.confidences):
             raise ValidationError("review columns must have equal lengths")
 
+    @property
+    def submission_ids(self) -> tuple[str, ...]:
+        """Each review's submission id, one string object per submission."""
+        return tuple(map(self.ids.__getitem__, self.codes.tolist()))
 
-@dataclass(frozen=True)
-class AuthorRecord:
-    """One author's submissions and reported ranking.  A record without
-    submissions, with a rank count unlike its submission count, or listing
-    a submission twice raises ``ValidationError`` naming the author."""
 
-    author_id: str
-    submission_ids: tuple[str, ...]
-    ranking: tuple[int, ...]  # ranking[j] = rank position of submission j, 1 = best
+class AuthorTable:
+    """Authors as CSR columns: ``author_ids[i]`` ranks the submissions
+    ``codes[offsets[i]:offsets[i + 1]]`` by that slice of ``ranks`` (1 = best).
 
-    def __post_init__(self):
-        ids, who = self.submission_ids, f"author {self.author_id} lists"
-        if not ids:
-            raise ValidationError(f"{who} no submissions")
-        if len(self.ranking) != len(ids):
-            raise ValidationError(f"{who} {len(ids)} submissions but {len(self.ranking)} ranks")
-        if len(set(ids)) != len(ids):
+    Every rank goes through ``int()`` first; one outside int64 is kept as 0,
+    which no permutation holds.  An id ``reviews.code_of`` lacks gets a
+    fresh code from ``len(reviews.ids)`` up.  The first row without
+    submissions, with a rank count unlike its submission count or listing a
+    submission twice (in that order) raises ``AuthorRowError``."""
+
+    def __init__(self, reviews: ReviewTable, author_ids: Sequence[str],
+                 submission_ids: Sequence[Sequence[str]], rankings: Sequence[Sequence]):
+        ranks = list(map(int, itertools.chain.from_iterable(rankings)))
+        try:
+            self.ranks = np.array(ranks, dtype=np.int64)
+        except OverflowError:
+            self.ranks = np.array([r if -2**63 <= r < 2**63 else 0 for r in ranks], dtype=np.int64)
+        flat = list(itertools.chain.from_iterable(submission_ids))
+        lookup = dict(reviews.code_of)
+        self.codes = np.fromiter(map(lookup.setdefault, flat, itertools.count(len(reviews.ids))),
+                                 dtype=np.intp, count=len(flat))
+        sizes = np.fromiter(map(len, submission_ids), dtype=np.intp, count=len(submission_ids))
+        counts = np.fromiter(map(len, rankings), dtype=np.intp, count=sizes.size)
+        span = len(reviews.ids) + len(flat)  # above every code: keys sort by row, then code
+        keys = np.sort(np.repeat(np.arange(sizes.size) * span, sizes) + self.codes)
+        bad = (sizes == 0) | (counts != sizes)
+        bad[keys[1:][np.diff(keys) == 0] // span] = True
+        if bad.any():
+            k = int(bad.argmax())
+            ids, who = submission_ids[k], f"author {author_ids[k]} lists"
+            if not ids:
+                raise AuthorRowError(f"{who} no submissions", k)
+            if len(rankings[k]) != len(ids):
+                raise AuthorRowError(f"{who} {len(ids)} submissions but {len(rankings[k])} ranks", k)
             repeated = next(sid for i, sid in enumerate(ids) if sid in ids[:i])
-            raise ValidationError(f"{who} submission {repeated!r} twice")
+            raise AuthorRowError(f"{who} submission {repeated!r} twice", k)
+        self.author_ids = author_ids
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
 
 
 @dataclass(frozen=True)
@@ -645,30 +670,20 @@ def _run_means(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _held_out_reviews(
     table: ReviewTable, rng: np.random.Generator
-) -> tuple[list[str], np.ndarray, np.ndarray, dict[str, int], int]:
-    """Per submission with two or more reviews, in sorted-id order: (ids,
-    surrogate truths, held-out scores, tie-breaks, submissions dropped).
-
-    Reviews are grouped by id with a stable sort, so each group keeps its
-    file order; all confidence ties draw in one ``rng.integers`` call,
-    which takes the same values from the stream as one scalar call per
-    tied submission.  Ids are ranked with ``sorted`` (code-point order):
-    numpy's fixed-width strings drop trailing NULs, which a CSV cell may
-    hold.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, int], int]:
+    """(row of each code, surrogate truths, held-out scores, tie-breaks,
+    submissions dropped), a row per submission with two or more reviews in
+    code order; dropped codes and the extra last one, for ids no review
+    holds, have row -1.  Groups keep file order.  All ties draw in one
+    ``rng.integers`` call, the values of one scalar call per tied submission.
     """
-    code_of = dict.fromkeys(table.submission_ids)
-    ids = sorted(code_of)
-    code_of.update(zip(ids, range(len(ids))))
-    codes = np.fromiter(map(code_of.__getitem__, table.submission_ids), dtype=np.intp,
-                        count=len(table.submission_ids))
-    counts = np.bincount(codes, minlength=len(ids))
-    kept = counts >= 2
-    skipped = len(ids) - int(kept.sum())
-    if not kept.any():
-        return [], np.empty(0), np.empty(0), {}, skipped
-    ids = list(itertools.compress(ids, kept.tolist()))
-    order = np.argsort(codes, kind="stable")
-    order = order[kept[codes[order]]]
+    counts = np.bincount(table.codes, minlength=len(table.ids))
+    kept = np.flatnonzero(counts >= 2)
+    row_of = np.full(len(table.ids) + 1, -1, dtype=np.intp)
+    row_of[kept] = np.arange(kept.size)
+    # numpy's stable sort is a radix sort on keys of 16 bits or fewer
+    order = np.argsort(table.codes.astype(np.min_scalar_type(len(table.ids))), kind="stable")
+    order = order[row_of[table.codes[order]] >= 0]
     counts = counts[kept]
     starts = np.cumsum(counts) - counts
     scores = table.scores[order]
@@ -676,15 +691,17 @@ def _held_out_reviews(
 
     least = confidences == np.repeat(np.minimum.reduceat(confidences, starts), counts)
     ties = np.add.reduceat(least, starts, dtype=np.intp)
-    draws = np.zeros(len(ids), dtype=np.intp)
+    draws = np.zeros(kept.size, dtype=np.intp)
     tied = np.flatnonzero(ties > 1)
     if tied.size:
         draws[tied] = rng.integers(ties[tied])
     held = np.flatnonzero(least)[np.cumsum(ties) - ties + draws]
-    tie_breaks = dict(zip([ids[g] for g in tied], (held - starts)[tied].tolist()))
+    tie_breaks = dict(zip(map(table.ids.__getitem__, kept[tied].tolist()),
+                          (held - starts)[tied].tolist()))
     rest = np.ones(scores.size, dtype=bool)
     rest[held] = False
-    return ids, _run_means(scores[rest], counts - 1), scores[held], tie_breaks, skipped
+    skipped = len(table.ids) - kept.size
+    return row_of, _run_means(scores[rest], counts - 1), scores[held], tie_breaks, skipped
 
 
 # Finite scores near the float64 limit may sum or square to inf; the rows'
@@ -692,7 +709,7 @@ def _held_out_reviews(
 @np.errstate(over="ignore", invalid="ignore")
 def surrogate_eval(
     table: ReviewTable,
-    authors: Iterable[AuthorRecord],
+    authors: AuthorTable,
     seed: int = 0,
 ) -> SurrogateReport:
     """Score each author's reported ranking against a held-out review.
@@ -701,76 +718,68 @@ def surrogate_eval(
     the mean of the remaining reviews plays the surrogate truth (submissions
     with fewer than two reviews are dropped and counted).  Confidence ties
     pick the held-out review uniformly at random from the tied set, seeded,
-    and the chosen index is recorded for replay.  Authors whose rankings are
-    not permutations, or who reference unknown or dropped submissions, are
-    skipped and counted by reason.  Rows aggregate both MSEs over authors
-    with the same submission count; counts without authors keep None cells.
-    Non-finite review scores, finite ones whose sums or squares overflow
-    float64 and an improvement that overflows (a subnormal raw MSE) raise
-    ``ValidationError``; an author without submissions or listing one twice
-    is refused by ``AuthorRecord`` itself.
-
-    Reviews arrive as columns (``ReviewTable``) and are split by submission
-    with array operations.  The authors of each submission count n are
-    fitted together: their held-out scores form an (authors, n) matrix in
-    claimed order, which ``pava_descending_rows`` fits exactly as
-    ``pava_descending`` fits one row.
+    and the chosen index is recorded for replay.  Authors whose sorted ranks
+    differ from 1..n, or who list a submission without two reviews, are
+    skipped, counted by reason and logged in file order.  Rows aggregate
+    both MSEs over the authors of each submission count n, fitted together
+    by ``pava_descending_rows`` in claimed order; counts without authors
+    keep None cells.  Non-finite review scores, finite ones whose sums or
+    squares overflow float64 and an improvement that overflows (a subnormal
+    raw MSE) raise ``ValidationError``.
     """
     if not np.isfinite(table.scores).all():
         raise ValidationError("review scores must be finite (no NaN/inf)")
-    ids, truth, held_out, tie_breaks, skipped_submissions = _held_out_reviews(
+    row_of, truth, held_out, tie_breaks, skipped_submissions = _held_out_reviews(
         table, np.random.default_rng(seed)
     )
     if skipped_submissions:
         logger.info("dropped %d submissions with fewer than 2 reviews", skipped_submissions)
 
-    row_of = dict(zip(ids, range(len(ids))))
-    per_n: dict[int, tuple[list[list], list[tuple]]] = defaultdict(lambda: ([], []))
+    sizes = np.diff(authors.offsets)
+    author_of = np.repeat(np.arange(sizes.size), sizes)
+    ranks = authors.ranks
+    # a permutation puts every rank in 1..n and on a slot of its own
+    inside = (ranks >= 1) & (ranks <= sizes[author_of])
+    hit = np.zeros(ranks.size, dtype=bool)
+    hit[authors.offsets[author_of[inside]] + ranks[inside] - 1] = True
+    malformed = np.bincount(author_of[~(inside & hit)], minlength=sizes.size) > 0
+    rows_used = row_of[np.minimum(authors.codes, row_of.size - 1)]
+    missing = np.bincount(author_of[rows_used < 0], minlength=sizes.size) > 0
     skipped_authors: dict[str, int] = defaultdict(int)
-    for author in authors:
-        n = len(author.submission_ids)
-        if sorted(author.ranking) != list(range(1, n + 1)):
+    for k in np.flatnonzero(malformed | missing).tolist():
+        who = authors.author_ids[k]
+        if malformed[k]:
             skipped_authors["malformed_ranking"] += 1
-            logger.info("author %s skipped: ranking is not a permutation", author.author_id)
-            continue
-        rows_used = [row_of.get(sid) for sid in author.submission_ids]
-        if None in rows_used:
+            logger.info("author %s skipped: ranking is not a permutation", who)
+        else:
             skipped_authors["missing_submission"] += 1
-            logger.info("author %s skipped: submission without usable reviews", author.author_id)
-            continue
-        used, rankings = per_n[n]
-        used.append(rows_used)
-        rankings.append(author.ranking)
+            logger.info("author %s skipped: submission without usable reviews", who)
 
-    per_author: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for n, (used, rankings) in per_n.items():
-        used = np.asarray(used, dtype=np.intp)
-        position = np.asarray(rankings, dtype=np.intp) - 1  # claimed place of submission j
-        mu, x = truth[used], held_out[used]
+    used = ~(malformed | missing)
+    ns = set(sizes[used].tolist())
+    rows = []
+    for n in range(min(ns, default=1), max(ns, default=0) + 1):
+        slots = authors.offsets[np.flatnonzero(used & (sizes == n)), None] + np.arange(n)
+        if not slots.size:
+            rows.append(SurrogateRow(n=n, authors=0, mse_raw=None, mse_im=None, improvement=None))
+            continue
+        position = ranks[slots] - 1  # claimed place of submission j
+        mu, x = truth[rows_used[slots]], held_out[rows_used[slots]]
         claimed = np.argsort(position, axis=1)  # submission indices, claimed best first
         fitted = pava_descending_rows(np.take_along_axis(x, claimed, axis=1))
         adjusted = np.take_along_axis(fitted, position, axis=1)
-        per_author[n] = (((x - mu) * (x - mu)).mean(axis=1),
-                         ((adjusted - mu) * (adjusted - mu)).mean(axis=1))
-
-    rows = []
-    if per_author:
-        for n in range(min(per_author), max(per_author) + 1):
-            if n not in per_author:
-                rows.append(SurrogateRow(n=n, authors=0, mse_raw=None, mse_im=None, improvement=None))
-                continue
-            mse_raw, mse_im = per_author[n]
-            raws, ims = float(np.mean(mse_raw)), float(np.mean(mse_im))
-            if not (math.isfinite(raws) and math.isfinite(ims)):
-                raise ValidationError(
-                    f"review scores are too large to pool in float64: the n = {n} MSEs overflow"
-                )
-            improvement = (raws - ims) / raws if raws > 0 else 0.0
-            if not math.isfinite(improvement):
-                raise ValidationError(f"the n = {n} improvement overflows float64: raw MSE {raws!r}")
-            rows.append(
-                SurrogateRow(n=n, authors=len(mse_raw), mse_raw=raws, mse_im=ims, improvement=improvement)
+        raws = float(np.mean(((x - mu) * (x - mu)).mean(axis=1)))
+        ims = float(np.mean(((adjusted - mu) * (adjusted - mu)).mean(axis=1)))
+        if not (math.isfinite(raws) and math.isfinite(ims)):
+            raise ValidationError(
+                f"review scores are too large to pool in float64: the n = {n} MSEs overflow"
             )
+        improvement = (raws - ims) / raws if raws > 0 else 0.0
+        if not math.isfinite(improvement):
+            raise ValidationError(f"the n = {n} improvement overflows float64: raw MSE {raws!r}")
+        rows.append(
+            SurrogateRow(n=n, authors=len(slots), mse_raw=raws, mse_im=ims, improvement=improvement)
+        )
     return SurrogateReport(
         rows=tuple(rows),
         skipped_submissions=skipped_submissions,

@@ -5,8 +5,10 @@ projection oracle enumerates pooling patterns, KL oracles integrate or sum
 densities, and derivatives come from finite differences.  The one exception
 is ``reference_surrogate_eval``, a per-record restatement of the review
 table's bookkeeping that is compared for exact equality, so it fits with the
-library's own projection.  ``reference_csv_table`` is the CLI's former
-row-by-row table writer, which the template writer must match byte for byte.
+library's own projection; ``author_tables`` builds its per-record authors
+together with the library's author table.  ``reference_csv_table`` is the
+CLI's former row-by-row table writer, which the template writer must match
+byte for byte.
 ``reference_lower_bound`` is the lower-bound construction as it was built
 elementwise over every (codeword, coordinate) pair and checked with full
 size x size Gram matrices; the gathered construction and tiled verifier must
@@ -26,6 +28,7 @@ import itertools
 import math
 import tracemalloc
 from collections import defaultdict
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -40,7 +43,7 @@ from isomech import (
     Ranking,
     isotonic_mechanism,
 )
-from isomech.experiments import SurrogateReport, SurrogateRow
+from isomech.experiments import AuthorTable, SurrogateReport, SurrogateRow
 from isomech.expfam import verify_variance_assumption
 
 
@@ -249,6 +252,24 @@ MU_WINDOWS = {
     "poisson": (0.2, 12.0),
     "gamma": (0.3, 12.0),
 }
+
+
+class AuthorRecord(NamedTuple):
+    """One author row as ``reference_surrogate_eval`` reads it."""
+
+    author_id: str
+    submission_ids: tuple
+    ranking: tuple  # ranking[j] = rank of submission j, 1 = best
+
+
+def author_tables(reviews, rows):
+    """Author rows ``(author_id, submission_ids, ranking)`` both as the
+    per-record list ``reference_surrogate_eval`` reads and as the library's
+    ``AuthorTable`` against ``reviews``, which refuses malformed rows."""
+    records = [AuthorRecord(*row) for row in rows]
+    table = AuthorTable(reviews, [r.author_id for r in records],
+                        [r.submission_ids for r in records], [r.ranking for r in records])
+    return records, table
 
 
 def reference_surrogate_eval(table, authors, seed: int = 0) -> SurrogateReport:

@@ -25,7 +25,6 @@ from isomech import (
     ranking_constrained_mle,
 )
 from isomech.experiments import (
-    AuthorRecord,
     LinearRamp,
     PoolResample,
     ReviewTable,
@@ -41,6 +40,7 @@ from helpers import (
     MU_WINDOWS,
     THETA_WINDOWS,
     all_coarse_rankings,
+    author_tables,
     batch_oracle_project,
     finite_difference_mean_slope,
     kl_oracle,
@@ -225,16 +225,15 @@ def test_criterion_09_review_table_substitutes():
     with criterion(9, "surrogate fixtures exact; synthetic improvement grows with n"):
         # exact fixture: held-out scores that contradict the reported order
         reviews = ReviewTable(("a", "a", "a", "b", "b", "b"), [8, 8, 4, 5, 5, 7], [5, 5, 1, 5, 5, 1])
-        authors = [AuthorRecord("alice", ("a", "b"), (1, 2))]
+        _, authors = author_tables(reviews, [("alice", ("a", "b"), (1, 2))])
         report = surrogate_eval(reviews, authors, seed=0)
         row = next(r for r in report.rows if r.n == 2)
         assert row.mse_raw == pytest.approx(10.0, abs=1e-12)
         assert row.mse_im == pytest.approx(3.25, abs=1e-12)
 
-        constant = surrogate_eval(
-            ReviewTable(("s", "s", "t", "t"), [6, 6, 4, 4], [3, 2, 3, 2]),
-            [AuthorRecord("bob", ("s", "t"), (1, 2))], seed=0,
-        )
+        reviews = ReviewTable(("s", "s", "t", "t"), [6, 6, 4, 4], [3, 2, 3, 2])
+        _, authors = author_tables(reviews, [("bob", ("s", "t"), (1, 2))])
+        constant = surrogate_eval(reviews, authors, seed=0)
         row = next(r for r in constant.rows if r.n == 2)
         assert row.mse_raw == 0 and row.mse_im == 0
 

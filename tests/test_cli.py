@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isomech
+from isomech import cli
 from isomech.cli import _json_text, main
 
 
@@ -293,6 +294,24 @@ def test_bad_header_is_named(workdir, capsys):
     ranking_csv(workdir / "ranking.csv", [1])
     assert main(["fit", "scores.csv", "--ranking", "ranking.csv"]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["nope"], ["-x", "fit"]]
+                         + [[name, "--help"] for name in cli._COMMANDS])
+def test_parser_output_is_the_fully_built_parsers(capsys, argv):
+    # main builds the arguments of the named subcommand only
+    def run(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    got = run(main)
+    assert got == run(cli._build_parser(cli._COMMANDS).parse_args)
+    if argv == ["nope"]:
+        assert got[2].endswith("isomech: error: argument command: invalid choice: 'nope' (choose "
+                               "from 'fit', 'truthfulness', 'estimation', 'minimax', 'icml', "
+                               "'check-majorization')\n")
 
 
 MINIMAX_ARGS = ["minimax", "--family", "binomial:10", "--v-max", "10", "--n-grid", "8,16"]

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import reference_csv_table
+from helpers import AuthorRecord, reference_csv_table, reference_surrogate_eval
 from isomech import cli
 from isomech.cli import main
 
@@ -142,8 +142,16 @@ def _rows(rng):
                     [(sid, scores[k % n], str(k % 5 + 1)) for k, sid in enumerate(ids)],
                     lambda path: cli._read_reviews(path)),
         "authors": (["author_id", "submission_ids", "ranking"], authors,
-                    lambda path: cli._read_authors(path)),
+                    lambda path: _author_columns(cli._read_authors(path, REVIEWS))),
     }
+
+
+# ids s00 and s03 have reviews; the other ids of the author rows take fresh codes
+REVIEWS = cli.ReviewTable(("s03", "s00"), [1.0, 2.0], [1, 1])
+
+
+def _author_columns(table):
+    return (table.author_ids, table.offsets.tolist(), table.codes.tolist(), table.ranks.tolist())
 
 
 def _same(a, b):
@@ -196,6 +204,54 @@ def test_python_only_spellings_still_parse(workdir, loadtxt_calls, python_only, 
     write(workdir / "reviews.csv", "submission_id,score,confidence\na,٤,1_0\na,5,٣\n")
     table = cli._read_reviews("reviews.csv")
     assert table.scores.tolist() == [4.0, 5.0] and table.confidences.tolist() == [10, 3]
+
+
+# Author rows that the reader must take as the former per-record parse did:
+# spaced and empty tokens, unknown ids, a rank beyond int64 (a skipped
+# malformed ranking, as is 1_0, which int() reads as 10) and a dropped id.
+AUTHOR_ROWS = [
+    ("spaced", "a ; b", " 2 ; 1"),
+    ("trailing", "a;b;", "1;2;"),
+    ("doubled", "c;;d", "2;;1"),
+    ("unknown", "a;zzz", "1;2"),
+    ("zeds", "zzz;c;yyy", "1;3;2"),
+    ("huge", "a;b", "1;99999999999999999999"),
+    ("negative", "e;f", "-99999999999999999999;1"),
+    ("underscore", "a;b", "1_0;2"),
+    ("four", "c; d;e ;f", "4;1;3;2"),
+    ("dropped", "a;solo", "1;2"),
+    ("one", "f", "1"),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_author_columns_match_the_per_record_reference(workdir, seed):
+    write(workdir / "reviews.csv", TABLE_INPUTS["reviews.csv"] + "solo,9,2\nc,4,2\n")
+    write(workdir / "authors.csv", "author_id,submission_ids,ranking\n"
+          + "".join(",".join(row) + "\n" for row in AUTHOR_ROWS))
+    reviews = cli._read_reviews("reviews.csv")
+    records = [AuthorRecord(author, tuple(filter(None, map(str.strip, sids.split(";")))),
+                            tuple(int(t) for t in ranks.split(";") if t.strip()))
+               for author, sids, ranks in AUTHOR_ROWS]
+    got = cli.surrogate_eval(reviews, cli._read_authors("authors.csv", reviews), seed=seed)
+    assert got == reference_surrogate_eval(reviews, records, seed=seed)
+    assert got.skipped_authors == {"missing_submission": 3, "malformed_ranking": 3}
+    assert [row.authors for row in got.rows] == [1, 3, 0, 1]
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["ok,a;b,1;2", "bob,a;a,1;2", "carol,,", "dave,a;b,1"],
+     "line 3: author bob lists submission 'a' twice"),
+    (["ok,a;b,1;2", "bob,a;a,1", "carol,,"], "line 3: author bob lists 2 submissions but 1 ranks"),
+    (["bob,;,1", "carol,a;a,1;2"], "line 2: author bob lists no submissions"),
+    (["bob,,", "carol,a;b,1;x"], "line 3: ranking must be a number, got 'x'"),
+    (["ok,a,1", "zed,zzz;a; zzz,1;2;3", "bob,,"], "line 3: author zed lists submission 'zzz' twice"),
+])
+def test_first_bad_author_row_is_named(workdir, capsys, rows, message):
+    write(workdir / "reviews.csv", TABLE_INPUTS["reviews.csv"])
+    write(workdir / "authors.csv", "author_id,submission_ids,ranking\n" + "\n".join(rows) + "\n")
+    assert main(["icml", "reviews.csv", "authors.csv", "--out", "out.csv"]) == 2
+    assert capsys.readouterr().err == f"error: authors.csv {message}\n"
 
 
 def test_plain_file_with_a_blank_row_keeps_line_numbers(workdir, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_lower_bound, reference_surrogate_eval, traced_peak
+from helpers import author_tables, reference_lower_bound, reference_surrogate_eval, traced_peak
 from isomech import (
     Binomial,
     ConstructionFailedError,
@@ -24,7 +24,6 @@ from isomech import (
 from isomech.isotonic import project_descending_batch
 from isomech import experiments
 from isomech.experiments import (
-    AuthorRecord,
     ExplicitScores,
     LinearRamp,
     PoolResample,
@@ -389,8 +388,9 @@ def test_surrogate_identical_scores_give_zero_error():
     reviews = reviews_for("a", [(6, 5), (6, 4), (6, 3)]) + reviews_for(
         "b", [(4, 5), (4, 2)]
     )
-    authors = [AuthorRecord("alice", ("a", "b"), (1, 2))]
-    report = surrogate_eval(table_of(reviews), authors, seed=0)
+    table = table_of(reviews)
+    _, authors = author_tables(table, [("alice", ("a", "b"), (1, 2))])
+    report = surrogate_eval(table, authors, seed=0)
     row = next(r for r in report.rows if r.n == 2)
     assert row.authors == 1
     assert row.mse_raw == 0 and row.mse_im == 0
@@ -402,8 +402,9 @@ def test_surrogate_hand_computed_fixture():
         reviews_for("a", [(8, 5), (8, 5), (4, 1)])
         + reviews_for("b", [(5, 5), (5, 5), (7, 1)])
     )
-    authors = [AuthorRecord("alice", ("a", "b"), (1, 2))]
-    report = surrogate_eval(table_of(reviews), authors, seed=0)
+    table = table_of(reviews)
+    _, authors = author_tables(table, [("alice", ("a", "b"), (1, 2))])
+    report = surrogate_eval(table, authors, seed=0)
     row = next(r for r in report.rows if r.n == 2)
     # surrogates (8, 5); held-out (4, 7); fit of (4, 7) under a >= b: (5.5, 5.5)
     assert row.mse_raw == pytest.approx((16 + 4) / 2)
@@ -422,14 +423,15 @@ def test_surrogate_filters_and_gaps():
         + reviews_for("e", [(8, 3), (7, 2)])
         + reviews_for("f", [(6, 3), (5, 2)])
     )
-    authors = [
-        AuthorRecord("ok2", ("a", "b"), (1, 2)),
-        AuthorRecord("ok4", ("c", "d", "e", "f"), (2, 4, 1, 3)),
-        AuthorRecord("refs-dropped", ("a", "single"), (1, 2)),
-        AuthorRecord("all-first", ("a", "b"), (1, 1)),
-        AuthorRecord("unknown", ("a", "zzz"), (1, 2)),
-    ]
-    report = surrogate_eval(table_of(reviews), authors, seed=1)
+    table = table_of(reviews)
+    _, authors = author_tables(table, [
+        ("ok2", ("a", "b"), (1, 2)),
+        ("ok4", ("c", "d", "e", "f"), (2, 4, 1, 3)),
+        ("refs-dropped", ("a", "single"), (1, 2)),
+        ("all-first", ("a", "b"), (1, 1)),
+        ("unknown", ("a", "zzz"), (1, 2)),
+    ])
+    report = surrogate_eval(table, authors, seed=1)
     assert report.skipped_submissions == 1
     assert report.skipped_authors == {"missing_submission": 2, "malformed_ranking": 1}
     ns = {row.n: row for row in report.rows}
@@ -443,12 +445,13 @@ def test_surrogate_confidence_ties_seeded():
     reviews = reviews_for("a", [(2, 3), (9, 3), (5, 3)]) + reviews_for(
         "b", [(4, 2), (6, 1)]
     )
-    authors = [AuthorRecord("alice", ("a", "b"), (1, 2))]
-    first = surrogate_eval(table_of(reviews), authors, seed=11)
-    again = surrogate_eval(table_of(reviews), authors, seed=11)
+    table = table_of(reviews)
+    _, authors = author_tables(table, [("alice", ("a", "b"), (1, 2))])
+    first = surrogate_eval(table, authors, seed=11)
+    again = surrogate_eval(table, authors, seed=11)
     assert first == again
     assert "a" in first.tie_breaks and "b" not in first.tie_breaks
-    other = surrogate_eval(table_of(reviews), authors, seed=13)
+    other = surrogate_eval(table, authors, seed=13)
     assert other.tie_breaks != first.tie_breaks or other == first
 
 
@@ -457,8 +460,9 @@ def test_surrogate_uses_reported_not_truthful_ranking():
     reviews = reviews_for("a", [(9, 5), (9, 4), (9, 1)]) + reviews_for(
         "b", [(2, 5), (2, 4), (2, 1)]
     )
-    wrong = [AuthorRecord("bob", ("a", "b"), (2, 1))]  # claims b is best
-    report = surrogate_eval(table_of(reviews), wrong, seed=0)
+    table = table_of(reviews)
+    _, wrong = author_tables(table, [("bob", ("a", "b"), (2, 1))])  # claims b is best
+    report = surrogate_eval(table, wrong, seed=0)
     row = next(r for r in report.rows if r.n == 2)
     # held-out (9, 2) pooled under b >= a: (5.5, 5.5); surrogates (9, 2)
     assert row.mse_im == pytest.approx(((5.5 - 9) ** 2 + (5.5 - 2) ** 2) / 2)
@@ -493,16 +497,17 @@ def review_tables(draw):
             ranking = draw(st.permutations(range(1, k + 1)))
         else:
             ranking = draw(st.lists(st.integers(0, k + 1), min_size=k, max_size=k))
-        authors.append(AuthorRecord(f"a{a}", tuple(sids), tuple(ranking)))
-    return table_of(reviews), authors
+        authors.append((f"a{a}", tuple(sids), tuple(ranking)))
+    table = table_of(reviews)
+    return (table, *author_tables(table, authors))
 
 
 @given(review_tables(), st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_surrogate_matches_per_record_reference(table, seed):
-    reviews, authors = table
+    reviews, records, authors = table
     got = surrogate_eval(reviews, authors, seed=seed)
-    want = reference_surrogate_eval(reviews, authors, seed=seed)
+    want = reference_surrogate_eval(reviews, records, seed=seed)
     assert got.rows == want.rows
     assert got.tie_breaks == want.tie_breaks
     assert got.skipped_submissions == want.skipped_submissions
@@ -529,15 +534,15 @@ def large_review_table(seed):
         ranking = rng.permutation(np.arange(1, k + 1))
         if k > 1 and rng.random() < 0.05:
             ranking[0] = ranking[1]
-        authors.append(AuthorRecord(f"a{a}", sids, tuple(int(r) for r in ranking)))
-    return table, authors
+        authors.append((f"a{a}", sids, tuple(int(r) for r in ranking)))
+    return (table, *author_tables(table, authors))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_surrogate_matches_reference_on_a_large_table(seed):
-    table, authors = large_review_table(seed)
+    table, records, authors = large_review_table(seed)
     got = surrogate_eval(table, authors, seed=seed)
-    want = reference_surrogate_eval(table, authors, seed=seed)
+    want = reference_surrogate_eval(table, records, seed=seed)
     assert got == want
     assert len(got.tie_breaks) > 1000
     assert min(got.skipped_authors.values()) > 10 and got.skipped_submissions > 100
@@ -564,21 +569,24 @@ def test_review_table_refuses_confidences_outside_int64(confidence):
 def test_surrogate_refuses_non_finite_review_scores(bad):
     # the bad score is kept in the surrogate truth, not held out
     reviews = reviews_for("a", [(6, 5), (bad, 4), (7, 1)]) + reviews_for("b", [(4, 5), (5, 1)])
-    authors = [AuthorRecord("alice", ("a", "b"), (1, 2))]
+    table = table_of(reviews)
+    _, authors = author_tables(table, [("alice", ("a", "b"), (1, 2))])
     with pytest.raises(ValidationError, match="finite"):
-        surrogate_eval(table_of(reviews), authors, seed=0)
+        surrogate_eval(table, authors, seed=0)
 
 
 def test_surrogate_refuses_repeated_submission():
     reviews = reviews_for("a", [(6, 5), (7, 1)]) + reviews_for("b", [(4, 5), (5, 1)])
     with pytest.raises(ValidationError, match="alice lists submission 'a' twice"):
-        authors = [AuthorRecord("bob", ("b",), (1,)),
-                   AuthorRecord("alice", ("a", "b", "a"), (1, 2, 3))]
-        surrogate_eval(table_of(reviews), authors, seed=0)
+        table = table_of(reviews)
+        _, authors = author_tables(table, [("bob", ("b",), (1,)),
+                                           ("alice", ("a", "b", "a"), (1, 2, 3))])
+        surrogate_eval(table, authors, seed=0)
 
 
 def test_surrogate_refuses_author_without_submissions():
     reviews = reviews_for("a", [(6, 5), (7, 1)])
     with pytest.raises(ValidationError, match="bob lists no submissions"):
-        authors = [AuthorRecord("alice", ("a",), (1,)), AuthorRecord("bob", (), ())]
-        surrogate_eval(table_of(reviews), authors, seed=0)
+        table = table_of(reviews)
+        _, authors = author_tables(table, [("alice", ("a",), (1,)), ("bob", (), ())])
+        surrogate_eval(table, authors, seed=0)

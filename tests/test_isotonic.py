@@ -79,6 +79,38 @@ def test_ranking_validation():
     assert Ranking.from_scores([5, 5, 9]).perm == (3, 1, 2)
 
 
+@pytest.mark.parametrize("n", [3, 300])  # both sides of isotonic._ARRAY_CHECK_N
+@pytest.mark.parametrize("spell", [
+    tuple, np.array, lambda v: np.array(v, dtype=np.int32), lambda v: (i for i in v),
+    lambda v: [str(i) for i in v], lambda v: [float(i) for i in v],
+])
+def test_rankings_take_any_iterable_that_int_reads(spell, n):
+    perm = tuple(range(2, n + 1)) + (1,)
+    assert Ranking(spell(perm)).perm == perm
+    coarse = CoarseRanking(spell(block) for block in (perm[1:], perm[:1]))
+    assert coarse.blocks == (tuple(sorted(perm[1:])), (2,))
+
+
+@pytest.mark.parametrize("n", [3, 300])
+def test_ranking_refusals_keep_their_messages(n):
+    assert 3 < isotonic._ARRAY_CHECK_N <= 300
+    good = list(range(1, n + 1))
+    bad = [good[:-1] + [1], [0] + good[1:], [k + 1 for k in good], [2**70] + good[1:],
+           [-2**70] + good[1:]]
+    for perm in bad:
+        with pytest.raises(ValidationError) as exc:
+            Ranking(perm)
+        assert str(exc.value) == f"not a permutation of 1..{n}: {tuple(perm)}"
+        with pytest.raises(ValidationError) as exc:
+            CoarseRanking([perm[1:], perm[:1]])
+        blocks = (tuple(sorted(perm[1:])), tuple(perm[:1]))
+        assert str(exc.value) == f"blocks do not partition 1..{n}: {blocks}"
+    for blocks in ([], [(1,), ()]):
+        with pytest.raises(ValidationError) as exc:
+            CoarseRanking(blocks)
+        assert str(exc.value) == "blocks must be nonempty"
+
+
 def fit_blocks(x, coarse):
     """The fit ``isomech fit --blocks`` writes."""
     return isotonic_mechanism(x, coarse_to_permutation(coarse, x))
