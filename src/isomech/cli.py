@@ -19,10 +19,8 @@ the value is the one ``int()`` or ``float()`` gives.  Checks such as "the
 indices are a permutation" then run on the arrays.  A file loadtxt refuses
 (a bad cell, a non-finite score, a spelling only Python takes such as
 ``1_0``), or one that is not plain, goes through the csv walk, which reads
-it row by row and names the first bad line.  ``_write_table`` builds one
-``str.format`` template per table from its column kinds (``{}`` for ints,
-``{:.12g}`` for floats, ``_fmt`` and csv quoting for None and strings) and
-streams the rows through it.
+it row by row and names the first bad line.  ``_write_table`` spells a
+column at a time (``_texts``) and joins the header and all rows in one pass.
 
 Parameters take one path.  ``_PARAMS`` declares each run parameter once,
 with its converter and help line, and ``_COMMANDS`` says which ones a
@@ -68,6 +66,8 @@ from .expfam import ScoreBounds, _as_number, family_from_dict, family_from_spec
 from .isotonic import (
     CoarseRanking,
     Ranking,
+    _is_one_to_n,
+    _unchecked_ranking,
     coarse_to_permutation,
     isotonic_mechanism,
     ranking_constrained_mle,
@@ -106,28 +106,33 @@ def _quoted(texts: Iterable[str]) -> list[str]:
     return [line[:-2] for line in lines]
 
 
+def _texts(column: Iterable[Any]) -> Iterable[str]:
+    """A column's CSV fields: ``_fmt`` and csv quoting for a list, ``str`` for an
+    int64 array, and for a float64 array (a fit is piecewise constant) ``{:.12g}``
+    of each distinct value once, keyed on its bits so that -0.0 stays ``-0``."""
+    if not isinstance(column, np.ndarray):
+        return _quoted(map(_fmt, column))
+    if column.dtype != np.float64:
+        return map(str, column.tolist())
+    keys, cells = np.unique(column.view(np.int64), return_inverse=True)
+    spelled = [f"{value:.12g}" for value in keys.view(np.float64).tolist()]
+    return map(spelled.__getitem__, cells.tolist())
+
+
 def _write_table(fh: TextIO, header: Sequence[str], columns: Sequence[Iterable[Any]],
                  fmt: str) -> None:
-    """One row per position of ``columns``.  A CSV row is one ``str.format``
-    template: ``{}`` for an int column, ``{:.12g}`` for a float column, and
-    ``_fmt`` plus csv quoting for a column holding anything else (None,
-    strings)."""
-    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    """One row per position of ``columns``, spelled by ``_texts`` and joined with
+    the header in one pass; as in csv.writer, a lone empty cell is written ``""``."""
     if fmt == "json":
+        columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
         _write_json(fh, [dict(zip(header, row)) for row in zip(*columns)])
         return
-    fields = []
-    for k, column in enumerate(columns):
-        kinds = set(map(type, column))
-        if kinds <= {int}:
-            fields.append("{}")
-        elif kinds <= {float}:
-            fields.append("{:.12g}")
-        else:
-            columns[k] = _quoted(map(_fmt, column))
-            fields.append("{}")
-    fh.write(",".join(_quoted(header)) + "\n")
-    fh.writelines(map((",".join(fields) + "\n").format, *columns))
+    fields = [itertools.chain((name,), texts)
+              for name, texts in zip(_quoted(header), map(_texts, columns))]
+    lines = map(",".join, zip(*fields))
+    if len(fields) == 1:
+        lines = (line or '""' for line in lines)
+    fh.write("\n".join(lines) + "\n")
 
 
 def _write_json(fh: TextIO, payload: Any) -> None:
@@ -347,7 +352,7 @@ def _read_scores(path: str) -> np.ndarray:
         raise ValidationError(f"{path}: no score rows")
     n = len(linenos)
     idx = cols["index"]
-    if not np.array_equal(np.sort(idx), np.arange(1, n + 1)):
+    if not _is_one_to_n(idx, n):
         seen = set()
         for lineno, i in zip(linenos, idx.tolist()):
             if not 1 <= i <= n or i in seen:
@@ -365,8 +370,7 @@ def _read_ranking(path: str, n: int) -> Ranking:
     if len(linenos) != n:
         raise ValidationError(f"{path}: expected {n} ranking rows, found {len(linenos)}")
     ranks, idxs = cols["rank"], cols["index"]
-    every = np.arange(1, n + 1)
-    if not (np.array_equal(np.sort(ranks), every) and np.array_equal(np.sort(idxs), every)):
+    if not (_is_one_to_n(ranks, n) and _is_one_to_n(idxs, n)):
         taken, seen = set(), set()
         for lineno, rank, idx in zip(linenos, ranks.tolist(), idxs.tolist()):
             if not 1 <= rank <= n or rank in taken:
@@ -381,7 +385,7 @@ def _read_ranking(path: str, n: int) -> Ranking:
             seen.add(idx)
     perm = np.empty(n, dtype=np.int64)
     perm[ranks - 1] = idxs
-    return Ranking(perm.tolist())
+    return _unchecked_ranking(perm)
 
 
 def _read_blocks(path: str, n: int) -> CoarseRanking:

@@ -56,7 +56,7 @@ from .expfam import (
     _block_rows,
     verify_variance_assumption,
 )
-from .isotonic import pava_descending_rows, project_descending_batch
+from .isotonic import _LOCKSTEP_N, pava_descending_rows, project_descending_batch
 from .mechanism import _map_chunks, _mean_se, sample_scores
 
 __all__ = [
@@ -179,7 +179,8 @@ def _mse_samples(
             raw[block] = np.square(xb, out=xb).sum(axis=1)
         return im / n, raw / n
 
-    parts = _map_chunks(one_chunk, trials, seed_seq, max_workers)
+    # the lockstep kernel holds the GIL, so its rows gain nothing from threads
+    parts = _map_chunks(one_chunk, trials, seed_seq, max_workers if n >= _LOCKSTEP_N else None)
     return (
         np.concatenate([p[0] for p in parts]),
         np.concatenate([p[1] for p in parts]),

@@ -73,12 +73,12 @@ _ARRAY_CHECK_N = 256
 
 
 def _is_one_to_n(values: Iterable[int], n: int) -> bool:
-    """Whether the n ints ``values`` are 1..n in some order.  The array pass
-    checks that every value lies in 1..n and marks a slot of its own."""
+    """Whether the n ints ``values`` (an iterable or an int64 array) are 1..n
+    in some order.  The array pass checks each lies in 1..n and marks a slot."""
     if n < _ARRAY_CHECK_N:
         return sorted(values) == list(range(1, n + 1))
     try:
-        arr = np.fromiter(values, dtype=np.int64, count=n)
+        arr = values if isinstance(values, np.ndarray) else np.fromiter(values, np.int64, n)
     except OverflowError:
         return False
     inside = (arr >= 1) & (arr <= n)
@@ -120,6 +120,13 @@ class Ranking:
     def all_rankings(cls, n: int) -> Iterator["Ranking"]:
         for perm in itertools.permutations(range(1, n + 1)):
             yield cls(perm)
+
+
+def _unchecked_ranking(perm: np.ndarray) -> Ranking:
+    """``Ranking(perm)`` for an int array its caller knows to be a permutation."""
+    ranking = object.__new__(Ranking)
+    object.__setattr__(ranking, "perm", tuple(perm.tolist()))
+    return ranking
 
 
 @dataclass(frozen=True)
@@ -175,28 +182,30 @@ def pava_descending(y: np.ndarray) -> np.ndarray:
     Stack-based pool-adjacent-violators: each element is pushed once and
     merged at most once, so the pass is O(n).  The stacks hold Python
     floats, which round exactly as float64 does, so a short vector pays no
-    numpy scalar indexing; a pool's length is its weight.  Pools merge on
-    their rounded means, the values the fit returns, so the fit is
-    nonincreasing as stored and exactly idempotent.  A pooled sum that
-    overflows float64 raises ``ValidationError``.
+    numpy scalar indexing; a pool's length is its weight.  A pool's mean is
+    divided once, as it is pushed, and pools merge on these rounded means,
+    the values the fit returns, so the fit is nonincreasing as stored and
+    exactly idempotent.  A pooled sum that overflows raises ``ValidationError``.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValidationError("scores must be a 1-d vector")
 
-    # parallel stacks: pooled (sum, length)
-    sums: list[float] = []
-    lens: list[int] = []
+    # a stack per pool field (sum, length, mean); no mean exceeds the +inf at the bottom
+    sums, lens, means = [], [], [float("inf")]
     for s in y.tolist():
-        ln = 1
+        ln, m = 1, s
         # merge while the new pool's mean exceeds its left neighbour's
-        while sums and sums[-1] / lens[-1] < s / ln:
+        while means[-1] < m:
+            means.pop()
             s += sums.pop()
             ln += lens.pop()
+            m = s / ln
         sums.append(s)
         lens.append(ln)
+        means.append(m)
 
-    out = np.repeat(np.array(sums) / np.array(lens), lens)
+    out = np.repeat(np.array(means[1:]), lens)
     if not np.isfinite(out).all():
         if not np.isfinite(y).all():
             raise ValidationError("scores must be finite (no NaN/inf)")
@@ -291,7 +300,7 @@ def coarse_to_permutation(coarse: CoarseRanking, x) -> Ranking:
     if not isinstance(coarse, CoarseRanking):
         coarse = CoarseRanking(coarse)
     arr = _check_scores(x, coarse.n)
-    return Ranking((_block_order(coarse.blocks, arr) + 1).tolist())
+    return _unchecked_ranking(_block_order(coarse.blocks, arr) + 1)
 
 
 def ranking_constrained_mle(family: Family, x, ranking: Ranking) -> IsotonicFit:

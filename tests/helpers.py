@@ -18,6 +18,9 @@ truthfulness tests compare.  ``binomial_pmf``, ``sum_pmf`` and
 ``binomial_rows_by_inversion`` is whole-array inversion from one uniform
 draw, which the blocked Binomial sampler must equal bit for bit.
 ``traced_peak`` measures what a call allocates, by ``tracemalloc``.
+``reference_pava_two_stacks`` is the former single-vector PAVA loop, which
+divides both pools' sums at every merge test; ``pava_descending`` must equal
+it bit for bit.
 """
 
 from __future__ import annotations
@@ -101,6 +104,21 @@ def brute_force_project_descending(x) -> np.ndarray:
         if dist < best_dist:
             best, best_dist = candidate, dist
     return best
+
+
+def reference_pava_two_stacks(y) -> np.ndarray:
+    """Descending PAVA on two stacks, pooled (sum, length): each merge test
+    divides the left pool's sum and the new pool's sum by their lengths."""
+    sums: list[float] = []
+    lens: list[int] = []
+    for s in np.asarray(y, dtype=float).tolist():
+        ln = 1
+        while sums and sums[-1] / lens[-1] < s / ln:
+            s += sums.pop()
+            ln += lens.pop()
+        sums.append(s)
+        lens.append(ln)
+    return np.repeat(np.array(sums) / np.array(lens), lens)
 
 
 def pattern_tensor(n: int) -> np.ndarray:

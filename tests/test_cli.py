@@ -457,6 +457,39 @@ def test_truthfulness_threads_do_not_change_output(workdir):
     assert (workdir / "serial.csv").read_bytes() == (workdir / "threaded.csv").read_bytes()
 
 
+# 1,100 trials make three 512-trial chunks, enough for two threads to share
+THREADED_ESTIMATION = ["estimation", "--family", "binomial:10", "--trials", "1100", "--seed", "5"]
+
+
+def test_estimation_runs_short_rows_serially_under_threads(workdir, monkeypatch):
+    argv = THREADED_ESTIMATION + ["--n-grid", "4,16,47"]
+    assert main(argv + ["--out", "serial.csv"]) == 0
+
+    def refused(*args, **kwargs):
+        raise AssertionError("rows shorter than the lockstep bound took the thread pool")
+
+    monkeypatch.setattr(isomech.mechanism, "ThreadPoolExecutor", refused)
+    assert main(argv + ["--threads", "2", "--out", "threaded.csv"]) == 0
+    assert (workdir / "serial.csv").read_bytes() == (workdir / "threaded.csv").read_bytes()
+
+
+def test_estimation_runs_long_rows_on_the_thread_pool(workdir, monkeypatch):
+    assert isomech.isotonic._LOCKSTEP_N == 48
+    argv = THREADED_ESTIMATION + ["--n-grid", "48"]
+    assert main(argv + ["--out", "serial.csv"]) == 0
+    pools = []
+    real = isomech.mechanism.ThreadPoolExecutor
+
+    def counting(*args, **kwargs):
+        pools.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(isomech.mechanism, "ThreadPoolExecutor", counting)
+    assert main(argv + ["--threads", "2", "--out", "threaded.csv"]) == 0
+    assert pools == [{"max_workers": 2}]
+    assert (workdir / "serial.csv").read_bytes() == (workdir / "threaded.csv").read_bytes()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_2(workdir, capsys, threads):
     assert main(TRUTH_ARGS + ["--threads", threads, "--out", "x.csv"]) == 2

@@ -1,9 +1,10 @@
 """CSV reading and writing of the CLI.
 
 A plain file is parsed by one ``np.loadtxt`` call and any other file by the
-csv walk; both must give the same values.  Every table goes through one
-``str.format`` template per table, which must write the bytes of the former
-row-by-row writer (``helpers.reference_csv_table``).
+csv walk; both must give the same values.  Every table is spelled a column
+at a time and joined in one pass, which must write the bytes of the former
+row-by-row writer (``helpers.reference_csv_table``), also for float arrays
+that format each distinct value once.
 """
 
 import json
@@ -106,6 +107,50 @@ def test_string_cells_are_quoted_as_csv_quotes_them(workdir):
     with open(workdir / "t.csv", "w", encoding="utf-8", newline="") as fh:
         cli._write_table(fh, header, columns, "csv")
     assert (workdir / "t.csv").read_bytes() == reference_csv_table(header, zip(*columns))
+
+
+def _written(workdir, header, columns) -> bytes:
+    with open(workdir / "t.csv", "w", encoding="utf-8", newline="") as fh:
+        cli._write_table(fh, header, columns, "csv")
+    return (workdir / "t.csv").read_bytes()
+
+
+# float64 columns whose cells a writer keyed on values, not bits, or one that
+# assumed few distinct values, would get wrong
+HOSTILE_FLOATS = {
+    "signed zeros": np.array([-0.0, 0.0, -0.0, 1.0, 0.0]),
+    "infinities": np.array([np.inf, -np.inf, 2.5, np.nan, np.inf, -np.inf]),
+    "extremes": np.array([5e-324, 1e300, -5e-324, 5e-324, -1e300]),
+    "few distinct": np.random.default_rng(3).integers(0, 31, 20_000) / 3,
+    "all distinct": np.random.default_rng(4).normal(size=20_000),
+}
+
+
+@pytest.mark.parametrize("name", list(HOSTILE_FLOATS))
+def test_float_arrays_match_the_reference_writer(workdir, name):
+    values = HOSTILE_FLOATS[name]
+    header = ["index", "value", "negated", "listed"]
+    columns = [np.arange(1, values.size + 1), values, -values, values.tolist()]
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    assert _written(workdir, header, columns) == reference_csv_table(header, rows)
+
+
+def test_int_arrays_match_the_reference_writer(workdir):
+    column = np.array([-2**63, 2**63 - 1, 0, -1, 7, 7], dtype=np.int64)
+    header = ["count", "twice"]
+    written = _written(workdir, header, [column, column // 2])
+    assert written == reference_csv_table(header, zip(column.tolist(), (column // 2).tolist()))
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["n", "value", "name"], [np.zeros(0, dtype=np.int64), np.zeros(0), []]),
+    (["text"], [[""]]),
+    (["text"], [["", "a", None, ""]]),
+    ([""], [np.array([1.5])]),
+])
+def test_empty_tables_and_empty_cells_match_the_reference_writer(workdir, header, columns):
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    assert _written(workdir, header, columns) == reference_csv_table(header, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,7 +30,13 @@ from isomech.isotonic import (
     project_descending_batch,
 )
 
-from helpers import ALL_FAMILIES, MU_WINDOWS, brute_force_project_descending, traced_peak
+from helpers import (
+    ALL_FAMILIES,
+    MU_WINDOWS,
+    brute_force_project_descending,
+    reference_pava_two_stacks,
+    traced_peak,
+)
 
 
 def test_project_examples():
@@ -501,6 +507,24 @@ def test_batch_refuses_finite_rows_that_overflow():
             project_descending_batch(rows)
         with pytest.raises(ValidationError, match="too large to pool in float64"):
             pava_descending(rows[513])
+
+
+@st.composite
+def single_vectors(draw):
+    """1..200 scores: means of three integer reviews, so pools tie often, or
+    floats of any sign and of magnitudes up to 1e6."""
+    n = draw(st.integers(1, 200))
+    if draw(st.booleans()):
+        return draw(arrays(np.int64, n, elements=st.integers(0, 30))) / 3
+    return draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+
+
+@given(single_vectors())
+@example(np.array([-0.9, -0.2, 0.5, -0.2]))
+@settings(max_examples=300, deadline=None)
+def test_pava_equals_the_two_stack_loop_bit_for_bit(y):
+    got = pava_descending(y)
+    assert got.view(np.int64).tolist() == reference_pava_two_stacks(y).view(np.int64).tolist()
 
 
 # ---------------------------------------------------------------------------
