@@ -67,7 +67,7 @@ from .isotonic import (
     CoarseRanking,
     Ranking,
     _is_one_to_n,
-    _unchecked_ranking,
+    _unchecked,
     coarse_to_permutation,
     isotonic_mechanism,
     ranking_constrained_mle,
@@ -385,7 +385,7 @@ def _read_ranking(path: str, n: int) -> Ranking:
             seen.add(idx)
     perm = np.empty(n, dtype=np.int64)
     perm[ranks - 1] = idxs
-    return _unchecked_ranking(perm)
+    return _unchecked(Ranking, tuple(perm.tolist()))
 
 
 def _read_blocks(path: str, n: int) -> CoarseRanking:
@@ -395,16 +395,19 @@ def _read_blocks(path: str, n: int) -> CoarseRanking:
     if outside.any():
         k = int(outside.argmax())
         raise ValidationError(f"{path} line {linenos[k]}: index {idxs[k]} not in 1..{n}")
-    # one stable sort groups the rows by block, each block in file order
     order = np.argsort(block_ids, kind="stable")
     ids, starts = np.unique(block_ids[order], return_index=True)
     if not np.array_equal(ids, np.arange(1, ids.size + 1)):
         raise ValidationError(f"{path}: block ids must be 1..p in any row order")
-    flat, bounds = idxs[order].tolist(), starts.tolist() + [len(idxs)]
-    try:
-        return CoarseRanking(flat[a:b] for a, b in zip(bounds, bounds[1:]))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    # ids are 1..p and indices 1..n, so this key orders rows by (block, index)
+    flat = idxs[np.argsort(block_ids * (n + 1) + idxs)]
+    cells, bounds = flat.tolist(), starts.tolist() + [len(idxs)]
+    blocks = tuple(tuple(cells[a:b]) for a, b in zip(bounds, bounds[1:]))
+    if not blocks:
+        raise ValidationError(f"{path}: blocks must be nonempty")
+    if not _is_one_to_n(flat, flat.size):
+        raise ValidationError(f"{path}: blocks do not partition 1..{flat.size}: {blocks}")
+    return _unchecked(CoarseRanking, blocks)
 
 
 def _read_column(path: str, column: str) -> np.ndarray:
@@ -456,7 +459,7 @@ class _Param(NamedTuple):
 _INT = functools.partial(_number, kind=int)
 _PARAMS: dict[str, _Param] = {
     "seed": _Param(_INT, "RNG seed (fallback: ISOMECH_SEED, then 0)"),
-    "threads": _Param(_INT, "max worker threads for Monte-Carlo chunks"),
+    "threads": _Param(_INT, "max worker threads for Monte-Carlo rows of 48+ items"),
     "out": _Param(None, "output file path"),
     "format": _Param(_choice("csv", "json"), "output format: csv or json (default csv)"),
     "scores": _Param(None, "CSV with header index,score", "a scores CSV"),

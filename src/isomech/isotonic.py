@@ -122,13 +122,6 @@ class Ranking:
             yield cls(perm)
 
 
-def _unchecked_ranking(perm: np.ndarray) -> Ranking:
-    """``Ranking(perm)`` for an int array its caller knows to be a permutation."""
-    ranking = object.__new__(Ranking)
-    object.__setattr__(ranking, "perm", tuple(perm.tolist()))
-    return ranking
-
-
 @dataclass(frozen=True)
 class CoarseRanking:
     """Ordered blocks partitioning {1..n}; earlier blocks claim larger means."""
@@ -147,6 +140,14 @@ class CoarseRanking:
     @property
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
+
+
+def _unchecked(cls, value: tuple):
+    """``cls(value)`` for a ``Ranking`` perm or ``CoarseRanking`` blocks, a
+    tuple its caller has checked and normalised."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, dataclasses.fields(cls)[0].name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -300,7 +301,7 @@ def coarse_to_permutation(coarse: CoarseRanking, x) -> Ranking:
     if not isinstance(coarse, CoarseRanking):
         coarse = CoarseRanking(coarse)
     arr = _check_scores(x, coarse.n)
-    return _unchecked_ranking(_block_order(coarse.blocks, arr) + 1)
+    return _unchecked(Ranking, tuple((_block_order(coarse.blocks, arr) + 1).tolist()))
 
 
 def ranking_constrained_mle(family: Family, x, ranking: Ranking) -> IsotonicFit:

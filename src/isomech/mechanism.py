@@ -27,7 +27,8 @@ with ``project_descending_batch``; claims shorter than
 Under a full ranking every segment of the claimed order is a set of items,
 so one table of the 2^n - 1 subset means per chunk of ``_SWEEP_CHUNK``
 trials gives the descending fit of all n! rankings by running max and min
-over its rows, with nothing permuted or projected.  Each ranking's
+over its rows, each taken once for all rankings that end alike
+(``_sweep_fits``), with nothing permuted or projected.  Each ranking's
 utilities are folded into running moments before the next, so memory grows
 with trials * n, not trials * n!.
 """
@@ -36,16 +37,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InvalidParameterError, ValidationError
 from .expfam import Family
-from .isotonic import CoarseRanking, Ranking, _block_order, project_descending_batch
+from .isotonic import _LOCKSTEP_N, CoarseRanking, Ranking, _block_order, project_descending_batch
 
 __all__ = [
     "UtilityFn",
@@ -61,11 +61,11 @@ _CHUNK = 512
 # Trials per subset-mean table: 2^n rows of this many, 8 MiB at n = 8.
 _SWEEP_CHUNK = 4096
 
-# Table rows an all-rankings sweep may visit: about n^2 per ranking per chunk
-# of _SWEEP_CHUNK trials, n! * n^2 * ceil(trials / _SWEEP_CHUNK) in all, a
-# partial chunk counted whole.  One n = 8 chunk (2,580,480 rows) took 10.6 to
-# 11.8 s on 2 cores (4.1 to 4.6 us per row), so the limit, 3 such chunks, is
-# about 35 s; n = 9 needs 29,393,280 rows per chunk and is refused.
+# Table rows an all-rankings sweep is charged: n^2 per ranking per chunk of
+# _SWEEP_CHUNK trials, n! * n^2 * ceil(trials / _SWEEP_CHUNK) in all, a
+# partial chunk counted whole.  One n = 8 chunk (2,580,480 rows) took 3.6 to
+# 4.3 s on 2 cores (1.4 to 1.7 us per row), so the limit, 3 such chunks, is
+# about 12 s; n = 9 needs 29,393,280 rows per chunk and is refused.
 _SWEEP_MAX_ROWS = 1 << 23
 
 
@@ -297,33 +297,46 @@ def _subset_means(scores: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _fit_from_table(table: np.ndarray, perm: Sequence[int], fit: np.ndarray,
-                    run: np.ndarray) -> np.ndarray:
-    """Descending fit of ranking ``perm`` (items best first) in claimed order.
+def _sweep_fits(table: np.ndarray) -> Iterator[np.ndarray]:
+    """The descending fit of every ranking of n items from a (2^n, t) table
+    of ``_subset_means``: an (n, t) array in claimed order, overwritten by
+    the next, in the order of ``itertools.permutations`` read back to front.
 
-    Fills ``fit`` (n, t) from a table of ``_subset_means`` by the max-min
-    formula mu_i = min_{j<=i} max_{k>=i} avg(j..k) (Robertson, Wright &
-    Dykstra 1988, sec. 1.4); ``run`` (t,) is scratch.  Every position takes
-    its max and min over the same table values, so each trial's fit is
-    exactly nonincreasing.  A nondecreasing map of the table commutes with
-    max and min, so a table of utilities gives the utilities of the fit.
+    The max-min formula mu_i = min_{j<=i} max_{k>=i} avg(j..k) (Robertson,
+    Wright & Dykstra 1988, sec. 1.4) is taken as mu_i = Q_{1,i} and
+    mu_0 = M_{0,0}, with M_{j,i} the inner max and Q_{j,i} = min(M_{j,i},
+    Q_{j+1,i}) from Q_{i+1,i} = M_{0,i}.  Q_{j,.} and M_{0,j-1} depend only
+    on the items at positions j..n-1, so ``_walk`` takes them once per such
+    suffix.  Max and min are exact, so each trial's fit is exactly
+    nonincreasing, and a nondecreasing map of the table maps the fit.
     """
-    n = len(perm)
-    bits = [1 << (item - 1) for item in perm]
-    for j in range(n):
-        # masks[k - j]: the items claimed at positions j..k
-        masks = list(itertools.accumulate(bits[j:], operator.or_))
-        if j == 0:
-            fit[n - 1] = table[masks[-1]]
-            for i in range(n - 2, -1, -1):
-                np.maximum(fit[i + 1], table[masks[i]], out=fit[i])
+    n, t = table.shape[0].bit_length() - 1, table.shape[1]
+    # blocks[d]: M_{0,d-1}, then Q_{d,i} for i = d..n-1; blocks[1] is the fit
+    blocks = [None] + [np.empty((n - d + 1, t)) for d in range(1, n)] + [table[-1:]]
+    views = [None] + [list(block) for block in blocks[1:]]
+    for _ in _walk(list(table), views, np.empty(t), n, 0, []):
+        yield blocks[1]
+
+
+def _walk(rows: list, views: list, run: np.ndarray, d: int, used: int, masks: list):
+    """``None`` per ranking whose positions d..n-1 hold the items of ``used``
+    (masks[i - d]: positions d..i), once its blocks below d are written."""
+    if d == 1:
+        yield
+        return
+    full, above, here = len(rows) - 1, views[d], views[d - 1]
+    for item in range(full.bit_length()):
+        bit = 1 << item
+        if used & bit:
             continue
-        top = table[masks[-1]]
-        np.minimum(fit[n - 1], top, out=fit[n - 1])
-        for i in range(n - 2, j - 1, -1):
-            top = np.maximum(top, table[masks[i - j]], out=run)
-            np.minimum(fit[i], top, out=fit[i])
-    return fit
+        new = [bit] + [bit | mask for mask in masks]
+        top = rows[new[-1]]
+        np.minimum(top, above[-1], out=here[-1])
+        for k in range(len(new) - 2, -1, -1):
+            top = np.maximum(top, rows[new[k]], out=run)
+            np.minimum(top, above[k], out=here[k + 1])
+        np.maximum(above[0], rows[full ^ used ^ bit], out=here[0])
+        yield from _walk(rows, views, run, d - 1, used | bit, new)
 
 
 class _Moments:
@@ -364,30 +377,31 @@ def rank_all_utilities(
     All n! rankings share one set of sampled scores.  Each chunk of
     ``_SWEEP_CHUNK`` trials builds one table of subset means and maps it
     through ``utility``; every ranking's fitted utilities come from that
-    table by ``_fit_from_table`` and are folded into running moments, so no
+    table by ``_sweep_fits`` and are folded into running moments, so no
     trials x n! matrix is held.  The estimates match projecting each ranking
     with ``project_descending_batch`` up to rounding.  Sweeps over 2^23
     table rows (n! * n^2 per chunk) are refused before sampling; call
     ``utility_trials`` on rankings of interest instead.  A utility that
     overflows on the scores raises ``InvalidParameterError``.
-    ``max_workers`` threads draw the scores; the estimates do not depend on it.
+    ``max_workers`` threads draw rows of ``_LOCKSTEP_N`` or more items, as in
+    ``experiments._mse_samples``; the estimates do not depend on it.
     """
     n = len(np.atleast_1d(np.asarray(mu_star)))
     _check_sweep_budget(n, trials)
-    scores = simulate_scores(family, mu_star, scores_per_item, trials, seed, max_workers)
-    rankings = list(Ranking.all_rankings(n))
+    scores = simulate_scores(family, mu_star, scores_per_item, trials, seed,
+                             max_workers if n >= _LOCKSTEP_N else None)
+    rankings = [Ranking(perm[::-1]) for perm in itertools.permutations(range(1, n + 1))]
     moments = _Moments(len(rankings))
     chunk_mean, chunk_m2 = np.empty(len(rankings)), np.empty(len(rankings))
-    table = np.empty((1 << n, _SWEEP_CHUNK))
-    fit, run = np.empty((n, _SWEEP_CHUNK)), np.empty(_SWEEP_CHUNK)
+    table, total = np.empty((1 << n, _SWEEP_CHUNK)), np.empty(_SWEEP_CHUNK)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, trials, _SWEEP_CHUNK):
             chunk = scores[lo : lo + _SWEEP_CHUNK]
             t = chunk.shape[0]
-            gains = _subset_means(chunk, table[:, :t])
+            gains, u = _subset_means(chunk, table[:, :t]), total[:t]
             gains[...] = utility(gains)
-            for r, ranking in enumerate(rankings):
-                u = _fit_from_table(gains, ranking.perm, fit[:, :t], run[:t]).sum(axis=0)
+            for r, fit in enumerate(_sweep_fits(gains)):
+                fit.sum(axis=0, out=u)
                 chunk_mean[r] = u.sum() / t
                 u -= chunk_mean[r]
                 chunk_m2[r] = u @ u

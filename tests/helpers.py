@@ -20,7 +20,10 @@ draw, which the blocked Binomial sampler must equal bit for bit.
 ``traced_peak`` measures what a call allocates, by ``tracemalloc``.
 ``reference_pava_two_stacks`` is the former single-vector PAVA loop, which
 divides both pools' sums at every merge test; ``pava_descending`` must equal
-it bit for bit.
+it bit for bit.  ``reference_fit_from_table`` is the former per-ranking
+max-min fit from a subset-mean table, and ``reference_sweep`` the former
+all-rankings sweep built on it; ``rank_all_utilities`` must equal it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import csv
 import io
 import itertools
 import math
+import operator
 import tracemalloc
 from collections import defaultdict
 from typing import NamedTuple
@@ -48,6 +52,7 @@ from isomech import (
 )
 from isomech.experiments import AuthorTable, SurrogateReport, SurrogateRow
 from isomech.expfam import verify_variance_assumption
+from isomech.mechanism import _SWEEP_CHUNK, _Moments, _subset_means, simulate_scores
 
 
 def compositions(n: int):
@@ -206,6 +211,54 @@ def binomial_rows_by_inversion(m: int, reps: int, mu, rng: np.random.Generator,
     cdf = np.stack([np.cumsum(sum_pmf(binomial_pmf(m, q / m), reps))[: m * reps] for q in mu])
     u = rng.random((trials, len(mu)))
     return (u[:, :, None] >= cdf).sum(axis=2) / reps
+
+
+def reference_fit_from_table(table: np.ndarray, perm, fit: np.ndarray,
+                             run: np.ndarray) -> np.ndarray:
+    """Descending fit (n, t) of ranking ``perm`` from a ``_subset_means``
+    table by the max-min formula, one ranking per call: for each start j,
+    the running max over the segments j..k, folded into ``fit`` by min."""
+    n = len(perm)
+    bits = [1 << (item - 1) for item in perm]
+    for j in range(n):
+        # masks[k - j]: the items claimed at positions j..k
+        masks = list(itertools.accumulate(bits[j:], operator.or_))
+        if j == 0:
+            fit[n - 1] = table[masks[-1]]
+            for i in range(n - 2, -1, -1):
+                np.maximum(fit[i + 1], table[masks[i]], out=fit[i])
+            continue
+        top = table[masks[-1]]
+        np.minimum(fit[n - 1], top, out=fit[n - 1])
+        for i in range(n - 2, j - 1, -1):
+            top = np.maximum(top, table[masks[i - j]], out=run)
+            np.minimum(fit[i], top, out=fit[i])
+    return fit
+
+
+def reference_sweep(family, mu_star, utility, scores_per_item: int, trials: int, seed: int):
+    """{perm: (mean, std_error)} of every ranking, by the former sweep: each
+    chunk's table, each ranking's fit by ``reference_fit_from_table``."""
+    n = len(mu_star)
+    scores = simulate_scores(family, mu_star, scores_per_item, trials, seed)
+    perms = list(itertools.permutations(range(1, n + 1)))
+    moments = _Moments(len(perms))
+    chunk_mean, chunk_m2 = np.empty(len(perms)), np.empty(len(perms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, trials, _SWEEP_CHUNK):
+            chunk = scores[lo : lo + _SWEEP_CHUNK]
+            t = chunk.shape[0]
+            gains = _subset_means(chunk, np.empty((1 << n, t)))
+            gains[...] = utility(gains)
+            for r, perm in enumerate(perms):
+                fit = reference_fit_from_table(gains, perm, np.empty((n, t)), np.empty(t))
+                u = fit.sum(axis=0)
+                chunk_mean[r] = u.sum() / t
+                u -= chunk_mean[r]
+                chunk_m2[r] = u @ u
+            moments.add(t, chunk_mean, chunk_m2)
+    means, ses = moments.mean_se()
+    return {perm: (m, se) for perm, m, se in zip(perms, means, ses)}
 
 
 def traced_peak(fn, *args):

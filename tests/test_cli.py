@@ -457,6 +457,18 @@ def test_truthfulness_threads_do_not_change_output(workdir):
     assert (workdir / "serial.csv").read_bytes() == (workdir / "threaded.csv").read_bytes()
 
 
+def test_truthfulness_draws_serially_under_threads(workdir, monkeypatch):
+    argv = TRUTH_ARGS[:-1] + ["1500", "--seed", "3"]
+    assert main(argv + ["--out", "serial.csv"]) == 0
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the sweep's narrow rows took the thread pool")
+
+    monkeypatch.setattr(isomech.mechanism, "ThreadPoolExecutor", refused)
+    assert main(argv + ["--threads", "2", "--out", "threaded.csv"]) == 0
+    assert (workdir / "serial.csv").read_bytes() == (workdir / "threaded.csv").read_bytes()
+
+
 # 1,100 trials make three 512-trial chunks, enough for two threads to share
 THREADED_ESTIMATION = ["estimation", "--family", "binomial:10", "--trials", "1100", "--seed", "5"]
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import AuthorRecord, reference_csv_table, reference_surrogate_eval
-from isomech import cli
+from isomech import CoarseRanking, ValidationError, cli
 from isomech.cli import main
 
 
@@ -355,3 +355,32 @@ def test_check_majorization_ignores_a_malformed_env_seed(workdir, capsys, monkey
     monkeypatch.setenv("ISOMECH_SEED", "abc")
     assert main(["check-majorization", "a.csv", "b.csv"]) == 0
     assert capsys.readouterr().out == "true\n"
+
+
+# ---------------------------------------------------------------------------
+# Blocks: grouped and checked once, equal to the checked CoarseRanking
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [9, 300])  # both sides of the array check's cutoff
+def test_read_blocks_equals_the_checked_coarse_ranking(workdir, n):
+    rng = np.random.default_rng(n)
+    items, block_of = rng.permutation(n) + 1, rng.integers(1, 5, n)
+    block_of[:4] = [3, 1, 4, 2]  # every id 1..4 in use
+    write(workdir / "blocks.csv", "block,index\n" + "".join(
+        f"{b},{i}\n" for b, i in zip(block_of, items)))
+    got = cli._read_blocks("blocks.csv", n)
+    want = CoarseRanking([items[block_of == b].tolist() for b in range(1, 5)])
+    assert got == want
+    assert all(type(i) is int for block in got.blocks for i in block)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("block,index\n2,3\n1,1\n2,1\n", "blocks.csv: blocks do not partition 1..3: ((1,), (1, 3))"),
+    ("block,index\n", "blocks.csv: blocks must be nonempty"),
+])
+def test_read_blocks_refuses_what_coarse_ranking_refuses(workdir, text, message):
+    write(workdir / "blocks.csv", text)
+    with pytest.raises(ValidationError) as exc:
+        cli._read_blocks("blocks.csv", 3)
+    assert str(exc.value) == message

@@ -236,9 +236,32 @@ def test_sample_rows_blocks_equal_one_whole_array_inversion(reps):
 
 
 def test_sample_rows_hold_no_full_size_temporary():
-    mu = np.linspace(10.0, 0.0, 4096)
-    rows, peak = traced_peak(Binomial(10).sample_rows, mu, np.random.default_rng(2440), 500)
-    assert peak <= rows.nbytes + (4 << 20), peak - rows.nbytes
+    for n, trials in ((4096, 500), (5, 100_000)):  # wide rows, then narrow ones
+        mu = np.linspace(10.0, 0.0, n)
+        rows, peak = traced_peak(Binomial(10).sample_rows, mu, np.random.default_rng(2440), trials)
+        assert peak <= rows.nbytes + (4 << 20), peak - rows.nbytes
+
+
+def test_wide_rows_are_exact_at_the_hull_ends_for_extreme_uniforms():
+    # eight items on 0..10 count threshold by threshold (3 n >= 2 N), while
+    # the two items of the test above count by binary search
+    for u in (0.0, np.nextafter(1.0, 0.0)):
+        fixed = types.SimpleNamespace(random=lambda shape, u=u: np.full(shape, u))
+        rows = Binomial(10).sample_rows([10.0, 0.0] * 4, fixed, 4)
+        assert rows.tolist() == [[10.0, 0.0] * 4] * 4
+
+
+# n = 1, then the last n that counts by binary search (3 n < 2 N) and the
+# first that counts threshold by threshold, at supports N = 10, 30 and 120
+@pytest.mark.parametrize("reps, n", [
+    (1, 1), (1, 6), (1, 7), (3, 1), (3, 19), (3, 20), (12, 1), (12, 79), (12, 80),
+])
+def test_sample_rows_equal_whole_array_inversion_on_both_routes(reps, n):
+    trials = 2 * _block_rows(n) + 7  # two full blocks and a partial last one
+    mu = np.linspace(10.0, 0.0, n) if n > 1 else np.array([6.5])
+    rows = Binomial(10).sample_rows(mu, np.random.default_rng(2450 + n), trials, reps)
+    want = binomial_rows_by_inversion(10, reps, mu, np.random.default_rng(2450 + n), trials)
+    np.testing.assert_array_equal(rows.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("reps", [0, -1, 1.5, "3"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -11,10 +12,10 @@ from isomech.mechanism import (
     _SWEEP_CHUNK,
     UtilityFn,
     _check_sweep_budget,
-    _fit_from_table,
     _mean_se,
     _Moments,
     _subset_means,
+    _sweep_fits,
     _trial_utilities,
     rank_all_utilities,
     sample_scores,
@@ -28,7 +29,9 @@ from helpers import (
     binomial_pmf,
     brute_force_project_descending,
     chi_square_p,
+    reference_sweep,
     sum_pmf,
+    traced_peak,
 )
 
 
@@ -248,8 +251,9 @@ def _table_fits(rows, ranking):
     """Fit of every row under ``ranking`` by the subset-mean table, (t, n)."""
     t, n = rows.shape
     table = _subset_means(rows, np.empty((1 << n, t)))
-    fit = _fit_from_table(table, ranking.perm, np.empty((n, t)), np.empty(t))
-    return fit.T
+    # _sweep_fits visits the rankings in permutations order read back to front
+    at = list(itertools.permutations(range(1, n + 1))).index(ranking.perm[::-1])
+    return next(itertools.islice(_sweep_fits(table), at, None)).T.copy()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -304,3 +308,27 @@ def test_sweep_matches_projecting_each_ranking(family, mu):
         assert est.mean == pytest.approx(mean, rel=1e-13)
         assert est.std_error == pytest.approx(se, rel=1e-12)
         assert (est.trials, est.seed) == (trials, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("spec", ["relu_square", "identity", "exp:0.3", "hinge:5"])
+def test_sweep_equals_the_per_ranking_reference_bit_for_bit(n, spec):
+    # 4,096 + 17 trials: one full chunk and a partial one
+    mu, utility, trials = np.linspace(8.0, 3.0, n), UtilityFn.from_spec(spec), _SWEEP_CHUNK + 17
+    want = reference_sweep(Binomial(10), mu, utility, 3, trials, 40 + n)
+    results = rank_all_utilities(Binomial(10), mu, utility, trials=trials, seed=40 + n)
+    assert sorted(ranking.perm for ranking, _ in results) == sorted(want)
+    for ranking, est in results:
+        got = np.array([est.mean, est.std_error])
+        np.testing.assert_array_equal(got.view(np.int64), np.array(want[ranking.perm]).view(np.int64))
+
+
+def test_one_chunk_sweep_of_eight_items_stays_near_its_former_peak():
+    # the former per-ranking loop peaked at 29.4-30.2 MiB here: two 8 MiB
+    # tables (the subset means and their utilities), 40,320 rankings and
+    # their estimates
+    mu = np.linspace(9.0, 2.0, 8)
+    results, peak = traced_peak(rank_all_utilities, Binomial(10), mu, UtilityFn("relu_square"),
+                                3, _SWEEP_CHUNK, 8)
+    assert len(results) == math.factorial(8)
+    assert peak <= 32 << 20, peak / 2**20
