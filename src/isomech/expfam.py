@@ -1,33 +1,29 @@
 """Canonical-form exponential families: Gaussian, Binomial, Poisson, Gamma.
 
 Each family fixes its nuisance shape parameter (variance, trial count, shape)
-and exposes the natural-parameter calculus
+of the law p_theta(x) = exp(theta * x - b(theta)) c(x) and exposes its
+natural-parameter calculus
 
-    density        p_theta(x) = exp(theta * x - b(theta)) * c(x)
-    log-partition  b(theta)
     mean           mu = b'(theta)
     variance       b''(theta)
+    inverse        theta = (b')^{-1}(mu)
 
 together with seeded sampling, of one draw or of the exact average of several,
-and the KL divergence in closed form.  All math methods accept scalars or numpy
-arrays and broadcast elementwise; a scalar input gives a Python float.  The
-carrier c(x) never needs a standalone representation; it is folded into
-log_density.
+and the KL divergence in closed form.  The mechanism never needs the form of
+the law, so no family writes its density or carrier c(x); the log-partition
+b enters only the KL formula.  All math methods accept scalars or numpy
+arrays and broadcast elementwise; a scalar input gives a Python float.
 
 ``Family`` writes the shared contract once: the input checks, the +/-inf
-natural parameters of boundary means, the support mask, the float return for
-scalar input, the variance certificate, and the JSON and spec forms of the
-one shape parameter a class declares.  A family supplies only its formulas
-and constants.  ``_FAMILIES`` registers the concrete classes by kind.
+natural parameters of boundary means, the float return for scalar input, the
+variance certificate, and the JSON and spec forms of the one shape parameter
+a class declares.  A family supplies only its formulas and constants.
+``_FAMILIES`` registers the concrete classes by kind.
 
 Import policy: of the package this module imports only ``errors``, so it
 also holds ``_block_rows``, the row blocks in which the Binomial sampler and
-``experiments._mse_samples`` walk (trials, n) passes.  The package loads
-numpy and no scipy module at import.  Only ``log_density`` evaluates a
-density, and it loads ``scipy.special`` on first use (see ``_gammaln``);
-``scipy.optimize`` is loaded only by ``isotonic.project_descending_batch``,
-for rows of ``_LOCKSTEP_N`` or more items.  Projection, the MLE, sampling,
-the sweep and the review table never need either.
+``experiments._mse_samples`` walk (trials, n) passes.  It imports numpy and
+no scipy module.
 """
 
 from __future__ import annotations
@@ -64,13 +60,6 @@ def _block_rows(n: int) -> int:
     """Rows per block of a (trials, n) pass: ``_BLOCK_ELEMENTS // n``, at
     least one row."""
     return max(1, _BLOCK_ELEMENTS // n)
-
-
-def _gammaln(x):
-    """log|Gamma(x)| by ``scipy.special.gammaln``, imported on first call."""
-    from scipy.special import gammaln
-
-    return gammaln(x)
 
 
 def _as_number(value, kind: type = float):
@@ -148,7 +137,6 @@ class Family(ABC):
     ``mean_hull()``, and the ``c_int`` and ``c_var`` of its certificate.  It
     also supplies its formulas, called on checked input: ``_b``, ``_b1`` and
     ``_b2`` (b, b', b'' at theta); ``_theta_of`` ((b')^{-1} inside the hull);
-    ``_support`` and ``_log_pdf`` (the log density on its support);
     ``_draw_average`` (the average of ``reps`` draws); ``_sigma_max`` (max of
     b'' over the bounds); ``_cert_window`` (where b'' >= c_var * sigma_max).
     ``sample_rows``, the (trials, n) rows at shared means that the
@@ -159,10 +147,6 @@ class Family(ABC):
     param: ClassVar[_Param | None] = None
 
     # -- natural-parameter calculus -----------------------------------
-
-    def log_partition(self, theta):
-        """b(theta); raises InvalidParameterError outside the domain."""
-        return _as_float(self._b(self._check_theta(theta)))
 
     def mean(self, theta):
         """b'(theta)."""
@@ -192,15 +176,6 @@ class Family(ABC):
         with np.errstate(divide="ignore"):
             theta = self._theta_of(arr)
         return _as_float(np.where(at_lo, -np.inf, np.where(at_hi, np.inf, theta)))
-
-    def log_density(self, theta, x):
-        """log p_theta(x); -inf for x outside the support (not an error)."""
-        t = self._check_theta(theta)
-        xv = np.asarray(x, dtype=float)
-        support = self._support(xv)
-        # 1 lies in every family's support, so the formula stays finite there
-        logpdf = self._log_pdf(t, np.where(support, xv, 1.0))
-        return _as_float(np.where(support, logpdf, -np.inf))
 
     def kl_divergence(self, theta1, theta2):
         """KL(p_theta1 || p_theta2) = (theta1-theta2) b'(theta1) - b(theta1) + b(theta2)."""
@@ -334,15 +309,6 @@ class Gaussian(Family):
     def _theta_of(self, mu):
         return mu / self.variance_param
 
-    def _support(self, x):
-        return np.full(np.shape(x), True)
-
-    def _log_pdf(self, t, x):
-        mu = self.variance_param * t
-        return -((x - mu) ** 2) / (2.0 * self.variance_param) - 0.5 * math.log(
-            2.0 * math.pi * self.variance_param
-        )
-
     def _draw_average(self, mu, rng, size, reps):
         # the mean of r draws is N(mu, sigma^2 / r)
         return rng.normal(mu, math.sqrt(self.variance_param / reps), size=size)
@@ -392,22 +358,14 @@ class Binomial(Family):
     def _theta_of(self, mu):
         return np.log(mu) - np.log(float(self.trials) - mu)
 
-    def _support(self, x):
-        return (x >= 0) & (x <= self.trials) & (np.floor(x) == x)
-
-    def _log_pdf(self, t, x):
-        m = float(self.trials)
-        return (
-            _gammaln(m + 1.0)
-            - _gammaln(x + 1.0)
-            - _gammaln(m - x + 1.0)
-            + x * t
-            - self.trials * (np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))))
-        )
-
     def _draw_average(self, mu, rng, size, reps):
-        # r draws of Binomial(m, p) sum to one Binomial(r m, p)
-        return rng.binomial(reps * self.trials, mu / self.trials, size=size) / reps
+        # r draws of Binomial(m, p) sum to one Binomial(r m, p); numpy takes an int64 count
+        count = reps * self.trials
+        if count > np.iinfo(np.int64).max:
+            raise InvalidParameterError(
+                f"Binomial draw count reps * m = {count} exceeds the int64 range of the sampler"
+            )
+        return rng.binomial(count, mu / self.trials, size=size) / reps
 
     def sample_rows(self, mu, rng, trials, reps=1):
         """Inversion (Devroye 1986, ch. III): a draw counts the thresholds
@@ -468,12 +426,6 @@ class Poisson(Family):
     def _theta_of(self, mu):
         return np.log(mu)
 
-    def _support(self, x):
-        return (x >= 0) & (np.floor(x) == x)
-
-    def _log_pdf(self, t, x):
-        return x * t - np.exp(t) - _gammaln(x + 1.0)
-
     def _draw_average(self, mu, rng, size, reps):
         # r draws of Poisson(mu) sum to one Poisson(r mu)
         return rng.poisson(reps * mu, size=size) / reps
@@ -520,15 +472,6 @@ class Gamma(Family):
     def _theta_of(self, mu):
         return -self.shape / mu
 
-    def _support(self, x):
-        return x > 0
-
-    def _log_pdf(self, t, x):
-        return (
-            (self.shape - 1.0) * np.log(x) + t * x
-            + self.shape * np.log(-t) - _gammaln(self.shape)
-        )
-
     def _draw_average(self, mu, rng, size, reps):
         # the mean of r draws of Gamma(a, scale s) is Gamma(r a, scale s / r)
         if np.any(mu <= 0):
@@ -537,7 +480,7 @@ class Gamma(Family):
         return rng.gamma(shape, scale=mu / shape, size=size)
 
     def mean_hull(self):
-        # x = 0 is measure-zero but harmless as a data value (log-density -inf)
+        # x = 0 has probability zero but is harmless as a data value
         return (0.0, math.inf)
 
     def _sigma_max(self, bounds):

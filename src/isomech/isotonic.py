@@ -31,10 +31,10 @@ its fitted means are those of the projection.
 
 Import policy: the package imports numpy and no scipy module up front, so
 runs that only fit records, build the review table or sweep rankings never
-pay for scipy (``scipy.special`` alone took about 0.28 s and 26 MiB to
-import on a 2-core host).  ``project_descending_batch`` imports
-``scipy.optimize`` on its first call with rows of ``_LOCKSTEP_N`` or more;
-``Family.log_density`` imports ``scipy.special`` on its first call.
+pay for scipy (its special-function module alone took about 0.28 s and
+26 MiB to import on a 2-core host).  The one scipy module it uses is
+``scipy.optimize``, which ``project_descending_batch`` imports on its first
+call with rows of ``_LOCKSTEP_N`` or more.
 
 Ranking convention throughout: position 1 of a ranking names the BEST item
 (largest mean).  All operations are pure functions; nothing here keeps state.
@@ -115,11 +115,6 @@ class Ranking:
         x = np.asarray(scores, dtype=float)
         order = np.argsort(-x, kind="stable")
         return cls(order + 1)
-
-    @classmethod
-    def all_rankings(cls, n: int) -> Iterator["Ranking"]:
-        for perm in itertools.permutations(range(1, n + 1)):
-            yield cls(perm)
 
 
 @dataclass(frozen=True)

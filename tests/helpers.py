@@ -1,19 +1,19 @@
 """Independent oracles and generators shared by the test modules.
 
 Everything here deliberately avoids the library's own algorithms: the
-projection oracle enumerates pooling patterns, KL oracles integrate or sum
-densities, and derivatives come from finite differences.  The one exception
-is ``reference_surrogate_eval``, a per-record restatement of the review
-table's bookkeeping that is compared for exact equality, so it fits with the
-library's own projection; ``author_tables`` builds its per-record authors
-together with the library's author table.  ``reference_csv_table`` is the
-CLI's former row-by-row table writer, which the template writer must match
-byte for byte.
-``reference_lower_bound`` is the lower-bound construction as it was built
-elementwise over every (codeword, coordinate) pair and checked with full
-size x size Gram matrices; the gathered construction and tiled verifier must
-match it exactly.  ``all_coarse_rankings`` lists the coarse claims that the
-truthfulness tests compare.  ``binomial_pmf``, ``sum_pmf`` and
+projection oracle enumerates pooling patterns, the KL oracle integrates or
+sums scipy.stats densities, and derivatives come from finite differences.
+The one exception is ``reference_surrogate_eval``, a per-record restatement
+of the review table's bookkeeping that is compared for exact equality, so it
+fits with the library's own projection; ``author_tables`` builds its
+per-record authors together with the library's author table.
+``reference_csv_table`` is the CLI's former row-by-row table writer, which
+``cli._write_table`` must match byte for byte.  ``reference_lower_bound`` is
+the lower-bound construction as it was built elementwise over every
+(codeword, coordinate) pair and checked with full size x size Gram matrices;
+the gathered construction and tiled verifier must match it exactly.
+``all_rankings`` and ``all_coarse_rankings`` list the full and coarse claims
+that the truthfulness tests compare.  ``binomial_pmf``, ``sum_pmf`` and
 ``chi_square_p`` are the goodness-of-fit oracle for the samplers;
 ``binomial_rows_by_inversion`` is whole-array inversion from one uniform
 draw, which the blocked Binomial sampler must equal bit for bit.
@@ -22,8 +22,8 @@ draw, which the blocked Binomial sampler must equal bit for bit.
 divides both pools' sums at every merge test; ``pava_descending`` must equal
 it bit for bit.  ``reference_fit_from_table`` is the former per-ranking
 max-min fit from a subset-mean table, and ``reference_sweep`` the former
-all-rankings sweep built on it; ``rank_all_utilities`` must equal it bit
-for bit.
+all-rankings sweep built on it; ``rank_all_utilities`` must equal it bit for
+bit.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy import stats
 from scipy.stats import chisquare
 
 from isomech import (
@@ -83,6 +84,12 @@ def all_coarse_rankings(n: int, sizes):
                 yield (combo,) + rest
 
     return [CoarseRanking(blocks) for blocks in rec(frozenset(range(1, n + 1)), 0)]
+
+
+def all_rankings(n: int):
+    """Every full ranking of {1..n}, in the lexicographic order of
+    ``itertools.permutations``."""
+    return [Ranking(perm) for perm in itertools.permutations(range(1, n + 1))]
 
 
 def brute_force_project_descending(x) -> np.ndarray:
@@ -155,34 +162,39 @@ def finite_difference_mean_slope(family, theta: float, h: float = 1e-5) -> float
 
 
 def kl_oracle(family, theta1: float, theta2: float) -> float:
-    """KL divergence by quadrature (continuous) or support sum (discrete)."""
+    """KL divergence by quadrature (continuous) or support sum (discrete) of
+    scipy.stats laws.  Each law is built here from the textbook map from theta
+    to its usual parameters, so no family method is called: p = 1/(1+e^-theta)
+    for Binomial(m, p), lambda = e^theta for Poisson, loc = v theta and scale
+    sqrt(v) for a Gaussian of variance v, and shape m with scale -1/theta for a
+    Gamma of shape m.  Both laws' log densities come from one call per node."""
+    thetas = np.array([theta1, theta2], dtype=float)
     if isinstance(family, Binomial):
-        xs = np.arange(family.trials + 1)
-        lp1 = family.log_density(theta1, xs)
-        lp2 = family.log_density(theta2, xs)
+        xs = np.arange(family.trials + 1)[:, None]
+        lp1, lp2 = stats.binom.logpmf(xs, family.trials, 1.0 / (1.0 + np.exp(-thetas))).T
         return float(np.sum(np.exp(lp1) * (lp1 - lp2)))
     if isinstance(family, Poisson):
         lam = math.exp(theta1)
         cutoff = max(200, int(lam + 40 * math.sqrt(lam + 1) + 50))
-        xs = np.arange(cutoff + 1)
-        lp1 = family.log_density(theta1, xs)
-        lp2 = family.log_density(theta2, xs)
+        xs = np.arange(cutoff + 1)[:, None]
+        lp1, lp2 = stats.poisson.logpmf(xs, np.exp(thetas)).T
         return float(np.sum(np.exp(lp1) * (lp1 - lp2)))
     if isinstance(family, Gaussian):
-        mu = family.mean(theta1)
-        sd = math.sqrt(family.variance_param)
+        v = family.variance_param
+        loc, sd = v * thetas, math.sqrt(v)
 
         def integrand(x):
-            lp1 = family.log_density(theta1, x)
-            return math.exp(lp1) * (lp1 - family.log_density(theta2, x))
+            lp1, lp2 = stats.norm.logpdf(x, loc=loc, scale=sd)
+            return math.exp(lp1) * (lp1 - lp2)
 
-        val, _ = quad(integrand, mu - 14 * sd, mu + 14 * sd, limit=200)
+        val, _ = quad(integrand, loc[0] - 14 * sd, loc[0] + 14 * sd, limit=200)
         return float(val)
     if isinstance(family, Gamma):
+        scale = -1.0 / thetas
 
         def integrand(x):
-            lp1 = family.log_density(theta1, x)
-            return math.exp(lp1) * (lp1 - family.log_density(theta2, x))
+            lp1, lp2 = stats.gamma.logpdf(x, family.shape, scale=scale)
+            return math.exp(lp1) * (lp1 - lp2)
 
         val, _ = quad(integrand, 0.0, np.inf, limit=400)
         return float(val)

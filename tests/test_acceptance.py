@@ -40,6 +40,7 @@ from helpers import (
     MU_WINDOWS,
     THETA_WINDOWS,
     all_coarse_rankings,
+    all_rankings,
     author_tables,
     batch_oracle_project,
     finite_difference_mean_slope,
@@ -126,7 +127,7 @@ def test_criterion_04_truthfulness_property_suite():
                 mu = spaced_scores(rng, lo, hi, n)
                 seed = int(rng.integers(1 << 30))
 
-                rankings = list(Ranking.all_rankings(n))
+                rankings = all_rankings(n)
                 samples = utility_trials(
                     family, mu, rankings, UtilityFn("relu_square"),
                     scores_per_item=3, trials=trials, seed=seed,

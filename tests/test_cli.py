@@ -529,6 +529,23 @@ def test_overflowing_finite_scores_exit_2(workdir, capsys, argv, files):
     assert not (workdir / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimation", "--family", "binomial:100000000000000000000", "--pool", "pool.csv",
+     "--n-grid", "2", "--trials", "3"],
+    ["truthfulness", "--family", "binomial:100000000000000000000", "--mu-star", "8,7,6",
+     "--trials", "10"],
+    ["truthfulness", "--family", "binomial:4000000000000000000", "--scores-per-item", "3",
+     "--mu-star", "8,7,6", "--trials", "10"],
+])
+def test_binomial_draw_count_beyond_int64_exits_2(workdir, capsys, argv):
+    write(workdir / "pool.csv", "score\n3\n5\n7\n")
+    assert main(argv + ["--out", "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds the int64 range" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not (workdir / "x.csv").exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_icml_overflowing_improvement_exits_2(workdir, capsys):
     # a subnormal raw MSE (5e-311) makes (raw - im) / raw overflow to -inf
@@ -625,7 +642,7 @@ def test_cli_runs_load_no_scipy(workdir):
     write(workdir / "reviews.csv", "submission_id,score,confidence\na,6,5\na,7,1\nb,4,5\nb,5,1\n")
     write(workdir / "authors.csv", "author_id,submission_ids,ranking\nalice,a;b,1;2\n")
     script = (
-        "import math, sys\n"
+        "import sys\n"
         "import isomech\n"
         "from isomech.cli import main\n"
         "try:\n"
@@ -639,22 +656,34 @@ def test_cli_runs_load_no_scipy(workdir):
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "print(loaded)\n"
         "import numpy as np\n"
-        "from isomech.expfam import Binomial\n"
+        "from isomech.expfam import (Binomial, Gamma, Gaussian, Poisson, ScoreBounds,"
+        " verify_variance_assumption)\n"
         "from isomech.isotonic import CoarseRanking, Ranking\n"
         "from isomech.mechanism import UtilityFn, sample_scores, utility_trials\n"
         "for reps in (1, 3):\n"
         "    sample_scores(Binomial(10), [0.0, 2.5, 10.0], reps, np.random.default_rng(reps), 64)\n"
         "utility_trials(Binomial(10), [8.0, 7.0, 6.0], [Ranking([1, 2, 3]),"
         " CoarseRanking([(1, 2), (3,)])], UtilityFn('relu_square'), trials=600)\n"
-        "assert not [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-        "print(abs(Binomial(2).log_density(0.0, 1) / math.log(0.5) - 1.0) <= 1e-12)\n"
+        "rng = np.random.default_rng(0)\n"
+        "for family, theta, bounds in [(Gaussian(1.5), 0.5, ScoreBounds(-2, 2)),"
+        " (Binomial(10), 0.5, ScoreBounds(0, 10)), (Poisson(), 0.5, ScoreBounds(1, 8)),"
+        " (Gamma(2.0), -0.5, ScoreBounds(1, 8))]:\n"
+        "    mu = family.mean(theta)\n"
+        "    family.variance(theta)\n"
+        "    assert abs(family.natural_param(mu) - theta) <= 1e-12\n"
+        "    assert family.kl_divergence(theta, 2 * theta) > 0\n"
+        "    family.sample_mean(mu, rng, size=8, reps=3)\n"
+        "    family.sample_rows([mu, mu], rng, 4, reps=2)\n"
+        "    family.sigma_max(bounds)\n"
+        "    verify_variance_assumption(family, bounds)\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
     )
     src = str(Path(isomech.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", script], cwd=workdir, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip().splitlines()[-2:] == ["[]", "True"]
+    assert done.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
 
 
 _JSON_SCALARS = st.one_of(

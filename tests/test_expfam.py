@@ -36,17 +36,13 @@ from helpers import (
 )
 
 
-def test_log_partition_closed_forms():
-    assert Binomial(10).log_partition(0.0) == pytest.approx(10 * math.log(2), rel=1e-12)
-    assert Poisson().log_partition(0.0) == pytest.approx(1.0, rel=1e-12)
-    assert Gaussian(1.0).log_partition(0.0) == 0.0
-
-
 def test_log_partition_stability_at_large_theta():
     b = Binomial(10)
-    # for large theta, b(theta) ~ m * theta; must not overflow
-    assert b.log_partition(800.0) == pytest.approx(8000.0, rel=1e-12)
-    assert b.log_partition(-800.0) == pytest.approx(0.0, abs=1e-300)
+    # KL(theta || 0) = theta b'(theta) - b(theta) + b(0) -> m log 2 as |theta|
+    # grows; b(theta) ~ m max(theta, 0) must not overflow, where a naive
+    # m * log1p(e^theta) gives 8000 - inf = -inf at theta = 800
+    assert b.kl_divergence(800.0, 0.0) == pytest.approx(10 * math.log(2), rel=1e-12)
+    assert b.kl_divergence(-800.0, 0.0) == pytest.approx(10 * math.log(2), rel=1e-12)
 
 
 def test_natural_param_closed_forms():
@@ -85,29 +81,6 @@ def test_mean_natural_param_roundtrip():
         assert err.max() <= 1e-9
 
 
-def test_log_density_point_values():
-    assert Poisson().log_density(0.0, 0) == pytest.approx(-1.0, rel=1e-12)
-    assert Binomial(2).log_density(0.0, 1) == pytest.approx(math.log(0.5), rel=1e-12)
-    assert Gaussian(1.0).log_density(0.0, 0.0) == pytest.approx(
-        -0.5 * math.log(2 * math.pi), rel=1e-12
-    )
-
-
-def test_log_density_outside_support_is_minus_inf():
-    assert Binomial(5).log_density(0.3, 6) == -math.inf
-    assert Binomial(5).log_density(0.3, 2.5) == -math.inf
-    assert Poisson().log_density(0.0, -1) == -math.inf
-    assert Gamma(2.0).log_density(-1.0, 0.0) == -math.inf
-
-
-def test_log_density_normalizes():
-    # discrete families: probabilities sum to one
-    b = Binomial(7)
-    assert np.exp(b.log_density(0.4, np.arange(8))).sum() == pytest.approx(1.0, rel=1e-10)
-    p = Poisson()
-    assert np.exp(p.log_density(1.1, np.arange(200))).sum() == pytest.approx(1.0, rel=1e-10)
-
-
 def test_kl_zero_iff_equal():
     for name, family in ALL_FAMILIES.items():
         lo, hi = THETA_WINDOWS[name]
@@ -135,6 +108,23 @@ def test_kl_matches_oracle_spot_checks():
             assert family.kl_divergence(t1, t2) == pytest.approx(
                 kl_oracle(family, t1, t2), abs=1e-6
             )
+
+
+def test_kl_oracle_calls_no_family_formula(monkeypatch):
+    """The oracle builds its scipy.stats laws from theta alone: with every
+    formula of the family classes raising, it returns the same values."""
+    points = [(name, *THETA_WINDOWS[name]) for name in sorted(ALL_FAMILIES)]
+    want = [kl_oracle(ALL_FAMILIES[name], lo, hi) for name, lo, hi in points]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the KL oracle called a family formula")
+
+    for family in ALL_FAMILIES.values():
+        for name in ("_b", "_b1", "_b2", "_theta_of", "_check_theta"):
+            monkeypatch.setattr(type(family), name, refuse)
+    with pytest.raises(AssertionError, match="family formula"):
+        Poisson().mean(0.0)
+    assert [kl_oracle(ALL_FAMILIES[name], lo, hi) for name, lo, hi in points] == want
 
 
 def test_sampling_is_seed_deterministic():
@@ -271,13 +261,22 @@ def test_sample_mean_refuses_bad_reps(reps):
             family.sample_mean(2.0, np.random.default_rng(0), size=3, reps=reps)
 
 
+@pytest.mark.parametrize("trials, reps", [(10**20, 1), (4 * 10**18, 3)])
+def test_binomial_draw_count_beyond_int64_is_refused(trials, reps):
+    family, rng = Binomial(trials), np.random.default_rng(0)
+    with pytest.raises(InvalidParameterError, match="int64"):
+        family.sample_mean(trials / 2, rng, size=3, reps=reps)
+    with pytest.raises(InvalidParameterError, match="int64"):
+        family.sample_rows([trials / 2, trials / 4], rng, 4, reps)
+
+
 def test_domain_errors():
     with pytest.raises(InvalidParameterError):
-        Gamma(2.0).log_partition(0.0)
+        Gamma(2.0).kl_divergence(0.0, -1.0)
     with pytest.raises(InvalidParameterError):
         Gamma(2.0).variance(1.0)
     with pytest.raises(InvalidParameterError):
-        Gaussian(1.0).log_partition(math.nan)
+        Gaussian(1.0).mean(math.nan)
     with pytest.raises(InvalidParameterError):
         Binomial(10).natural_param(11.0)
     with pytest.raises(InvalidParameterError):
@@ -357,12 +356,9 @@ def test_scalar_inputs_give_python_floats(name):
     lo, hi = THETA_WINDOWS[name]
     theta = 0.5 * (lo + hi)
     values = [
-        family.log_partition(theta),
         family.mean(theta),
         family.variance(theta),
         family.natural_param(family.mean(theta)),
-        family.log_density(theta, 1.0),
-        family.log_density(theta, -1.0),  # off the support of all but Gaussian
         family.kl_divergence(theta, lo),
     ]
     assert [type(v) for v in values] == [float] * len(values)

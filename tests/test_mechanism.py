@@ -26,6 +26,7 @@ from isomech.order import is_upward_swap
 
 from helpers import (
     all_coarse_rankings,
+    all_rankings,
     binomial_pmf,
     brute_force_project_descending,
     chi_square_p,
@@ -116,7 +117,7 @@ def test_upward_swap_improves_utility():
         for _ in range(5):
             nu = Ranking(rng.permutation(4) + 1)
             swaps = [
-                p for p in Ranking.all_rankings(4) if is_upward_swap(p, nu)
+                p for p in all_rankings(4) if is_upward_swap(p, nu)
             ]
             if not swaps:
                 continue
@@ -266,7 +267,7 @@ def test_table_fits_match_projection_and_oracle(n):
     ])
     # the kernel tests' bound: 1e-12 of the row's span, at least n ulps of its size
     tol = np.maximum(1e-12 * np.ptp(rows, axis=1), n * np.spacing(np.abs(rows).max(axis=1)))
-    for ranking in Ranking.all_rankings(n):
+    for ranking in all_rankings(n):
         claimed = rows[:, ranking.as_indices()]
         got = _table_fits(rows, ranking)
         assert np.all(np.diff(got, axis=1) <= 0)
