@@ -29,8 +29,10 @@ default goes through the same converter, so ``--trials x`` and
 ``{"trials": "x"}`` both fail with the same one-line error.  A config key
 the subcommand does not take, a misspelt one say, is refused.  Flags
 override config-file values.  Every command but ``check-majorization``
-writes files and takes ``--seed``, ``--out`` and ``--format``; its missing
-seed falls back to the ISOMECH_SEED environment variable, then to 0.
+writes files and takes ``--out`` and ``--format``.  The seeded ones
+(``truthfulness``, ``estimation``, ``minimax`` and ``icml``) also take
+``--seed``; a missing seed falls back to the ISOMECH_SEED environment
+variable, then to 0.  No other command reads that variable.
 
 A command computes all its results before ``_finish`` writes anything, so a
 failed run writes no file.  ``_finish`` writes the table, any extra JSON
@@ -458,8 +460,8 @@ class _Param(NamedTuple):
 
 _INT = functools.partial(_number, kind=int)
 _PARAMS: dict[str, _Param] = {
-    "seed": _Param(_INT, "RNG seed (fallback: ISOMECH_SEED, then 0)"),
-    "threads": _Param(_INT, "max worker threads for Monte-Carlo rows of 48+ items"),
+    "seed": _Param(_INT, "seed of the run's random draws (fallback: ISOMECH_SEED, then 0)"),
+    "threads": _Param(_INT, "max worker threads for error-curve rows of 48+ items"),
     "out": _Param(None, "output file path"),
     "format": _Param(_choice("csv", "json"), "output format: csv or json (default csv)"),
     "scores": _Param(None, "CSV with header index,score", "a scores CSV"),
@@ -497,11 +499,11 @@ class _Command(NamedTuple):
     flags: tuple[str, ...]  # besides _OUTPUT_FLAGS, which every writing command takes
     required: tuple[str, ...]
     defaults: dict[str, Any]
-    writes: bool = True  # writes a table and a sidecar, from a seeded run
+    writes: bool = True  # writes a table and a sidecar
     record: tuple[str, ...] = ()  # run facts the sidecar adds to params; a replay holds them
 
 
-_OUTPUT_FLAGS = ("seed", "out", "format")
+_OUTPUT_FLAGS = ("out", "format")
 
 
 _COMMANDS: dict[str, _Command] = {
@@ -510,25 +512,25 @@ _COMMANDS: dict[str, _Command] = {
         ("ranking", "blocks", "family"), ("scores",), {"out": "adjusted.csv"}),
     "truthfulness": _Command(
         "expected utility of every ranking", (),
-        ("family", "mu_star", "utility", "scores_per_item", "trials", "threads"),
+        ("family", "mu_star", "utility", "scores_per_item", "trials", "seed"),
         ("family", "mu_star"),
         {"out": "utilities.csv", "utility": "relu_square", "scores_per_item": 3,
          "trials": 100_000}),
     "estimation": _Command(
         "error of adjusted vs raw scores across n, and the relative improvement", (),
         ("family", "n_grid", "ramp_hi", "ramp_lo", "pool", "mu_star", "scores_per_item",
-         "trials", "threads"),
+         "trials", "seed", "threads"),
         ("family", "n_grid"),
         {"out": "curve.csv", "scores_per_item": 3, "trials": 1000, "ramp_hi": 9.0,
          "ramp_lo": 3.0}),
     "minimax": _Command(
         "risk-vs-n slope plus the lower-bound construction", (),
         ("family", "v_min", "v_max", "n_grid", "trials", "construction_n", "c",
-         "construction_out", "threads"),
+         "construction_out", "seed", "threads"),
         ("family", "v_min", "v_max", "n_grid"),
         {"out": "rate.csv", "trials": 500, "construction_out": "construction.json"}),
     "icml": _Command(
-        "surrogate-truth evaluation of review/author CSVs", ("reviews", "authors"), (),
+        "surrogate-truth evaluation of review/author CSVs", ("reviews", "authors"), ("seed",),
         ("reviews", "authors"), {"out": "table1.csv"},
         record=("skipped_submissions", "skipped_authors", "tie_breaks")),
     "check-majorization": _Command(
@@ -572,8 +574,8 @@ def _effective(args: argparse.Namespace) -> dict[str, Any]:
         params.setdefault(key, value)
     if command.writes:
         params.setdefault("format", "csv")
-        if params.get("seed") is None:
-            params["seed"] = _number(os.environ.get("ISOMECH_SEED", "0"), "ISOMECH_SEED", int)
+    if "seed" in command.flags and params.get("seed") is None:
+        params["seed"] = _number(os.environ.get("ISOMECH_SEED", "0"), "ISOMECH_SEED", int)
     for key in command.required:
         if params.get(key) in (None, ""):
             raise ValidationError(
@@ -623,8 +625,7 @@ def _cmd_truthfulness(params: dict[str, Any]) -> int:
     mu_star = params["mu_star"]
     results = rank_all_utilities(
         family_from_dict(params["family"]), mu_star, UtilityFn.from_spec(str(params["utility"])),
-        scores_per_item=params["scores_per_item"], trials=params["trials"],
-        seed=params["seed"], max_workers=params.get("threads"),
+        scores_per_item=params["scores_per_item"], trials=params["trials"], seed=params["seed"],
     )
     truthful = Ranking.from_scores(mu_star).perm
     columns = [
@@ -642,6 +643,8 @@ def _fields(records: Sequence[Any], names: Sequence[str]) -> list[list[Any]]:
 
 
 def _make_generator(params: dict[str, Any]):
+    if params.get("pool") and params.get("mu_star"):
+        raise ValidationError("estimation takes at most one of --pool or --mu-star")
     if params.get("pool"):
         pool = _read_column(str(params["pool"]), "score")
         return PoolResample(pool=tuple(float(v) for v in pool))

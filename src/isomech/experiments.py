@@ -172,11 +172,13 @@ def _mse_samples(
             block = slice(lo, lo + step)
             xb, mb = x[block], mu if mu.ndim == 1 else mu[block]
             fitted = project_descending_batch(xb)
-            # both arrays belong to this chunk, so the residuals overwrite them
-            fitted -= mb
-            im[block] = np.square(fitted, out=fitted).sum(axis=1)
-            xb -= mb
-            raw[block] = np.square(xb, out=xb).sum(axis=1)
+            # both arrays belong to this chunk, so the residuals overwrite them;
+            # a square that overflows is refused by estimation_error_curve
+            with np.errstate(over="ignore"):
+                fitted -= mb
+                im[block] = np.square(fitted, out=fitted).sum(axis=1)
+                xb -= mb
+                raw[block] = np.square(xb, out=xb).sum(axis=1)
         return im / n, raw / n
 
     # the lockstep kernel holds the GIL, so its rows gain nothing from threads
@@ -214,7 +216,8 @@ def estimation_error_curve(
     """Per-coordinate estimation error of adjusted vs raw scores across n.
 
     For every n in the grid, Monte-Carlo means of |adjusted - truth|^2 / n
-    under the truthful ranking, against |raw - truth|^2 / n.
+    under the truthful ranking, against |raw - truth|^2 / n.  A mean, standard
+    error or improvement that overflows float64 raises ``ValidationError``.
     """
     if not n_grid or any(n < 1 for n in n_grid):
         raise ValidationError("n_grid must hold positive submission counts")
@@ -226,9 +229,16 @@ def estimation_error_curve(
     points = []
     for n, child in zip(n_grid, np.random.SeedSequence(seed).spawn(len(n_grid))):
         im, raw = _mse_samples(family, generator, n, scores_per_item, trials, child, max_workers)
-        m_im, se_im = _mean_se(im)
-        m_raw, se_raw = _mean_se(raw)
-        points.append(EstimationPoint(n, m_im, se_im, m_raw, se_raw, trials))
+        with np.errstate(over="ignore", invalid="ignore"):
+            point = EstimationPoint(n, *_mean_se(im), *_mean_se(raw), trials)
+            finite = np.isfinite([point.mse_im, point.mse_im_se, point.mse_raw,
+                                  point.mse_raw_se, point.improvement]).all()
+        if not finite:
+            raise ValidationError(
+                f"true scores or family spread too large for float64: the n = {n} squared "
+                "errors, their standard errors or the improvement overflow"
+            )
+        points.append(point)
     return points
 
 

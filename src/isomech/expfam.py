@@ -426,9 +426,19 @@ class Poisson(Family):
     def _theta_of(self, mu):
         return np.log(mu)
 
+    # the largest mean rng.poisson draws: int64 max less 10 standard deviations
+    _MAX_DRAW_MEAN = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
     def _draw_average(self, mu, rng, size, reps):
         # r draws of Poisson(mu) sum to one Poisson(r mu)
-        return rng.poisson(reps * mu, size=size) / reps
+        with np.errstate(over="ignore"):
+            lam = reps * mu
+        if np.any(lam > self._MAX_DRAW_MEAN):
+            raise InvalidParameterError(
+                f"Poisson mean {float(mu.max()):.6g} times reps = {reps} exceeds "
+                f"{self._MAX_DRAW_MEAN:.6g}, the largest mean the sampler draws"
+            )
+        return rng.poisson(lam, size=size) / reps
 
     def mean_hull(self):
         return (0.0, math.inf)
@@ -477,7 +487,15 @@ class Gamma(Family):
         if np.any(mu <= 0):
             raise InvalidParameterError("Gamma sampling needs a strictly positive mean")
         shape = reps * self.shape
-        return rng.gamma(shape, scale=mu / shape, size=size)
+        with np.errstate(over="ignore"):
+            scale = mu / shape
+        if not (math.isfinite(shape) and np.all(np.isfinite(scale))):
+            what = "the scale mean / (reps * shape)" if math.isfinite(shape) else "reps * shape"
+            raise InvalidParameterError(
+                f"Gamma shape {self.shape:.6g} cannot be sampled: at reps = {reps}, {what} "
+                "overflows"
+            )
+        return rng.gamma(shape, scale=scale, size=size)
 
     def mean_hull(self):
         # x = 0 has probability zero but is harmless as a data value

@@ -2,8 +2,9 @@
 
 The core serves every simulation in the package, the estimation drivers in
 ``experiments`` included.  Trials run in chunks of ``_CHUNK``, each on an
-RNG substream spawned from the seed, so a seed gives the same numbers with
-or without worker threads.  ``sample_scores`` is the one sampler: an
+RNG substream spawned from the seed, so a seed gives the same numbers
+whether ``_map_chunks`` runs its chunks in turn or on worker threads, as the
+estimation drivers may.  ``sample_scores`` is the one sampler: an
 observed score averages ``scores_per_item`` draws at its true mean, and it
 is drawn once, from the family's law of that average.  Means shared by
 every trial of a chunk (a 1-d vector) go to ``Family.sample_rows``, which
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, ValidationError
 from .expfam import Family
-from .isotonic import _LOCKSTEP_N, CoarseRanking, Ranking, _block_order, project_descending_batch
+from .isotonic import CoarseRanking, Ranking, _block_order, project_descending_batch
 
 __all__ = [
     "UtilityFn",
@@ -177,12 +178,11 @@ def simulate_scores(
     scores_per_item: int,
     trials: int,
     seed: int,
-    max_workers: Optional[int] = None,
 ) -> np.ndarray:
     """(trials, n) matrix of observed scores at true means ``mu_star``.
 
     Drawn chunk by chunk through ``sample_scores``; one seed always produces
-    the same matrix, with or without worker threads.
+    the same matrix.
     """
     mu = family.check_mean_hull(np.asarray(mu_star, dtype=float), "true score")
     if mu.ndim != 1 or mu.size == 0:
@@ -193,7 +193,7 @@ def simulate_scores(
     def one_chunk(count, rng):
         return sample_scores(family, mu, scores_per_item, rng, count)
 
-    return np.concatenate(_map_chunks(one_chunk, trials, np.random.SeedSequence(seed), max_workers))
+    return np.concatenate(_map_chunks(one_chunk, trials, np.random.SeedSequence(seed)))
 
 
 @dataclass(frozen=True)
@@ -370,7 +370,6 @@ def rank_all_utilities(
     scores_per_item: int = 3,
     trials: int = 100_000,
     seed: int = 0,
-    max_workers: Optional[int] = None,
 ) -> list[tuple[Ranking, UtilityEstimate]]:
     """Estimates for every possible ranking, sorted by descending mean.
 
@@ -383,13 +382,10 @@ def rank_all_utilities(
     table rows (n! * n^2 per chunk) are refused before sampling; call
     ``utility_trials`` on rankings of interest instead.  A utility that
     overflows on the scores raises ``InvalidParameterError``.
-    ``max_workers`` threads draw rows of ``_LOCKSTEP_N`` or more items, as in
-    ``experiments._mse_samples``; the estimates do not depend on it.
     """
     n = len(np.atleast_1d(np.asarray(mu_star)))
     _check_sweep_budget(n, trials)
-    scores = simulate_scores(family, mu_star, scores_per_item, trials, seed,
-                             max_workers if n >= _LOCKSTEP_N else None)
+    scores = simulate_scores(family, mu_star, scores_per_item, trials, seed)
     rankings = [Ranking(perm[::-1]) for perm in itertools.permutations(range(1, n + 1))]
     moments = _Moments(len(rankings))
     chunk_mean, chunk_m2 = np.empty(len(rankings)), np.empty(len(rankings))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import logging
 import os
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import isomech
@@ -271,6 +273,22 @@ def test_env_seed_fallback(workdir, monkeypatch):
     assert sidecar["params"]["seed"] == 123
 
 
+def test_fit_takes_no_seed_and_ignores_a_malformed_env_seed(workdir, monkeypatch):
+    scores_csv(workdir / "scores.csv", [2, 3, 1])
+    ranking_csv(workdir / "ranking.csv", [1, 2, 3])
+    monkeypatch.setenv("ISOMECH_SEED", "abc")
+    assert main(["fit", "scores.csv", "--ranking", "ranking.csv", "--out", "a.csv"]) == 0
+    assert "seed" not in json.loads((workdir / "a.csv.meta.json").read_text())["params"]
+
+
+def test_estimation_takes_one_score_source(workdir, capsys):
+    write(workdir / "pool.csv", "score\n3\n5\n7\n")
+    argv = POOL_ARGS + ["--mu-star", "8,7", "--n-grid", "2", "--trials", "3", "--out", "x.csv"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: estimation takes at most one of --pool or --mu-star\n"
+    assert not (workdir / "x.csv").exists()
+
+
 def test_missing_input_file_exits_2(workdir, capsys):
     assert main(["fit", "nope.csv", "--ranking", "also-nope.csv"]) == 2
     assert "nope.csv" in capsys.readouterr().err
@@ -351,7 +369,7 @@ MINIMAX_FLAGS = MINIMAX_ARGS + ["--v-min", "0"]
      "family 'binomial' takes no parameter 'p'"),
     # a bad flag value gets the one-line error a bad config value gets, not argparse usage
     (TRUTH_FLAGS + ["--seed", "x"], "seed: 'x' is not an integer"),
-    (TRUTH_FLAGS + ["--threads", "x"], "threads: 'x' is not an integer"),
+    (ESTIMATION_FLAGS + ["--threads", "x"], "threads: 'x' is not an integer"),
     (TRUTH_FLAGS + ["--trials", "1.5"], "trials: '1.5' is not an integer"),
     (TRUTH_FLAGS + ["--scores-per-item", "x"], "scores_per_item: 'x' is not an integer"),
     (TRUTH_FLAGS + ["--format", "xml"], "format: 'xml' is not one of csv, json"),
@@ -416,6 +434,9 @@ FIT_CONFIG = {"scores": "scores.csv", "ranking": "ranking.csv"}
     (["fit"], {**FIT_CONFIG, "mode": "weak"}, "mode"),
     (MINIMAX_FLAGS, {"tie_breaks": {"a": 1}}, "tie_breaks"),
     (["check-majorization", "a.csv", "b.csv"], {"seed": 3}, "seed"),
+    # flags the command no longer takes, as an old sidecar may hold them
+    (TRUTH_ARGS, {"threads": 2}, "threads"),
+    (["fit"], {**FIT_CONFIG, "seed": 3}, "seed"),
 ])
 def test_config_keys_the_command_does_not_take_exit_2(workdir, capsys, argv, config, key):
     scores_csv(workdir / "scores.csv", [2, 3, 1])
@@ -448,25 +469,6 @@ def test_memory_error_exits_1(workdir, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and "32.0 GiB" in err
     assert len(err.strip().splitlines()) == 1
-
-
-def test_truthfulness_threads_do_not_change_output(workdir):
-    argv = TRUTH_ARGS[:-1] + ["1500", "--seed", "3"]
-    assert main(argv + ["--out", "serial.csv"]) == 0
-    assert main(argv + ["--threads", "2", "--out", "threaded.csv"]) == 0
-    assert (workdir / "serial.csv").read_bytes() == (workdir / "threaded.csv").read_bytes()
-
-
-def test_truthfulness_draws_serially_under_threads(workdir, monkeypatch):
-    argv = TRUTH_ARGS[:-1] + ["1500", "--seed", "3"]
-    assert main(argv + ["--out", "serial.csv"]) == 0
-
-    def refused(*args, **kwargs):
-        raise AssertionError("the sweep's narrow rows took the thread pool")
-
-    monkeypatch.setattr(isomech.mechanism, "ThreadPoolExecutor", refused)
-    assert main(argv + ["--threads", "2", "--out", "threaded.csv"]) == 0
-    assert (workdir / "serial.csv").read_bytes() == (workdir / "threaded.csv").read_bytes()
 
 
 # 1,100 trials make three 512-trial chunks, enough for two threads to share
@@ -504,9 +506,23 @@ def test_estimation_runs_long_rows_on_the_thread_pool(workdir, monkeypatch):
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_2(workdir, capsys, threads):
-    assert main(TRUTH_ARGS + ["--threads", threads, "--out", "x.csv"]) == 2
+    assert main(ESTIMATION_FLAGS + ["--threads", threads, "--out", "x.csv"]) == 2
     err = capsys.readouterr().err
     assert err == f"error: --threads: {threads} is below 1; use 1 or more threads\n"
+    assert not (workdir / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    TRUTH_ARGS + ["--threads", "2"],
+    ["fit", "scores.csv", "--ranking", "ranking.csv", "--seed", "3"],
+])
+def test_flags_a_command_does_not_read_are_unrecognized(workdir, capsys, argv):
+    scores_csv(workdir / "scores.csv", [2, 3, 1])
+    ranking_csv(workdir / "ranking.csv", [1, 2, 3])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", "x.csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not (workdir / "x.csv").exists()
 
 
@@ -544,6 +560,73 @@ def test_binomial_draw_count_beyond_int64_exits_2(workdir, capsys, argv):
     assert err.startswith("error: ") and "exceeds the int64 range" in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert not (workdir / "x.csv").exists()
+
+
+def pool_run(family, pool):
+    return POOL_ARGS[:2] + [family, "--pool", pool, "--n-grid", "2", "--trials", "3"]
+
+
+OVERFLOW = "true scores or family spread too large for float64: the n = 2 squared errors"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    # means and shapes a family's sampler cannot draw, on both of its paths
+    (["truthfulness", "--family", "poisson", "--mu-star", "1e19,1,1", "--trials", "10"],
+     "Poisson mean 1e+19 times reps = 3 exceeds"),
+    (pool_run("poisson", "huge.csv"), "Poisson mean 1e+19 times reps = 3 exceeds"),
+    (["truthfulness", "--family", "gamma:1e-320", "--mu-star", "3,2,1", "--trials", "10"],
+     "Gamma shape 9.99989e-321 cannot be sampled: at reps = 3, the scale"),
+    (["truthfulness", "--family", "gamma:1e308", "--mu-star", "3,2,1", "--trials", "10"],
+     "Gamma shape 1e+308 cannot be sampled: at reps = 3, reps * shape overflows"),
+    # squared errors whose standard error overflows, and squares that overflow
+    (pool_run("gaussian:1e300", "tiny.csv"), OVERFLOW),
+    (pool_run("gamma:8", "vast.csv"), OVERFLOW),
+])
+def test_undrawable_or_overflowing_runs_exit_2(workdir, capsys, argv, message):
+    for name, value in [("huge.csv", "1e19\n2\n3"), ("tiny.csv", "1e-320"), ("vast.csv", "1e300")]:
+        write(workdir / name, f"score\n{value}\n")
+    assert main(argv + ["--out", "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message)
+    assert len(err.strip().splitlines()) == 1
+    assert not (workdir / "x.csv").exists()
+
+
+# Family specs, true scores and score pools from extreme and ordinary floats
+_FLOATS = (st.sampled_from([1e-320, 1e-300, 1e-10, 0.5, 3.0, 8.0, 1e10, 1e19, 1e300, 1e308])
+           | st.floats(1e-320, 1e308))
+_FAMILY_SPECS = st.one_of(
+    st.just("poisson"),
+    _FLOATS.map(lambda v: f"gaussian:{v!r}"),
+    _FLOATS.map(lambda v: f"gamma:{v!r}"),
+    st.sampled_from([1, 10, 4 * 10**18, 10**20]).map(lambda m: f"binomial:{m}"),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=st.sampled_from(["truthfulness", "estimation", "pool"]), family=_FAMILY_SPECS,
+       values=st.lists(_FLOATS, min_size=1, max_size=3))
+@example(run="truthfulness", family="poisson", values=[1e19, 1.0, 1.0])
+@example(run="pool", family="poisson", values=[1e19, 2.0, 3.0])
+@example(run="truthfulness", family="gamma:1e-320", values=[3.0, 2.0, 1.0])
+@example(run="truthfulness", family="gamma:1e308", values=[3.0, 2.0, 1.0])
+def test_extreme_inputs_exit_cleanly(workdir, run, family, values):
+    # a result, or exit 1 or 2 with one error line; an uncaught exception or a
+    # numpy warning fails the test
+    texts = list(map(repr, values))
+    if run == "pool":
+        write(workdir / "pool.csv", "score\n" + "".join(t + "\n" for t in texts))
+        argv = pool_run(family, "pool.csv")
+    else:
+        argv = [run, "--family", family, "--mu-star", ",".join(texts), "--trials", "10"]
+        argv += ["--n-grid", "2"] if run == "estimation" else []
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", "x.csv"])
+    assert code in (0, 1, 2)
+    assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
 
 
 @pytest.mark.filterwarnings("error")
@@ -902,6 +985,41 @@ def test_replay_is_byte_identical(workdir, capsys, run):
     assert main([RUN_COMMANDS.get(run, run), "--config", "replay.json"]) == 0
     assert capsys.readouterr().out == stdout
     assert take_outputs(workdir) == first
+
+
+class _ReadKeys(dict):
+    """A params dict that records the keys looked up in it."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("run", [run for run in RUNS if run != "synthetic"]
+                         + ["check-majorization"])
+def test_every_declared_parameter_is_read(workdir, capsys, monkeypatch, run):
+    for name, text in RUN_INPUTS.items():
+        write(workdir / name, text)
+    seen, effective = [], cli._effective
+
+    def recording(args):
+        seen.append(_ReadKeys(effective(args)))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "_effective", recording)
+    argv = MAJORIZATION if run == "check-majorization" else run_argv(run, RUNS[run])
+    assert main(argv) == 0
+    command = cli._COMMANDS[run]
+    declared = set(command.inputs + command.flags + (cli._OUTPUT_FLAGS if command.writes else ()))
+    assert declared - seen[0].read == set()
 
 
 @pytest.mark.parametrize("numbers_as_text", [False, True])

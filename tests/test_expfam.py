@@ -270,6 +270,28 @@ def test_binomial_draw_count_beyond_int64_is_refused(trials, reps):
         family.sample_rows([trials / 2, trials / 4], rng, 4, reps)
 
 
+def test_poisson_draws_up_to_the_sampler_limit():
+    # rng.poisson takes a mean up to int64 max less 10 standard deviations
+    family, rng = Poisson(), np.random.default_rng(0)
+    limit = 9.223372006484771e18
+    assert family.sample_mean(limit, rng, size=2).shape == (2,)
+    for mu, reps in [(np.nextafter(limit, np.inf), 1), (limit / 2, 3), (1e308, 3)]:
+        with pytest.raises(InvalidParameterError, match="Poisson mean"):
+            family.sample_mean(mu, rng, size=2, reps=reps)
+        with pytest.raises(InvalidParameterError, match="Poisson mean"):
+            family.sample_rows([1.0, mu], rng, 4, reps)
+
+
+@pytest.mark.parametrize("shape, what", [(1e-320, "the scale"), (1e308, "reps \\* shape")])
+def test_gamma_shape_whose_draw_overflows_is_refused(shape, what):
+    # the pyproject filter turns a numpy RuntimeWarning into a failure here
+    family, rng = Gamma(shape), np.random.default_rng(0)
+    with pytest.raises(InvalidParameterError, match=f"Gamma shape .* reps = 3, {what}"):
+        family.sample_mean(3.0, rng, size=2, reps=3)
+    with pytest.raises(InvalidParameterError, match=f"Gamma shape .* reps = 3, {what}"):
+        family.sample_rows([3.0, 2.0], rng, 4, 3)
+
+
 def test_domain_errors():
     with pytest.raises(InvalidParameterError):
         Gamma(2.0).kl_divergence(0.0, -1.0)

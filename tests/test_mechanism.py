@@ -142,14 +142,6 @@ def test_rank_all_utilities_guards():
         )
 
 
-def test_simulate_scores_ignores_worker_count():
-    args = (Binomial(10), [8.0, 6.5, 2.0, 2.0], 3, 1300, 21)
-    serial = simulate_scores(*args, max_workers=1)
-    threaded = simulate_scores(*args, max_workers=2)
-    assert serial.shape == (1300, 4)
-    np.testing.assert_array_equal(serial, threaded)
-
-
 def test_sample_scores_shapes():
     rng = np.random.default_rng(4)
     shared = sample_scores(Poisson(), [4.0, 1.0, 0.0], 3, rng, 7)
