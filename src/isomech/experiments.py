@@ -17,8 +17,9 @@ Four drivers built on the isotonic machinery:
 
 Every mean vector of the construction takes one of two values per block,
 so its natural parameters and KL terms are computed on those 2k levels and
-gathered; the verifier works on tiles of ``_VERIFY_ROWS`` codewords against
-all the others, so no size x size array is held.
+picked by the codeword bits (``_member_rows``); the verifier works on
+float32 tiles of ``_VERIFY_ROWS`` codewords against all the others, so no
+size x size array is held.
 
 The review evaluation works on columns from file to table: ids factorised
 once by ``ReviewTable``, authors as CSR rows of codes and ranks checked by
@@ -28,8 +29,9 @@ count fitted together by the lockstep PAVA ``pava_descending_rows``.
 Every driver is a pure function of (config, seed).  The Monte-Carlo
 drivers run on the core in ``mechanism`` that the truthfulness sweep also
 uses: fixed-size chunks of trials on RNG substreams spawned from the seed
-(identical results serially or on a thread pool), its one sampler
-``sample_scores`` and its ``_mean_se``.
+(identical results serially or on a thread pool), the family's draw hook
+``Family.row_sampler`` (through ``sample_scores`` when the means vary by
+trial) and ``_mean_se``.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .expfam import (
     ScoreBounds,
     VarianceCertificate,
     _block_rows,
-    verify_variance_assumption,
+    check_variance_floor,
 )
 from .isotonic import _LOCKSTEP_N, pava_descending_rows, project_descending_batch
 from .mechanism import _map_chunks, _mean_se, sample_scores
@@ -84,8 +86,14 @@ logger = logging.getLogger(__name__)
 # pairwise work (it holds no size x size matrix, see ``_VERIFY_ROWS``).
 _CONSTRUCTION_MAX_BYTES = 1 << 30
 
-# Codewords per row tile of the exhaustive pairwise verifier.
-_VERIFY_ROWS = 256
+# Codewords per row tile of the exhaustive pairwise verifier: a tile holds
+# 64 x size entries, 0.5 MiB of float32 at the 2,234 codewords of n = 512.
+_VERIFY_ROWS = 64
+
+# float32 holds every integer of magnitude up to 2^24 exactly, so the
+# verifier's tiles, whose entries are integers of size at most 2n, are exact
+# in float32 while 2n < 2^24 (see ``LowerBoundConstruction.verify``).
+_FLOAT32_EXACT = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +109,15 @@ class LinearRamp:
     lo: float = 3.0
 
     def draw(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """The (n,) ramp, the same in every trial."""
+        """The (n,) ramp, the same in every trial.  A ramp whose largest step
+        (hi - lo) * (n - 1) overflows float64 raises InvalidParameterError."""
         if n < 2:
             raise ValidationError("linear ramp needs n >= 2")
+        if not math.isfinite((self.hi - self.lo) * (n - 1)):
+            raise InvalidParameterError(
+                f"ramp from hi = {self.hi:.6g} to lo = {self.lo:.6g}: "
+                f"(hi - lo) * (n - 1) overflows float64 at n = {n}"
+            )
         return self.hi - (self.hi - self.lo) * np.arange(n) / (n - 1)
 
 
@@ -155,30 +169,37 @@ def _mse_samples(
     The generator gives one (n,) mean vector for every trial or a (count, n)
     array of them.  Items are exchangeable given their means, so sampling at
     the means sorted descending is the same as sampling and then sorting by
-    the true order.  Each chunk's scores are projected by
-    ``project_descending_batch`` and reduced a block of
-    ``expfam._block_rows(n)`` rows at a time, so the only (count, n) array
-    a chunk holds is its scores.
+    the true order.  Shared means are drawn by ``family.row_sampler``, whose
+    blocks of ``expfam._block_rows(n)`` rows are projected by
+    ``project_descending_batch`` and reduced as they come, so a chunk holds
+    one block of scores, never all its (count, n) scores.  Means that vary
+    by trial are drawn whole, by ``sample_scores``, and reduced in the same
+    blocks.
     """
 
     def one_chunk(count, rng):
         mu = np.asarray(generator.draw(count, n, rng), dtype=float)
         family.check_mean_hull(mu, "true score")
         mu = np.sort(mu, axis=-1)[..., ::-1]
-        x = sample_scores(family, mu, scores_per_item, rng, count)
+        if mu.ndim == 1:
+            blocks = family.row_sampler(mu, scores_per_item)(rng, count)
+        else:
+            x, step = sample_scores(family, mu, scores_per_item, rng, count), _block_rows(n)
+            blocks = (x[lo : lo + step] for lo in range(0, count, step))
         im, raw = np.empty(count), np.empty(count)
-        step = _block_rows(n)
-        for lo in range(0, count, step):
-            block = slice(lo, lo + step)
-            xb, mb = x[block], mu if mu.ndim == 1 else mu[block]
+        lo = 0
+        for xb in blocks:
+            rows = slice(lo, lo + len(xb))
+            mb = mu if mu.ndim == 1 else mu[rows]
             fitted = project_descending_batch(xb)
             # both arrays belong to this chunk, so the residuals overwrite them;
             # a square that overflows is refused by estimation_error_curve
             with np.errstate(over="ignore"):
                 fitted -= mb
-                im[block] = np.square(fitted, out=fitted).sum(axis=1)
+                im[rows] = np.square(fitted, out=fitted).sum(axis=1)
                 xb -= mb
-                raw[block] = np.square(xb, out=xb).sum(axis=1)
+                raw[rows] = np.square(xb, out=xb).sum(axis=1)
+            lo += len(xb)
         return im / n, raw / n
 
     # the lockstep kernel holds the GIL, so its rows gain nothing from threads
@@ -276,12 +297,18 @@ def rate_check(
     total risk at n is n times its per-coordinate MSE.  In the regime where
     the cube-root term dominates, the fitted slope should sit near 1/3.  A
     grid point whose risk is 0, where every score is exact, has no log and
-    raises ``ValidationError``.
+    raises ``ValidationError``, and bounds too far apart for the ramp's
+    float64 arithmetic at the largest n raise ``InvalidParameterError``.
     """
     grid = sorted(set(int(n) for n in n_grid))
     if len(grid) < 2 or grid[0] < 2:
         raise ValidationError("rate check needs at least two submission counts >= 2")
     family.validate_bounds(bounds)
+    if not math.isfinite(bounds.width * (grid[-1] - 1)):
+        raise InvalidParameterError(
+            f"score bounds v_min = {bounds.v_min:.6g} and v_max = {bounds.v_max:.6g} are too "
+            f"far apart: the ramp's (v_max - v_min) * (n - 1) overflows float64 at n = {grid[-1]}"
+        )
     ramp = LinearRamp(hi=bounds.v_max, lo=bounds.v_min)
     curve = estimation_error_curve(family, grid, ramp, 1, trials, seed, max_workers)
     points = tuple(RatePoint(p.n, p.n * p.mse_im, p.n * p.mse_im_se) for p in curve)
@@ -347,16 +374,20 @@ class LowerBoundConstruction:
         pairwise Hamming distances are ``hw_i + hw_j - 2 w_i.w_j`` and its
         block-weighted disagreements ``sq_i + sq_j - 2 wn_i.w_j``, each one
         matrix product finished in place, and running minima keep the
-        closest pair.  Entries are small integers, so the float arithmetic
-        is exact.  Probe rows cross-check the weighted
-        distances against direct mean-vector norms and the stored KL values
-        against the family's KL.
+        closest pair.  The tiles are float32: every product, partial sum and
+        entry is an integer of size at most 2n (a weight is at most n, and
+        ``2 wn_i.w_j`` at most 2n), and float32 holds each integer below
+        2^24 exactly, in any order of summation, so the minima are exact
+        while 2n < 2^24.  Past that the same loop runs in float64.  Probe
+        rows cross-check the weighted distances against direct mean-vector
+        norms and the stored KL values against the family's KL.
 
         Returns the achieved margins (minimum Hamming distance, minimum
         pairwise squared mean distance, KL budget and its cap).
         """
-        w = self.codewords.astype(np.float64)
-        wn = w * np.asarray(self.block_sizes, dtype=np.float64)
+        exact = np.float32 if 2 * self.n < _FLOAT32_EXACT else np.float64
+        w = self.codewords.astype(exact)
+        wn = w * np.asarray(self.block_sizes, dtype=exact)
         hw, sq = w.sum(axis=1), wn.sum(axis=1)
         min_dh = min_weighted = math.inf
         for lo in range(0, self.size, _VERIFY_ROWS):
@@ -367,7 +398,7 @@ class LowerBoundConstruction:
             tile += sq[rows, None]
             tile += sq[lo:]
             if lo == 0:
-                row0 = tile[0].copy()
+                row0 = tile[0].astype(np.float64)
             np.fill_diagonal(tile, np.inf)
             min_weighted = min(min_weighted, float(tile.min()))
             np.matmul(-2.0 * w[rows], w[lo:].T, out=tile)
@@ -426,7 +457,9 @@ def _packing_target(k: int) -> int:
 def _construction_bytes(k: int, n: int) -> int:
     """Bytes of the linear code (uint8) and mean vectors for k blocks, plus a
     size x size float64 term.  The verifier compares every pair in row tiles
-    and keeps no size x size matrix; the term bounds its pairwise work."""
+    of ``_VERIFY_ROWS`` codewords, in float32 (exact for the integer
+    distances while 2n < 2^24), and keeps no size x size matrix; the term,
+    counted at float64's 8 bytes, bounds its pairwise work, not its memory."""
     target = _packing_target(k)
     return (1 << (target - 1).bit_length()) * k + 8 * target * (n + target)
 
@@ -462,6 +495,24 @@ def _pack_codewords(
     )
 
 
+def _member_rows(
+    codewords: np.ndarray, block_of: np.ndarray, levels: np.ndarray, kl_level: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (size, n) mean vectors of the codewords and each one's KL to member
+    0.  Coordinate j takes row 1 of the (2, k) ``levels`` at block
+    ``block_of[j]`` where its codeword bit is 1, else row 0; the KL sums the
+    same picks of ``kl_level``, gathered and summed a tile of rows at a time,
+    so the only (size, n) arrays are the result and the bits."""
+    bits = codewords[:, block_of].view(bool)  # the code's 0/1 bytes, read as bools
+    mu_rows = np.where(bits, levels[1, block_of], levels[0, block_of])
+    kl_low, kl_high = kl_level[0, block_of], kl_level[1, block_of]
+    kl_values = np.empty(len(codewords))
+    step = _block_rows(block_of.size)
+    for lo in range(0, len(codewords), step):
+        kl_values[lo : lo + step] = np.where(bits[lo : lo + step], kl_high, kl_low).sum(axis=1)
+    return mu_rows, kl_values
+
+
 def build_lower_bound(
     family: Family,
     bounds: ScoreBounds,
@@ -488,7 +539,9 @@ def build_lower_bound(
     """
     if n < 8:
         raise ValidationError("lower-bound construction needs n >= 8")
-    cert = verify_variance_assumption(family, bounds)
+    # the closed-form checks come before the certificate's grid check, whose
+    # b'' would overflow first on a family that fails them
+    cert = family.variance_certificate(bounds)
     sigma_sq = cert.sigma_sq
     if c is None:
         c = cert.c_var / 16.0
@@ -497,8 +550,22 @@ def build_lower_bound(
     v_tilde = cert.width
     if v_tilde <= 0:
         raise InvalidParameterError("certified interval has zero width")
+    if not (0.0 < sigma_sq < math.inf):
+        raise InvalidParameterError(
+            f"{family._param_text()}: the variance bound sigma^2 = {sigma_sq:.6g} on "
+            f"[{bounds.v_min:.6g}, {bounds.v_max:.6g}] is not a positive float64"
+        )
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        blocks_real = (n * np.float64(v_tilde) ** 2 / (np.float64(c) ** 2 * sigma_sq)) ** (1.0 / 3.0)
+    if not math.isfinite(blocks_real):
+        raise InvalidParameterError(
+            f"{family._param_text()}: the block count (n V~^2 / (c^2 sigma^2))^(1/3) "
+            f"overflows float64 at n = {n}, V~ = {v_tilde:.6g}, c = {c:.6g} and "
+            f"sigma^2 = {sigma_sq:.6g}"
+        )
+    check_variance_floor(family, cert)
 
-    k = min(int(math.floor((n * v_tilde**2 / (c**2 * sigma_sq)) ** (1.0 / 3.0))), n)
+    k = min(int(math.floor(blocks_real)), n)
     if k < 1:
         raise InvalidParameterError("perturbation scale c too large: block count is zero")
     k_max = 0
@@ -540,10 +607,7 @@ def build_lower_bound(
     kl_level = np.asarray(
         family.kl_divergence(theta, theta[codewords[0], blocks]), dtype=float
     )
-    block_of = np.repeat(blocks, block_sizes)
-    bits = codewords[:, block_of]
-    mu_rows = levels[bits, block_of]
-    kl_values = kl_level[bits, block_of].sum(axis=1)
+    mu_rows, kl_values = _member_rows(codewords, np.repeat(blocks, block_sizes), levels, kl_level)
     kl_bound = gamma**2 * n / (2.0 * cert.c_var**2 * sigma_sq)
 
     construction = LowerBoundConstruction(

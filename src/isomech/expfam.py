@@ -21,9 +21,9 @@ a class declares.  A family supplies only its formulas and constants.
 ``_FAMILIES`` registers the concrete classes by kind.
 
 Import policy: of the package this module imports only ``errors``, so it
-also holds ``_block_rows``, the row blocks in which the Binomial sampler and
-``experiments._mse_samples`` walk (trials, n) passes.  It imports numpy and
-no scipy module.
+also holds ``_block_rows``, the row blocks in which ``Family.row_sampler``
+yields its draws and the Monte-Carlo loops walk (trials, n) passes.  It
+imports numpy and no scipy module.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, ClassVar, NamedTuple
+from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -60,6 +60,15 @@ def _block_rows(n: int) -> int:
     """Rows per block of a (trials, n) pass: ``_BLOCK_ELEMENTS // n``, at
     least one row."""
     return max(1, _BLOCK_ELEMENTS // n)
+
+
+def _fill_rows(blocks: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """``out`` filled with the consecutive row ``blocks``, which must cover it."""
+    lo = 0
+    for block in blocks:
+        out[lo : lo + len(block)] = block
+        lo += len(block)
+    return out
 
 
 def _as_number(value, kind: type = float):
@@ -139,8 +148,9 @@ class Family(ABC):
     ``_b2`` (b, b', b'' at theta); ``_theta_of`` ((b')^{-1} inside the hull);
     ``_draw_average`` (the average of ``reps`` draws); ``_sigma_max`` (max of
     b'' over the bounds); ``_cert_window`` (where b'' >= c_var * sigma_max).
-    ``sample_rows``, the (trials, n) rows at shared means that the
-    Monte-Carlo core projects, may be overridden by a faster exact sampler.
+    ``row_sampler``, the one draw hook for (trials, n) rows at shared means
+    (``sample_rows`` and the Monte-Carlo core read it), may be overridden by
+    a faster exact sampler that draws block by block.
     """
 
     kind: ClassVar[str]
@@ -166,15 +176,22 @@ class Family(ABC):
         arr = self.check_mean_hull(mu, "mean")
         lo, hi = self.mean_hull()
         at_lo, at_hi = arr == lo, arr == hi
-        if not (at_lo.any() or at_hi.any()):
-            return _as_float(self._theta_of(arr))
-        if not allow_boundary:
+        boundary = at_lo | at_hi
+        if boundary.any() and not allow_boundary:
             raise InvalidParameterError(
                 f"mean on the boundary of the {self.kind} mean hull [{lo}, {hi}] "
                 "has no finite theta"
             )
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             theta = self._theta_of(arr)
+        overflow = ~(np.isfinite(theta) | boundary)
+        if overflow.any():
+            raise InvalidParameterError(
+                f"{self._param_text()}: the natural parameter of the mean "
+                f"{float(arr[overflow].flat[0]):.6g} overflows float64"
+            )
+        if not boundary.any():
+            return _as_float(theta)
         return _as_float(np.where(at_lo, -np.inf, np.where(at_hi, np.inf, theta)))
 
     def kl_divergence(self, theta1, theta2):
@@ -199,11 +216,33 @@ class Family(ABC):
 
     def sample_rows(self, mu, rng: np.random.Generator, trials: int, reps: int = 1) -> np.ndarray:
         """C-contiguous float64 (trials, n) ``sample_mean`` draws at the (n,)
-        means ``mu`` that every row shares.  Drawn item-major, so numpy sets a
-        sampler up once per item, not per draw, then copied to row-major."""
-        mu = np.asarray(mu, dtype=float)
-        block = self.sample_mean(mu[:, None], rng, (mu.size, trials), reps)
-        return np.ascontiguousarray(block.T)
+        means ``mu`` that every row shares: the blocks of one
+        ``row_sampler(mu, reps)`` draw, filled into one array."""
+        return _fill_rows(self.row_sampler(mu, reps)(rng, trials), np.empty((trials, np.size(mu))))
+
+    def row_sampler(
+        self, mu, reps: int = 1
+    ) -> Callable[[np.random.Generator, int], Iterator[np.ndarray]]:
+        """The draw plan at the (n,) means ``mu`` that every row shares, built
+        once: ``draw(rng, trials)`` yields the (trials, n) ``sample_mean``
+        rows in consecutive fresh C-contiguous float64 blocks of
+        ``_block_rows(n)`` rows (the last may be shorter), so a consumer that
+        reduces each block as it comes holds one block, not all the rows.
+
+        This one draws the whole call item-major, so numpy sets a sampler up
+        once per item, not per draw, and copies each block to row-major; a
+        family may override it with a sampler that draws block by block.
+        """
+        reps = self._check_reps(reps)
+        mu = self.check_mean_hull(mu, "mean")
+        step = _block_rows(mu.size)
+
+        def draw(rng: np.random.Generator, trials: int) -> Iterator[np.ndarray]:
+            items = self._draw_average(mu[:, None], rng, (mu.size, trials), reps)
+            for lo in range(0, trials, step):
+                yield np.ascontiguousarray(items[:, lo : lo + step].T)
+
+        return draw
 
     # -- ranges ----------------------------------------------------------
 
@@ -268,6 +307,12 @@ class Family(ABC):
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.to_dict().items() if k != "kind")
         return f"{type(self).__name__}({inner})"
+
+    def _param_text(self) -> str:
+        """The family and its parameter for a message, e.g. 'gamma shape 1e+308'."""
+        if self.param is None:
+            return self.kind
+        return f"{self.kind} {self.param.key} {getattr(self, self.param.field):.6g}"
 
     # -- internals ---------------------------------------------------------
 
@@ -367,35 +412,41 @@ class Binomial(Family):
             )
         return rng.binomial(count, mu / self.trials, size=size) / reps
 
-    def sample_rows(self, mu, rng, trials, reps=1):
+    def row_sampler(self, mu, reps=1):
         """Inversion (Devroye 1986, ch. III): a draw counts the thresholds
         F(0..N-1) of its item's CDF, N = reps * m, that its uniform clears, by
         a binary search per item in narrow rows, else a pass per threshold.
-        Rows are drawn a block of ``_block_rows(n)`` at a time, straight into
-        the output, from the uniforms of one ``rng.random((trials, n))`` call."""
+        The CDF is built once here; each block of ``_block_rows(n)`` rows is
+        drawn only when it is consumed, from one ``rng.random`` call, so the
+        uniforms are those of one ``rng.random((trials, n))`` call."""
         support = self._check_reps(reps) * self.trials
         if support > self._MAX_INVERSION:
-            return super().sample_rows(mu, rng, trials, reps)
+            return super().row_sampler(mu, reps)
         p = self.check_mean_hull(mu, "mean") / self.trials
         k = np.arange(support)[:, None]
         comb = np.array([math.comb(support, j) for j in range(support)], dtype=float)
         cdf = np.cumsum(comb[:, None] * p**k * (1.0 - p) ** (support - k), axis=0)
-        out = np.empty((trials, p.size))
         step = _block_rows(p.size)
-        for lo in range(0, trials, step):
-            u, block = rng.random((min(step, trials - lo), p.size)), out[lo : lo + step]
-            # narrow: 3 n < 2 N.  Per 512-row chunk, search vs loop on 2 cores:
-            # N = 10, 51 vs 109 us at n = 5, 112 vs 68 at 8; N = 30, 46 vs 177 at
-            # 5, 329 vs 339 at 19, 430 vs 359 at 20; N = 120, faster at n = 1..32
-            if 3 * p.size < 2 * support:  # a cumsum never decreases; counts F <= u
-                for j, column in enumerate(cdf.T):
-                    np.divide(column.searchsorted(u[:, j], side="right"), reps, out=block[:, j])
-                continue
-            count = np.zeros(u.shape, np.int8)
-            for threshold in cdf:
-                count += u >= threshold  # >=, so p = 1 gives N even at u = 0.0
-            np.divide(count, reps, out=block)
-        return out
+        # narrow: 3 n < 2 N.  Per 512-row chunk, search vs loop on 2 cores:
+        # N = 10, 51 vs 109 us at n = 5, 112 vs 68 at 8; N = 30, 46 vs 177 at
+        # 5, 329 vs 339 at 19, 430 vs 359 at 20; N = 120, faster at n = 1..32
+        narrow = 3 * p.size < 2 * support
+
+        def draw(rng, trials):
+            for lo in range(0, trials, step):
+                u = rng.random((min(step, trials - lo), p.size))
+                if narrow:  # a cumsum never decreases; counts F <= u
+                    block = np.empty(u.shape)
+                    for j, column in enumerate(cdf.T):
+                        np.divide(column.searchsorted(u[:, j], side="right"), reps, out=block[:, j])
+                    yield block
+                    continue
+                count = np.zeros(u.shape, np.int8)
+                for threshold in cdf:
+                    count += u >= threshold  # >=, so p = 1 gives N even at u = 0.0
+                yield np.divide(count, reps)
+
+        return draw
 
     def mean_hull(self):
         return (0.0, float(self.trials))
@@ -502,7 +553,7 @@ class Gamma(Family):
         return (0.0, math.inf)
 
     def _sigma_max(self, bounds):
-        return bounds.v_max**2 / self.shape
+        return bounds.v_max * bounds.v_max / self.shape  # inf, not OverflowError, past float64
 
     def _cert_window(self, bounds):
         return (bounds.v_max / 2.0, math.inf)
@@ -535,7 +586,9 @@ def check_variance_floor(family: Family, cert: VarianceCertificate) -> None:
     """Confirm b'' >= c_var * sigma_sq on a uniform grid of
     ``_FLOOR_GRID_POINTS`` means over the certificate.
 
-    Raises AssumptionViolatedError carrying the first offending mean.
+    Raises AssumptionViolatedError carrying the first offending mean, and
+    InvalidParameterError where b'' at a finite theta overflows or vanishes
+    in float64, which no floor comparison can use.
     """
     grid = np.linspace(cert.v_tilde_min, cert.v_tilde_max, _FLOOR_GRID_POINTS)
     theta = family.natural_param(grid, allow_boundary=True)
@@ -543,7 +596,14 @@ def check_variance_floor(family: Family, cert: VarianceCertificate) -> None:
     floor = cert.c_var * cert.sigma_sq
     curvature = np.full(grid.shape, -np.inf)
     if np.any(finite):
-        curvature[finite] = np.asarray(family.variance(theta[finite]), dtype=float)
+        with np.errstate(over="ignore", divide="ignore"):
+            curvature[finite] = np.asarray(family.variance(theta[finite]), dtype=float)
+        lost = finite & ~((curvature > 0) & (curvature < np.inf))
+        if np.any(lost):
+            raise InvalidParameterError(
+                f"{family._param_text()}: b'' at the mean {float(grid[np.argmax(lost)]):.6g} "
+                "is not a positive float64, so the variance floor cannot be checked"
+            )
     bad = curvature < floor - 1e-12 * max(1.0, floor)
     if np.any(bad):
         mu_bad = float(grid[np.argmax(bad)])

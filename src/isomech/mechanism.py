@@ -2,14 +2,17 @@
 
 The core serves every simulation in the package, the estimation drivers in
 ``experiments`` included.  Trials run in chunks of ``_CHUNK``, each on an
-RNG substream spawned from the seed, so a seed gives the same numbers
-whether ``_map_chunks`` runs its chunks in turn or on worker threads, as the
-estimation drivers may.  ``sample_scores`` is the one sampler: an
-observed score averages ``scores_per_item`` draws at its true mean, and it
-is drawn once, from the family's law of that average.  Means shared by
-every trial of a chunk (a 1-d vector) go to ``Family.sample_rows``, which
-returns the (trials, n) rows the projection reads; means that vary by trial
-(a 2-d array) are drawn elementwise.
+RNG substream spawned from the seed (``_chunk_seeds``), so a seed gives the
+same numbers whether ``_map_chunks`` runs its chunks in turn or on worker
+threads, as the estimation studies may.  An observed score averages
+``scores_per_item`` draws at its true mean, and it is drawn once, from the
+family's law of that average.  Means shared by every trial (a 1-d vector)
+are drawn through ``Family.row_sampler``, one draw plan per call that yields
+each chunk's (trials, n) rows in blocks of ``expfam._block_rows(n)`` rows:
+``simulate_scores`` writes them into one array, and the sweep and the
+estimation studies reduce each block as it comes, so their memory grows
+with a block, not with trials * n.  ``sample_scores`` draws one chunk, and
+also takes means that vary by trial (a 2-d array), drawn elementwise.
 ``_mean_se`` reduces per-trial samples to a mean and standard error.
 
 An author with true scores ``mu_star`` reports a claim, a full ranking or
@@ -29,9 +32,11 @@ Under a full ranking every segment of the claimed order is a set of items,
 so one table of the 2^n - 1 subset means per chunk of ``_SWEEP_CHUNK``
 trials gives the descending fit of all n! rankings by running max and min
 over its rows, each taken once for all rankings that end alike
-(``_sweep_fits``), with nothing permuted or projected.  Each ranking's
-utilities are folded into running moments before the next, so memory grows
-with trials * n, not trials * n!.
+(``_sweep_fits``), with nothing permuted or projected.  The chunk's scores
+are drawn into one reused (``_SWEEP_CHUNK``, n) buffer, and each ranking's
+utilities are folded into running moments before the next, so memory is
+fixed by ``_SWEEP_CHUNK`` and n, and holds neither a trials x n score matrix
+nor a trials x n! utility matrix.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidParameterError, ValidationError
-from .expfam import Family
+from .expfam import Family, _fill_rows
 from .isotonic import CoarseRanking, Ranking, _block_order, project_descending_batch
 
 __all__ = [
@@ -120,27 +125,35 @@ class UtilityFn:
         return cls(fn_kind.strip(), value)
 
 
+def _chunk_seeds(
+    trials: int, seed_seq: np.random.SeedSequence
+) -> list[tuple[int, int, np.random.SeedSequence]]:
+    """(first trial, trial count, seed) of each chunk of ``trials``: chunks of
+    ``_CHUNK`` trials and a last one of the rest, each seeded by its own
+    substream of ``seed_seq``.  Fewer than one trial raises
+    ``ValidationError``.
+    """
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    starts = range(0, trials, _CHUNK)
+    return [(lo, min(_CHUNK, trials - lo), child)
+            for lo, child in zip(starts, seed_seq.spawn(len(starts)))]
+
+
 def _map_chunks(
     fn: Callable[[int, np.random.Generator], object],
     trials: int,
     seed_seq: np.random.SeedSequence,
     max_workers: Optional[int] = None,
 ) -> list:
-    """``fn(count, rng)`` on each chunk of ``trials``, results in chunk order.
-
-    Each chunk's rng is its own substream of ``seed_seq``, so the results do
-    not depend on ``max_workers``.  Fewer than one trial raises
-    ``ValidationError``.
+    """``fn(count, rng)`` on each chunk of ``_chunk_seeds``, results in chunk
+    order.  Each chunk's rng is its own substream of ``seed_seq``, so the
+    results do not depend on ``max_workers``.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    sizes = [_CHUNK] * (trials // _CHUNK)
-    if trials % _CHUNK:
-        sizes.append(trials % _CHUNK)
-    jobs = list(zip(sizes, seed_seq.spawn(len(sizes))))
+    jobs = _chunk_seeds(trials, seed_seq)
 
     def run(job):
-        count, child = job
+        _, count, child = job
         return fn(count, np.random.default_rng(child))
 
     if max_workers is not None and max_workers > 1 and len(jobs) > 1:
@@ -154,9 +167,9 @@ def sample_scores(
 ) -> np.ndarray:
     """(trials, n) observed scores at true means ``mu``; each averages
     ``scores_per_item`` draws and is drawn once, from the law of that average.
-    A 1-d ``mu``, shared by every trial, goes to ``family.sample_rows``: its
-    C-contiguous rows are what ``project_descending_batch`` reads.  A 2-d
-    ``mu`` gives each row its own means and is drawn by ``sample_mean``.
+    A 1-d ``mu``, shared by every trial, goes to ``family.sample_rows``, the
+    blocks of ``family.row_sampler`` in one C-contiguous array.  A 2-d ``mu``
+    gives each row its own means and is drawn by ``sample_mean``.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim == 1:
@@ -172,6 +185,28 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
     return float(np.mean(samples)), se
 
 
+def _true_means(family: Family, mu_star: Sequence[float], scores_per_item: int) -> np.ndarray:
+    """``mu_star`` as checked (n,) true means, each drawn ``scores_per_item`` times."""
+    mu = family.check_mean_hull(np.asarray(mu_star, dtype=float), "true score")
+    if mu.ndim != 1 or mu.size == 0:
+        raise ValidationError("mu_star must be a nonempty 1-d vector")
+    if scores_per_item < 1:
+        raise ValidationError(f"scores_per_item must be >= 1, got {scores_per_item}")
+    return mu
+
+
+def _fill_scores(
+    draw: Callable[[np.random.Generator, int], Iterator[np.ndarray]],
+    chunks: Sequence,
+    out: np.ndarray,
+    first: int = 0,
+) -> None:
+    """Fill ``out``, whose row 0 is trial ``first``, with the rows that
+    ``draw`` gives each of ``chunks`` (from ``_chunk_seeds``) on its own rng."""
+    for lo, count, child in chunks:
+        _fill_rows(draw(np.random.default_rng(child), count), out[lo - first : lo - first + count])
+
+
 def simulate_scores(
     family: Family,
     mu_star: Sequence[float],
@@ -181,19 +216,16 @@ def simulate_scores(
 ) -> np.ndarray:
     """(trials, n) matrix of observed scores at true means ``mu_star``.
 
-    Drawn chunk by chunk through ``sample_scores``; one seed always produces
-    the same matrix.
+    One ``family.row_sampler`` draw plan serves every chunk: each chunk's
+    blocks are written straight into the one output array, with no list of
+    chunks to join.  One seed always produces the same matrix.
     """
-    mu = family.check_mean_hull(np.asarray(mu_star, dtype=float), "true score")
-    if mu.ndim != 1 or mu.size == 0:
-        raise ValidationError("mu_star must be a nonempty 1-d vector")
-    if scores_per_item < 1:
-        raise ValidationError(f"scores_per_item must be >= 1, got {scores_per_item}")
-
-    def one_chunk(count, rng):
-        return sample_scores(family, mu, scores_per_item, rng, count)
-
-    return np.concatenate(_map_chunks(one_chunk, trials, np.random.SeedSequence(seed)))
+    mu = _true_means(family, mu_star, scores_per_item)
+    draw = family.row_sampler(mu, scores_per_item)
+    chunks = _chunk_seeds(trials, np.random.SeedSequence(seed))
+    out = np.empty((trials, mu.size))
+    _fill_scores(draw, chunks, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -373,8 +405,10 @@ def rank_all_utilities(
 ) -> list[tuple[Ranking, UtilityEstimate]]:
     """Estimates for every possible ranking, sorted by descending mean.
 
-    All n! rankings share one set of sampled scores.  Each chunk of
-    ``_SWEEP_CHUNK`` trials builds one table of subset means and maps it
+    All n! rankings share one set of sampled scores, the rows that
+    ``simulate_scores`` gives at the same seed: each chunk of
+    ``_SWEEP_CHUNK`` trials is drawn from its ``_CHUNK``-trial substreams
+    into one reused buffer, which builds one table of subset means and maps it
     through ``utility``; every ranking's fitted utilities come from that
     table by ``_sweep_fits`` and are folded into running moments, so no
     trials x n! matrix is held.  The estimates match projecting each ranking
@@ -385,16 +419,20 @@ def rank_all_utilities(
     """
     n = len(np.atleast_1d(np.asarray(mu_star)))
     _check_sweep_budget(n, trials)
-    scores = simulate_scores(family, mu_star, scores_per_item, trials, seed)
+    mu = _true_means(family, mu_star, scores_per_item)
+    draw = family.row_sampler(mu, scores_per_item)
+    chunks = _chunk_seeds(trials, np.random.SeedSequence(seed))
+    per_table = _SWEEP_CHUNK // _CHUNK  # whole chunks, so each table starts a chunk
     rankings = [Ranking(perm[::-1]) for perm in itertools.permutations(range(1, n + 1))]
     moments = _Moments(len(rankings))
     chunk_mean, chunk_m2 = np.empty(len(rankings)), np.empty(len(rankings))
-    table, total = np.empty((1 << n, _SWEEP_CHUNK)), np.empty(_SWEEP_CHUNK)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, trials, _SWEEP_CHUNK):
-            chunk = scores[lo : lo + _SWEEP_CHUNK]
-            t = chunk.shape[0]
-            gains, u = _subset_means(chunk, table[:, :t]), total[:t]
+    scores, table = np.empty((_SWEEP_CHUNK, n)), np.empty((1 << n, _SWEEP_CHUNK))
+    total = np.empty(_SWEEP_CHUNK)
+    for c, lo in enumerate(range(0, trials, _SWEEP_CHUNK)):
+        t = min(_SWEEP_CHUNK, trials - lo)
+        _fill_scores(draw, chunks[c * per_table : (c + 1) * per_table], scores, lo)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gains, u = _subset_means(scores[:t], table[:, :t]), total[:t]
             gains[...] = utility(gains)
             for r, fit in enumerate(_sweep_fits(gains)):
                 fit.sum(axis=0, out=u)

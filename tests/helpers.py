@@ -17,7 +17,8 @@ that the truthfulness tests compare.  ``binomial_pmf``, ``sum_pmf`` and
 ``chi_square_p`` are the goodness-of-fit oracle for the samplers;
 ``binomial_rows_by_inversion`` is whole-array inversion from one uniform
 draw, which the blocked Binomial sampler must equal bit for bit.
-``traced_peak`` measures what a call allocates, by ``tracemalloc``.
+``traced_peak`` measures what a call allocates, by ``tracemalloc``, after
+a warm-up call.
 ``reference_pava_two_stacks`` is the former single-vector PAVA loop, which
 divides both pools' sums at every merge test; ``pava_descending`` must equal
 it bit for bit.  ``reference_fit_from_table`` is the former per-ranking
@@ -273,8 +274,15 @@ def reference_sweep(family, mu_star, utility, scores_per_item: int, trials: int,
     return {perm: (m, se) for perm, m, se in zip(perms, means, ses)}
 
 
-def traced_peak(fn, *args):
-    """``fn(*args)`` and the peak bytes ``tracemalloc`` traced while it ran."""
+def traced_peak(fn, *args, warm_up: bool = True):
+    """``fn(*args)`` and the peak bytes ``tracemalloc`` traced while it ran.
+
+    With ``warm_up``, ``fn(*args)`` first runs once untraced, so what a first
+    call loads once (an import such as ``scipy.optimize``, numpy's caches)
+    is not counted; pass False for a call too slow to make twice.
+    """
+    if warm_up:
+        fn(*args)
     tracemalloc.start()
     try:
         out = fn(*args)

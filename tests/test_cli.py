@@ -1037,3 +1037,24 @@ def test_flags_and_config_give_the_same_run(workdir, capsys, run, numbers_as_tex
     assert main([RUN_COMMANDS.get(run, run), "--config", "cfg.json"]) == 0
     assert capsys.readouterr().out == stdout
     assert take_outputs(workdir) == from_flags
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, named", [
+    (["minimax", "--family", "gamma:1e308", "--v-min", "3", "--v-max", "8", "--n-grid", "4,8",
+      "--trials", "5", "--construction-n", "16"], "gamma shape 1e+308"),
+    (["minimax", "--family", "gamma:1e300", "--v-min", "1e300", "--v-max", "1e308",
+      "--n-grid", "4,8", "--trials", "5", "--construction-n", "16"], "v_min = 1e+300 and v_max = 1e+308"),
+    (["fit", "s.csv", "--ranking", "r.csv", "--family", "gaussian:1e-300"], "gaussian variance 1e-300"),
+    (["fit", "t.csv", "--ranking", "r.csv", "--family", "gamma:1e10"], "gamma shape 1e+10"),
+])
+def test_float64_overflow_of_a_family_parameter_exits_2(workdir, capsys, argv, named):
+    scores_csv(workdir / "s.csv", [1e308, 3.0])
+    scores_csv(workdir / "t.csv", [3.0, 1e-300])
+    ranking_csv(workdir / "r.csv", [1, 2])
+    outputs = ["--out", "x.csv"] + (["--construction-out", "c.json"] if argv[0] == "minimax" else [])
+    assert main(argv + outputs) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "overflows" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (workdir / "x.csv").exists()

@@ -121,11 +121,17 @@ def test_rate_check_slope_near_cube_root():
 
 def test_mse_chunk_holds_only_its_scores():
     family, ramp = Binomial(10), LinearRamp(hi=10.0, lo=0.0)
-    _mse_samples(family, ramp, 64, 1, 4, np.random.SeedSequence(0))  # imports scipy.optimize
     scores = 500 * 4096 * 8  # one 500-trial chunk of (500, 4096) float64 scores
     (im, raw), peak = traced_peak(_mse_samples, family, ramp, 4096, 1, 500, np.random.SeedSequence(5))
     assert im.shape == raw.shape == (500,) and np.all(im < raw)
     assert peak <= scores + (8 << 20), peak - scores
+
+
+def test_rate_check_holds_a_block_of_scores_not_a_chunk():
+    # one (500, 4096) chunk of scores is 15.6 MiB; the parent peaked at 17.1 MiB
+    report, peak = traced_peak(rate_check, Binomial(10), ScoreBounds(0, 10), [2048, 4096], 500, 5)
+    assert [p.n for p in report.points] == [2048, 4096]
+    assert peak < 4 << 20, peak / 2**20
 
 
 def test_rate_check_degenerate_grid_errors():
@@ -242,13 +248,13 @@ def test_lower_bound_matches_the_elementwise_reference(family, bounds, n, c):
 
 @pytest.fixture(scope="module")
 def multi_tile():
-    # 2,234 codewords: eight full row tiles of the verifier and a partial one
+    # 2,234 codewords: 34 full row tiles of the verifier and a partial one
     built = build_lower_bound(Binomial(10), ScoreBounds(0, 10), 512, c=0.085, seed=5)
     assert built.size == 2234 and built.size % experiments._VERIFY_ROWS != 0
     return built
 
 
-@pytest.mark.parametrize("row", [1, 255, 256, -1])
+@pytest.mark.parametrize("row", [1, 63, 64, 255, 256, -1])
 def test_verify_finds_a_repeated_codeword_across_tiles(multi_tile, row):
     built = multi_tile
     dup = dataclasses.replace(
@@ -269,6 +275,37 @@ def test_verify_holds_no_size_by_size_matrix(multi_tile):
     finally:
         tracemalloc.stop()
     assert peak < multi_tile.size**2 * 8
+
+
+def test_lower_bound_build_holds_little_beside_its_mean_vectors():
+    # the parent's (size, n) intp gathers peaked at 2.4 times mu_rows (21.7 MiB)
+    built, peak = traced_peak(build_lower_bound, Binomial(10), ScoreBounds(0, 10), 512, 0.085, 5)
+    assert built.size == 2234
+    assert peak < 1.5 * built.mu_rows.nbytes, peak / built.mu_rows.nbytes
+
+
+# the constructions of acceptance criterion 8
+@pytest.mark.parametrize("family, bounds, n, c", [
+    (Gaussian(1.0), ScoreBounds(0, 6), 64, None),
+    (Gaussian(1.0), ScoreBounds(0, 6), 512, 0.145),
+    (Binomial(10), ScoreBounds(0, 10), 64, None),
+    (Binomial(10), ScoreBounds(0, 10), 512, 0.085),
+])
+def test_verify_in_float64_gives_the_float32_margins(family, bounds, n, c, monkeypatch):
+    built = build_lower_bound(family, bounds, n, c=c, seed=808)
+    dtypes, matmul = set(), np.matmul
+
+    def recording(a, b, **kwargs):
+        dtypes.add(a.dtype)
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    margins = built.verify()
+    assert dtypes == {np.dtype(np.float32)}
+    dtypes.clear()
+    monkeypatch.setattr(experiments, "_FLOAT32_EXACT", 0)  # as if 2n >= 2^24
+    assert built.verify() == margins == built.margins
+    assert dtypes == {np.dtype(np.float64)}
 
 
 def test_lower_bound_budget_guard(monkeypatch):
@@ -590,3 +627,30 @@ def test_surrogate_refuses_author_without_submissions():
         table = table_of(reviews)
         _, authors = author_tables(table, [("alice", ("a",), (1,)), ("bob", (), ())])
         surrogate_eval(table, authors, seed=0)
+
+
+@pytest.mark.parametrize("family, bounds, named", [
+    (Gamma(1e308), ScoreBounds(3, 8), r"gamma shape 1e\+308: the block count .* overflows"),
+    (Gaussian(1e-300), ScoreBounds(0, 1e5), r"gaussian variance 1e-300: the block count .* overflows"),
+    (Gamma(1.0), ScoreBounds(1e-200, 2e-200), r"gamma shape 1: the variance bound sigma\^2 = 0 "),
+    (Gamma(1.0), ScoreBounds(1.0, 1e200), r"gamma shape 1: the variance bound sigma\^2 = inf "),
+    (Gamma(1e-300), ScoreBounds(3, 8), r"gamma shape 1e-300: b'' at the mean 4 is not a positive"),
+])
+def test_lower_bound_refuses_a_family_beyond_float64(family, bounds, named):
+    # the pyproject filter turns a numpy RuntimeWarning into a failure here
+    with pytest.raises(InvalidParameterError, match=named):
+        build_lower_bound(family, bounds, 16)
+
+
+def test_ramp_refuses_a_span_that_overflows_and_keeps_finite_ones():
+    with pytest.raises(InvalidParameterError, match=r"hi = 1e\+308 to lo = 1e\+300: .* n = 4"):
+        LinearRamp(hi=1e308, lo=1e300).draw(1, 4, None)
+    with pytest.raises(InvalidParameterError, match=r"v_min = 1e\+300 and v_max = 1e\+308 .* n = 8"):
+        rate_check(Gamma(1e300), ScoreBounds(1e300, 1e308), [4, 8], trials=5)
+    # the widest span that still fits keeps the formula's bits
+    hi, lo = 1e308, -7e307
+    ramp = LinearRamp(hi=hi, lo=lo).draw(1, 2, None)
+    assert ramp.tobytes() == (hi - (hi - lo) * np.arange(2) / 1).tobytes()
+    with pytest.raises(InvalidParameterError, match="n = 3"):
+        LinearRamp(hi=hi, lo=lo).draw(1, 3, None)
+    assert LinearRamp().draw(1, 5, None).tolist() == [9.0, 7.5, 6.0, 4.5, 3.0]

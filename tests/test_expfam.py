@@ -437,3 +437,19 @@ def test_registry_lists_every_concrete_family():
     concrete = {cls for cls in Family.__subclasses__() if not inspect.isabstract(cls)}
     assert set(_FAMILIES.values()) == concrete
     assert all(_FAMILIES[cls.kind] is cls for cls in concrete)
+
+
+@pytest.mark.parametrize("family, mu, named", [
+    (Gaussian(1e-300), 1e308, "gaussian variance 1e-300"),
+    (Gamma(1e10), 1e-300, r"gamma shape 1e\+10"),
+])
+def test_natural_param_refuses_an_interior_mean_whose_theta_overflows(family, mu, named):
+    # the pyproject filter turns a numpy RuntimeWarning into a failure here
+    for allow_boundary in (False, True):
+        with pytest.raises(InvalidParameterError, match=f"{named}: the natural parameter of the mean"):
+            family.natural_param([3.0, mu], allow_boundary=allow_boundary)
+        with pytest.raises(InvalidParameterError, match=named):
+            family.natural_param(mu, allow_boundary=allow_boundary)
+    lo = family.mean_hull()[0]
+    if math.isfinite(lo):  # a boundary mean keeps its sentinel
+        assert family.natural_param(lo, allow_boundary=True) == -math.inf

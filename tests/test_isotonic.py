@@ -476,7 +476,6 @@ def test_batch_crosses_block_boundary_on_long_rows():
 
 def test_batch_holds_no_full_size_temporary():
     rows = np.random.default_rng(20).binomial(10, np.linspace(1.0, 0.0, 4096), (500, 4096)) / 1.0
-    project_descending_batch(rows[:2])  # imports scipy.optimize outside the trace
     got, peak = traced_peak(project_descending_batch, rows)
     assert peak <= got.nbytes + (8 << 20), peak - got.nbytes
 

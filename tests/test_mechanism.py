@@ -322,6 +322,14 @@ def test_one_chunk_sweep_of_eight_items_stays_near_its_former_peak():
     # their estimates
     mu = np.linspace(9.0, 2.0, 8)
     results, peak = traced_peak(rank_all_utilities, Binomial(10), mu, UtilityFn("relu_square"),
-                                3, _SWEEP_CHUNK, 8)
+                                3, _SWEEP_CHUNK, 8, warm_up=False)
     assert len(results) == math.factorial(8)
     assert peak <= 32 << 20, peak / 2**20
+
+
+def test_sweep_of_five_items_holds_no_trials_by_n_scores():
+    # the 100k x 5 score matrix alone is 3.8 MiB; the parent's sweep peaked at 7.7 MiB
+    results, peak = traced_peak(rank_all_utilities, Binomial(10), [8.0, 7.0, 6.0, 5.0, 4.0],
+                                UtilityFn("relu_square"), 3, 100_000, 5)
+    assert len(results) == 120
+    assert peak < 4 << 20, peak / 2**20
