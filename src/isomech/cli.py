@@ -461,7 +461,8 @@ class _Param(NamedTuple):
 _INT = functools.partial(_number, kind=int)
 _PARAMS: dict[str, _Param] = {
     "seed": _Param(_INT, "seed of the run's random draws (fallback: ISOMECH_SEED, then 0)"),
-    "threads": _Param(_INT, "max worker threads for error-curve rows of 48+ items"),
+    "threads": _Param(_INT, "max worker threads for error-curve rows of 48+ items; "
+                       "they run only past 512 trials, so minimax's default 500 is serial"),
     "out": _Param(None, "output file path"),
     "format": _Param(_choice("csv", "json"), "output format: csv or json (default csv)"),
     "scores": _Param(None, "CSV with header index,score", "a scores CSV"),

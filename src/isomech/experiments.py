@@ -30,8 +30,8 @@ Every driver is a pure function of (config, seed).  The Monte-Carlo
 drivers run on the core in ``mechanism`` that the truthfulness sweep also
 uses: fixed-size chunks of trials on RNG substreams spawned from the seed
 (identical results serially or on a thread pool), the family's draw hook
-``Family.row_sampler`` (through ``sample_scores`` when the means vary by
-trial) and ``_mean_se``.
+``Family.row_sampler`` for means that every trial shares,
+``Family.sample_mean`` for means that vary by trial, and ``_mean_se``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .expfam import (
     check_variance_floor,
 )
 from .isotonic import _LOCKSTEP_N, pava_descending_rows, project_descending_batch
-from .mechanism import _map_chunks, _mean_se, sample_scores
+from .mechanism import _map_chunks, _mean_se
 
 __all__ = [
     "LinearRamp",
@@ -173,8 +173,7 @@ def _mse_samples(
     blocks of ``expfam._block_rows(n)`` rows are projected by
     ``project_descending_batch`` and reduced as they come, so a chunk holds
     one block of scores, never all its (count, n) scores.  Means that vary
-    by trial are drawn whole, by ``sample_scores``, and reduced in the same
-    blocks.
+    by trial are drawn by ``family.sample_mean`` in blocks of the same rows.
     """
 
     def one_chunk(count, rng):
@@ -184,8 +183,9 @@ def _mse_samples(
         if mu.ndim == 1:
             blocks = family.row_sampler(mu, scores_per_item)(rng, count)
         else:
-            x, step = sample_scores(family, mu, scores_per_item, rng, count), _block_rows(n)
-            blocks = (x[lo : lo + step] for lo in range(0, count, step))
+            step = _block_rows(n)
+            blocks = (family.sample_mean(mu[lo : lo + step], rng, reps=scores_per_item)
+                      for lo in range(0, count, step))
         im, raw = np.empty(count), np.empty(count)
         lo = 0
         for xb in blocks:
@@ -567,7 +567,11 @@ def build_lower_bound(
 
     k = min(int(math.floor(blocks_real)), n)
     if k < 1:
-        raise InvalidParameterError("perturbation scale c too large: block count is zero")
+        raise InvalidParameterError(
+            f"{family._param_text()}: block count is zero: (n V~^2 / (c^2 sigma^2))^(1/3) "
+            f"= {blocks_real:.3g} at n = {n}, V~ = {v_tilde:.6g}, c = {c:.6g} and "
+            f"sigma^2 = {sigma_sq:.6g}; lower c or raise n"
+        )
     k_max = 0
     while k_max < n and _construction_bytes(k_max + 1, n) <= _CONSTRUCTION_MAX_BYTES:
         k_max += 1

@@ -9,10 +9,12 @@ natural-parameter calculus
     inverse        theta = (b')^{-1}(mu)
 
 together with seeded sampling, of one draw or of the exact average of several,
-and the KL divergence in closed form.  The mechanism never needs the form of
-the law, so no family writes its density or carrier c(x); the log-partition
-b enters only the KL formula.  All math methods accept scalars or numpy
-arrays and broadcast elementwise; a scalar input gives a Python float.
+and the KL divergence in closed form.  Draws enter at ``Family.sample_mean``
+(any array of means) or ``Family.row_sampler`` (the (trials, n) rows at means
+every trial shares).  The mechanism never needs the form of the law, so no
+family writes its density or carrier c(x); the log-partition b enters only
+the KL formula.  All math methods accept scalars or numpy arrays and
+broadcast elementwise; a scalar input gives a Python float.
 
 ``Family`` writes the shared contract once: the input checks, the +/-inf
 natural parameters of boundary means, the float return for scalar input, the
@@ -32,7 +34,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, ClassVar, Iterator, NamedTuple
 
 import numpy as np
 
@@ -60,15 +62,6 @@ def _block_rows(n: int) -> int:
     """Rows per block of a (trials, n) pass: ``_BLOCK_ELEMENTS // n``, at
     least one row."""
     return max(1, _BLOCK_ELEMENTS // n)
-
-
-def _fill_rows(blocks: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """``out`` filled with the consecutive row ``blocks``, which must cover it."""
-    lo = 0
-    for block in blocks:
-        out[lo : lo + len(block)] = block
-        lo += len(block)
-    return out
 
 
 def _as_number(value, kind: type = float):
@@ -148,9 +141,9 @@ class Family(ABC):
     ``_b2`` (b, b', b'' at theta); ``_theta_of`` ((b')^{-1} inside the hull);
     ``_draw_average`` (the average of ``reps`` draws); ``_sigma_max`` (max of
     b'' over the bounds); ``_cert_window`` (where b'' >= c_var * sigma_max).
-    ``row_sampler``, the one draw hook for (trials, n) rows at shared means
-    (``sample_rows`` and the Monte-Carlo core read it), may be overridden by
-    a faster exact sampler that draws block by block.
+    Every (trials, n) draw enters at ``row_sampler`` (means every trial
+    shares; a family may override it with a faster exact sampler that draws
+    block by block) or at ``sample_mean`` (means that vary by trial).
     """
 
     kind: ClassVar[str]
@@ -213,12 +206,6 @@ class Family(ABC):
         """
         reps = self._check_reps(reps)
         return self._draw_average(self.check_mean_hull(mu, "mean"), rng, size, reps)
-
-    def sample_rows(self, mu, rng: np.random.Generator, trials: int, reps: int = 1) -> np.ndarray:
-        """C-contiguous float64 (trials, n) ``sample_mean`` draws at the (n,)
-        means ``mu`` that every row shares: the blocks of one
-        ``row_sampler(mu, reps)`` draw, filled into one array."""
-        return _fill_rows(self.row_sampler(mu, reps)(rng, trials), np.empty((trials, np.size(mu))))
 
     def row_sampler(
         self, mu, reps: int = 1
@@ -528,7 +515,7 @@ class Gamma(Family):
         return -self.shape / t
 
     def _b2(self, t):
-        return self.shape / (t * t)
+        return self.shape / t / t  # mu^2 / shape, where t * t would overflow or vanish
 
     def _theta_of(self, mu):
         return -self.shape / mu
@@ -669,7 +656,7 @@ def family_from_spec(spec: str | dict[str, Any]) -> Family:
     cls = _FAMILIES.get(kind)
     if cls is not None and cls.param is None and param.strip():
         raise ValidationError(f"family {kind!r} takes no parameter")
-    if cls is None or cls.param is None:
+    if cls is None or cls.param is None or not (param or cls.param.required):
         return family_from_dict({"kind": kind})
     if not param:
         raise ValidationError(f"family {kind!r} needs a parameter, e.g. '{kind}:10'")

@@ -9,11 +9,11 @@ threads, as the estimation studies may.  An observed score averages
 family's law of that average.  Means shared by every trial (a 1-d vector)
 are drawn through ``Family.row_sampler``, one draw plan per call that yields
 each chunk's (trials, n) rows in blocks of ``expfam._block_rows(n)`` rows:
-``simulate_scores`` writes them into one array, and the sweep and the
-estimation studies reduce each block as it comes, so their memory grows
-with a block, not with trials * n.  ``sample_scores`` draws one chunk, and
-also takes means that vary by trial (a 2-d array), drawn elementwise.
-``_mean_se`` reduces per-trial samples to a mean and standard error.
+``simulate_scores`` and the sweep write them into one array
+(``_fill_scores``), and the estimation studies reduce each block as it
+comes, so their memory grows with a block, not with trials * n.  Means that
+vary by trial are drawn by ``Family.sample_mean``, one block of rows at a
+time.  ``_mean_se`` reduces per-trial samples to a mean and standard error.
 
 An author with true scores ``mu_star`` reports a claim, a full ranking or
 ordered blocks, and collects utility ``sum_i U(adjusted_i)`` for a
@@ -50,13 +50,12 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidParameterError, ValidationError
-from .expfam import Family, _fill_rows
+from .expfam import Family
 from .isotonic import CoarseRanking, Ranking, _block_order, project_descending_batch
 
 __all__ = [
     "UtilityFn",
     "UtilityEstimate",
-    "sample_scores",
     "simulate_scores",
     "utility_trials",
     "rank_all_utilities",
@@ -148,7 +147,11 @@ def _map_chunks(
 ) -> list:
     """``fn(count, rng)`` on each chunk of ``_chunk_seeds``, results in chunk
     order.  Each chunk's rng is its own substream of ``seed_seq``, so the
-    results do not depend on ``max_workers``.
+    results do not depend on ``max_workers``.  Threads run only when
+    ``max_workers`` > 1 and there is more than one ``_CHUNK``-trial chunk, so
+    up to 512 trials always run serially; the estimation studies pass
+    ``max_workers`` only for rows of ``isotonic._LOCKSTEP_N`` (48) items or
+    more.
     """
     jobs = _chunk_seeds(trials, seed_seq)
 
@@ -160,23 +163,6 @@ def _map_chunks(
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             return list(pool.map(run, jobs))
     return [run(job) for job in jobs]
-
-
-def sample_scores(
-    family: Family, mu, scores_per_item: int, rng: np.random.Generator, trials: int
-) -> np.ndarray:
-    """(trials, n) observed scores at true means ``mu``; each averages
-    ``scores_per_item`` draws and is drawn once, from the law of that average.
-    A 1-d ``mu``, shared by every trial, goes to ``family.sample_rows``, the
-    blocks of ``family.row_sampler`` in one C-contiguous array.  A 2-d ``mu``
-    gives each row its own means and is drawn by ``sample_mean``.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim == 1:
-        return family.sample_rows(mu, rng, trials, scores_per_item)
-    if mu.ndim != 2 or mu.shape[0] != trials:
-        raise ValidationError(f"expected (n,) or ({trials}, n) true means, got shape {mu.shape}")
-    return family.sample_mean(mu, rng, reps=scores_per_item)
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
@@ -201,10 +187,13 @@ def _fill_scores(
     out: np.ndarray,
     first: int = 0,
 ) -> None:
-    """Fill ``out``, whose row 0 is trial ``first``, with the rows that
+    """Fill ``out``, whose row 0 is trial ``first``, with the row blocks that
     ``draw`` gives each of ``chunks`` (from ``_chunk_seeds``) on its own rng."""
     for lo, count, child in chunks:
-        _fill_rows(draw(np.random.default_rng(child), count), out[lo - first : lo - first + count])
+        row = lo - first
+        for block in draw(np.random.default_rng(child), count):
+            out[row : row + len(block)] = block
+            row += len(block)
 
 
 def simulate_scores(

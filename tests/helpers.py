@@ -226,6 +226,19 @@ def binomial_rows_by_inversion(m: int, reps: int, mu, rng: np.random.Generator,
     return (u[:, :, None] >= cdf).sum(axis=2) / reps
 
 
+def sampled_rows(family, mu, rng, trials: int, reps: int = 1) -> np.ndarray:
+    """The (trials, n) rows of one ``family.row_sampler(mu, reps)`` draw on
+    ``rng``, its blocks written in turn into one C-contiguous float64 array;
+    the blocks must cover exactly ``trials`` rows."""
+    out = np.empty((trials, np.size(mu)))
+    lo = 0
+    for block in family.row_sampler(mu, reps)(rng, trials):
+        out[lo : lo + len(block)] = block
+        lo += len(block)
+    assert lo == trials
+    return out
+
+
 def reference_fit_from_table(table: np.ndarray, perm, fit: np.ndarray,
                              run: np.ndarray) -> np.ndarray:
     """Descending fit (n, t) of ranking ``perm`` from a ``_subset_means``

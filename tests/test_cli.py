@@ -742,9 +742,9 @@ def test_cli_runs_load_no_scipy(workdir):
         "from isomech.expfam import (Binomial, Gamma, Gaussian, Poisson, ScoreBounds,"
         " verify_variance_assumption)\n"
         "from isomech.isotonic import CoarseRanking, Ranking\n"
-        "from isomech.mechanism import UtilityFn, sample_scores, utility_trials\n"
+        "from isomech.mechanism import UtilityFn, utility_trials\n"
         "for reps in (1, 3):\n"
-        "    sample_scores(Binomial(10), [0.0, 2.5, 10.0], reps, np.random.default_rng(reps), 64)\n"
+        "    list(Binomial(10).row_sampler([0.0, 2.5, 10.0], reps)(np.random.default_rng(reps), 64))\n"
         "utility_trials(Binomial(10), [8.0, 7.0, 6.0], [Ranking([1, 2, 3]),"
         " CoarseRanking([(1, 2), (3,)])], UtilityFn('relu_square'), trials=600)\n"
         "rng = np.random.default_rng(0)\n"
@@ -756,7 +756,7 @@ def test_cli_runs_load_no_scipy(workdir):
         "    assert abs(family.natural_param(mu) - theta) <= 1e-12\n"
         "    assert family.kl_divergence(theta, 2 * theta) > 0\n"
         "    family.sample_mean(mu, rng, size=8, reps=3)\n"
-        "    family.sample_rows([mu, mu], rng, 4, reps=2)\n"
+        "    list(family.row_sampler([mu, mu], reps=2)(rng, 4))\n"
         "    family.sigma_max(bounds)\n"
         "    verify_variance_assumption(family, bounds)\n"
         "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"

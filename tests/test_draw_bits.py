@@ -1,14 +1,21 @@
 """The draws of every family, bit for bit, through every route that reads them.
 
-``DIGESTS`` holds SHA-256 digests of the float64 bytes of
-``Family.sample_rows`` (seeded by ``default_rng(seed)``) and of
-``simulate_scores`` (seeded by ``seed``), recorded before the draw hook
-``Family.row_sampler`` existed.  The hook's blocks, the filled arrays and the
-scores the all-rankings sweep tables must all reproduce them.  The cases
+``DIGESTS`` holds SHA-256 digests of the float64 bytes of the (trials, n)
+rows of one draw seeded by ``default_rng(seed)`` and of ``simulate_scores``
+(seeded by ``seed``), recorded before the draw hook ``Family.row_sampler``
+existed.  The hook's blocks, the arrays ``_fill_scores`` fills from them and
+the scores the all-rankings sweep tables must all reproduce them.  The cases
 cover the four families, Binomial's narrow route (a binary search per item),
 its wide route (a pass per threshold) and a support above 127 (the base
 class), reps 1 and 3, and trial counts that are multiples of neither the
 row block nor the 512-trial chunk.
+
+``POOL_DIGESTS`` holds digests of the per-trial (im, raw) arrays that
+``experiments._mse_samples`` returns when ``PoolResample`` gives every trial
+its own means, recorded before the per-trial draw went block by block: the
+four families, reps 1 and 3, n on both sides of ``isotonic._LOCKSTEP_N``
+(n = 300 splits each 512-trial chunk into row blocks), 1031 trials, and
+serial against two threads.
 """
 
 import hashlib
@@ -17,10 +24,11 @@ import numpy as np
 import pytest
 
 from isomech import mechanism
+from isomech.experiments import PoolResample, _mse_samples
 from isomech.expfam import _block_rows, family_from_spec
 from isomech.mechanism import UtilityFn, rank_all_utilities, simulate_scores
 
-# (family, means, reps, trials, seed, sample_rows digest, simulate_scores digest)
+# (family, means, reps, trials, seed, one-draw rows digest, simulate_scores digest)
 DIGESTS = [
     ("gaussian:2", (1.5, -0.5, 3.0, 0.0, 2.0), 1, 26221, 2700,
      "e17ac95caf7be463662d8adfacc3b6d93d7c82452d917a1e36452952cfee06a1",
@@ -87,9 +95,11 @@ def _case_id(case) -> str:
 
 @pytest.mark.parametrize("case", DIGESTS, ids=_case_id)
 def test_sample_rows_keep_their_bits(case):
+    # one chunk of all the trials on default_rng(seed), filled by _fill_scores
     spec, mu, reps, trials, seed, rows_digest, _ = case
-    rows = family_from_spec(spec).sample_rows(_means(mu), np.random.default_rng(seed), trials, reps)
-    assert rows.shape == (trials, _means(mu).size)
+    draw = family_from_spec(spec).row_sampler(_means(mu), reps)
+    rows = np.full((trials, _means(mu).size), np.nan)
+    mechanism._fill_scores(draw, [(0, trials, np.random.SeedSequence(seed))], rows)
     assert _sha(rows) == rows_digest
 
 
@@ -125,3 +135,57 @@ def test_the_sweep_tables_the_recorded_scores(case, monkeypatch):
     rank_all_utilities(family_from_spec(spec), _means(mu), UtilityFn("identity"),
                        scores_per_item=reps, trials=trials, seed=seed)
     assert _sha(np.concatenate(seen)) == sim_digest
+
+
+POOLS = {
+    "gaussian:2": (1.5, -0.5, 3.0, 0.0, 2.0, 4.25),
+    "binomial:10": (8.0, 7.0, 6.0, 5.0, 4.0, 10.0, 0.0),
+    "poisson": (4.0, 1.0, 0.0, 2.5, 7.0),
+    "gamma:2": (3.0, 1.0, 0.5, 2.0, 6.0),
+}
+
+# (family, n, reps, trials, seed, digest of im bytes then raw bytes)
+POOL_DIGESTS = [
+    ("gaussian:2", 7, 1, 1031, 2720,
+     "8080c5a110f5e448471e34e09f1d52476f815d6f3f3862c6eee0d9c4b838c10e"),
+    ("gaussian:2", 300, 1, 1031, 2721,
+     "275048ba6e106f73fd8868c841826a2ba08e9604764cf01ab6e3d334ac462671"),
+    ("gaussian:2", 7, 3, 1031, 2722,
+     "7302d3e19209bc1261e4b04a312cb05aa0ce4fbc1c3ebdfb59053356d56603d0"),
+    ("gaussian:2", 300, 3, 1031, 2723,
+     "28491e6144b64d8d254fadafbc623bb9d3104f51db6617be4dabfcebdbca5ada"),
+    ("binomial:10", 7, 1, 1031, 2724,
+     "683813163e0eb3a7a6c4be3b8e57237f40ebe05cdc6e3b1119dcf1c3d73d540b"),
+    ("binomial:10", 300, 1, 1031, 2725,
+     "0c11e3bce126454e55fcee1565f87d9f55d4079d0b909f412f734d9f70665a99"),
+    ("binomial:10", 7, 3, 1031, 2726,
+     "61f045962331aabf2e8cffe13c0975f95342d683d09ec6db9e480f4a6092a1f2"),
+    ("binomial:10", 300, 3, 1031, 2727,
+     "9e3ba89245c0eb57bae8ad83d4bf3cd97e3b73b9f2d1c26ee2a0630d4c41f07b"),
+    ("poisson", 7, 1, 1031, 2728,
+     "136fb53f5bcc0ef2f6a257621b7fe72c4f0a8d06cc0d580630eaf844708133ba"),
+    ("poisson", 300, 1, 1031, 2729,
+     "7c4c06c0b09a8315ed9d9cd542345d8dbd3736b293bc130bea969570ef6da45e"),
+    ("poisson", 7, 3, 1031, 2730,
+     "b466a9f3548ccc1a49f623d37b8ee08939a52cf8f83975cec7781ee390a451ea"),
+    ("poisson", 300, 3, 1031, 2731,
+     "8530fb08610ff7685595f3f06af7f18b982382a7d51c10e00618481c4e3bc942"),
+    ("gamma:2", 7, 1, 1031, 2732,
+     "7660601e6c53c50ebd2962b2e74587fe035a6e7a86834ee94dfcb5ee471761b1"),
+    ("gamma:2", 300, 1, 1031, 2733,
+     "58ab6f6246cdb9980724ac99e3cf67c9481efd7e221df430e6c8372e70300806"),
+    ("gamma:2", 7, 3, 1031, 2734,
+     "99c7c31e4938cadbb4243553d61786815256a13e65ade69745b74068e5f95569"),
+    ("gamma:2", 300, 3, 1031, 2735,
+     "36f14ac4d89b4064d732c105f499fe84c26cce90896f60d38390b068ea4d0079"),
+]
+
+
+@pytest.mark.parametrize("case", POOL_DIGESTS, ids=lambda c: f"{c[0]}-n{c[1]}-reps{c[2]}")
+@pytest.mark.parametrize("workers", [None, 2])
+def test_pool_errors_keep_their_bits(case, workers):
+    spec, n, reps, trials, seed, digest = case
+    im, raw = _mse_samples(family_from_spec(spec), PoolResample(POOLS[spec]), n, reps, trials,
+                           np.random.SeedSequence(seed), workers)
+    assert im.shape == raw.shape == (trials,)
+    assert hashlib.sha256(im.tobytes() + raw.tobytes()).hexdigest() == digest

@@ -31,6 +31,7 @@ from helpers import (
     chi_square_p,
     finite_difference_mean_slope,
     kl_oracle,
+    sampled_rows,
     sum_pmf,
     traced_peak,
 )
@@ -188,7 +189,7 @@ def test_average_of_reps_matches_the_convolved_pmf(family, mu, seed):
 @pytest.mark.parametrize("reps, seed", [(1, 2411), (3, 2413)])
 def test_sample_rows_match_the_exact_pmf_item_by_item(reps, seed):
     family, trials, mu = Binomial(10), 4000, np.array([0.05, 4.9, 9.95])
-    rows = family.sample_rows(mu, np.random.default_rng(seed), trials, reps)
+    rows = sampled_rows(family, mu, np.random.default_rng(seed), trials, reps)
     for item, mean in enumerate(mu):
         pmf = sum_pmf(binomial_pmf(10, mean / 10), reps)
         counts = np.bincount(np.rint(rows[:, item] * reps).astype(int), minlength=pmf.size)
@@ -198,7 +199,7 @@ def test_sample_rows_match_the_exact_pmf_item_by_item(reps, seed):
 @pytest.mark.parametrize("reps", [1, 3, 12])
 def test_sample_rows_layout_and_lattice(reps):
     mu = np.linspace(10.0, 0.0, 41)  # a ramp with both ends of the hull
-    rows = Binomial(10).sample_rows(mu, np.random.default_rng(2420 + reps), 300, reps)
+    rows = sampled_rows(Binomial(10), mu, np.random.default_rng(2420 + reps), 300, reps)
     assert rows.shape == (300, 41) and rows.dtype == np.float64 and rows.flags.c_contiguous
     assert rows.min() >= 0.0 and rows.max() <= 10.0
     np.testing.assert_array_equal(rows * reps, np.rint(rows * reps))
@@ -210,7 +211,7 @@ def test_sample_rows_are_exact_at_the_hull_ends_for_extreme_uniforms(reps):
     # u = 0.0 and the largest u below 1 still give N at p = 1 and 0 at p = 0
     for u in (0.0, np.nextafter(1.0, 0.0)):
         fixed = types.SimpleNamespace(random=lambda shape, u=u: np.full(shape, u))
-        rows = Binomial(10).sample_rows([10.0, 0.0], fixed, 4, reps)
+        rows = sampled_rows(Binomial(10), [10.0, 0.0], fixed, 4, reps)
         assert rows.tolist() == [[10.0, 0.0]] * 4
 
 
@@ -220,7 +221,7 @@ def test_sample_rows_blocks_equal_one_whole_array_inversion(reps):
     step = _block_rows(n)
     assert trials > 2 * step and trials % step  # several blocks and a partial last one
     mu = np.linspace(10.0, 0.0, n)
-    rows = Binomial(10).sample_rows(mu, np.random.default_rng(2430 + reps), trials, reps)
+    rows = sampled_rows(Binomial(10), mu, np.random.default_rng(2430 + reps), trials, reps)
     want = binomial_rows_by_inversion(10, reps, mu, np.random.default_rng(2430 + reps), trials)
     np.testing.assert_array_equal(rows, want)
 
@@ -228,7 +229,8 @@ def test_sample_rows_blocks_equal_one_whole_array_inversion(reps):
 def test_sample_rows_hold_no_full_size_temporary():
     for n, trials in ((4096, 500), (5, 100_000)):  # wide rows, then narrow ones
         mu = np.linspace(10.0, 0.0, n)
-        rows, peak = traced_peak(Binomial(10).sample_rows, mu, np.random.default_rng(2440), trials)
+        rows, peak = traced_peak(sampled_rows, Binomial(10), mu, np.random.default_rng(2440),
+                                  trials)
         assert peak <= rows.nbytes + (4 << 20), peak - rows.nbytes
 
 
@@ -237,7 +239,7 @@ def test_wide_rows_are_exact_at_the_hull_ends_for_extreme_uniforms():
     # the two items of the test above count by binary search
     for u in (0.0, np.nextafter(1.0, 0.0)):
         fixed = types.SimpleNamespace(random=lambda shape, u=u: np.full(shape, u))
-        rows = Binomial(10).sample_rows([10.0, 0.0] * 4, fixed, 4)
+        rows = sampled_rows(Binomial(10), [10.0, 0.0] * 4, fixed, 4)
         assert rows.tolist() == [[10.0, 0.0] * 4] * 4
 
 
@@ -249,7 +251,7 @@ def test_wide_rows_are_exact_at_the_hull_ends_for_extreme_uniforms():
 def test_sample_rows_equal_whole_array_inversion_on_both_routes(reps, n):
     trials = 2 * _block_rows(n) + 7  # two full blocks and a partial last one
     mu = np.linspace(10.0, 0.0, n) if n > 1 else np.array([6.5])
-    rows = Binomial(10).sample_rows(mu, np.random.default_rng(2450 + n), trials, reps)
+    rows = sampled_rows(Binomial(10), mu, np.random.default_rng(2450 + n), trials, reps)
     want = binomial_rows_by_inversion(10, reps, mu, np.random.default_rng(2450 + n), trials)
     np.testing.assert_array_equal(rows.view(np.int64), want.view(np.int64))
 
@@ -267,7 +269,7 @@ def test_binomial_draw_count_beyond_int64_is_refused(trials, reps):
     with pytest.raises(InvalidParameterError, match="int64"):
         family.sample_mean(trials / 2, rng, size=3, reps=reps)
     with pytest.raises(InvalidParameterError, match="int64"):
-        family.sample_rows([trials / 2, trials / 4], rng, 4, reps)
+        sampled_rows(family, [trials / 2, trials / 4], rng, 4, reps)
 
 
 def test_poisson_draws_up_to_the_sampler_limit():
@@ -279,7 +281,7 @@ def test_poisson_draws_up_to_the_sampler_limit():
         with pytest.raises(InvalidParameterError, match="Poisson mean"):
             family.sample_mean(mu, rng, size=2, reps=reps)
         with pytest.raises(InvalidParameterError, match="Poisson mean"):
-            family.sample_rows([1.0, mu], rng, 4, reps)
+            sampled_rows(family, [1.0, mu], rng, 4, reps)
 
 
 @pytest.mark.parametrize("shape, what", [(1e-320, "the scale"), (1e308, "reps \\* shape")])
@@ -289,7 +291,14 @@ def test_gamma_shape_whose_draw_overflows_is_refused(shape, what):
     with pytest.raises(InvalidParameterError, match=f"Gamma shape .* reps = 3, {what}"):
         family.sample_mean(3.0, rng, size=2, reps=3)
     with pytest.raises(InvalidParameterError, match=f"Gamma shape .* reps = 3, {what}"):
-        family.sample_rows([3.0, 2.0], rng, 4, 3)
+        sampled_rows(family, [3.0, 2.0], rng, 4, 3)
+
+
+@pytest.mark.parametrize("shape, mu", [(1e-300, 4.0), (1e308, 3.0)])
+def test_gamma_curvature_is_mu_squared_over_shape_where_theta_squared_leaves_float64(shape, mu):
+    # theta^2 overflows (1e-300) or underflows to 0 (1e308); b'' itself is normal
+    family = Gamma(shape)
+    assert family.variance(family.natural_param(mu)) == mu * mu / shape
 
 
 def test_domain_errors():
@@ -428,9 +437,12 @@ def test_json_and_spec_forms_build_the_same_family(family):
 def test_json_form_defaults_the_gaussian_variance_only():
     assert family_from_dict({"kind": "gaussian"}) == Gaussian(1.0)
     assert family_from_spec({"kind": "Gaussian"}) == Gaussian(1.0)
+    assert family_from_spec("gaussian") == family_from_spec(" Gaussian ") == Gaussian(1.0)
     for kind in ("binomial", "gamma"):
         with pytest.raises(ValidationError, match="needs a parameter"):
             family_from_dict({"kind": kind})
+        with pytest.raises(ValidationError, match=f"needs a parameter, e.g. '{kind}:10'"):
+            family_from_spec(kind)
 
 
 def test_registry_lists_every_concrete_family():

@@ -18,7 +18,6 @@ from isomech.mechanism import (
     _sweep_fits,
     _trial_utilities,
     rank_all_utilities,
-    sample_scores,
     simulate_scores,
     utility_trials,
 )
@@ -31,6 +30,7 @@ from helpers import (
     brute_force_project_descending,
     chi_square_p,
     reference_sweep,
+    sampled_rows,
     sum_pmf,
     traced_peak,
 )
@@ -144,19 +144,16 @@ def test_rank_all_utilities_guards():
 
 def test_sample_scores_shapes():
     rng = np.random.default_rng(4)
-    shared = sample_scores(Poisson(), [4.0, 1.0, 0.0], 3, rng, 7)
+    shared = sampled_rows(Poisson(), [4.0, 1.0, 0.0], rng, 7, 3)
     assert shared.shape == (7, 3) and shared.flags.c_contiguous
     assert np.all(shared[:, 2] == 0.0)  # a mean of 0 gives 0 in every trial
-    own = sample_scores(Poisson(), np.full((7, 3), 2.0), 3, rng, 7)
+    own = Poisson().sample_mean(np.full((7, 3), 2.0), rng, reps=3)
     assert own.shape == (7, 3)
-    for mu in (np.full((7, 3), 2.0), np.full((5, 3, 1), 2.0)):
-        with pytest.raises(ValidationError, match=r"expected \(n,\) or \(5, n\) true means"):
-            sample_scores(Poisson(), mu, 3, rng, 5)
 
 
 def test_items_drawn_in_one_chunk_are_uncorrelated():
     trials = 100_000
-    scores = sample_scores(Binomial(10), [8.0, 5.0, 5.0, 2.0], 3, np.random.default_rng(2430), trials)
+    scores = sampled_rows(Binomial(10), [8.0, 5.0, 5.0, 2.0], np.random.default_rng(2430), trials, 3)
     corr = np.corrcoef(scores, rowvar=False)
     off_diagonal = corr[~np.eye(4, dtype=bool)]
     assert np.all(np.abs(off_diagonal) < 4.0 / math.sqrt(trials))
@@ -165,7 +162,7 @@ def test_items_drawn_in_one_chunk_are_uncorrelated():
 def test_support_above_the_inversion_cutoff_falls_back_and_fits_the_pmf():
     reps, mu = 13, np.array([0.05, 4.9, 9.95])
     assert reps * 10 > Binomial._MAX_INVERSION  # drawn by rng.binomial
-    scores = sample_scores(Binomial(10), mu, reps, np.random.default_rng(2431), 4000)
+    scores = sampled_rows(Binomial(10), mu, np.random.default_rng(2431), 4000, reps)
     assert scores.shape == (4000, 3) and scores.flags.c_contiguous
     for item, mean in enumerate(mu):
         pmf = sum_pmf(binomial_pmf(10, mean / 10), reps)
