@@ -10,16 +10,20 @@ Four drivers built on the isotonic machinery:
     item, and the log-log slope of the total risk against n, for
     comparison with the n^(1/3) minimax rate,
   * ``build_lower_bound``       the packing construction behind the minimax
-    lower bound (codewords, perturbed mean vectors, KL budget), with a
-    verifier that compares every pair of codewords exactly, in row tiles,
+    lower bound (codewords, block sizes, the two mean levels of each block,
+    KL budget), with a verifier that compares every pair of codewords
+    exactly, in row tiles,
   * ``surrogate_eval``          the conference-review evaluation of a
     ``ReviewTable`` and an ``AuthorTable``.
 
 Every mean vector of the construction takes one of two values per block,
-so its natural parameters and KL terms are computed on those 2k levels and
-picked by the codeword bits (``_member_rows``); the verifier works on
-float32 tiles of ``_VERIFY_ROWS`` codewords against all the others, so no
-size x size array is held.
+so the construction stores those (2, k) levels, not its (size, n) mean
+vectors: natural parameters and KL terms are computed on the 2k levels and
+picked by the codeword bits a tile of rows at a time (``_member_kl``), and
+``LowerBoundConstruction.mean_rows`` gathers the mean vectors of the
+codewords asked for.  The verifier works on float32 tiles of
+``_VERIFY_ROWS`` codewords against all the others, so no size x size or
+size x n array is held.
 
 The review evaluation works on columns from file to table: ids factorised
 once by ``ReviewTable``, authors as CSR rows of codes and ranks checked by
@@ -59,7 +63,7 @@ from .expfam import (
     check_variance_floor,
 )
 from .isotonic import _LOCKSTEP_N, pava_descending_rows, project_descending_batch
-from .mechanism import _map_chunks, _mean_se
+from .mechanism import _check_trials, _map_chunks, _mean_se
 
 __all__ = [
     "LinearRamp",
@@ -81,9 +85,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Memory the lower-bound construction may take for its linear code and its
-# mean vectors, with a size x size float64 term that bounds the verifier's
-# pairwise work (it holds no size x size matrix, see ``_VERIFY_ROWS``).
+# Memory the lower-bound construction may take for its linear code and the
+# verifier's float32 copies of it, with a size x size float64 term that bounds
+# the verifier's pairwise work (it holds no size x size matrix, see
+# ``_VERIFY_ROWS``).  No mean vector is stored, so n enters only through k.
 _CONSTRUCTION_MAX_BYTES = 1 << 30
 
 # Codewords per row tile of the exhaustive pairwise verifier: a tile holds
@@ -282,6 +287,37 @@ class RateReport:
     points: tuple[RatePoint, ...]
 
 
+def _rate_grid(family: Family, bounds: ScoreBounds, n_grid: Sequence[int], trials: int) -> list[int]:
+    """The sorted grid of ``rate_check``, after the refusals it can make
+    before any draw: fewer than two counts or one below 2, bounds outside
+    the mean hull or too far apart for the ramp's float64 arithmetic, fewer
+    than one trial, and a first grid point whose ramp sits wholly on finite
+    ends of the mean hull, where the family is a point mass, every score is
+    exact and the risk is 0."""
+    grid = sorted(set(int(n) for n in n_grid))
+    if len(grid) < 2 or grid[0] < 2:
+        raise ValidationError("rate check needs at least two submission counts >= 2")
+    family.validate_bounds(bounds)
+    if not math.isfinite(bounds.width * (grid[-1] - 1)):
+        raise InvalidParameterError(
+            f"score bounds v_min = {bounds.v_min:.6g} and v_max = {bounds.v_max:.6g} are too "
+            f"far apart: the ramp's (v_max - v_min) * (n - 1) overflows float64 at n = {grid[-1]}"
+        )
+    _check_trials(trials)
+    ends = [end for end in family.mean_hull() if math.isfinite(end)]
+    if bounds.v_min in ends and bounds.v_max in ends and (grid[0] == 2 or bounds.width == 0):
+        raise _zero_risk(family, grid[0])
+    return grid
+
+
+def _zero_risk(family: Family, n: int) -> ValidationError:
+    return ValidationError(
+        f"rate check: the risk at n = {n} is 0, every score being exact at its mean, "
+        f"so log risk is undefined; drop n = {n} or keep the bounds off the ends of "
+        f"the {family.kind} mean hull"
+    )
+
+
 def rate_check(
     family: Family,
     bounds: ScoreBounds,
@@ -298,27 +334,16 @@ def rate_check(
     the cube-root term dominates, the fitted slope should sit near 1/3.  A
     grid point whose risk is 0, where every score is exact, has no log and
     raises ``ValidationError``, and bounds too far apart for the ramp's
-    float64 arithmetic at the largest n raise ``InvalidParameterError``.
+    float64 arithmetic at the largest n raise ``InvalidParameterError``; the
+    refusals that need no draw come first (``_rate_grid``).
     """
-    grid = sorted(set(int(n) for n in n_grid))
-    if len(grid) < 2 or grid[0] < 2:
-        raise ValidationError("rate check needs at least two submission counts >= 2")
-    family.validate_bounds(bounds)
-    if not math.isfinite(bounds.width * (grid[-1] - 1)):
-        raise InvalidParameterError(
-            f"score bounds v_min = {bounds.v_min:.6g} and v_max = {bounds.v_max:.6g} are too "
-            f"far apart: the ramp's (v_max - v_min) * (n - 1) overflows float64 at n = {grid[-1]}"
-        )
+    grid = _rate_grid(family, bounds, n_grid, trials)
     ramp = LinearRamp(hi=bounds.v_max, lo=bounds.v_min)
     curve = estimation_error_curve(family, grid, ramp, 1, trials, seed, max_workers)
     points = tuple(RatePoint(p.n, p.n * p.mse_im, p.n * p.mse_im_se) for p in curve)
     zero = next((p.n for p in points if not p.risk > 0), None)
     if zero is not None:
-        raise ValidationError(
-            f"rate check: the risk at n = {zero} is 0, every score being exact at its mean, "
-            f"so log risk is undefined; drop n = {zero} or keep the bounds off the ends of "
-            f"the {family.kind} mean hull"
-        )
+        raise _zero_risk(family, zero)
     slope, intercept = np.polyfit(
         np.log([p.n for p in points]), np.log([p.risk for p in points]), deg=1
     )
@@ -334,13 +359,17 @@ def rate_check(
 class LowerBoundConstruction:
     """Packing-based family of perturbed mean vectors for the risk lower bound.
 
-    ``codewords`` holds binary rows (the first all zeros); ``mu_rows[i]`` is
-    the mean vector induced by codeword i: a staircase over k blocks lifted
-    by gamma where the codeword is 1.  Mean vectors stay inside the certified
-    sub-interval, pairwise distances are bounded below, and every member's KL
-    divergence to member 0 stays under an eighth of log |Omega|.
-    ``margins`` holds what ``verify`` returned when ``build_lower_bound``
-    checked the construction.
+    ``codewords`` holds binary rows of k bits (the first all zeros), one per
+    member; block j spans ``block_sizes[j]`` consecutive items.  Member i's
+    mean vector is a staircase over the k blocks lifted by gamma where its
+    codeword is 1: row 0 of the (2, k) ``levels`` holds each block's step,
+    row 1 that step plus gamma, and every item of block j takes
+    ``levels[bit, j]``.  The mean vectors are not stored; ``mean_rows``
+    gathers those of the codewords asked for.  Every level stays inside the
+    certified sub-interval, pairwise distances are bounded below, and every
+    member's KL divergence to member 0 (``kl_values``) stays under an eighth
+    of log |Omega|.  ``margins`` holds what ``verify`` returned when
+    ``build_lower_bound`` checked the construction.
     """
 
     family: Family
@@ -352,7 +381,7 @@ class LowerBoundConstruction:
     gamma: float
     block_sizes: tuple[int, ...]
     codewords: np.ndarray
-    mu_rows: np.ndarray
+    levels: np.ndarray
     kl_values: np.ndarray
     kl_bound: float
     target_size: int
@@ -366,6 +395,13 @@ class LowerBoundConstruction:
     def kl_budget(self) -> float:
         return float(np.max(self.kl_values))
 
+    def mean_rows(self, index) -> np.ndarray:
+        """The mean vectors of the codewords ``codewords[index]`` picks: (n,)
+        for one integer, (len, n) for a slice or an array of rows."""
+        block_of = np.repeat(np.arange(self.k), self.block_sizes)
+        bits = self.codewords[index][..., block_of].view(bool)  # the code's 0/1 bytes
+        return np.where(bits, self.levels[1, block_of], self.levels[0, block_of])
+
     def verify(self) -> dict[str, float]:
         """Exhaustively re-check every invariant; raises on any violation.
 
@@ -378,9 +414,11 @@ class LowerBoundConstruction:
         entry is an integer of size at most 2n (a weight is at most n, and
         ``2 wn_i.w_j`` at most 2n), and float32 holds each integer below
         2^24 exactly, in any order of summation, so the minima are exact
-        while 2n < 2^24.  Past that the same loop runs in float64.  Probe
-        rows cross-check the weighted distances against direct mean-vector
-        norms and the stored KL values against the family's KL.
+        while 2n < 2^24.  Past that the same loop runs in float64.  Every
+        coordinate of every member is one of the 2k ``levels``, so checking
+        those checks the certified interval.  Probe rows, gathered by
+        ``mean_rows``, cross-check the weighted distances against direct
+        mean-vector norms and the stored KL values against the family's KL.
 
         Returns the achieved margins (minimum Hamming distance, minimum
         pairwise squared mean distance, KL budget and its cap).
@@ -412,8 +450,8 @@ class LowerBoundConstruction:
             )
 
         lo, hi = self.certificate.v_tilde_min, self.certificate.v_tilde_max
-        if self.mu_rows.min() < lo - 1e-9 or self.mu_rows.max() > hi + 1e-9:
-            raise ConstructionFailedError("a mean vector leaves the certified interval")
+        if self.levels.min() < lo - 1e-9 or self.levels.max() > hi + 1e-9:
+            raise ConstructionFailedError("a mean level leaves the certified interval")
 
         g2 = self.gamma**2
         min_dist2 = g2 * min_weighted
@@ -425,10 +463,11 @@ class LowerBoundConstruction:
         # spot-check the weighted form against direct norms, and the stored
         # KL values against the family's KL, on rows spread over the packing
         probe = np.linspace(0, self.size - 1, num=min(self.size, 32), dtype=int)
-        direct = np.square(self.mu_rows[probe] - self.mu_rows[0]).sum(axis=1)
+        mu = self.mean_rows(probe)  # probe[0] is row 0
+        direct = np.square(mu - mu[0]).sum(axis=1)
         if not np.allclose(direct, g2 * row0[probe], rtol=1e-8, atol=1e-8):
             raise ConstructionFailedError("mean-distance bookkeeping is inconsistent")
-        theta = self.family.natural_param(self.mu_rows[probe])  # probe[0] is row 0
+        theta = self.family.natural_param(mu)
         kl_direct = np.asarray(self.family.kl_divergence(theta, theta[0]), dtype=float).sum(axis=1)
         if not np.allclose(kl_direct, self.kl_values[probe], rtol=1e-8, atol=1e-8):
             raise ConstructionFailedError("KL bookkeeping is inconsistent")
@@ -454,14 +493,16 @@ def _packing_target(k: int) -> int:
     return max(2, math.ceil(2.0 ** (k / 8.0)))
 
 
-def _construction_bytes(k: int, n: int) -> int:
-    """Bytes of the linear code (uint8) and mean vectors for k blocks, plus a
-    size x size float64 term.  The verifier compares every pair in row tiles
-    of ``_VERIFY_ROWS`` codewords, in float32 (exact for the integer
-    distances while 2n < 2^24), and keeps no size x size matrix; the term,
-    counted at float64's 8 bytes, bounds its pairwise work, not its memory."""
+def _construction_bytes(k: int) -> int:
+    """Bytes of the linear code (uint8) for k blocks and the verifier's two
+    float32 copies of it, plus a size x size float64 term.  The verifier
+    compares every pair in row tiles of ``_VERIFY_ROWS`` codewords, in
+    float32 (exact for the integer distances while 2n < 2^24), and keeps no
+    size x size matrix; the term, counted at float64's 8 bytes, bounds its
+    pairwise work, not its memory.  No (size, n) array is built, so n does
+    not enter."""
     target = _packing_target(k)
-    return (1 << (target - 1).bit_length()) * k + 8 * target * (n + target)
+    return (1 << (target - 1).bit_length()) * k + 8 * target * (k + target)
 
 
 def _pack_codewords(
@@ -495,22 +536,19 @@ def _pack_codewords(
     )
 
 
-def _member_rows(
-    codewords: np.ndarray, block_of: np.ndarray, levels: np.ndarray, kl_level: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (size, n) mean vectors of the codewords and each one's KL to member
-    0.  Coordinate j takes row 1 of the (2, k) ``levels`` at block
-    ``block_of[j]`` where its codeword bit is 1, else row 0; the KL sums the
-    same picks of ``kl_level``, gathered and summed a tile of rows at a time,
-    so the only (size, n) arrays are the result and the bits."""
-    bits = codewords[:, block_of].view(bool)  # the code's 0/1 bytes, read as bools
-    mu_rows = np.where(bits, levels[1, block_of], levels[0, block_of])
+def _member_kl(codewords: np.ndarray, block_of: np.ndarray, kl_level: np.ndarray) -> np.ndarray:
+    """Each codeword's KL to member 0, summed over its n coordinates:
+    coordinate j takes row 1 of the (2, k) ``kl_level`` at block
+    ``block_of[j]`` where its codeword bit is 1, else row 0.  The bits and
+    the picks are gathered a tile of rows at a time, so no (size, n) array
+    is built."""
     kl_low, kl_high = kl_level[0, block_of], kl_level[1, block_of]
     kl_values = np.empty(len(codewords))
     step = _block_rows(block_of.size)
     for lo in range(0, len(codewords), step):
-        kl_values[lo : lo + step] = np.where(bits[lo : lo + step], kl_high, kl_low).sum(axis=1)
-    return mu_rows, kl_values
+        bits = codewords[lo : lo + step, block_of].view(bool)  # the code's 0/1 bytes
+        kl_values[lo : lo + step] = np.where(bits, kl_high, kl_low).sum(axis=1)
+    return kl_values
 
 
 def build_lower_bound(
@@ -532,10 +570,13 @@ def build_lower_bound(
     divide n, the shorter blocks sit first and the code also clears the
     block-weighted separation, so the distance invariant holds exactly.
 
-    Before packing, the code, the mean vectors and a size x size term for
-    the verifier's pairwise work are sized against a fixed budget (1 GiB).
-    A c whose k exceeds it raises InvalidParameterError naming the smallest
-    c that fits; the guard only refuses work, it never samples pairs.
+    Before packing, the code, the verifier's float32 copies of it and a
+    size x size term for its pairwise work are sized against a fixed budget
+    (1 GiB).  A c whose k exceeds it raises InvalidParameterError naming the
+    smallest c that fits, unless that c is at or past c_var sqrt(log 2 / 32):
+    the analytic KL bound c^2 k / (2 c_var^2) can then reach the cap, which
+    is at least k log 2 / 64, and the message says to lower n instead.  The
+    guard only refuses work, it never samples pairs.
     """
     if n < 8:
         raise ValidationError("lower-bound construction needs n >= 8")
@@ -573,19 +614,23 @@ def build_lower_bound(
             f"sigma^2 = {sigma_sq:.6g}; lower c or raise n"
         )
     k_max = 0
-    while k_max < n and _construction_bytes(k_max + 1, n) <= _CONSTRUCTION_MAX_BYTES:
+    while k_max < n and _construction_bytes(k_max + 1) <= _CONSTRUCTION_MAX_BYTES:
         k_max += 1
     if k > k_max:
         budget = f"the {_CONSTRUCTION_MAX_BYTES / 2**30:g} GiB budget of the construction"
-        if k_max == 0:
-            raise InvalidParameterError(f"n = {n} is too large for {budget}")
         # k <= k_max  <=>  c > sqrt(n V~^2 / (sigma^2 (k_max + 1)^3)); round up at 3 digits
         c_min = math.sqrt(n * v_tilde**2 / (sigma_sq * (k_max + 1) ** 3))
         scale = 10.0 ** (2 - math.floor(math.log10(c_min)))
         c_fit = math.floor(c_min * scale + 1.0) / scale
+        advice = f"use c >= {c_fit:.3g} (k <= {k_max})"
+        c_kl = cert.c_var * math.sqrt(math.log(2.0) / 32.0)
+        if c_fit >= c_kl:
+            advice = (
+                f"c >= {c_fit:.3g} fits it (k <= {k_max}), but from c = c_var sqrt(log 2 / 32) "
+                f"= {c_kl:.3g} on the KL budget may reach its cap (1/8) log|Omega|; lower n"
+            )
         raise InvalidParameterError(
-            f"c = {c:.4g} gives k = {k} blocks and 2^({k}/8) codewords, beyond {budget}; "
-            f"use c >= {c_fit:.3g} (k <= {k_max})"
+            f"c = {c:.4g} gives k = {k} blocks and 2^({k}/8) codewords, beyond {budget}; {advice}"
         )
     gamma = c * math.sqrt(sigma_sq * k / n)
 
@@ -604,14 +649,14 @@ def build_lower_bound(
 
     # Each block takes one of two means, its staircase step or that step
     # plus gamma, so the family's calculus runs on those (2, k) levels and
-    # every (size, n) array is gathered from them.
+    # the members' KL values are picked from them by the codeword bits.
     blocks = np.arange(k)
     levels = (cert.v_tilde_min + blocks * (v_tilde / k)) + gamma * np.array([[0.0], [1.0]])
     theta = family.natural_param(levels)
     kl_level = np.asarray(
         family.kl_divergence(theta, theta[codewords[0], blocks]), dtype=float
     )
-    mu_rows, kl_values = _member_rows(codewords, np.repeat(blocks, block_sizes), levels, kl_level)
+    kl_values = _member_kl(codewords, np.repeat(blocks, block_sizes), kl_level)
     kl_bound = gamma**2 * n / (2.0 * cert.c_var**2 * sigma_sq)
 
     construction = LowerBoundConstruction(
@@ -624,7 +669,7 @@ def build_lower_bound(
         gamma=float(gamma),
         block_sizes=tuple(int(b) for b in block_sizes),
         codewords=codewords,
-        mu_rows=mu_rows,
+        levels=levels,
         kl_values=kl_values,
         kl_bound=float(kl_bound),
         target_size=target,

@@ -124,6 +124,11 @@ class UtilityFn:
         return cls(fn_kind.strip(), value)
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+
+
 def _chunk_seeds(
     trials: int, seed_seq: np.random.SeedSequence
 ) -> list[tuple[int, int, np.random.SeedSequence]]:
@@ -132,8 +137,7 @@ def _chunk_seeds(
     substream of ``seed_seq``.  Fewer than one trial raises
     ``ValidationError``.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     starts = range(0, trials, _CHUNK)
     return [(lo, min(_CHUNK, trials - lo), child)
             for lo, child in zip(starts, seed_seq.spawn(len(starts)))]

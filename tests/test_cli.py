@@ -672,6 +672,37 @@ def test_minimax_budget_guard_names_c(workdir, capsys):
     assert not (workdir / "rate.csv").exists() and not (workdir / "rate.csv.meta.json").exists()
 
 
+def test_minimax_budget_advice_stops_at_the_kl_limit(workdir, capsys):
+    # at n = 4096 the smallest c within the budget, 0.181, is past
+    # c_var sqrt(log 2 / 32) = 0.11, where verify may refuse the KL budget
+    argv = ["minimax", "--family", "binomial:10", "--v-min", "0", "--v-max", "10",
+            "--n-grid", "64,256,1024,4096", "--trials", "4"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: c = 0.04688 gives k = 265 blocks") and err.endswith("lower n\n")
+    assert len(err.strip().splitlines()) == 1 and "use c >=" not in err
+    assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra, code, named", [
+    ([], 2, "error: c = 0.04688 gives k = 265 blocks"),
+    (["--construction-n", "512"], 2, "error: c = 0.04688 gives k = 132 blocks"),
+    (["--construction-n", "64", "--c", "0.3"], 1, "error: KL budget "),
+])
+def test_minimax_refuses_its_construction_before_any_draw(workdir, capsys, monkeypatch,
+                                                          extra, code, named):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a Monte-Carlo trial ran before the construction's refusal")
+
+    monkeypatch.setattr("isomech.experiments._mse_samples", drawn)
+    argv = ["minimax", "--family", "binomial:10", "--v-min", "0", "--v-max", "10",
+            "--n-grid", "64,256,1024,4096", "--trials", "3000"]
+    assert main(argv + extra) == code
+    err = capsys.readouterr().err
+    assert err.startswith(named) and len(err.strip().splitlines()) == 1
+    assert list(workdir.iterdir()) == []
+
+
 def test_minimax_failed_construction_writes_nothing(workdir, capsys):
     argv = ["minimax", "--family", "binomial:10", "--v-min", "0", "--v-max", "10",
             "--n-grid", "8,16", "--trials", "20", "--construction-n", "64", "--c", "0.3",

@@ -151,6 +151,35 @@ def test_rate_check_constant_scores_logn_growth():
         assert point.risk <= 2 * c1 * math.log(point.n)
 
 
+class _Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize("family, bounds, grid, first", [
+    (Binomial(10), ScoreBounds(0, 10), [2, 8], 2),  # the n = 2 ramp is (10, 0)
+    (Binomial(10), ScoreBounds(10, 10), [4, 8], 4),
+    (Poisson(), ScoreBounds(0, 0), [4, 8], 4),
+])
+def test_rate_check_refuses_a_ramp_on_the_hull_ends_before_any_draw(
+        family, bounds, grid, first, monkeypatch):
+    def drawn(*args, **kwargs):
+        raise _Drawn
+
+    monkeypatch.setattr(experiments, "_mse_samples", drawn)
+    with pytest.raises(ValidationError, match=f"the risk at n = {first} is 0"):
+        rate_check(family, bounds, grid, trials=3)
+    with pytest.raises(_Drawn):  # an interior ramp point is drawn
+        rate_check(family, ScoreBounds(0, 10), [3, 8], trials=3)
+
+
+def test_rate_check_refuses_a_risk_that_is_0_by_chance():
+    # the n = 3 ramp (2, 1, 0) is exact when its middle draw hits 1, as the
+    # one trial of seed 5 does; seed 0 misses
+    with pytest.raises(ValidationError, match="the risk at n = 3 is 0"):
+        rate_check(Binomial(2), ScoreBounds(0, 2), [3, 4], trials=1, seed=5)
+    assert rate_check(Binomial(2), ScoreBounds(0, 2), [3, 4], trials=1, seed=0).points[0].risk > 0
+
+
 def test_lower_bound_invariants_small():
     for family, bounds in ((Gaussian(1.0), ScoreBounds(0, 6)), (Binomial(10), ScoreBounds(0, 10))):
         built = build_lower_bound(family, bounds, 64, seed=5)
@@ -202,16 +231,15 @@ def test_verify_rejects_duplicate_codeword_and_moved_mean():
     dup = dataclasses.replace(
         built,
         codewords=np.vstack([built.codewords, built.codewords[-1:]]),
-        mu_rows=np.vstack([built.mu_rows, built.mu_rows[-1:]]),
         kl_values=np.append(built.kl_values, built.kl_values[-1]),
     )
     with pytest.raises(ConstructionFailedError, match="Hamming"):
         dup.verify()
 
-    moved = built.mu_rows.copy()
-    moved[1] += built.certificate.width
+    moved = built.levels.copy()
+    moved[1, -1] += built.certificate.width
     with pytest.raises(ConstructionFailedError, match="certified interval"):
-        dataclasses.replace(built, mu_rows=moved).verify()
+        dataclasses.replace(built, levels=moved).verify()
 
 
 def test_verify_checks_the_kl_bookkeeping():
@@ -241,7 +269,7 @@ def test_lower_bound_matches_the_elementwise_reference(family, bounds, n, c):
     built = build_lower_bound(family, bounds, n, c=c, seed=11)
     codewords, mu_rows, kl_values, margins = reference_lower_bound(family, bounds, n, c=c, seed=11)
     assert np.array_equal(built.codewords, codewords)
-    assert built.mu_rows.tobytes() == mu_rows.tobytes()
+    assert built.mean_rows(np.arange(built.size)).tobytes() == mu_rows.tobytes()
     assert built.kl_values.tobytes() == kl_values.tobytes()
     assert built.margins == margins
 
@@ -260,7 +288,6 @@ def test_verify_finds_a_repeated_codeword_across_tiles(multi_tile, row):
     dup = dataclasses.replace(
         built,
         codewords=np.vstack([built.codewords, built.codewords[row]]),
-        mu_rows=np.vstack([built.mu_rows, built.mu_rows[row]]),
         kl_values=np.append(built.kl_values, built.kl_values[row]),
     )
     with pytest.raises(ConstructionFailedError, match="Hamming"):
@@ -277,11 +304,22 @@ def test_verify_holds_no_size_by_size_matrix(multi_tile):
     assert peak < multi_tile.size**2 * 8
 
 
-def test_lower_bound_build_holds_little_beside_its_mean_vectors():
-    # the parent's (size, n) intp gathers peaked at 2.4 times mu_rows (21.7 MiB)
-    built, peak = traced_peak(build_lower_bound, Binomial(10), ScoreBounds(0, 10), 512, 0.085, 5)
-    assert built.size == 2234
-    assert peak < 1.5 * built.mu_rows.nbytes, peak / built.mu_rows.nbytes
+@pytest.mark.parametrize("n, c, size", [(512, 0.085, 2234), (1024, 0.1, 5793)], ids=["n512", "n1024"])
+def test_lower_bound_build_holds_no_size_by_n_array(n, c, size):
+    # the build and its verifier hold the code, its float32 copies and row
+    # tiles: a (size, n) float64 array of mean vectors would take size n 8 bytes
+    built, peak = traced_peak(build_lower_bound, Binomial(10), ScoreBounds(0, 10), n, c, 5)
+    assert built.size == size
+    assert peak < 0.5 * size * n * 8, peak / (size * n * 8)
+
+
+def test_mean_rows_gather_the_levels_each_codeword_picks():
+    built = build_lower_bound(Gaussian(1.0), ScoreBounds(0, 1.2), 20, seed=8)
+    block_of = np.repeat(np.arange(built.k), built.block_sizes)
+    for i in (0, built.size - 1):
+        want = built.levels[built.codewords[i, block_of], block_of]
+        assert built.mean_rows(i).tobytes() == want.tobytes()
+    assert built.mean_rows([0, built.size - 1]).shape == (2, built.n)
 
 
 # the constructions of acceptance criterion 8
@@ -311,9 +349,10 @@ def test_verify_in_float64_gives_the_float32_margins(family, bounds, n, c, monke
 def test_lower_bound_budget_guard(monkeypatch):
     family, bounds = Binomial(10), ScoreBounds(0, 10)
     # default c: 9.4e9 codewords at n = 4096 and a 69 GB Gram matrix at n = 512
-    for n in (4096, 512):
-        with pytest.raises(InvalidParameterError, match=r"use c >= "):
-            build_lower_bound(family, bounds, n)
+    with pytest.raises(InvalidParameterError, match=r"use c >= "):
+        build_lower_bound(family, bounds, 512)
+    with pytest.raises(InvalidParameterError, match=r"GiB budget .*; lower n$"):
+        build_lower_bound(family, bounds, 4096)
 
     # the c named in the message fits; anything giving a larger k does not
     monkeypatch.setattr(experiments, "_CONSTRUCTION_MAX_BYTES", 1 << 20)
@@ -323,10 +362,29 @@ def test_lower_bound_budget_guard(monkeypatch):
     k_max = int(re.search(r"k <= (\d+)", str(info.value)).group(1))
     built = build_lower_bound(family, bounds, 256, c=c_fit, seed=3)
     assert built.k <= k_max
-    assert experiments._construction_bytes(built.k, 256) <= 1 << 20
-    assert experiments._construction_bytes(k_max + 1, 256) > 1 << 20
+    assert experiments._construction_bytes(built.k) <= 1 << 20
+    assert experiments._construction_bytes(k_max + 1) > 1 << 20
     with pytest.raises(InvalidParameterError):
         build_lower_bound(family, bounds, 256, c=c_fit * 0.99)
+
+
+@pytest.mark.parametrize("family, bounds, n, advice", [
+    # c_var sqrt(log 2 / 32) is 0.110 for Binomial and 0.147 for Gaussian
+    (Binomial(10), ScoreBounds(0, 10), 1024, r"; use c >= 0\.0902 \(k <= 107\)$"),
+    (Binomial(10), ScoreBounds(0, 10), 4096,
+     r"; c >= 0\.181 fits it \(k <= 107\), but from c = c_var sqrt\(log 2 / 32\) = 0\.11 "
+     r"on the KL budget may reach its cap \(1/8\) log\|Omega\|; lower n$"),
+    (Gaussian(1.0), ScoreBounds(0, 6), 512, r"; use c >= 0\.121 \(k <= 107\)$"),
+    (Gaussian(1.0), ScoreBounds(0, 6), 1024, r"c >= 0\.172 fits it .* = 0\.147 on .*; lower n$"),
+])
+def test_lower_bound_budget_advice_stops_at_the_kl_limit(family, bounds, n, advice):
+    # kl_bound = c^2 k / (2 c_var^2) and the cap is at least k log 2 / 64, so
+    # only below c_var sqrt(log 2 / 32) is the KL check sure to pass
+    with pytest.raises(InvalidParameterError, match=advice) as info:
+        build_lower_bound(family, bounds, n, c=0.01)
+    c_fit = float(re.search(r"c >= (\S+)", str(info.value)).group(1))
+    past = c_fit >= family.variance_certificate(bounds).c_var * math.sqrt(math.log(2) / 32)
+    assert past == str(info.value).endswith("lower n")
 
 
 def test_packing_gives_up_when_impossible():
