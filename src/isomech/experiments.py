@@ -85,11 +85,20 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Memory the lower-bound construction may take for its linear code and the
-# verifier's float32 copies of it, with a size x size float64 term that bounds
-# the verifier's pairwise work (it holds no size x size matrix, see
-# ``_VERIFY_ROWS``).  No mean vector is stored, so n enters only through k.
+# Memory the lower-bound construction may take for its linear code, the
+# verifier's float32 copies of it and its full-length probe rows, with a
+# size x size float64 term that bounds the verifier's pairwise work (it holds
+# no size x size matrix, see ``_VERIFY_ROWS``).  No mean vector is stored.
 _CONSTRUCTION_MAX_BYTES = 1 << 30
+
+# Members whose mean vectors the verifier gathers at full length n to
+# cross-check its bookkeeping, and the float64 arrays of length n it holds
+# per probe row at its peak: the mean vectors, their differences and the
+# family's natural parameters and KL terms (Binomial's KL, the most, peaks
+# at 7.1 per row).  One more row's worth covers the (n,) block indices and
+# level picks of the build's KL pass.
+_PROBE_ROWS = 32
+_PROBE_ARRAYS = 8
 
 # Codewords per row tile of the exhaustive pairwise verifier: a tile holds
 # 64 x size entries, 0.5 MiB of float32 at the 2,234 codewords of n = 512.
@@ -462,7 +471,7 @@ class LowerBoundConstruction:
             )
         # spot-check the weighted form against direct norms, and the stored
         # KL values against the family's KL, on rows spread over the packing
-        probe = np.linspace(0, self.size - 1, num=min(self.size, 32), dtype=int)
+        probe = np.linspace(0, self.size - 1, num=min(self.size, _PROBE_ROWS), dtype=int)
         mu = self.mean_rows(probe)  # probe[0] is row 0
         direct = np.square(mu - mu[0]).sum(axis=1)
         if not np.allclose(direct, g2 * row0[probe], rtol=1e-8, atol=1e-8):
@@ -493,16 +502,20 @@ def _packing_target(k: int) -> int:
     return max(2, math.ceil(2.0 ** (k / 8.0)))
 
 
-def _construction_bytes(k: int) -> int:
+def _construction_bytes(k: int, n: int) -> int:
     """Bytes of the linear code (uint8) for k blocks and the verifier's two
-    float32 copies of it, plus a size x size float64 term.  The verifier
-    compares every pair in row tiles of ``_VERIFY_ROWS`` codewords, in
-    float32 (exact for the integer distances while 2n < 2^24), and keeps no
-    size x size matrix; the term, counted at float64's 8 bytes, bounds its
-    pairwise work, not its memory.  No (size, n) array is built, so n does
-    not enter."""
+    float32 copies of it, plus a size x size float64 term, plus the
+    verifier's probe rows of length n.  The verifier compares every pair in
+    row tiles of ``_VERIFY_ROWS`` codewords, in float32 (exact for the
+    integer distances while 2n < 2^24), and keeps no size x size matrix; the
+    term, counted at float64's 8 bytes, bounds its pairwise work, not its
+    memory.  No (size, n) array is built: n enters through the at most
+    ``_PROBE_ROWS`` mean vectors the verifier gathers, each with
+    ``_PROBE_ARRAYS`` float64 arrays of length n, and one row more for the
+    KL pass."""
     target = _packing_target(k)
-    return (1 << (target - 1).bit_length()) * k + 8 * target * (k + target)
+    probe = _PROBE_ARRAYS * 8 * (min(target, _PROBE_ROWS) + 1) * n
+    return (1 << (target - 1).bit_length()) * k + 8 * target * (k + target) + probe
 
 
 def _pack_codewords(
@@ -570,13 +583,15 @@ def build_lower_bound(
     divide n, the shorter blocks sit first and the code also clears the
     block-weighted separation, so the distance invariant holds exactly.
 
-    Before packing, the code, the verifier's float32 copies of it and a
-    size x size term for its pairwise work are sized against a fixed budget
-    (1 GiB).  A c whose k exceeds it raises InvalidParameterError naming the
-    smallest c that fits, unless that c is at or past c_var sqrt(log 2 / 32):
-    the analytic KL bound c^2 k / (2 c_var^2) can then reach the cap, which
-    is at least k log 2 / 64, and the message says to lower n instead.  The
-    guard only refuses work, it never samples pairs.
+    Before packing, the code, the verifier's float32 copies of it, a
+    size x size term for its pairwise work and its probe rows of length n
+    are sized against a fixed budget (1 GiB).  An n whose probe rows alone
+    exceed it raises InvalidParameterError at any c; otherwise a c whose k
+    exceeds it raises InvalidParameterError naming the smallest c that fits,
+    unless that c is at or past c_var sqrt(log 2 / 32): the analytic KL
+    bound c^2 k / (2 c_var^2) can then reach the cap, which is at least
+    k log 2 / 64, and the message says to lower n instead.  The guard only
+    refuses work, it never samples pairs.
     """
     if n < 8:
         raise ValidationError("lower-bound construction needs n >= 8")
@@ -614,10 +629,12 @@ def build_lower_bound(
             f"sigma^2 = {sigma_sq:.6g}; lower c or raise n"
         )
     k_max = 0
-    while k_max < n and _construction_bytes(k_max + 1) <= _CONSTRUCTION_MAX_BYTES:
+    while k_max < n and _construction_bytes(k_max + 1, n) <= _CONSTRUCTION_MAX_BYTES:
         k_max += 1
     if k > k_max:
         budget = f"the {_CONSTRUCTION_MAX_BYTES / 2**30:g} GiB budget of the construction"
+        if k_max == 0:
+            raise InvalidParameterError(f"n = {n} is too large for {budget}")
         # k <= k_max  <=>  c > sqrt(n V~^2 / (sigma^2 (k_max + 1)^3)); round up at 3 digits
         c_min = math.sqrt(n * v_tilde**2 / (sigma_sq * (k_max + 1) ** 3))
         scale = 10.0 ** (2 - math.floor(math.log10(c_min)))

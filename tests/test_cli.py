@@ -688,6 +688,7 @@ def test_minimax_budget_advice_stops_at_the_kl_limit(workdir, capsys):
     ([], 2, "error: c = 0.04688 gives k = 265 blocks"),
     (["--construction-n", "512"], 2, "error: c = 0.04688 gives k = 132 blocks"),
     (["--construction-n", "64", "--c", "0.3"], 1, "error: KL budget "),
+    (["--construction-n", "20000000", "--c", "41.87"], 2, "error: n = 20000000 is too large"),
 ])
 def test_minimax_refuses_its_construction_before_any_draw(workdir, capsys, monkeypatch,
                                                           extra, code, named):

@@ -362,11 +362,58 @@ def test_lower_bound_budget_guard(monkeypatch):
     k_max = int(re.search(r"k <= (\d+)", str(info.value)).group(1))
     built = build_lower_bound(family, bounds, 256, c=c_fit, seed=3)
     assert built.k <= k_max
-    assert experiments._construction_bytes(built.k) <= 1 << 20
-    assert experiments._construction_bytes(k_max + 1) > 1 << 20
+    assert experiments._construction_bytes(built.k, 256) <= 1 << 20
+    assert experiments._construction_bytes(k_max + 1, 256) > 1 << 20
     with pytest.raises(InvalidParameterError):
         build_lower_bound(family, bounds, 256, c=c_fit * 0.99)
 
+
+
+def _c_for_blocks(family, bounds, n, k):
+    """A c whose block count (n V~^2 / (c^2 sigma^2))^(1/3) floors to k."""
+    cert = family.variance_certificate(bounds)
+    return math.sqrt(n * cert.width**2 / (cert.sigma_sq * (k + 0.5) ** 3))
+
+
+@pytest.mark.parametrize("family, bounds", [
+    (Binomial(10), ScoreBounds(0, 10)),
+    (Gaussian(1.0), ScoreBounds(0, 6)),
+    (Gamma(2.0), ScoreBounds(1, 6)),
+    (Poisson(), ScoreBounds(1, 6)),
+])
+def test_lower_bound_budget_counts_the_verifiers_probe_rows(family, bounds):
+    # k = 48 packs 64 codewords, so verify gathers all its probe rows at the
+    # full n; whether or not its KL check then passes, the build holds no
+    # more than the budget counts for this k and n
+    n, k = 20_000, 48
+
+    def build():
+        try:
+            return build_lower_bound(family, bounds, n, _c_for_blocks(family, bounds, n, k), 5).k
+        except ConstructionFailedError:
+            return None
+
+    built_k, peak = traced_peak(build)
+    assert built_k in (k, None)
+    assert peak <= experiments._construction_bytes(k, n), peak / experiments._construction_bytes(k, n)
+
+
+def test_lower_bound_refuses_an_n_too_large_before_allocating():
+    # one float64 row of n = 2e7 takes 160 MB, and verify's probe rows and
+    # their temporaries take dozens of them, so no c fits the budget: the
+    # default c and one giving k = 48 (2.5 GB per probe array) are refused alike
+    family, bounds, n = Binomial(10), ScoreBounds(0, 10), 20_000_000
+
+    def refusal(c):
+        with pytest.raises(InvalidParameterError) as info:
+            build_lower_bound(family, bounds, n, c)
+        return str(info.value)
+
+    for c in (None, _c_for_blocks(family, bounds, n, 48)):
+        message, peak = traced_peak(refusal, c)
+        assert message == f"n = {n} is too large for the 1 GiB budget of the construction"
+        assert peak < 1 << 20
+    assert experiments._construction_bytes(1, n) > experiments._CONSTRUCTION_MAX_BYTES
 
 @pytest.mark.parametrize("family, bounds, n, advice", [
     # c_var sqrt(log 2 / 32) is 0.110 for Binomial and 0.147 for Gaussian
