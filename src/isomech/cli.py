@@ -688,7 +688,7 @@ def _cmd_minimax(params: dict[str, Any]) -> int:
         "c": construction.c,
         "gamma": construction.gamma,
         "codewords": construction.size,
-        "target": construction.target_size,
+        "target": construction.size,
         "block_sizes": sorted(set(construction.block_sizes)),
         "margins": construction.margins,
         "slope": report.slope,

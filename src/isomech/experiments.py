@@ -11,19 +11,20 @@ Four drivers built on the isotonic machinery:
     comparison with the n^(1/3) minimax rate,
   * ``build_lower_bound``       the packing construction behind the minimax
     lower bound (codewords, block sizes, the two mean levels of each block,
-    KL budget), with a verifier that compares every pair of codewords
-    exactly, in row tiles,
+    KL budget), with a verifier that finds the exact pairwise margins as the
+    weights of the linear code the codewords are a prefix of,
   * ``surrogate_eval``          the conference-review evaluation of a
     ``ReviewTable`` and an ``AuthorTable``.
 
 Every mean vector of the construction takes one of two values per block,
 so the construction stores those (2, k) levels, not its (size, n) mean
-vectors: natural parameters and KL terms are computed on the 2k levels and
-picked by the codeword bits a tile of rows at a time (``_member_kl``), and
-``LowerBoundConstruction.mean_rows`` gathers the mean vectors of the
-codewords asked for.  The verifier works on float32 tiles of
-``_VERIFY_ROWS`` codewords against all the others, so no size x size or
-size x n array is held.
+vectors: natural parameters and KL terms are computed on the 2k levels, and
+``_pick`` chooses one of each block's two values by the codeword bits, for
+the members' KL terms a tile of rows at a time (``_member_kl``) and for the
+mean vectors ``LowerBoundConstruction.mean_rows`` gathers.  The codewords
+are the first rows of a random linear code (``_span``), so the verifier
+reads every pairwise distance off the weight of one word of that code and
+holds no size x size or size x n array.
 
 The review evaluation works on columns from file to table: ids factorised
 once by ``ReviewTable``, authors as CSR rows of codes and ranks checked by
@@ -85,10 +86,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Memory the lower-bound construction may take for its linear code, the
-# verifier's float32 copies of it and its full-length probe rows, with a
-# size x size float64 term that bounds the verifier's pairwise work (it holds
-# no size x size matrix, see ``_VERIFY_ROWS``).  No mean vector is stored.
+# Memory the lower-bound construction may take, as ``_construction_bytes``
+# counts it: the packer's linear code, the copies that weigh it and the
+# verifier's span, the verifier's full-length probe rows, and a size x size
+# term that caps the codeword count.  No mean vector is stored.
 _CONSTRUCTION_MAX_BYTES = 1 << 30
 
 # Members whose mean vectors the verifier gathers at full length n to
@@ -99,15 +100,6 @@ _CONSTRUCTION_MAX_BYTES = 1 << 30
 # level picks of the build's KL pass.
 _PROBE_ROWS = 32
 _PROBE_ARRAYS = 8
-
-# Codewords per row tile of the exhaustive pairwise verifier: a tile holds
-# 64 x size entries, 0.5 MiB of float32 at the 2,234 codewords of n = 512.
-_VERIFY_ROWS = 64
-
-# float32 holds every integer of magnitude up to 2^24 exactly, so the
-# verifier's tiles, whose entries are integers of size at most 2n, are exact
-# in float32 while 2n < 2^24 (see ``LowerBoundConstruction.verify``).
-_FLOAT32_EXACT = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +366,9 @@ class LowerBoundConstruction:
     codeword is 1: row 0 of the (2, k) ``levels`` holds each block's step,
     row 1 that step plus gamma, and every item of block j takes
     ``levels[bit, j]``.  The mean vectors are not stored; ``mean_rows``
-    gathers those of the codewords asked for.  Every level stays inside the
+    gathers those of the codewords asked for.  The codewords are the first
+    ``size`` words of a linear code over GF(2), word i the sum of the words
+    at the powers of 2 picked by the bits of i.  Every level stays inside the
     certified sub-interval, pairwise distances are bounded below, and every
     member's KL divergence to member 0 (``kl_values``) stays under an eighth
     of log |Omega|.  ``margins`` holds what ``verify`` returned when
@@ -393,7 +387,6 @@ class LowerBoundConstruction:
     levels: np.ndarray
     kl_values: np.ndarray
     kl_bound: float
-    target_size: int
     margins: Optional[dict[str, float]] = field(default=None, compare=False)
 
     @property
@@ -408,51 +401,39 @@ class LowerBoundConstruction:
         """The mean vectors of the codewords ``codewords[index]`` picks: (n,)
         for one integer, (len, n) for a slice or an array of rows."""
         block_of = np.repeat(np.arange(self.k), self.block_sizes)
-        bits = self.codewords[index][..., block_of].view(bool)  # the code's 0/1 bytes
-        return np.where(bits, self.levels[1, block_of], self.levels[0, block_of])
+        return _pick(self.codewords[index], block_of, self.levels)
 
     def verify(self) -> dict[str, float]:
-        """Exhaustively re-check every invariant; raises on any violation.
+        """Re-check every invariant exactly; raises on any violation.
 
-        Every pair of codewords is compared exactly, ``_VERIFY_ROWS`` rows
-        at a time against the rows from the tile's first on: the tile's
-        pairwise Hamming distances are ``hw_i + hw_j - 2 w_i.w_j`` and its
-        block-weighted disagreements ``sq_i + sq_j - 2 wn_i.w_j``, each one
-        matrix product finished in place, and running minima keep the
-        closest pair.  The tiles are float32: every product, partial sum and
-        entry is an integer of size at most 2n (a weight is at most n, and
-        ``2 wn_i.w_j`` at most 2n), and float32 holds each integer below
-        2^24 exactly, in any order of summation, so the minima are exact
-        while 2n < 2^24.  Past that the same loop runs in float64.  Every
+        With d = bit_length(size - 1), the codewords must be the first
+        ``size`` words of the linear code that ``codewords[2^b]``, b < d,
+        span (``_span``).  Rows i and j then differ where word i XOR j is
+        1, and since size > 2^(d-1) the pairs i < j < size give every
+        nonzero word of the span: v < 2^(d-1) as (0, v), any other v as
+        (2^(d-1), v - 2^(d-1)).  So the smallest pairwise Hamming distance
+        and the smallest block-weighted disagreement are the smallest
+        weights of the span's nonzero words, exact integers.  Every
         coordinate of every member is one of the 2k ``levels``, so checking
         those checks the certified interval.  Probe rows, gathered by
-        ``mean_rows``, cross-check the weighted distances against direct
-        mean-vector norms and the stored KL values against the family's KL.
+        ``mean_rows``, cross-check the weighted distances to member 0
+        against direct mean-vector norms and the stored KL values against
+        the family's KL.  Fewer than 2 codewords make no packing.
 
         Returns the achieved margins (minimum Hamming distance, minimum
         pairwise squared mean distance, KL budget and its cap).
         """
-        exact = np.float32 if 2 * self.n < _FLOAT32_EXACT else np.float64
-        w = self.codewords.astype(exact)
-        wn = w * np.asarray(self.block_sizes, dtype=exact)
-        hw, sq = w.sum(axis=1), wn.sum(axis=1)
-        min_dh = min_weighted = math.inf
-        for lo in range(0, self.size, _VERIFY_ROWS):
-            # rows lo:hi against rows lo: covers every pair once; the tile's
-            # leading square holds the self-pairs on its diagonal
-            rows = slice(lo, lo + _VERIFY_ROWS)
-            tile = np.matmul(-2.0 * wn[rows], w[lo:].T)
-            tile += sq[rows, None]
-            tile += sq[lo:]
-            if lo == 0:
-                row0 = tile[0].astype(np.float64)
-            np.fill_diagonal(tile, np.inf)
-            min_weighted = min(min_weighted, float(tile.min()))
-            np.matmul(-2.0 * w[rows], w[lo:].T, out=tile)
-            tile += hw[rows, None]
-            tile += hw[lo:]
-            np.fill_diagonal(tile, np.inf)
-            min_dh = min(min_dh, float(tile.min()))
+        if self.size < 2:
+            raise ConstructionFailedError(f"a packing needs at least 2 codewords, not {self.size}")
+        d = (self.size - 1).bit_length()
+        span = _span(self.codewords[[1 << b for b in range(d)]])
+        if not np.array_equal(span[: self.size], self.codewords):
+            raise ConstructionFailedError(
+                f"the codewords are not the first {self.size} words of the linear code "
+                f"that codewords 1, 2, ..., {1 << (d - 1)} span"
+            )
+        block_sizes = np.asarray(self.block_sizes)
+        min_dh = float(span[1:].sum(axis=1).min())
         if min_dh < self.k / 8.0:
             raise ConstructionFailedError(
                 f"pairwise Hamming distance {min_dh} below k/8 = {self.k / 8}"
@@ -463,7 +444,7 @@ class LowerBoundConstruction:
             raise ConstructionFailedError("a mean level leaves the certified interval")
 
         g2 = self.gamma**2
-        min_dist2 = g2 * min_weighted
+        min_dist2 = g2 * int((span[1:] @ block_sizes).min())
         floor = (self.c**2 / 8.0) * self.certificate.sigma_sq * self.k
         if min_dist2 < floor - 1e-9 * max(1.0, floor):
             raise ConstructionFailedError(
@@ -474,7 +455,7 @@ class LowerBoundConstruction:
         probe = np.linspace(0, self.size - 1, num=min(self.size, _PROBE_ROWS), dtype=int)
         mu = self.mean_rows(probe)  # probe[0] is row 0
         direct = np.square(mu - mu[0]).sum(axis=1)
-        if not np.allclose(direct, g2 * row0[probe], rtol=1e-8, atol=1e-8):
+        if not np.allclose(direct, g2 * (self.codewords[probe] @ block_sizes), rtol=1e-8, atol=1e-8):
             raise ConstructionFailedError("mean-distance bookkeeping is inconsistent")
         theta = self.family.natural_param(mu)
         kl_direct = np.asarray(self.family.kl_divergence(theta, theta[0]), dtype=float).sum(axis=1)
@@ -503,19 +484,39 @@ def _packing_target(k: int) -> int:
 
 
 def _construction_bytes(k: int, n: int) -> int:
-    """Bytes of the linear code (uint8) for k blocks and the verifier's two
-    float32 copies of it, plus a size x size float64 term, plus the
-    verifier's probe rows of length n.  The verifier compares every pair in
-    row tiles of ``_VERIFY_ROWS`` codewords, in float32 (exact for the
-    integer distances while 2n < 2^24), and keeps no size x size matrix; the
-    term, counted at float64's 8 bytes, bounds its pairwise work, not its
-    memory.  No (size, n) array is built: n enters through the at most
-    ``_PROBE_ROWS`` mean vectors the verifier gathers, each with
-    ``_PROBE_ARRAYS`` float64 arrays of length n, and one row more for the
-    KL pass."""
+    """Bytes the construction may take for k blocks, as three terms.
+
+    * 2^d k: the packer's linear code of 2^d words (uint8), d =
+      bit_length(size - 1).
+    * 8 size (k + size): weighing the code by block size takes an int64
+      copy of it (8 2^d k bytes, 2^d < 2 size), in the packer and again in
+      the verifier, which also holds its span, a second uint8 copy, and a
+      prefix mask.  The size^2 part also caps the packing at 10,624
+      codewords (k <= 107) at any n.
+    * The probe rows: no (size, n) array is built, so n enters through
+      the at most ``_PROBE_ROWS`` mean vectors the verifier gathers, each
+      with ``_PROBE_ARRAYS`` float64 arrays of length n, and one row more
+      for the KL pass."""
     target = _packing_target(k)
     probe = _PROBE_ARRAYS * 8 * (min(target, _PROBE_ROWS) + 1) * n
     return (1 << (target - 1).bit_length()) * k + 8 * target * (k + target) + probe
+
+
+def _span(gen: np.ndarray) -> np.ndarray:
+    """The 2^d words of the linear code a (d, k) generator spans over GF(2):
+    word i sums the rows of ``gen`` picked by the bits of i."""
+    d, k = gen.shape
+    code = np.zeros((1 << d, k), dtype=gen.dtype)
+    for b in range(d):  # words with top bit b are the words below it plus gen[b]
+        np.bitwise_xor(code[: 1 << b], gen[b], out=code[1 << b : 2 << b])
+    return code
+
+
+def _pick(words: np.ndarray, block_of: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Per coordinate j of each of ``words``, row 1 of the (2, k) ``pair`` at
+    block ``block_of[j]`` where the word's bit is 1, else row 0."""
+    bits = words[..., block_of].view(bool)  # the code's 0/1 bytes
+    return np.where(bits, pair[1, block_of], pair[0, block_of])
 
 
 def _pack_codewords(
@@ -529,18 +530,15 @@ def _pack_codewords(
 ) -> np.ndarray:
     """``target`` words of a random linear code of length k, zero word first.
 
-    Varshamov's construction: row i sums, over GF(2), the rows of a random
-    d x k generator (d = ceil(log2(target))) picked by the bits of i.  Two
-    codewords differ where their sum, a third codeword, is 1, so when every
-    nonzero codeword clears both weight floors, every pair of rows does.
+    Varshamov's construction: the ``_span`` of a random d x k generator,
+    d = ceil(log2(target)).  Two codewords differ where their sum, a third
+    codeword, is 1, so when every nonzero codeword clears both weight
+    floors, every pair of rows does.
     """
     d = (target - 1).bit_length()
-    code = np.zeros((1 << d, k), dtype=np.uint8)
     for _ in range(max_restarts):  # a seed per restart; the first code usually passes
         rng = np.random.default_rng(seed_seq.spawn(1)[0])
-        gen = rng.integers(0, 2, size=(d, k), dtype=np.uint8)
-        for b in range(d):  # rows with top bit b are the rows below it plus gen[b]
-            np.bitwise_xor(code[: 1 << b], gen[b], out=code[1 << b : 2 << b])
+        code = _span(rng.integers(0, 2, size=(d, k), dtype=np.uint8))
         if (code[1:].sum(axis=1).min() >= min_hamming
                 and (code[1:] @ block_sizes).min() >= min_weighted):
             return code[:target]
@@ -550,17 +548,13 @@ def _pack_codewords(
 
 
 def _member_kl(codewords: np.ndarray, block_of: np.ndarray, kl_level: np.ndarray) -> np.ndarray:
-    """Each codeword's KL to member 0, summed over its n coordinates:
-    coordinate j takes row 1 of the (2, k) ``kl_level`` at block
-    ``block_of[j]`` where its codeword bit is 1, else row 0.  The bits and
-    the picks are gathered a tile of rows at a time, so no (size, n) array
-    is built."""
-    kl_low, kl_high = kl_level[0, block_of], kl_level[1, block_of]
+    """Each codeword's KL to member 0, summed over its n coordinates of the
+    (2, k) ``kl_level`` that ``_pick`` chooses.  The picks are gathered a
+    tile of rows at a time, so no (size, n) array is built."""
     kl_values = np.empty(len(codewords))
     step = _block_rows(block_of.size)
     for lo in range(0, len(codewords), step):
-        bits = codewords[lo : lo + step, block_of].view(bool)  # the code's 0/1 bytes
-        kl_values[lo : lo + step] = np.where(bits, kl_high, kl_low).sum(axis=1)
+        kl_values[lo : lo + step] = _pick(codewords[lo : lo + step], block_of, kl_level).sum(axis=1)
     return kl_values
 
 
@@ -583,9 +577,9 @@ def build_lower_bound(
     divide n, the shorter blocks sit first and the code also clears the
     block-weighted separation, so the distance invariant holds exactly.
 
-    Before packing, the code, the verifier's float32 copies of it, a
-    size x size term for its pairwise work and its probe rows of length n
-    are sized against a fixed budget (1 GiB).  An n whose probe rows alone
+    Before packing, the code, the copies that weigh and verify it, a
+    size x size term that caps the codeword count and the verifier's probe
+    rows of length n are sized against a fixed budget (1 GiB).  An n whose probe rows alone
     exceed it raises InvalidParameterError at any c; otherwise a c whose k
     exceeds it raises InvalidParameterError naming the smallest c that fits,
     unless that c is at or past c_var sqrt(log 2 / 32): the analytic KL
@@ -654,10 +648,9 @@ def build_lower_bound(
     base, rem = divmod(n, k)
     block_sizes = np.asarray([base] * (k - rem) + [base + 1] * rem, dtype=np.int64)
 
-    target = _packing_target(k)
     codewords = _pack_codewords(
         k,
-        target,
+        _packing_target(k),
         min_hamming=math.ceil(k / 8.0),
         min_weighted=math.ceil(n / 8.0),
         block_sizes=block_sizes,
@@ -689,7 +682,6 @@ def build_lower_bound(
         levels=levels,
         kl_values=kl_values,
         kl_bound=float(kl_bound),
-        target_size=target,
     )
     return replace(construction, margins=construction.verify())
 

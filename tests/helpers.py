@@ -11,7 +11,11 @@ per-record authors together with the library's author table.
 ``cli._write_table`` must match byte for byte.  ``reference_lower_bound`` is
 the lower-bound construction as it was built elementwise over every
 (codeword, coordinate) pair and checked with full size x size Gram matrices;
-the gathered construction and tiled verifier must match it exactly.
+the gathered construction and the verifier must match it exactly.
+``pairwise_minima`` compares every pair of a code's rows directly, the
+exhaustive check the verifier's span weights must agree with.
+``projection_certificate`` checks a descending fit by the optimality
+conditions of the projection, not by a second fit.
 ``all_rankings`` and ``all_coarse_rankings`` list the full and coarse claims
 that the truthfulness tests compare.  ``binomial_pmf``, ``sum_pmf`` and
 ``chi_square_p`` are the goodness-of-fit oracle for the samplers;
@@ -544,3 +548,36 @@ def reference_lower_bound(family, bounds, n: int, c=None, seed: int = 0):
         "kl_bound": float(kl_bound),
     }
     return codewords, mu_rows, kl_values, margins
+
+
+def pairwise_minima(codewords, block_sizes) -> tuple[int, int]:
+    """The smallest Hamming distance and the smallest block-weighted
+    disagreement sum_j block_sizes[j] [a_j != b_j] over every pair of
+    distinct rows of ``codewords``, compared bit by bit, one row against the
+    rows after it."""
+    words = np.asarray(codewords) != 0
+    sizes = np.asarray(block_sizes, dtype=np.int64)
+    hamming = weighted = math.inf
+    for i in range(len(words) - 1):
+        diff = words[i + 1 :] != words[i]
+        hamming = min(hamming, int(diff.sum(axis=1).min()))
+        weighted = min(weighted, int((diff @ sizes).min()))
+    return hamming, weighted
+
+
+def projection_certificate(y, f) -> np.ndarray:
+    """Whether each row of ``f`` is the nonincreasing least-squares fit of
+    the same row of ``y``, by the optimality conditions (Barlow, Bartholomew,
+    Bremner & Brunk 1972; Robertson, Wright & Dykstra 1988, ch. 1): f is
+    nonincreasing, every prefix sum S_j of y - f is <= 0, and S_j = 0 at each
+    strict drop f_j > f_(j+1) and at j = n.  Prefix sums are compared to 0
+    within 64 n eps (max|y| + 1) per row.  Returns one bool per row."""
+    y, f = np.atleast_2d(np.asarray(y, dtype=float)), np.atleast_2d(np.asarray(f, dtype=float))
+    n = y.shape[-1]
+    tol = 64 * n * np.finfo(float).eps * (np.abs(y).max(axis=-1, keepdims=True) + 1)
+    prefix = np.cumsum(y - f, axis=-1)
+    drop = np.ones(f.shape, dtype=bool)  # j = n closes the last pool
+    drop[..., :-1] = f[..., :-1] > f[..., 1:]
+    return ((f[..., 1:] <= f[..., :-1]).all(axis=-1)
+            & (prefix <= tol).all(axis=-1)
+            & ((np.abs(prefix) <= tol) | ~drop).all(axis=-1))

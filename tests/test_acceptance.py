@@ -28,6 +28,7 @@ from isomech.experiments import (
     LinearRamp,
     PoolResample,
     ReviewTable,
+    _packing_target,
     build_lower_bound,
     estimation_error_curve,
     rate_check,
@@ -216,7 +217,7 @@ def test_criterion_08_lower_bound_construction():
         for family, bounds, n, c in LOWER_BOUND_CONFIGS:
             built = build_lower_bound(family, bounds, n, c=c, seed=808)
             margins = built.verify()
-            assert built.size >= built.target_size
+            assert built.size == _packing_target(built.k)
             assert margins["min_hamming"] >= built.k / 8
             assert margins["min_dist2"] >= margins["dist2_floor"]
             assert margins["kl_budget"] < margins["kl_cap"]

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import author_tables, reference_lower_bound, reference_surrogate_eval, traced_peak
+from helpers import (
+    author_tables,
+    pairwise_minima,
+    reference_lower_bound,
+    reference_surrogate_eval,
+    traced_peak,
+)
 from isomech import (
     Binomial,
     ConstructionFailedError,
@@ -30,6 +36,7 @@ from isomech.experiments import (
     ReviewTable,
     _mse_samples,
     _pack_codewords,
+    _packing_target,
     build_lower_bound,
     estimation_error_curve,
     rate_check,
@@ -184,7 +191,7 @@ def test_lower_bound_invariants_small():
     for family, bounds in ((Gaussian(1.0), ScoreBounds(0, 6)), (Binomial(10), ScoreBounds(0, 10))):
         built = build_lower_bound(family, bounds, 64, seed=5)
         margins = built.verify()
-        assert built.size >= built.target_size
+        assert built.size == _packing_target(built.k)
         assert margins["min_hamming"] >= built.k / 8
         assert margins["min_dist2"] >= margins["dist2_floor"]
         assert margins["kl_budget"] < margins["kl_cap"]
@@ -251,7 +258,7 @@ def test_verify_checks_the_kl_bookkeeping():
 
 
 # (family, bounds, n, c); the n = 512 case holds 2,234 codewords, not a
-# multiple of the verifier's row tile
+# power of 2
 LOWER_BOUND_ORACLE_CASES = [
     (Gaussian(1.0), ScoreBounds(0, 6), 64, None),
     (Gaussian(1.0), ScoreBounds(0, 1.2), 20, None),
@@ -275,39 +282,39 @@ def test_lower_bound_matches_the_elementwise_reference(family, bounds, n, c):
 
 
 @pytest.fixture(scope="module")
-def multi_tile():
-    # 2,234 codewords: 34 full row tiles of the verifier and a partial one
+def packing_512():
+    # 2,234 codewords: the first rows of a 4,096-word linear code
     built = build_lower_bound(Binomial(10), ScoreBounds(0, 10), 512, c=0.085, seed=5)
-    assert built.size == 2234 and built.size % experiments._VERIFY_ROWS != 0
+    assert built.size == 2234
     return built
 
 
 @pytest.mark.parametrize("row", [1, 63, 64, 255, 256, -1])
-def test_verify_finds_a_repeated_codeword_across_tiles(multi_tile, row):
-    built = multi_tile
+def test_verify_finds_a_repeated_codeword_across_tiles(packing_512, row):
+    built = packing_512
     dup = dataclasses.replace(
         built,
         codewords=np.vstack([built.codewords, built.codewords[row]]),
         kl_values=np.append(built.kl_values, built.kl_values[row]),
     )
-    with pytest.raises(ConstructionFailedError, match="Hamming"):
+    with pytest.raises(ConstructionFailedError, match="not the first 2235 words of the linear code"):
         dup.verify()
 
 
-def test_verify_holds_no_size_by_size_matrix(multi_tile):
+def test_verify_holds_no_size_by_size_matrix(packing_512):
     tracemalloc.start()
     try:
-        multi_tile.verify()
+        packing_512.verify()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < multi_tile.size**2 * 8
+    assert peak < packing_512.size**2 * 8
 
 
 @pytest.mark.parametrize("n, c, size", [(512, 0.085, 2234), (1024, 0.1, 5793)], ids=["n512", "n1024"])
 def test_lower_bound_build_holds_no_size_by_n_array(n, c, size):
-    # the build and its verifier hold the code, its float32 copies and row
-    # tiles: a (size, n) float64 array of mean vectors would take size n 8 bytes
+    # the build and its verifier hold the code, its span and the probe rows:
+    # a (size, n) float64 array of mean vectors would take size n 8 bytes
     built, peak = traced_peak(build_lower_bound, Binomial(10), ScoreBounds(0, 10), n, c, 5)
     assert built.size == size
     assert peak < 0.5 * size * n * 8, peak / (size * n * 8)
@@ -322,28 +329,104 @@ def test_mean_rows_gather_the_levels_each_codeword_picks():
     assert built.mean_rows([0, built.size - 1]).shape == (2, built.n)
 
 
-# the constructions of acceptance criterion 8
-@pytest.mark.parametrize("family, bounds, n, c", [
-    (Gaussian(1.0), ScoreBounds(0, 6), 64, None),
-    (Gaussian(1.0), ScoreBounds(0, 6), 512, 0.145),
-    (Binomial(10), ScoreBounds(0, 10), 64, None),
-    (Binomial(10), ScoreBounds(0, 10), 512, 0.085),
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_span_minima_are_the_pairwise_minima_of_every_long_prefix(data):
+    d, k = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 10))
+    bit_rows = st.lists(st.integers(0, 1), min_size=k, max_size=k)
+    gen = np.array(data.draw(st.lists(bit_rows, min_size=d, max_size=d)), dtype=np.uint8)
+    if d >= 2 and data.draw(st.booleans()):  # a dependent row: the sum of two others
+        gen[-1] = gen[0] ^ gen[data.draw(st.integers(0, d - 2))]
+    block_sizes = np.array(data.draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)))
+    span = experiments._span(gen)
+    # row i sums, over GF(2), the generator rows picked by the bits of i
+    bits = (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(np.uint8)
+    assert np.array_equal(span, bits @ gen & 1)
+    minima = (int(span[1:].sum(axis=1).min()), int((span[1:] @ block_sizes).min()))
+    for size in range((1 << (d - 1)) + 1, (1 << d) + 1):
+        assert pairwise_minima(span[:size], block_sizes) == minima
+
+
+def _with_codewords(built, codewords):
+    """``built`` with other codewords and, so that only their distances can
+    fail, the KL values of those codewords, computed coordinate by coordinate."""
+    tampered = dataclasses.replace(built, codewords=np.asarray(codewords, dtype=np.uint8))
+    theta = built.family.natural_param(tampered.mean_rows(slice(None)))
+    kl = np.asarray(built.family.kl_divergence(theta, theta[0]), dtype=float).sum(axis=1)
+    return dataclasses.replace(tampered, kl_values=kl)
+
+
+def _tamperings(words, rng):
+    """(name, codewords): rows duplicated, bits flipped, rows swapped and
+    rows appended, at generator rows (powers of 2) and at other rows."""
+    size, k = words.shape
+    rows = sorted({0, 1, 2, 3, size // 2, size - 2, size - 1})
+    for r in rows:
+        yield f"append a copy of row {r}", np.vstack([words, words[r]])
+        for other in (0, size - 1):
+            if other != r:
+                copied = words.copy()
+                copied[other] = words[r]
+                yield f"row {other} set to row {r}", copied
+        for j in (0, k // 2, k - 1):
+            flipped = words.copy()
+            flipped[r, j] ^= 1
+            yield f"bit {j} of row {r} flipped", flipped
+        for other in rows:
+            if other > r:
+                swapped = words.copy()
+                swapped[[r, other]] = words[[other, r]]
+                yield f"rows {r} and {other} swapped", swapped
+    yield "a random row appended", np.vstack([words, rng.integers(0, 2, size=k, dtype=np.uint8)])
+    # the code's own next word keeps the rows a prefix of the linear code
+    d = (size - 1).bit_length()
+    nxt = np.bitwise_xor.reduce(words[[1 << b for b in range(d) if size >> b & 1]], axis=0)
+    yield "the next word of the code appended", np.vstack([words, nxt])
+
+
+@pytest.mark.parametrize("family, bounds, n, c, seed", [
+    (Gaussian(1.0), ScoreBounds(0, 1.2), 20, None, 5),  # 6 codewords; the code's lightest word is not one
+    (Poisson(), ScoreBounds(1, 8), 300, 0.1, 5),  # 30 codewords
+    (Gamma(2.0), ScoreBounds(1, 8), 200, 0.1, 11),  # 7 codewords; the lightest word is the 8th
 ])
-def test_verify_in_float64_gives_the_float32_margins(family, bounds, n, c, monkeypatch):
-    built = build_lower_bound(family, bounds, n, c=c, seed=808)
-    dtypes, matmul = set(), np.matmul
+def test_verify_refuses_every_tampering_the_pairwise_check_refuses(family, bounds, n, c, seed):
+    built = build_lower_bound(family, bounds, n, c=c, seed=seed)
+    floor = (built.c**2 / 8.0) * built.certificate.sigma_sq * built.k
+    outcomes = set()
+    for name, words in _tamperings(built.codewords, np.random.default_rng(seed)):
+        tampered = _with_codewords(built, words)
+        hamming, weighted = pairwise_minima(words, built.block_sizes)
+        dist2 = built.gamma**2 * weighted
+        pairwise_ok = hamming >= built.k / 8.0 and dist2 >= floor - 1e-9 * max(1.0, floor)
+        try:
+            margins = tampered.verify()
+        except ConstructionFailedError:
+            outcomes.add(("refused", pairwise_ok))
+            continue
+        outcomes.add(("accepted", pairwise_ok))
+        assert pairwise_ok, name
+        # an accepted construction's margins are the exhaustive ones, exactly
+        assert margins["min_hamming"] == hamming and margins["min_dist2"] == dist2, name
+    # the pairwise check refuses some tamperings, and verify refuses more
+    assert {("refused", False), ("refused", True)} <= outcomes
 
-    def recording(a, b, **kwargs):
-        dtypes.add(a.dtype)
-        return matmul(a, b, **kwargs)
 
-    monkeypatch.setattr(np, "matmul", recording)
-    margins = built.verify()
-    assert dtypes == {np.dtype(np.float32)}
-    dtypes.clear()
-    monkeypatch.setattr(experiments, "_FLOAT32_EXACT", 0)  # as if 2n >= 2^24
-    assert built.verify() == margins == built.margins
-    assert dtypes == {np.dtype(np.float64)}
+def test_verify_refuses_rows_out_of_the_codes_order(packing_512):
+    built = packing_512
+    words = built.codewords.copy()
+    words[[5, 6]] = words[[6, 5]]  # every pairwise distance is kept
+    kl = built.kl_values.copy()
+    kl[[5, 6]] = kl[[6, 5]]
+    swapped = dataclasses.replace(built, codewords=words, kl_values=kl)
+    with pytest.raises(ConstructionFailedError, match="not the first 2234 words of the linear code"):
+        swapped.verify()
+
+
+def test_verify_refuses_a_single_codeword():
+    built = build_lower_bound(Gaussian(1.0), ScoreBounds(0, 2), 8, seed=9)
+    one = dataclasses.replace(built, codewords=built.codewords[:1], kl_values=built.kl_values[:1])
+    with pytest.raises(ConstructionFailedError, match="at least 2 codewords"):
+        one.verify()
 
 
 def test_lower_bound_budget_guard(monkeypatch):

@@ -34,6 +34,7 @@ from helpers import (
     ALL_FAMILIES,
     MU_WINDOWS,
     brute_force_project_descending,
+    projection_certificate,
     reference_pava_two_stacks,
     traced_peak,
 )
@@ -563,3 +564,28 @@ def test_lockstep_rows_edge_shapes():
     assert np.array_equal(pava_descending_rows([[3.0], [-1.0]]), [[3.0], [-1.0]])
     with pytest.raises(ValidationError):
         pava_descending_rows([1.0, 2.0])
+
+
+@pytest.mark.parametrize("n", [5, 47, 48, 1024, 4096])  # both sides of _LOCKSTEP_N
+def test_every_batch_route_passes_the_projection_certificate(n):
+    rng = np.random.default_rng(n)
+    rows = np.linspace(3.0, -3.0, n) + rng.normal(size=(48, n))
+    rows[8:24] = np.round(rows[8:24])  # ties, so pools start and end on equal scores
+    rows[:4] = -np.sort(-rows[:4], axis=1)  # already nonincreasing: returned as they are
+    fits = [project_descending_batch(rows), pava_descending_rows(rows)]
+    fits.append(np.array([pava_descending(y) for y in rows[:6]]))
+    for fit in fits:
+        assert projection_certificate(rows[: len(fit)], fit).all()
+    # the certificate is no formality: one coordinate 1e-6 too high fails every row
+    bumped = fits[0].copy()
+    bumped[:, n // 2] += 1e-6
+    assert not projection_certificate(rows, bumped).any()
+
+
+def test_fit_of_a_long_vector_passes_the_projection_certificate():
+    rng = np.random.default_rng(20_000)
+    x = np.linspace(9.0, 1.0, 20_000) + rng.normal(scale=3.0, size=20_000)
+    ranking = Ranking(rng.permutation(20_000) + 1)
+    claimed = ranking.as_indices()
+    fit = isotonic_mechanism(x, ranking)
+    assert projection_certificate(x[claimed], fit.mu_hat[claimed]).all()
