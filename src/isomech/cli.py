@@ -14,13 +14,14 @@ Conventions: CSV in and out with header rows, UTF-8, '.' decimal, floats at
 CSV is read and written a column at a time.  ``_read_csv`` hands a plain
 file (a regular file with the exact header, no quote, no carriage return
 and no empty line) to one ``np.loadtxt`` call, which parses the numeric
-columns in C and keeps text columns as strings; where it accepts a number,
-the value is the one ``int()`` or ``float()`` gives.  Checks such as "the
-indices are a permutation" then run on the arrays.  A file loadtxt refuses
-(a bad cell, a non-finite score, a spelling only Python takes such as
-``1_0``), or one that is not plain, goes through the csv walk, which reads
-it row by row and names the first bad line.  ``_write_table`` spells a
-column at a time (``_texts``) and joins the header and all rows in one pass.
+columns in C and keeps text columns as fixed-width UTF-8 bytes, or as str
+where a NUL or cells of very unequal width rule that out; where it accepts
+a number, the value is the one ``int()`` or ``float()`` gives.  Checks such as "the indices are a
+permutation" then run on the arrays.  A file loadtxt refuses (a bad cell, a
+non-finite score, a spelling only Python takes such as ``1_0``), or one
+that is not plain, goes through the csv walk, which reads it row by row and
+names the first bad line.  ``_write_table`` spells a column at a time
+(``_texts``) and joins the header and all rows in one pass.
 
 Parameters take one path.  ``_PARAMS`` declares each run parameter once,
 with its converter and help line, and ``_COMMANDS`` says which ones a
@@ -82,6 +83,8 @@ from .experiments import (
     LinearRamp,
     PoolResample,
     ReviewTable,
+    _PADDED_PER_BYTE,
+    _decode,
     _rate_grid,
     build_lower_bound,
     estimation_error_curve,
@@ -216,9 +219,11 @@ def _read_csv(path: str, columns: Sequence[str], kinds: Optional[dict[str, type]
     non-blank row must have that many fields.  Blank and whitespace-only
     rows are skipped.  Line numbers count CSV records, header = line 1.  A
     column named in ``kinds`` (int or float) comes back as an int64 or
-    float64 array, finite if float; any other as a list of stripped cells.
-    A plain file is parsed by ``_read_plain``; any other file, or one it
-    refuses, takes the csv walk, which names the first bad line.
+    float64 array, finite if float.  Any other is a text column of cells
+    as ``str.strip`` leaves them: an ``S`` array of their UTF-8 bytes or a
+    list of str.  A plain file is parsed by ``_read_plain``; any other
+    file, or one it refuses, takes the csv walk, which names the first bad
+    line and gives text as str.
     """
     kinds = kinds or {}
     text = _read_text(path)
@@ -241,9 +246,15 @@ def _read_plain(path: str, text: str, columns: Sequence[str], kinds: dict[str, t
     ``np.loadtxt`` call takes: ``len(columns)`` on every line, numeric
     where ``kinds`` says so (finite if float) and not blank otherwise.
     Where loadtxt takes a number, its value is that of ``int()`` or
-    ``float()``.  A text column is read as an object field, so it keeps
-    every character.  loadtxt reads the file again from its absolute path,
+    ``float()``.  loadtxt reads the file again from its absolute path,
     which numpy cannot take for a URL.
+
+    Text columns come as ``S`` cells, each column as wide as its widest
+    cell: loadtxt decodes the file as Latin-1, one character per byte, so
+    a cell holds its UTF-8 bytes, and a number with a byte beyond ASCII is
+    refused.  A file with a NUL, which fixed-width text drops from the end
+    of a cell, or whose text columns would take over ``_PADDED_PER_BYTE``
+    bytes per byte of the file, is read in UTF-8 with text as str.
     """
     raw = np.frombuffer(text.encode(), dtype=np.uint8)
     ends = np.flatnonzero(raw == ord("\n"))
@@ -253,26 +264,126 @@ def _read_plain(path: str, text: str, columns: Sequence[str], kinds: dict[str, t
             or [h.strip() for h in text[:ends[0]].split(",")] != list(columns)
             or np.diff(ends, prepend=-1, append=raw.size).max() > csv.field_size_limit() + 1):
         return None
-    dtype = [(name, {int: np.int64, float: np.float64}.get(kinds.get(name), object))
-             for name in columns]
+    fixed = len(kinds) < len(columns) and "\0" not in text
+    if fixed:
+        stops = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))  # where fields end
+        if not text.endswith("\n"):
+            stops = np.append(stops, raw.size)
+        if stops.size != (records + 1) * len(columns):
+            return None  # a line of the wrong width
+        cells = (np.diff(stops, prepend=-1) - 1).reshape(records + 1, len(columns))[1:]
+        widths = {name: max(1, int(cells[:, j].max()))
+                  for j, name in enumerate(columns) if name not in kinds}
+        fixed = records * sum(widths.values()) <= _PADDED_PER_BYTE * raw.size
+    dtype = [(name, {int: np.int64, float: np.float64}[kinds[name]] if name in kinds
+              else f"S{widths[name]}" if fixed else object) for name in columns]
     try:
         data = np.loadtxt(os.path.abspath(path), dtype=dtype, delimiter=",", comments=None,
-                          skiprows=1, encoding="utf-8", ndmin=1)
+                          skiprows=1, encoding="latin-1" if fixed else "utf-8", ndmin=1)
     except (ValueError, OSError):
         return None
     if len(data) != records:
         return None
     values: dict[str, Any] = {}
     for name in columns:
-        if name not in kinds:
-            values[name] = list(map(str.strip, data[name].tolist()))
-            if "" in values[name]:
-                return None  # the walk skips a blank row
-        else:
+        if name in kinds:
             values[name] = np.ascontiguousarray(data[name])
             if kinds[name] is float and not np.isfinite(values[name]).all():
                 return None  # the walk names the line
+            continue
+        if fixed:
+            values[name] = np.ascontiguousarray(data[name])
+            blank = not _strip_cells(values[name]).all()
+        else:
+            values[name] = list(map(str.strip, data[name].tolist()))
+            blank = "" in values[name]
+        if blank:
+            return None  # the walk skips a blank row
     return range(2, records + 2), values
+
+
+# the characters str.strip strips (a test checks them against str.isspace),
+# and the first and the last UTF-8 byte of each
+_SPACES = [c.encode() for c in "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2028\u2029\u202f"
+           "\u205f\u3000" + "".join(map(chr, range(0x2000, 0x200b)))]
+_SPACE_FIRST, _SPACE_LAST = np.zeros((2, 256), dtype=bool)
+_SPACE_FIRST[[c[0] for c in _SPACES]] = _SPACE_LAST[[c[-1] for c in _SPACES]] = True
+
+
+def _strip_cells(cells: np.ndarray) -> np.ndarray:
+    """Strip UTF-8 cells (an ``S`` array) in place as ``str.strip`` strips
+    their texts, and return their lengths in bytes.  Only the cells whose
+    first or last byte may belong to a whitespace character are decoded."""
+    size = np.strings.str_len(cells)
+    edges = cells.view(np.uint8).reshape(cells.size, cells.itemsize)
+    touched = (_SPACE_FIRST[edges[:, 0]]
+               | _SPACE_LAST[edges[np.arange(cells.size), np.maximum(size - 1, 0)]])
+    if touched.any():
+        cells[touched] = [cell.decode().strip().encode() for cell in cells[touched].tolist()]
+        size[touched] = np.strings.str_len(cells[touched])
+    return size
+
+
+def _tokens(cells, strip: bool = True) -> tuple[Any, np.ndarray]:
+    """(the non-blank ``;``-separated tokens of a text column, flat and
+    stripped if ``strip``; how many each cell holds).  UTF-8 cells are
+    split by array passes into an ``S`` array where ``_split_cells`` takes
+    them; str cells, or UTF-8 ones it refuses, are joined and split once
+    into a list."""
+    if not len(cells):
+        return cells[:0], np.zeros(0, dtype=np.intp)
+    split = _split_cells(cells) if isinstance(cells, np.ndarray) else None
+    if split is not None:
+        tokens, per_cell = split
+        kept = _strip_cells(tokens if strip else tokens.copy()) > 0
+        tokens = tokens[kept]
+    else:
+        cells = cells if isinstance(cells, list) else _decode(cells)
+        tokens = ";".join(cells).split(";")
+        stripped = list(map(str.strip, tokens))
+        kept = np.fromiter(map(bool, stripped), dtype=bool, count=len(tokens))
+        tokens = list(itertools.compress(stripped if strip else tokens, kept))
+        per_cell = np.fromiter((cell.count(";") + 1 for cell in cells), np.intp, len(cells))
+    return tokens, np.add.reduceat(kept, np.cumsum(per_cell) - per_cell, dtype=np.intp)
+
+
+def _split_cells(cells: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(the ``;``-separated tokens of UTF-8 cells without NUL, as one ``S``
+    array as wide as the widest; how many each cell holds), or None where
+    that array would take over ``_PADDED_PER_BYTE`` bytes per byte of the
+    cells' text."""
+    closed = np.column_stack((cells.view(np.uint8).reshape(cells.size, cells.itemsize),
+                              np.full(cells.size, ord(";"), dtype=np.uint8)))
+    per_cell = np.count_nonzero(closed == ord(";"), axis=1)
+    joined = np.append(closed[closed != 0], 0)  # each cell's bytes and a closing ";", a NUL
+    ends = np.flatnonzero(joined == ord(";"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    width = max(1, int((ends - starts).max()))
+    if ends.size * width > _PADDED_PER_BYTE * joined.size:
+        return None
+    tokens = np.empty((width, ends.size), dtype=np.uint8)
+    for j, row in enumerate(tokens):  # byte j of every token, the NUL past its end
+        np.take(joined, np.where(starts + j < ends, starts + j, joined.size - 1), out=row)
+    return np.ascontiguousarray(tokens.T).view(f"S{width}").ravel(), per_cell
+
+
+def _ranks(tokens) -> np.ndarray:
+    """``int()`` of each rank token as int64, 0 for one outside int64, which
+    no permutation holds.  UTF-8 cells of plain ASCII digits, at most 18,
+    are read by array passes."""
+    if isinstance(tokens, np.ndarray):
+        digits = tokens.view(np.uint8).reshape(tokens.size, tokens.itemsize)
+        if tokens.itemsize <= 18 and ((digits - ord("0") < 10) | (digits == 0)).all():
+            ranks = np.zeros(tokens.size, dtype=np.int64)
+            for column in digits.T:  # a NUL pads a shorter token
+                ranks = np.where(column > 0, ranks * 10 + column - ord("0"), ranks)
+            return ranks
+        tokens = _decode(tokens)
+    ranks = list(map(int, tokens))
+    try:
+        return np.array(ranks, dtype=np.int64)
+    except OverflowError:
+        return np.array([r if -2**63 <= r < 2**63 else 0 for r in ranks], dtype=np.int64)
 
 
 def _walk_csv(path: str, text: str, columns: Sequence[str]
@@ -709,16 +820,20 @@ def _read_reviews(path: str) -> ReviewTable:
 
 def _read_authors(path: str, reviews: ReviewTable) -> AuthorTable:
     linenos, cols = _read_csv(path, ("author_id", "submission_ids", "ranking"))
-    sids = [list(filter(None, map(str.strip, cell.split(";")))) for cell in cols["submission_ids"]]
-    ranks = [list(filter(str.strip, cell.split(";"))) for cell in cols["ranking"]]
+    sids, sizes = _tokens(cols["submission_ids"])
+    ranks, counts = _tokens(cols["ranking"], strip=False)
     try:
-        return AuthorTable(reviews, cols["author_id"], sids, ranks)
+        ranks = _ranks(ranks)
+    except ValueError:  # a rank int() refuses: only now are the tokens walked to name its line
+        texts = ranks if isinstance(ranks, list) else _decode(ranks)
+        _parse_column(path, np.repeat(linenos, counts).tolist(), "ranking", texts, int)
+        raise
+    author_ids = cols["author_id"]
+    author_ids = author_ids if isinstance(author_ids, list) else _decode(author_ids)
+    try:
+        return AuthorTable(reviews, author_ids, sids, sizes, ranks, counts)
     except AuthorRowError as exc:
         raise ValidationError(f"{path} line {linenos[exc.row]}: {exc}") from None
-    except ValueError:  # a rank int() refuses: only now is each row walked to name its line
-        for lineno, row in zip(linenos, ranks):
-            _parse_column(path, itertools.repeat(lineno), "ranking", row, int)
-        raise
 
 
 def _cmd_icml(params: dict[str, Any]) -> int:

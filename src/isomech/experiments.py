@@ -27,9 +27,10 @@ reads every pairwise distance off the weight of one word of that code and
 holds no size x size or size x n array.
 
 The review evaluation works on columns from file to table: ids factorised
-once by ``ReviewTable``, authors as CSR rows of codes and ranks checked by
-array passes, ties drawn in one call, and the authors of each submission
-count fitted together by the lockstep PAVA ``pava_descending_rows``.
+once by ``ReviewTable`` on integer words of their UTF-8 bytes, authors as
+CSR rows of codes and ranks checked by array passes, ties drawn in one
+call, and the authors of each submission count fitted together by the
+lockstep PAVA ``pava_descending_rows``.
 
 Every driver is a pure function of (config, seed).  The Monte-Carlo
 drivers run on the core in ``mechanism`` that the truthfulness sweep also
@@ -41,7 +42,6 @@ uses: fixed-size chunks of trials on RNG substreams spawned from the seed
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from collections import defaultdict
@@ -89,7 +89,8 @@ logger = logging.getLogger(__name__)
 # Memory the lower-bound construction may take, as ``_construction_bytes``
 # counts it: the packer's linear code, the copies that weigh it and the
 # verifier's span, the verifier's full-length probe rows, and a size x size
-# term that caps the codeword count.  No mean vector is stored.
+# term that sizes no array but caps the codeword count, and so the time of
+# the O(codewords n) KL pass.  No mean vector is stored.
 _CONSTRUCTION_MAX_BYTES = 1 << 30
 
 # Members whose mean vectors the verifier gathers at full length n to
@@ -491,8 +492,9 @@ def _construction_bytes(k: int, n: int) -> int:
     * 8 size (k + size): weighing the code by block size takes an int64
       copy of it (8 2^d k bytes, 2^d < 2 size), in the packer and again in
       the verifier, which also holds its span, a second uint8 copy, and a
-      prefix mask.  The size^2 part also caps the packing at 10,624
-      codewords (k <= 107) at any n.
+      prefix mask.  The size^2 part sizes no array: it caps the packing
+      at 10,624 codewords (k <= 107) up to n = 75,000, and at fewer
+      beyond, where the probe rows take part of the budget.
     * The probe rows: no (size, n) array is built, so n enters through
       the at most ``_PROBE_ROWS`` mean vectors the verifier gathers, each
       with ``_PROBE_ARRAYS`` float64 arrays of length n, and one row more
@@ -579,9 +581,11 @@ def build_lower_bound(
 
     Before packing, the code, the copies that weigh and verify it, a
     size x size term that caps the codeword count and the verifier's probe
-    rows of length n are sized against a fixed budget (1 GiB).  An n whose probe rows alone
-    exceed it raises InvalidParameterError at any c; otherwise a c whose k
-    exceeds it raises InvalidParameterError naming the smallest c that fits,
+    rows of length n are sized against a fixed budget (1 GiB).  An n whose
+    probe rows alone exceed it raises InvalidParameterError at any c;
+    otherwise a c whose k exceeds it raises InvalidParameterError naming
+    the limit that binds (the codeword cap, if the arrays alone would fit)
+    and the smallest c that fits,
     unless that c is at or past c_var sqrt(log 2 / 32): the analytic KL
     bound c^2 k / (2 c_var^2) can then reach the cap, which is at least
     k log 2 / 64, and the message says to lower n instead.  The guard only
@@ -629,6 +633,10 @@ def build_lower_bound(
         budget = f"the {_CONSTRUCTION_MAX_BYTES / 2**30:g} GiB budget of the construction"
         if k_max == 0:
             raise InvalidParameterError(f"n = {n} is too large for {budget}")
+        over = _packing_target(k_max + 1)
+        if _construction_bytes(k_max + 1, n) - 8 * over**2 <= _CONSTRUCTION_MAX_BYTES:
+            budget = (f"the cap of {_packing_target(k_max):,} codewords at n = {n} that bounds "
+                      f"the time of the O(codewords * n) KL pass")
         # k <= k_max  <=>  c > sqrt(n V~^2 / (sigma^2 (k_max + 1)^3)); round up at 3 digits
         c_min = math.sqrt(n * v_tilde**2 / (sigma_sq * (k_max + 1) ** 3))
         scale = 10.0 ** (2 - math.floor(math.log10(c_min)))
@@ -691,12 +699,65 @@ def build_lower_bound(
 # ---------------------------------------------------------------------------
 
 
+# Fixed-width text, padded to its widest cell, may take this many bytes per
+# byte of the text it holds, about what the same text takes as str objects;
+# text more skewed in width is kept as str.
+_PADDED_PER_BYTE = 16
+
+
+def _decode(cells: np.ndarray) -> list[str]:
+    """The texts of UTF-8 cells without a newline, in one decode."""
+    return b"\n".join(cells.tolist()).decode().split("\n") if cells.size else []
+
+
+def _factorise(texts) -> tuple[list[str], np.ndarray]:
+    """(the distinct texts in ``sorted`` order, each text's place there) of
+    a sequence of str or of the ``S`` array of UTF-8 cells without NUL that
+    a plain file gives; only the distinct cells are decoded.
+
+    The keys are big-endian uint64 words of the NUL-padded UTF-8 bytes
+    (lone surrogates kept), which order as the bytes do, and in UTF-8 as
+    the code points do, then the count of trailing NULs that the padding
+    hides, if any, so a text comes before itself plus NULs.  Of several
+    keys, those no two texts differ in are dropped; one key sorts by
+    ``np.argsort``, more by ``np.lexsort``.  str texts too unequal in width
+    to pad within ``_PADDED_PER_BYTE`` are sorted as str instead.
+    """
+    cells = texts
+    if not isinstance(texts, np.ndarray):
+        encoded = [text.encode("utf-8", "surrogatepass") for text in texts]
+        sizes = np.fromiter(map(len, encoded), np.intp, len(encoded))
+        if len(encoded) * sizes.max(initial=0) > _PADDED_PER_BYTE * (sizes.sum() + len(encoded)):
+            ids = sorted(set(texts))
+            code_of = dict(zip(ids, range(len(ids))))
+            return ids, np.fromiter(map(code_of.__getitem__, texts), np.intp, len(texts))
+        cells = np.array(encoded, dtype="S")
+    words = max(1, -(-cells.itemsize // 8))
+    keys = cells.astype(f"S{8 * words}").view(">u8").reshape(cells.size, words).T
+    keys = keys.astype(np.uint64, order="C")
+    if cells is not texts:
+        keys = np.vstack((keys, (sizes - np.strings.str_len(cells)).astype(np.uint64)))
+    if len(keys) > 1:
+        varying = (keys != keys[:, :1]).any(axis=1)
+        keys = keys[varying] if varying.any() else keys[:1]
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    new = np.zeros(cells.size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    codes = np.empty(cells.size, dtype=np.intp)
+    codes[order] = np.cumsum(new) - 1
+    first = order[new]
+    return (_decode(cells[first]) if cells is texts
+            else list(map(texts.__getitem__, first.tolist()))), codes
+
+
 class ReviewTable:
-    """Reviews as columns in file order, ids factorised once: ``ids`` holds
-    the distinct ones in ``sorted`` order (numpy's fixed-width strings drop
-    trailing NULs), ``code_of`` maps an id to its place there and ``codes``
-    holds each review's.  Scores are float64; a confidence outside int64 is
-    refused."""
+    """Reviews as columns in file order, ids factorised once by
+    ``_factorise``: ``ids`` holds the distinct ones in ``sorted`` order and
+    ``codes`` each review's place there.  Scores are float64; a confidence
+    outside int64 is refused."""
 
     def __init__(self, submission_ids: Sequence[str], scores, confidences):
         confidences = np.asarray(confidences)
@@ -704,11 +765,7 @@ class ReviewTable:
             raise ValidationError("review confidences must be 64-bit integers")
         self.scores = np.asarray(scores, dtype=float)
         self.confidences = confidences.astype(np.int64, copy=False)
-        self.code_of = dict.fromkeys(submission_ids)
-        self.ids = sorted(self.code_of)
-        self.code_of.update(zip(self.ids, itertools.count()))
-        self.codes = np.fromiter(map(self.code_of.__getitem__, submission_ids), dtype=np.intp,
-                                 count=len(submission_ids))
+        self.ids, self.codes = _factorise(submission_ids)
         if not len(self.codes) == len(self.scores) == len(self.confidences):
             raise ValidationError("review columns must have equal lengths")
 
@@ -722,40 +779,39 @@ class AuthorTable:
     """Authors as CSR columns: ``author_ids[i]`` ranks the submissions
     ``codes[offsets[i]:offsets[i + 1]]`` by that slice of ``ranks`` (1 = best).
 
-    Every rank goes through ``int()`` first; one outside int64 is kept as 0,
-    which no permutation holds.  An id ``reviews.code_of`` lacks gets a
-    fresh code from ``len(reviews.ids)`` up.  The first row without
-    submissions, with a rank count unlike its submission count or listing a
-    submission twice (in that order) raises ``AuthorRowError``."""
+    Built from CSR input: the flat submission ids (str, or UTF-8 cells as
+    for ``ReviewTable``) with the count of each row, and the flat int64
+    ranks with theirs.  The distinct ids are factorised once and looked up
+    in ``reviews.ids``; one that no review holds gets a code from
+    ``len(reviews.ids)`` up.  The first row without submissions, with a
+    rank count unlike its submission count or listing a submission twice
+    (in that order) raises ``AuthorRowError``."""
 
     def __init__(self, reviews: ReviewTable, author_ids: Sequence[str],
-                 submission_ids: Sequence[Sequence[str]], rankings: Sequence[Sequence]):
-        ranks = list(map(int, itertools.chain.from_iterable(rankings)))
-        try:
-            self.ranks = np.array(ranks, dtype=np.int64)
-        except OverflowError:
-            self.ranks = np.array([r if -2**63 <= r < 2**63 else 0 for r in ranks], dtype=np.int64)
-        flat = list(itertools.chain.from_iterable(submission_ids))
-        lookup = dict(reviews.code_of)
-        self.codes = np.fromiter(map(lookup.setdefault, flat, itertools.count(len(reviews.ids))),
-                                 dtype=np.intp, count=len(flat))
-        sizes = np.fromiter(map(len, submission_ids), dtype=np.intp, count=len(submission_ids))
-        counts = np.fromiter(map(len, rankings), dtype=np.intp, count=sizes.size)
-        span = len(reviews.ids) + len(flat)  # above every code: keys sort by row, then code
+                 submission_ids: Sequence[str], sizes, ranks, rank_counts):
+        self.ranks = np.asarray(ranks, dtype=np.int64)
+        distinct, group = _factorise(submission_ids)
+        code_of = dict(zip(reviews.ids, range(len(reviews.ids))))
+        code = np.fromiter(map(code_of.get, distinct, range(len(reviews.ids), 2**62)), np.intp,
+                           len(distinct))  # an id no review holds takes a fresh code
+        self.codes = code[group]
+        sizes = np.asarray(sizes, dtype=np.intp)
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        span = len(reviews.ids) + len(distinct)  # above every code: keys sort by row, then code
         keys = np.sort(np.repeat(np.arange(sizes.size) * span, sizes) + self.codes)
-        bad = (sizes == 0) | (counts != sizes)
+        bad = (sizes == 0) | (np.asarray(rank_counts) != sizes)
         bad[keys[1:][np.diff(keys) == 0] // span] = True
         if bad.any():
             k = int(bad.argmax())
-            ids, who = submission_ids[k], f"author {author_ids[k]} lists"
-            if not ids:
+            who = f"author {author_ids[k]} lists"
+            if not sizes[k]:
                 raise AuthorRowError(f"{who} no submissions", k)
-            if len(rankings[k]) != len(ids):
-                raise AuthorRowError(f"{who} {len(ids)} submissions but {len(rankings[k])} ranks", k)
+            if rank_counts[k] != sizes[k]:
+                raise AuthorRowError(f"{who} {sizes[k]} submissions but {rank_counts[k]} ranks", k)
+            ids = [distinct[g] for g in group[self.offsets[k]:self.offsets[k + 1]].tolist()]
             repeated = next(sid for i, sid in enumerate(ids) if sid in ids[:i])
             raise AuthorRowError(f"{who} submission {repeated!r} twice", k)
         self.author_ids = author_ids
-        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
 
 
 @dataclass(frozen=True)

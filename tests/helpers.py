@@ -376,7 +376,10 @@ def author_tables(reviews, rows):
     ``AuthorTable`` against ``reviews``, which refuses malformed rows."""
     records = [AuthorRecord(*row) for row in rows]
     table = AuthorTable(reviews, [r.author_id for r in records],
-                        [r.submission_ids for r in records], [r.ranking for r in records])
+                        [sid for r in records for sid in r.submission_ids],
+                        [len(r.submission_ids) for r in records],
+                        [rank for r in records for rank in r.ranking],
+                        [len(r.ranking) for r in records])
     return records, table
 
 

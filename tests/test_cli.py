@@ -672,6 +672,19 @@ def test_minimax_budget_guard_names_c(workdir, capsys):
     assert not (workdir / "rate.csv").exists() and not (workdir / "rate.csv.meta.json").exists()
 
 
+def test_minimax_codeword_cap_names_the_kl_pass(workdir, capsys):
+    # k = 108 would need 11,586 codewords: the arrays fit in memory, but the
+    # 10,624-codeword cap, which bounds the KL pass's time, refuses it
+    argv = ["minimax", "--family", "binomial:10", "--v-min", "0", "--v-max", "10",
+            "--n-grid", "8,16", "--trials", "4", "--construction-n", "512", "--c", "0.0637"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: c = 0.0637 gives k = 108 blocks and 2^(108/8) codewords, beyond the cap of "
+        "10,624 codewords at n = 512 that bounds the time of the O(codewords * n) KL pass; "
+        "use c >= 0.0638 (k <= 107)\n")
+    assert list(workdir.iterdir()) == []
+
+
 def test_minimax_budget_advice_stops_at_the_kl_limit(workdir, capsys):
     # at n = 4096 the smallest c within the budget, 0.181, is past
     # c_var sqrt(log 2 / 32) = 0.11, where verify may refuse the KL budget

@@ -9,12 +9,16 @@ that format each distinct value once.
 
 import json
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 import numpy as np
 import pytest
 
 from helpers import AuthorRecord, reference_csv_table, reference_surrogate_eval
 from isomech import CoarseRanking, ValidationError, cli
 from isomech.cli import main
+from isomech.experiments import ReviewTable
 
 
 def write(path, text):
@@ -384,3 +388,120 @@ def test_read_blocks_refuses_what_coarse_ranking_refuses(workdir, text, message)
     with pytest.raises(ValidationError) as exc:
         cli._read_blocks("blocks.csv", 3)
     assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Review and author files from an id alphabet that fixed-width text mangles
+# ---------------------------------------------------------------------------
+
+# ASCII, Latin-1 and CJK ids, ids beyond 8 bytes and ids equal in their
+# first 8 bytes, and ids that differ only by a trailing NUL, which numpy's
+# fixed-width strings drop; "x\x1f" and "\x85c" end and start with characters
+# str.strip strips, "e\u0301" ends in a combining accent, and U+2028, which
+# str.splitlines splits at, sits inside "a\u2028b"
+ID_ALPHABET = ["s1", "s10", "a b", "é", "ÿx", "é2", "審査", "漢字", "ab\x00", "ab",
+               "a\x00", "a", "abcdefgh", "abcdefgh1", "abcdefgh2", "abcdefgi",
+               "submission-000001", "submission-000002", "e\u0301", "x\x1f", "\x85c",
+               "a\u2028b"]
+
+
+@st.composite
+def review_files(draw):
+    """(reviews rows, authors rows as ``(id, ids, ranks)`` cells): reviews
+    of a subset of ``ID_ALPHABET``, authors listing those and a few more."""
+    ids = draw(st.lists(st.sampled_from(ID_ALPHABET), min_size=1, unique=True))
+    reviews = [(sid, str(draw(st.integers(1, 10))), str(draw(st.integers(1, 3))))
+               for sid in ids for _ in range(draw(st.integers(1, 4)))]
+    reviews = draw(st.permutations(reviews))
+    listed = ids + draw(st.lists(st.sampled_from(ID_ALPHABET), max_size=3, unique=True))
+    authors = []
+    for k in range(draw(st.integers(1, 6))):
+        sids = draw(st.lists(st.sampled_from(listed), min_size=1, max_size=5, unique=True))
+        ranks = draw(st.one_of(st.permutations(range(1, len(sids) + 1)),
+                               st.lists(st.integers(0, 6), min_size=len(sids),
+                                        max_size=len(sids))))
+        # spaced, doubled and trailing separators that the reader drops
+        glue = draw(st.sampled_from([";", " ; ", ";;", "; "]))
+        tail = draw(st.sampled_from(["", ";", " ;"]))
+        authors.append((f"a{k}", glue.join(sids) + tail, glue.join(map(str, ranks)) + tail))
+    return reviews, authors
+
+
+@given(review_files(), st.sampled_from(["\n", "\r\n"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_review_and_author_files_match_the_reference(workdir, files, newline, seed):
+    reviews, authors = files
+    text = newline.join(["submission_id,score,confidence"] + [",".join(r) for r in reviews])
+    write(workdir / "reviews.csv", text + newline)
+    write(workdir / "authors.csv", newline.join(
+        ["author_id,submission_ids,ranking"] + [",".join(row) for row in authors]) + newline)
+    # a file with a carriage return is walked; loadtxt reads any other, its
+    # text as str if it holds a NUL
+    _, cols = cli._read_csv("reviews.csv", ("submission_id", "score", "confidence"),
+                            {"score": float, "confidence": int})
+    assert isinstance(cols["submission_id"], np.ndarray) == (newline == "\n" and "\0" not in text)
+    table = cli._read_reviews("reviews.csv")
+    assert table.submission_ids == tuple(row[0].strip() for row in reviews)
+    assert table.ids == sorted(set(table.submission_ids))
+    records = [AuthorRecord(author, tuple(filter(None, map(str.strip, sids.split(";")))),
+                            tuple(int(t) for t in ranks.split(";") if t.strip()))
+               for author, sids, ranks in authors]
+    got = cli.surrogate_eval(table, cli._read_authors("authors.csv", table), seed=seed)
+    assert got == reference_surrogate_eval(table, records, seed=seed)
+
+
+def test_ids_that_differ_by_a_trailing_nul_stay_apart(workdir):
+    write(workdir / "reviews.csv",
+          "submission_id,score,confidence\na\x00,5,1\na,6,1\na\x00,7,2\nab,1,1\nab\x00\x00,2,1\n")
+    table = cli._read_reviews("reviews.csv")
+    assert table.ids == ["a", "a\x00", "ab", "ab\x00\x00"]
+    assert table.codes.tolist() == [1, 0, 1, 2, 3]
+    write(workdir / "authors.csv", "author_id,submission_ids,ranking\nx,a\x00 ; a;b\x00,1;2;3\n")
+    authors = cli._read_authors("authors.csv", table)
+    assert authors.codes.tolist()[:2] == [1, 0] and authors.codes[2] >= len(table.ids)
+
+
+def test_the_stripped_characters_are_those_str_isspace_names():
+    spaces = {c for c in map(chr, range(0x110000)) if c.isspace()}
+    assert {c.decode() for c in cli._SPACES} == spaces
+    assert len(cli._SPACES) == len(spaces)
+
+
+def test_text_too_unequal_in_width_is_read_as_str(workdir, loadtxt_calls):
+    # one id of 3,000 bytes among 200 short rows: padding every cell to it
+    # would take over _PADDED_PER_BYTE bytes per byte of the file, so
+    # loadtxt reads the ids as str
+    long_id = "s" * 3000
+    write(workdir / "reviews.csv", "submission_id,score,confidence\n"
+          + "".join(f"s{k % 60},{k % 9 + 1},{k % 3 + 1}\n" for k in range(200))
+          + f"{long_id},3,2\n{long_id},4,1\n")
+    _, cols = cli._read_csv("reviews.csv", ("submission_id", "score", "confidence"),
+                            {"score": float, "confidence": int})
+    assert loadtxt_calls == [1] and isinstance(cols["submission_id"], list)
+    table = cli._read_reviews("reviews.csv")
+    assert table.ids == sorted({f"s{k}" for k in range(60)} | {long_id})
+    assert table.submission_ids == tuple(cols["submission_id"])
+    # lines of equal width, but one cell holds a single token as wide as the
+    # 60 tokens of any other: the file is read by loadtxt, the tokens as str
+    wide = "w" * len(";".join(f"s{k}" for k in range(60)))
+    rows = [f"a{j},{';'.join(f's{(j + k) % 60}' for k in range(60))},"
+            f"{';'.join(str(k + 1) for k in range(60))}" for j in range(20)]
+    write(workdir / "authors.csv", "author_id,submission_ids,ranking\n"
+          + "\n".join(rows + [f"b,{wide},1"]) + "\n")
+    _, cols = cli._read_csv("authors.csv", ("author_id", "submission_ids", "ranking"))
+    assert isinstance(cols["submission_ids"], np.ndarray)
+    tokens, sizes = cli._tokens(cols["submission_ids"])
+    assert isinstance(tokens, list) and tokens[-1] == wide and sizes.tolist() == [60] * 20 + [1]
+    authors = cli._read_authors("authors.csv", table)
+    records = [AuthorRecord(f"a{j}", tuple(f"s{(j + k) % 60}" for k in range(60)),
+                            tuple(range(1, 61))) for j in range(20)] + [AuthorRecord("b", (wide,), (1,))]
+    assert cli.surrogate_eval(table, authors, seed=3) == reference_surrogate_eval(table, records, seed=3)
+
+
+def test_review_table_orders_str_ids_as_sorted_does():
+    # ids given as str, lone surrogates and NULs among them, take the same
+    # integer-word factorisation as a plain file's bytes
+    ids = ["b", "\ud800", "a\udfff", "퟿", "", "a\x00", "a", "abcdefgh\x00", "abcdefgh"] * 2
+    table = ReviewTable(ids, [1.0] * len(ids), [1] * len(ids))
+    assert table.ids == sorted(set(ids)) and table.submission_ids == tuple(ids)

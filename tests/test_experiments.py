@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     author_tables,
     pairwise_minima,
+    projection_certificate,
     reference_lower_bound,
     reference_surrogate_eval,
     traced_peak,
@@ -434,7 +435,9 @@ def test_lower_bound_budget_guard(monkeypatch):
     # default c: 9.4e9 codewords at n = 4096 and a 69 GB Gram matrix at n = 512
     with pytest.raises(InvalidParameterError, match=r"use c >= "):
         build_lower_bound(family, bounds, 512)
-    with pytest.raises(InvalidParameterError, match=r"GiB budget .*; lower n$"):
+    # what binds there is the codeword cap, not the arrays' memory
+    with pytest.raises(InvalidParameterError,
+                       match=r"cap of 10,624 codewords at n = 4096 .*; lower n$"):
         build_lower_bound(family, bounds, 4096)
 
     # the c named in the message fits; anything giving a larger k does not
@@ -772,6 +775,28 @@ def test_surrogate_matches_reference_on_a_large_table(seed):
     assert len(got.tie_breaks) > 1000
     assert min(got.skipped_authors.values()) > 10 and got.skipped_submissions > 100
     assert sum(row.authors for row in got.rows) > 600 and len(got.rows) == 10
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_surrogate_fit_passes_the_projection_certificate(monkeypatch, seed):
+    # surrogate_eval fits the authors of each n together in one lockstep call;
+    # every row must be the projection of its claimed-order held-out scores
+    fits = []
+    real = experiments.pava_descending_rows
+
+    def recording(rows):
+        fitted = real(rows)
+        fits.append((rows.copy(), fitted))
+        return fitted
+
+    monkeypatch.setattr(experiments, "pava_descending_rows", recording)
+    table, _, authors = large_review_table(seed)
+    report = surrogate_eval(table, authors, seed=seed)
+    assert [y.shape for y, _ in fits] == [(row.authors, row.n) for row in report.rows
+                                          if row.authors]
+    assert any((y != f).any() for y, f in fits)  # some rows pool
+    for y, f in fits:
+        assert projection_certificate(y, f).all()
 
 
 def test_one_integers_call_draws_as_scalar_calls():
