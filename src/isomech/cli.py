@@ -16,12 +16,15 @@ file (a regular file with the exact header, no quote, no carriage return
 and no empty line) to one ``np.loadtxt`` call, which parses the numeric
 columns in C and keeps text columns as fixed-width UTF-8 bytes, or as str
 where a NUL or cells of very unequal width rule that out; where it accepts
-a number, the value is the one ``int()`` or ``float()`` gives.  Checks such as "the indices are a
-permutation" then run on the arrays.  A file loadtxt refuses (a bad cell, a
-non-finite score, a spelling only Python takes such as ``1_0``), or one
-that is not plain, goes through the csv walk, which reads it row by row and
-names the first bad line.  ``_write_table`` spells a column at a time
-(``_texts``) and joins the header and all rows in one pass.
+a number, the value is the one ``int()`` or ``float()`` gives.  The bytes
+stay in this module: ``_factorise`` hands ``ReviewTable`` str ids and
+codes, ``_read_authors`` hands ``AuthorTable`` str tokens and int64 ranks.
+Checks such as "the indices are a permutation" then run on the arrays.  A
+file loadtxt refuses (a bad cell, a non-finite score, a spelling only
+Python takes such as ``1_0``), or one that is not plain, goes through the
+csv walk, which reads it row by row and names the first bad line.
+``_write_table`` spells a column at a time (``_texts``) and joins the
+header and all rows in one pass.
 
 Parameters take one path.  ``_PARAMS`` declares each run parameter once,
 with its converter and help line, and ``_COMMANDS`` says which ones a
@@ -83,8 +86,6 @@ from .experiments import (
     LinearRamp,
     PoolResample,
     ReviewTable,
-    _PADDED_PER_BYTE,
-    _decode,
     _rate_grid,
     build_lower_bound,
     estimation_error_curve,
@@ -236,6 +237,12 @@ def _read_csv(path: str, columns: Sequence[str], kinds: Optional[dict[str, type]
     return linenos, cells
 
 
+# Fixed-width text, padded to its widest cell, may take this many bytes per
+# byte of the file, about what the same text takes as str objects; a file
+# whose text is more skewed in width is read as str.
+_PADDED_PER_BYTE = 16
+
+
 def _read_plain(path: str, text: str, columns: Sequence[str], kinds: dict[str, type]
                 ) -> Optional[tuple[Sequence[int], dict[str, Any]]]:
     """``_read_csv``'s result for a plain file, or None for any other.
@@ -314,13 +321,13 @@ def _strip_cells(cells: np.ndarray) -> np.ndarray:
     """Strip UTF-8 cells (an ``S`` array) in place as ``str.strip`` strips
     their texts, and return their lengths in bytes.  Only the cells whose
     first or last byte may belong to a whitespace character are decoded."""
-    size = np.strings.str_len(cells)
+    size = np.char.str_len(cells)
     edges = cells.view(np.uint8).reshape(cells.size, cells.itemsize)
     touched = (_SPACE_FIRST[edges[:, 0]]
                | _SPACE_LAST[edges[np.arange(cells.size), np.maximum(size - 1, 0)]])
     if touched.any():
         cells[touched] = [cell.decode().strip().encode() for cell in cells[touched].tolist()]
-        size[touched] = np.strings.str_len(cells[touched])
+        size[touched] = np.char.str_len(cells[touched])
     return size
 
 
@@ -330,21 +337,18 @@ def _tokens(cells, strip: bool = True) -> tuple[Any, np.ndarray]:
     split by array passes into an ``S`` array where ``_split_cells`` takes
     them; str cells, or UTF-8 ones it refuses, are joined and split once
     into a list."""
-    if not len(cells):
-        return cells[:0], np.zeros(0, dtype=np.intp)
-    split = _split_cells(cells) if isinstance(cells, np.ndarray) else None
+    split = _split_cells(cells) if isinstance(cells, np.ndarray) and cells.size else None
     if split is not None:
         tokens, per_cell = split
         kept = _strip_cells(tokens if strip else tokens.copy()) > 0
-        tokens = tokens[kept]
-    else:
-        cells = cells if isinstance(cells, list) else _decode(cells)
-        tokens = ";".join(cells).split(";")
-        stripped = list(map(str.strip, tokens))
-        kept = np.fromiter(map(bool, stripped), dtype=bool, count=len(tokens))
-        tokens = list(itertools.compress(stripped if strip else tokens, kept))
-        per_cell = np.fromiter((cell.count(";") + 1 for cell in cells), np.intp, len(cells))
-    return tokens, np.add.reduceat(kept, np.cumsum(per_cell) - per_cell, dtype=np.intp)
+        return tokens[kept], np.add.reduceat(kept, np.cumsum(per_cell) - per_cell, dtype=np.intp)
+    cells = _decode(cells)
+    tokens = ";".join(cells).split(";")
+    stripped = list(map(str.strip, tokens))
+    per_cell = np.fromiter(map(str.count, cells, itertools.repeat(";")), np.intp, len(cells)) + 1
+    kept = np.fromiter(map(bool, stripped), dtype=bool, count=len(tokens))
+    return (list(itertools.compress(stripped if strip else tokens, kept)),
+            np.add.reduceat(kept, np.cumsum(per_cell) - per_cell, dtype=np.intp))
 
 
 def _split_cells(cells: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -378,12 +382,44 @@ def _ranks(tokens) -> np.ndarray:
             for column in digits.T:  # a NUL pads a shorter token
                 ranks = np.where(column > 0, ranks * 10 + column - ord("0"), ranks)
             return ranks
-        tokens = _decode(tokens)
-    ranks = list(map(int, tokens))
+    ranks = list(map(int, _decode(tokens)))
     try:
         return np.array(ranks, dtype=np.int64)
     except OverflowError:
         return np.array([r if -2**63 <= r < 2**63 else 0 for r in ranks], dtype=np.int64)
+
+
+def _decode(cells) -> list[str]:
+    """The texts of a text column: str cells as they are, UTF-8 cells
+    without a newline in one decode."""
+    if isinstance(cells, list):
+        return cells
+    return b"\n".join(cells.tolist()).decode().split("\n") if cells.size else []
+
+
+def _factorise(cells: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """(the distinct texts of UTF-8 cells without NUL in ``sorted`` order,
+    each cell's place there); only the distinct cells are decoded.
+
+    The keys are big-endian uint64 words of the NUL-padded bytes, which
+    order as the bytes do, and in UTF-8 as the code points do.  Words no
+    two cells differ in are dropped; one key sorts by ``np.argsort``, more
+    by ``np.lexsort``.
+    """
+    words = max(1, -(-cells.itemsize // 8))
+    keys = cells.astype(f"S{8 * words}").view(">u8").reshape(cells.size, words).T
+    keys = keys.astype(np.uint64, order="C")
+    varying = (keys != keys[:, :1]).any(axis=1)
+    keys = keys[varying] if varying.any() else keys[:1]
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    new = np.zeros(cells.size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    codes = np.empty(cells.size, dtype=np.intp)
+    codes[order] = np.cumsum(new) - 1
+    return _decode(cells[order[new]]), codes
 
 
 def _walk_csv(path: str, text: str, columns: Sequence[str]
@@ -815,7 +851,10 @@ def _cmd_minimax(params: dict[str, Any]) -> int:
 def _read_reviews(path: str) -> ReviewTable:
     _, cols = _read_csv(path, ("submission_id", "score", "confidence"),
                         {"score": float, "confidence": int})
-    return ReviewTable(cols["submission_id"], cols["score"], cols["confidence"])
+    if isinstance(cols["submission_id"], list):
+        return ReviewTable(cols["submission_id"], cols["score"], cols["confidence"])
+    return ReviewTable.factorised(*_factorise(cols["submission_id"]), cols["score"],
+                                  cols["confidence"])
 
 
 def _read_authors(path: str, reviews: ReviewTable) -> AuthorTable:
@@ -825,13 +864,10 @@ def _read_authors(path: str, reviews: ReviewTable) -> AuthorTable:
     try:
         ranks = _ranks(ranks)
     except ValueError:  # a rank int() refuses: only now are the tokens walked to name its line
-        texts = ranks if isinstance(ranks, list) else _decode(ranks)
-        _parse_column(path, np.repeat(linenos, counts).tolist(), "ranking", texts, int)
+        _parse_column(path, np.repeat(linenos, counts).tolist(), "ranking", _decode(ranks), int)
         raise
-    author_ids = cols["author_id"]
-    author_ids = author_ids if isinstance(author_ids, list) else _decode(author_ids)
     try:
-        return AuthorTable(reviews, author_ids, sids, sizes, ranks, counts)
+        return AuthorTable(reviews, _decode(cols["author_id"]), _decode(sids), sizes, ranks, counts)
     except AuthorRowError as exc:
         raise ValidationError(f"{path} line {linenos[exc.row]}: {exc}") from None
 

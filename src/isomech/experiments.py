@@ -27,10 +27,10 @@ reads every pairwise distance off the weight of one word of that code and
 holds no size x size or size x n array.
 
 The review evaluation works on columns from file to table: ids factorised
-once by ``ReviewTable`` on integer words of their UTF-8 bytes, authors as
-CSR rows of codes and ranks checked by array passes, ties drawn in one
-call, and the authors of each submission count fitted together by the
-lockstep PAVA ``pava_descending_rows``.
+once (on integer words of their UTF-8 bytes where the CLI reads a plain
+file), authors as CSR rows of codes and ranks checked by array passes,
+ties drawn in one call, and the authors of each submission count fitted
+together by the lockstep PAVA ``pava_descending_rows``.
 
 Every driver is a pure function of (config, seed).  The Monte-Carlo
 drivers run on the core in ``mechanism`` that the truthfulness sweep also
@@ -42,6 +42,7 @@ uses: fixed-size chunks of trials on RNG substreams spawned from the seed
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from collections import defaultdict
@@ -699,73 +700,32 @@ def build_lower_bound(
 # ---------------------------------------------------------------------------
 
 
-# Fixed-width text, padded to its widest cell, may take this many bytes per
-# byte of the text it holds, about what the same text takes as str objects;
-# text more skewed in width is kept as str.
-_PADDED_PER_BYTE = 16
-
-
-def _decode(cells: np.ndarray) -> list[str]:
-    """The texts of UTF-8 cells without a newline, in one decode."""
-    return b"\n".join(cells.tolist()).decode().split("\n") if cells.size else []
-
-
-def _factorise(texts) -> tuple[list[str], np.ndarray]:
-    """(the distinct texts in ``sorted`` order, each text's place there) of
-    a sequence of str or of the ``S`` array of UTF-8 cells without NUL that
-    a plain file gives; only the distinct cells are decoded.
-
-    The keys are big-endian uint64 words of the NUL-padded UTF-8 bytes
-    (lone surrogates kept), which order as the bytes do, and in UTF-8 as
-    the code points do, then the count of trailing NULs that the padding
-    hides, if any, so a text comes before itself plus NULs.  Of several
-    keys, those no two texts differ in are dropped; one key sorts by
-    ``np.argsort``, more by ``np.lexsort``.  str texts too unequal in width
-    to pad within ``_PADDED_PER_BYTE`` are sorted as str instead.
-    """
-    cells = texts
-    if not isinstance(texts, np.ndarray):
-        encoded = [text.encode("utf-8", "surrogatepass") for text in texts]
-        sizes = np.fromiter(map(len, encoded), np.intp, len(encoded))
-        if len(encoded) * sizes.max(initial=0) > _PADDED_PER_BYTE * (sizes.sum() + len(encoded)):
-            ids = sorted(set(texts))
-            code_of = dict(zip(ids, range(len(ids))))
-            return ids, np.fromiter(map(code_of.__getitem__, texts), np.intp, len(texts))
-        cells = np.array(encoded, dtype="S")
-    words = max(1, -(-cells.itemsize // 8))
-    keys = cells.astype(f"S{8 * words}").view(">u8").reshape(cells.size, words).T
-    keys = keys.astype(np.uint64, order="C")
-    if cells is not texts:
-        keys = np.vstack((keys, (sizes - np.strings.str_len(cells)).astype(np.uint64)))
-    if len(keys) > 1:
-        varying = (keys != keys[:, :1]).any(axis=1)
-        keys = keys[varying] if varying.any() else keys[:1]
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
-    new = np.zeros(cells.size, dtype=bool)
-    new[:1] = True
-    for key in keys:
-        ranked = key[order]
-        new[1:] |= ranked[1:] != ranked[:-1]
-    codes = np.empty(cells.size, dtype=np.intp)
-    codes[order] = np.cumsum(new) - 1
-    first = order[new]
-    return (_decode(cells[first]) if cells is texts
-            else list(map(texts.__getitem__, first.tolist()))), codes
-
-
 class ReviewTable:
-    """Reviews as columns in file order, ids factorised once by
-    ``_factorise``: ``ids`` holds the distinct ones in ``sorted`` order and
-    ``codes`` each review's place there.  Scores are float64; a confidence
-    outside int64 is refused."""
+    """Reviews as columns in file order, ids factorised once: ``ids`` holds
+    the distinct ones in ``sorted`` order and ``codes`` each review's place
+    there.  Scores are float64; a confidence outside int64 is refused."""
 
     def __init__(self, submission_ids: Sequence[str], scores, confidences):
+        ids = sorted(set(submission_ids))
+        code_of = dict(zip(ids, range(len(ids))))
+        self._fill(ids, np.fromiter(map(code_of.__getitem__, submission_ids), dtype=np.intp,
+                                    count=len(submission_ids)), scores, confidences)
+
+    @classmethod
+    def factorised(cls, ids: list[str], codes, scores, confidences) -> ReviewTable:
+        """The table whose review i has the id ``ids[codes[i]]``, for
+        ``ids`` distinct and in ``sorted`` order."""
+        table = cls.__new__(cls)
+        table._fill(ids, np.asarray(codes, dtype=np.intp), scores, confidences)
+        return table
+
+    def _fill(self, ids: list[str], codes: np.ndarray, scores, confidences) -> None:
         confidences = np.asarray(confidences)
         if confidences.size and confidences.dtype.kind not in "bi":
             raise ValidationError("review confidences must be 64-bit integers")
         self.scores = np.asarray(scores, dtype=float)
         self.confidences = confidences.astype(np.int64, copy=False)
-        self.ids, self.codes = _factorise(submission_ids)
+        self.ids, self.codes = ids, codes
         if not len(self.codes) == len(self.scores) == len(self.confidences):
             raise ValidationError("review columns must have equal lengths")
 
@@ -779,25 +739,23 @@ class AuthorTable:
     """Authors as CSR columns: ``author_ids[i]`` ranks the submissions
     ``codes[offsets[i]:offsets[i + 1]]`` by that slice of ``ranks`` (1 = best).
 
-    Built from CSR input: the flat submission ids (str, or UTF-8 cells as
-    for ``ReviewTable``) with the count of each row, and the flat int64
-    ranks with theirs.  The distinct ids are factorised once and looked up
-    in ``reviews.ids``; one that no review holds gets a code from
-    ``len(reviews.ids)`` up.  The first row without submissions, with a
-    rank count unlike its submission count or listing a submission twice
-    (in that order) raises ``AuthorRowError``."""
+    Built from CSR input: the flat submission ids with the count of each
+    row, and the flat int64 ranks with theirs.  An id that no review holds
+    gets a fresh code from ``len(reviews.ids)`` up.  The first row without
+    submissions, with a rank count unlike its submission count or listing a
+    submission twice (in that order) raises ``AuthorRowError``."""
 
     def __init__(self, reviews: ReviewTable, author_ids: Sequence[str],
                  submission_ids: Sequence[str], sizes, ranks, rank_counts):
         self.ranks = np.asarray(ranks, dtype=np.int64)
-        distinct, group = _factorise(submission_ids)
-        code_of = dict(zip(reviews.ids, range(len(reviews.ids))))
-        code = np.fromiter(map(code_of.get, distinct, range(len(reviews.ids), 2**62)), np.intp,
-                           len(distinct))  # an id no review holds takes a fresh code
-        self.codes = code[group]
+        lookup = dict(zip(reviews.ids, range(len(reviews.ids))))
+        self.codes = np.fromiter(map(lookup.setdefault, submission_ids,
+                                     itertools.count(len(reviews.ids))),
+                                 dtype=np.intp, count=len(submission_ids))
         sizes = np.asarray(sizes, dtype=np.intp)
         self.offsets = np.concatenate(([0], np.cumsum(sizes)))
-        span = len(reviews.ids) + len(distinct)  # above every code: keys sort by row, then code
+        # above every code: keys sort by row, then code
+        span = len(reviews.ids) + len(submission_ids)
         keys = np.sort(np.repeat(np.arange(sizes.size) * span, sizes) + self.codes)
         bad = (sizes == 0) | (np.asarray(rank_counts) != sizes)
         bad[keys[1:][np.diff(keys) == 0] // span] = True
@@ -808,7 +766,7 @@ class AuthorTable:
                 raise AuthorRowError(f"{who} no submissions", k)
             if rank_counts[k] != sizes[k]:
                 raise AuthorRowError(f"{who} {sizes[k]} submissions but {rank_counts[k]} ranks", k)
-            ids = [distinct[g] for g in group[self.offsets[k]:self.offsets[k + 1]].tolist()]
+            ids = submission_ids[self.offsets[k]:self.offsets[k + 1]]
             repeated = next(sid for i, sid in enumerate(ids) if sid in ids[:i])
             raise AuthorRowError(f"{who} submission {repeated!r} twice", k)
         self.author_ids = author_ids

@@ -495,13 +495,26 @@ def test_text_too_unequal_in_width_is_read_as_str(workdir, loadtxt_calls):
     assert isinstance(tokens, list) and tokens[-1] == wide and sizes.tolist() == [60] * 20 + [1]
     authors = cli._read_authors("authors.csv", table)
     records = [AuthorRecord(f"a{j}", tuple(f"s{(j + k) % 60}" for k in range(60)),
-                            tuple(range(1, 61))) for j in range(20)] + [AuthorRecord("b", (wide,), (1,))]
-    assert cli.surrogate_eval(table, authors, seed=3) == reference_surrogate_eval(table, records, seed=3)
+                            tuple(range(1, 61))) for j in range(20)]
+    records.append(AuthorRecord("b", (wide,), (1,)))
+    got = cli.surrogate_eval(table, authors, seed=3)
+    assert got == reference_surrogate_eval(table, records, seed=3)
+
+
+@given(st.lists(st.text(st.characters(blacklist_characters="\x00\n",
+                                      blacklist_categories=["Cs"]), min_size=1), min_size=1))
+def test_factorise_orders_cells_as_sorted_does(texts):
+    # UTF-8 cells, ids past 8 bytes and ids equal in their first 8 among
+    # them, factorised on integer words give the order str sorts in
+    texts += [t + "x" * 9 for t in texts[:2]] + [t + "x" * 9 + "y" for t in texts[:2]]
+    ids, codes = cli._factorise(np.array([t.encode() for t in texts], dtype="S"))
+    assert ids == sorted(set(texts))
+    assert [ids[c] for c in codes.tolist()] == texts
 
 
 def test_review_table_orders_str_ids_as_sorted_does():
-    # ids given as str, lone surrogates and NULs among them, take the same
-    # integer-word factorisation as a plain file's bytes
+    # ids given as str, lone surrogates and NULs among them, as a walked
+    # file or a caller gives them
     ids = ["b", "\ud800", "a\udfff", "퟿", "", "a\x00", "a", "abcdefgh\x00", "abcdefgh"] * 2
     table = ReviewTable(ids, [1.0] * len(ids), [1] * len(ids))
     assert table.ids == sorted(set(ids)) and table.submission_ids == tuple(ids)

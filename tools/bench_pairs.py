@@ -5,14 +5,14 @@
 
 The parent revision is exported with ``git archive`` into a temporary
 directory (a ``git worktree`` would register itself in the repository and
-outlive a killed run), and so is ``--change`` if given; without it the
-change is the working tree: the files git tracks or would track (``git
-ls-files --cached --others --exclude-standard``), copied as they are.
-Pair i runs
-``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
-once in each export, in the same environment, with the seed taken from
-``--seeds`` in turn; the parent goes first in even pairs and the change
-first in odd ones, so a slow drift of the host weighs on both alike.
+outlive a killed run).  The change is the working tree: the files git
+tracks or would track (``git ls-files --cached --others
+--exclude-standard``), copied as they are.  Pair i runs
+``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``,
+T the ``run_seconds`` of ``BENCHMARK.json``, once in each copy, in the
+same environment, with the seed taken from ``--seeds`` in turn; the
+parent goes first in even pairs and the change first in odd ones, so a
+slow drift of the host weighs on both alike.
 Every run starts without bytecode caches, as in a fresh checkout.
 
 The file records, per workload, every pair's metrics with its
@@ -112,24 +112,20 @@ def _summary(pairs: list[dict], metrics: list[dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="revision to compare against")
-    parser.add_argument("--change", help="revision measured (default: the working tree)")
     parser.add_argument("--workload", action="append", required=True,
                         choices=["minimax", "truthfulness", "records"],
                         help="workload to pair; repeat for several")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--pairs", type=int, required=True, help="pairs per workload")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--slug", required=True, help="the file is BENCH_<slug>.json")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     revs = {"parent": _git("rev-parse", args.parent),
-            "change": _git("rev-parse", args.change) if args.change else
-            f"working tree of {_git('rev-parse', 'HEAD')}"}
+            "change": f"working tree of {_git('rev-parse', 'HEAD')}"}
     report = {
         "parent": revs["parent"], "change": revs["change"], "seconds": seconds,
         "seeds": args.seeds, "command": bench["command"],
@@ -139,8 +135,7 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         checkouts = {"parent": _export(revs["parent"], Path(tmp) / "parent"),
-                     "change": _export(revs["change"], Path(tmp) / "change") if args.change
-                     else _copy_worktree(Path(tmp) / "change")}
+                     "change": _copy_worktree(Path(tmp) / "change")}
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):
