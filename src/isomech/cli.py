@@ -13,16 +13,16 @@ Conventions: CSV in and out with header rows, UTF-8, '.' decimal, floats at
 
 CSV is read and written a column at a time.  ``_read_csv`` hands a plain
 file (a regular file with the exact header, no quote, no carriage return
-and no empty line) to one ``np.loadtxt`` call, which parses the numeric
-columns in C and keeps text columns as fixed-width UTF-8 bytes, or as str
-where a NUL or cells of very unequal width rule that out; where it accepts
-a number, the value is the one ``int()`` or ``float()`` gives.  The bytes
-stay in this module: ``_factorise`` hands ``ReviewTable`` str ids and
-codes, ``_read_authors`` hands ``AuthorTable`` str tokens and int64 ranks.
-Checks such as "the indices are a permutation" then run on the arrays.  A
-file loadtxt refuses (a bad cell, a non-finite score, a spelling only
-Python takes such as ``1_0``), or one that is not plain, goes through the
-csv walk, which reads it row by row and names the first bad line.
+and no empty line) to ``_read_plain``, which bounds every field by array
+passes over its bytes and parses the numeric columns by one ``np.loadtxt``
+call; where it accepts a number, the value is the one ``int()`` or
+``float()`` gives.  A text column, from a plain or a walked file, is one
+``_Cells``, byte spans of a UTF-8 buffer: ``_factorise`` hands
+``ReviewTable`` str ids and codes, ``_read_authors`` hands ``AuthorTable``
+str tokens and int64 ranks.  Checks such as "the indices are a
+permutation" then run on the arrays.  A file loadtxt refuses (a bad cell,
+a non-finite score, a spelling only Python takes such as ``1_0``), or one
+that is not plain, goes through the csv walk, which names the first bad line.
 ``_write_table`` spells a column at a time (``_texts``) and joins the
 header and all rows in one pass.
 
@@ -220,11 +220,10 @@ def _read_csv(path: str, columns: Sequence[str], kinds: Optional[dict[str, type]
     non-blank row must have that many fields.  Blank and whitespace-only
     rows are skipped.  Line numbers count CSV records, header = line 1.  A
     column named in ``kinds`` (int or float) comes back as an int64 or
-    float64 array, finite if float.  Any other is a text column of cells
-    as ``str.strip`` leaves them: an ``S`` array of their UTF-8 bytes or a
-    list of str.  A plain file is parsed by ``_read_plain``; any other
-    file, or one it refuses, takes the csv walk, which names the first bad
-    line and gives text as str.
+    float64 array, finite if float.  Any other is a text column: ``_Cells``
+    of its cells as ``str.strip`` leaves them.  A plain file is parsed by
+    ``_read_plain``; any other file, or one it refuses, takes the csv walk,
+    which names the first bad line.
     """
     kinds = kinds or {}
     text = _read_text(path)
@@ -232,15 +231,29 @@ def _read_csv(path: str, columns: Sequence[str], kinds: Optional[dict[str, type]
     if plain is not None:
         return plain
     linenos, cells = _walk_csv(path, text, columns)
-    for name, kind in kinds.items():
-        cells[name] = _parse_array(path, linenos, name, cells[name], kind)
+    for name in columns:
+        cells[name] = (_parse_array(path, linenos, name, cells[name], kinds[name])
+                       if name in kinds else _Cells.of(cells[name]))
     return linenos, cells
 
 
-# Fixed-width text, padded to its widest cell, may take this many bytes per
-# byte of the file, about what the same text takes as str objects; a file
-# whose text is more skewed in width is read as str.
-_PADDED_PER_BYTE = 16
+class _Cells(NamedTuple):
+    """A text column as byte spans: cell i is the UTF-8 text
+    ``data[starts[i]:ends[i]]`` of the uint8 buffer ``data``, its bounds
+    int64.  A reader gives the cells in buffer order, none overlapping,
+    which ``_tokens`` relies on."""
+
+    data: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+
+    @classmethod
+    def of(cls, texts: Sequence[str]) -> _Cells:
+        """The cells of ``texts``, encoded once into one buffer."""
+        encoded = [text.encode() for text in texts]
+        sizes = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+        ends = np.cumsum(sizes)
+        return cls(np.frombuffer(b"".join(encoded), dtype=np.uint8), ends - sizes, ends)
 
 
 def _read_plain(path: str, text: str, columns: Sequence[str], kinds: dict[str, type]
@@ -249,62 +262,45 @@ def _read_plain(path: str, text: str, columns: Sequence[str], kinds: dict[str, t
 
     Plain: a regular file whose name has no suffix that numpy decompresses,
     with the exact header, no quote, no carriage return, no empty line, no
-    line longer than csv's field size limit, and cells that one
-    ``np.loadtxt`` call takes: ``len(columns)`` on every line, numeric
-    where ``kinds`` says so (finite if float) and not blank otherwise.
-    Where loadtxt takes a number, its value is that of ``int()`` or
-    ``float()``.  loadtxt reads the file again from its absolute path,
-    which numpy cannot take for a URL.
-
-    Text columns come as ``S`` cells, each column as wide as its widest
-    cell: loadtxt decodes the file as Latin-1, one character per byte, so
-    a cell holds its UTF-8 bytes, and a number with a byte beyond ASCII is
-    refused.  A file with a NUL, which fixed-width text drops from the end
-    of a cell, or whose text columns would take over ``_PADDED_PER_BYTE``
-    bytes per byte of the file, is read in UTF-8 with text as str.
+    line longer than csv's field size limit, ``len(columns)`` fields on
+    every line, no blank text cell, and numeric cells that one
+    ``np.loadtxt`` call on those columns takes (finite if float); where it
+    takes a number, its value is that of ``int()`` or ``float()``.  loadtxt
+    reads the file again from its absolute path, which numpy cannot take
+    for a URL.  A text cell spans the file's bytes between the comma or
+    newline before it and the next one, narrowed by ``_strip``.
     """
-    raw = np.frombuffer(text.encode(), dtype=np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))
-    records = ends.size + (not text.endswith("\n")) - 1
+    data = np.frombuffer((text if text.endswith("\n") else text + "\n").encode(), dtype=np.uint8)
+    stops = np.flatnonzero((data == ord(",")) | (data == ord("\n")))  # where fields end
+    lines = np.flatnonzero(data[stops] == ord("\n"))  # the stops that end a line
+    records, width = lines.size - 1, len(columns)
     if (records < 1 or not os.path.isfile(path) or os.path.splitext(path)[1] in _COMPRESSED
             or '"' in text or "\r" in text or "\n\n" in text
-            or [h.strip() for h in text[:ends[0]].split(",")] != list(columns)
-            or np.diff(ends, prepend=-1, append=raw.size).max() > csv.field_size_limit() + 1):
+            or [h.strip() for h in text[:text.index("\n")].split(",")] != list(columns)
+            or np.diff(stops[lines], prepend=-1).max() > csv.field_size_limit() + 1
+            or not np.array_equal(lines, np.arange(width - 1, stops.size, width))):
         return None
-    fixed = len(kinds) < len(columns) and "\0" not in text
-    if fixed:
-        stops = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))  # where fields end
-        if not text.endswith("\n"):
-            stops = np.append(stops, raw.size)
-        if stops.size != (records + 1) * len(columns):
-            return None  # a line of the wrong width
-        cells = (np.diff(stops, prepend=-1) - 1).reshape(records + 1, len(columns))[1:]
-        widths = {name: max(1, int(cells[:, j].max()))
-                  for j, name in enumerate(columns) if name not in kinds}
-        fixed = records * sum(widths.values()) <= _PADDED_PER_BYTE * raw.size
-    dtype = [(name, {int: np.int64, float: np.float64}[kinds[name]] if name in kinds
-              else f"S{widths[name]}" if fixed else object) for name in columns]
-    try:
-        data = np.loadtxt(os.path.abspath(path), dtype=dtype, delimiter=",", comments=None,
-                          skiprows=1, encoding="latin-1" if fixed else "utf-8", ndmin=1)
-    except (ValueError, OSError):
-        return None
-    if len(data) != records:
-        return None
+    numeric = [j for j, name in enumerate(columns) if name in kinds]
+    if numeric:
+        dtype = [(columns[j], {int: np.int64, float: np.float64}[kinds[columns[j]]])
+                 for j in numeric]
+        try:
+            table = np.loadtxt(os.path.abspath(path), dtype=dtype, delimiter=",", comments=None,
+                               skiprows=1, usecols=numeric, encoding="utf-8", ndmin=1)
+        except (ValueError, OSError):
+            return None
+        if len(table) != records:
+            return None
     values: dict[str, Any] = {}
-    for name in columns:
+    for j, name in enumerate(columns):
         if name in kinds:
-            values[name] = np.ascontiguousarray(data[name])
+            values[name] = np.ascontiguousarray(table[name])
             if kinds[name] is float and not np.isfinite(values[name]).all():
                 return None  # the walk names the line
             continue
-        if fixed:
-            values[name] = np.ascontiguousarray(data[name])
-            blank = not _strip_cells(values[name]).all()
-        else:
-            values[name] = list(map(str.strip, data[name].tolist()))
-            blank = "" in values[name]
-        if blank:
+        values[name] = cells = _strip(_Cells(data, stops[width - 1 + j:-1:width] + 1,
+                                             stops[width + j::width].copy()))
+        if (cells.starts == cells.ends).any():
             return None  # the walk skips a blank row
     return range(2, records + 2), values
 
@@ -317,109 +313,92 @@ _SPACE_FIRST, _SPACE_LAST = np.zeros((2, 256), dtype=bool)
 _SPACE_FIRST[[c[0] for c in _SPACES]] = _SPACE_LAST[[c[-1] for c in _SPACES]] = True
 
 
-def _strip_cells(cells: np.ndarray) -> np.ndarray:
-    """Strip UTF-8 cells (an ``S`` array) in place as ``str.strip`` strips
-    their texts, and return their lengths in bytes.  Only the cells whose
-    first or last byte may belong to a whitespace character are decoded."""
-    size = np.char.str_len(cells)
-    edges = cells.view(np.uint8).reshape(cells.size, cells.itemsize)
-    touched = (_SPACE_FIRST[edges[:, 0]]
-               | _SPACE_LAST[edges[np.arange(cells.size), np.maximum(size - 1, 0)]])
-    if touched.any():
-        cells[touched] = [cell.decode().strip().encode() for cell in cells[touched].tolist()]
-        size[touched] = np.char.str_len(cells[touched])
-    return size
+def _strip(cells: _Cells) -> _Cells:
+    """``cells`` narrowed as ``str.strip`` strips their texts.  Only the
+    cells whose first or last byte may belong to a whitespace character are
+    decoded."""
+    data, starts, ends = cells
+    touched = np.flatnonzero(starts < ends)
+    touched = touched[_SPACE_FIRST[data[starts[touched]]] | _SPACE_LAST[data[ends[touched] - 1]]]
+    if touched.size:
+        starts, ends = starts.copy(), ends.copy()
+        for k, start, end in zip(touched.tolist(), starts[touched].tolist(), ends[touched].tolist()):
+            text = data[start:end].tobytes().decode()
+            starts[k] = end - len(text.lstrip().encode())
+            ends[k] = starts[k] + len(text.strip().encode())
+    return _Cells(data, starts, ends)
 
 
-def _tokens(cells, strip: bool = True) -> tuple[Any, np.ndarray]:
+def _tokens(cells: _Cells, strip: bool = True) -> tuple[_Cells, np.ndarray]:
     """(the non-blank ``;``-separated tokens of a text column, flat and
-    stripped if ``strip``; how many each cell holds).  UTF-8 cells are
-    split by array passes into an ``S`` array where ``_split_cells`` takes
-    them; str cells, or UTF-8 ones it refuses, are joined and split once
-    into a list."""
-    split = _split_cells(cells) if isinstance(cells, np.ndarray) and cells.size else None
-    if split is not None:
-        tokens, per_cell = split
-        kept = _strip_cells(tokens if strip else tokens.copy()) > 0
-        return tokens[kept], np.add.reduceat(kept, np.cumsum(per_cell) - per_cell, dtype=np.intp)
-    cells = _decode(cells)
-    tokens = ";".join(cells).split(";")
-    stripped = list(map(str.strip, tokens))
-    per_cell = np.fromiter(map(str.count, cells, itertools.repeat(";")), np.intp, len(cells)) + 1
-    kept = np.fromiter(map(bool, stripped), dtype=bool, count=len(tokens))
-    return (list(itertools.compress(stripped if strip else tokens, kept)),
-            np.add.reduceat(kept, np.cumsum(per_cell) - per_cell, dtype=np.intp))
+    stripped if ``strip``; how many each cell holds): each cell is cut at
+    the ``;`` bytes inside it."""
+    data, starts, ends = cells
+    cuts = np.flatnonzero(data == ord(";"))
+    cell = np.searchsorted(starts, cuts, side="right") - 1  # the last cell to start before
+    inside = cuts < np.append(ends, 0)[cell]  # the 0 for a cut before every cell
+    cuts, cell = cuts[inside], cell[inside]
+    owner = np.repeat(np.arange(starts.size), np.bincount(cell, minlength=starts.size) + 1)
+    tokens = _Cells(data, np.insert(starts, cell + 1, cuts + 1), np.insert(ends, cell, cuts))
+    stripped = _strip(tokens)
+    kept = stripped.starts < stripped.ends
+    _, first, last = stripped if strip else tokens
+    return (_Cells(data, first[kept], last[kept]),
+            np.bincount(owner[kept], minlength=starts.size))
 
 
-def _split_cells(cells: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(the ``;``-separated tokens of UTF-8 cells without NUL, as one ``S``
-    array as wide as the widest; how many each cell holds), or None where
-    that array would take over ``_PADDED_PER_BYTE`` bytes per byte of the
-    cells' text."""
-    closed = np.column_stack((cells.view(np.uint8).reshape(cells.size, cells.itemsize),
-                              np.full(cells.size, ord(";"), dtype=np.uint8)))
-    per_cell = np.count_nonzero(closed == ord(";"), axis=1)
-    joined = np.append(closed[closed != 0], 0)  # each cell's bytes and a closing ";", a NUL
-    ends = np.flatnonzero(joined == ord(";"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    width = max(1, int((ends - starts).max()))
-    if ends.size * width > _PADDED_PER_BYTE * joined.size:
-        return None
-    tokens = np.empty((width, ends.size), dtype=np.uint8)
-    for j, row in enumerate(tokens):  # byte j of every token, the NUL past its end
-        np.take(joined, np.where(starts + j < ends, starts + j, joined.size - 1), out=row)
-    return np.ascontiguousarray(tokens.T).view(f"S{width}").ravel(), per_cell
-
-
-def _ranks(tokens) -> np.ndarray:
+def _ranks(tokens: _Cells) -> np.ndarray:
     """``int()`` of each rank token as int64, 0 for one outside int64, which
-    no permutation holds.  UTF-8 cells of plain ASCII digits, at most 18,
-    are read by array passes."""
-    if isinstance(tokens, np.ndarray):
-        digits = tokens.view(np.uint8).reshape(tokens.size, tokens.itemsize)
-        if tokens.itemsize <= 18 and ((digits - ord("0") < 10) | (digits == 0)).all():
-            ranks = np.zeros(tokens.size, dtype=np.int64)
-            for column in digits.T:  # a NUL pads a shorter token
-                ranks = np.where(column > 0, ranks * 10 + column - ord("0"), ranks)
-            return ranks
+    no permutation holds."""
     ranks = list(map(int, _decode(tokens)))
-    try:
-        return np.array(ranks, dtype=np.int64)
-    except OverflowError:
-        return np.array([r if -2**63 <= r < 2**63 else 0 for r in ranks], dtype=np.int64)
+    return np.array([v if -2**63 <= v < 2**63 else 0 for v in ranks], dtype=np.int64)
 
 
-def _decode(cells) -> list[str]:
-    """The texts of a text column: str cells as they are, UTF-8 cells
-    without a newline in one decode."""
-    if isinstance(cells, list):
-        return cells
-    return b"\n".join(cells.tolist()).decode().split("\n") if cells.size else []
+def _decode(cells: _Cells) -> list[str]:
+    """The texts of ``cells``."""
+    data, starts, ends = cells
+    text = data.tobytes()
+    return [text[start:end].decode() for start, end in zip(starts.tolist(), ends.tolist())]
 
 
-def _factorise(cells: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """(the distinct texts of UTF-8 cells without NUL in ``sorted`` order,
-    each cell's place there); only the distinct cells are decoded.
+# Cells padded to the widest, as uint64 words, may take this many bytes per
+# byte of their buffer, about what the same text takes as str objects; ids
+# more skewed in width are sorted as str.
+_PADDED_PER_BYTE = 16
 
-    The keys are big-endian uint64 words of the NUL-padded bytes, which
-    order as the bytes do, and in UTF-8 as the code points do.  Words no
-    two cells differ in are dropped; one key sorts by ``np.argsort``, more
-    by ``np.lexsort``.
+
+def _factorise(cells: _Cells) -> Optional[tuple[list[str], np.ndarray]]:
+    """(the distinct texts of ``cells`` in ``sorted`` order, each cell's
+    place there), or None where padding the cells would take over
+    ``_PADDED_PER_BYTE`` bytes per byte of their buffer.
+
+    The keys are big-endian uint64 words of each cell's bytes, zero past
+    its end, which order as the bytes do, and in UTF-8 as the code points
+    do, and last the cell's length, which keeps apart texts that differ
+    only in trailing NULs.  Keys no two cells differ in are dropped; one
+    key sorts by ``np.argsort``, more by ``np.lexsort``.  Only the distinct
+    cells are decoded.
     """
-    words = max(1, -(-cells.itemsize // 8))
-    keys = cells.astype(f"S{8 * words}").view(">u8").reshape(cells.size, words).T
-    keys = keys.astype(np.uint64, order="C")
+    data, starts, ends = cells
+    sizes = ends - starts
+    words = max(1, -(-int(sizes.max(initial=0)) // 8))
+    if sizes.size * 8 * words > _PADDED_PER_BYTE * data.size:
+        return None
+    padded = np.zeros((8 * words, sizes.size), dtype=np.uint8)
+    for j, row in enumerate(padded):  # byte j of every cell
+        np.copyto(row, data[np.minimum(starts + j, data.size - 1)], where=j < sizes)
+    keys = np.empty((words + 1, sizes.size), dtype=np.uint64)
+    keys[:-1] = np.ascontiguousarray(padded.T).view(">u8").T
+    keys[-1] = sizes
     varying = (keys != keys[:, :1]).any(axis=1)
     keys = keys[varying] if varying.any() else keys[:1]
     order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
-    new = np.zeros(cells.size, dtype=bool)
-    new[:1] = True
-    for key in keys:
-        ranked = key[order]
-        new[1:] |= ranked[1:] != ranked[:-1]
-    codes = np.empty(cells.size, dtype=np.intp)
+    ranked = keys[:, order]
+    new = np.ones(sizes.size, dtype=bool)  # the first of each distinct text
+    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    codes = np.empty(sizes.size, dtype=np.intp)
     codes[order] = np.cumsum(new) - 1
-    return _decode(cells[order[new]]), codes
+    return _decode(_Cells(data, starts[order[new]], ends[order[new]])), codes
 
 
 def _walk_csv(path: str, text: str, columns: Sequence[str]
@@ -851,10 +830,11 @@ def _cmd_minimax(params: dict[str, Any]) -> int:
 def _read_reviews(path: str) -> ReviewTable:
     _, cols = _read_csv(path, ("submission_id", "score", "confidence"),
                         {"score": float, "confidence": int})
-    if isinstance(cols["submission_id"], list):
-        return ReviewTable(cols["submission_id"], cols["score"], cols["confidence"])
-    return ReviewTable.factorised(*_factorise(cols["submission_id"]), cols["score"],
-                                  cols["confidence"])
+    ids, scores, confidences = cols["submission_id"], cols["score"], cols["confidence"]
+    factorised = _factorise(ids)
+    if factorised is None:
+        return ReviewTable(_decode(ids), scores, confidences)
+    return ReviewTable.factorised(*factorised, scores, confidences)
 
 
 def _read_authors(path: str, reviews: ReviewTable) -> AuthorTable:

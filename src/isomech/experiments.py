@@ -27,10 +27,11 @@ reads every pairwise distance off the weight of one word of that code and
 holds no size x size or size x n array.
 
 The review evaluation works on columns from file to table: ids factorised
-once (on integer words of their UTF-8 bytes where the CLI reads a plain
-file), authors as CSR rows of codes and ranks checked by array passes,
-ties drawn in one call, and the authors of each submission count fitted
-together by the lockstep PAVA ``pava_descending_rows``.
+once (by the CLI on integer words of their UTF-8 bytes, from a plain or a
+walked file, unless their widths are too unequal to pad), authors as CSR
+rows of codes and ranks checked by array passes, ties drawn in one call,
+and the authors of each submission count fitted together by the lockstep
+PAVA ``pava_descending_rows``.
 
 Every driver is a pure function of (config, seed).  The Monte-Carlo
 drivers run on the core in ``mechanism`` that the truthfulness sweep also

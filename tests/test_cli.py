@@ -934,6 +934,51 @@ def test_malformed_csv_names_file_and_line(workdir, capsys, argv, name, text, me
     assert not (workdir / "out.csv").exists()
 
 
+# Files with no blank row, read as plain, whose lines hold a wrong number
+# of fields: one extra mid-file, one missing on the last line (with and
+# without its newline), and both, whose totals cancel.
+FIELD_COUNT_FILES = {
+    "scores.csv": FIT_RANKING, "ranking.csv": FIT_RANKING, "blocks.csv": FIT_BLOCKS,
+    "pool.csv": SYNTHETIC, "reviews.csv": ICML, "authors.csv": ICML,
+}
+LONGER_AUTHORS = "author_id,submission_ids,ranking\nalice,a;b,1;2\nbob,b;a,1;2\ncarol,a,1\n"
+
+
+def _field_count_cases():
+    for name, argv in FIELD_COUNT_FILES.items():
+        lines = (LONGER_AUTHORS if name == "authors.csv" else VALID_INPUTS[name]).splitlines()
+        width, last = lines[0].count(",") + 1, len(lines)
+        extra = lines[:2] + [lines[2] + ",9"] + lines[3:]
+        yield argv, name, "\n".join(extra) + "\n", f"line 3: expected {width} fields, got {width + 1}"
+        if width == 1:
+            continue  # a line without its one field is blank, and skipped
+        short = lines[-1].rsplit(",", 1)[0]
+        for end in ("\n", ""):
+            yield (argv, name, "\n".join(lines[:-1] + [short]) + end,
+                   f"line {last}: expected {width} fields, got {width - 1}")
+        yield (argv, name, "\n".join(extra[:-1] + [short]) + "\n",
+               f"line 3: expected {width} fields, got {width + 1}")
+
+
+@pytest.mark.parametrize("argv, name, text, message", list(_field_count_cases()))
+def test_wrong_field_counts_in_plain_files_are_named(workdir, capsys, argv, name, text, message):
+    for path, content in {**VALID_INPUTS, "authors.csv": LONGER_AUTHORS, name: text}.items():
+        write(workdir / path, content)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {name} {message}\n"
+    assert not (workdir / "out.csv").exists()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("name", ["reviews.csv", "authors.csv"])
+def test_icml_takes_a_header_only_file(workdir, capsys, name, newline):
+    for path, content in VALID_INPUTS.items():
+        write(workdir / path, content)
+    write(workdir / name, VALID_INPUTS[name].splitlines()[0] + newline)
+    assert main(ICML) == 0
+    assert (workdir / "out.csv").read_text() == "n,authors,mse_raw,mse_im,improvement\n"
+
+
 @pytest.mark.parametrize("argv, name, text, message", [
     (FIT_RANKING, "scores.csv", "index,score\n1,2\n2,nan\n3,1\n",
      "scores.csv line 3: score must be a finite number, got 'nan'"),

@@ -1,13 +1,15 @@
 """CSV reading and writing of the CLI.
 
-A plain file is parsed by one ``np.loadtxt`` call and any other file by the
-csv walk; both must give the same values.  Every table is spelled a column
-at a time and joined in one pass, which must write the bytes of the former
-row-by-row writer (``helpers.reference_csv_table``), also for float arrays
-that format each distinct value once.
+A plain file is parsed by array passes over its bytes, its numeric columns
+by one ``np.loadtxt`` call, and any other file by the csv walk; both must
+give the same values.  Every table is spelled a column at a time and joined
+in one pass, which must write the bytes of the former row-by-row writer
+(``helpers.reference_csv_table``), also for float arrays that format each
+distinct value once.
 """
 
 import json
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from helpers import AuthorRecord, reference_csv_table, reference_surrogate_eval
+from helpers import AuthorRecord, reference_csv_table, reference_surrogate_eval, traced_peak
 from isomech import CoarseRanking, ValidationError, cli
 from isomech.cli import main
 from isomech.experiments import ReviewTable
@@ -42,6 +44,20 @@ def loadtxt_calls(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", counting)
+    return calls
+
+
+@pytest.fixture
+def walk_calls(monkeypatch):
+    """The number of csv walks made so far, in a one-element list."""
+    calls = [0]
+    real = cli._walk_csv
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_walk_csv", counting)
     return calls
 
 
@@ -214,12 +230,14 @@ def _same(a, b):
 
 @pytest.mark.parametrize("reader", ["scores", "ranking", "blocks", "pool", "reviews", "authors"])
 @pytest.mark.parametrize("walked", ["crlf", "quoted", "suffix"])
-def test_plain_and_walked_files_read_the_same(workdir, loadtxt_calls, reader, walked):
+def test_plain_and_walked_files_read_the_same(workdir, loadtxt_calls, walk_calls, reader,
+                                              walked):
     header, rows, read = _rows(np.random.default_rng(17))[reader]
     lines = [",".join(header)] + [",".join(row) for row in rows]
     write(workdir / "plain.csv", "\n".join(lines) + "\n")
     plain = read("plain.csv")
-    assert loadtxt_calls == [1]
+    # one loadtxt call for the numeric columns; the authors file has none
+    assert loadtxt_calls == [int(reader != "authors")] and walk_calls == [0]
     if walked == "crlf":
         name, text = "walked.csv", "\r\n".join(lines) + "\r\n"
     elif walked == "quoted":  # every cell of the first row quoted
@@ -229,7 +247,7 @@ def test_plain_and_walked_files_read_the_same(workdir, loadtxt_calls, reader, wa
         name, text = "walked.csv.gz", "\n".join(lines) + "\n"
     write(workdir / name, text)
     assert _same(read(name), plain)
-    assert loadtxt_calls == [1]
+    assert walk_calls == [1] and loadtxt_calls == [int(reader != "authors")]
 
 
 def test_repeated_review_ids_share_one_string(workdir):
@@ -430,17 +448,19 @@ def review_files(draw):
 @given(review_files(), st.sampled_from(["\n", "\r\n"]), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_review_and_author_files_match_the_reference(workdir, files, newline, seed):
+def test_review_and_author_files_match_the_reference(workdir, walk_calls, files, newline,
+                                                       seed):
     reviews, authors = files
     text = newline.join(["submission_id,score,confidence"] + [",".join(r) for r in reviews])
     write(workdir / "reviews.csv", text + newline)
     write(workdir / "authors.csv", newline.join(
         ["author_id,submission_ids,ranking"] + [",".join(row) for row in authors]) + newline)
-    # a file with a carriage return is walked; loadtxt reads any other, its
-    # text as str if it holds a NUL
-    _, cols = cli._read_csv("reviews.csv", ("submission_id", "score", "confidence"),
-                            {"score": float, "confidence": int})
-    assert isinstance(cols["submission_id"], np.ndarray) == (newline == "\n" and "\0" not in text)
+    # a file with a carriage return is walked; any other is read as plain,
+    # one that holds a NUL too
+    walk_calls[0] = 0
+    cli._read_csv("reviews.csv", ("submission_id", "score", "confidence"),
+                  {"score": float, "confidence": int})
+    assert walk_calls == [int(newline == "\r\n")]
     table = cli._read_reviews("reviews.csv")
     assert table.submission_ids == tuple(row[0].strip() for row in reviews)
     assert table.ids == sorted(set(table.submission_ids))
@@ -468,31 +488,31 @@ def test_the_stripped_characters_are_those_str_isspace_names():
     assert len(cli._SPACES) == len(spaces)
 
 
-def test_text_too_unequal_in_width_is_read_as_str(workdir, loadtxt_calls):
+def test_text_too_unequal_in_width_is_read_as_str(workdir, walk_calls):
     # one id of 3,000 bytes among 200 short rows: padding every cell to it
-    # would take over _PADDED_PER_BYTE bytes per byte of the file, so
-    # loadtxt reads the ids as str
+    # would take over _PADDED_PER_BYTE bytes per byte of the file, so the
+    # plain file's ids are not factorised on words but sorted as str
     long_id = "s" * 3000
     write(workdir / "reviews.csv", "submission_id,score,confidence\n"
           + "".join(f"s{k % 60},{k % 9 + 1},{k % 3 + 1}\n" for k in range(200))
           + f"{long_id},3,2\n{long_id},4,1\n")
     _, cols = cli._read_csv("reviews.csv", ("submission_id", "score", "confidence"),
                             {"score": float, "confidence": int})
-    assert loadtxt_calls == [1] and isinstance(cols["submission_id"], list)
+    assert walk_calls == [0] and cli._factorise(cols["submission_id"]) is None
     table = cli._read_reviews("reviews.csv")
     assert table.ids == sorted({f"s{k}" for k in range(60)} | {long_id})
-    assert table.submission_ids == tuple(cols["submission_id"])
+    assert table.submission_ids == tuple(cli._decode(cols["submission_id"]))
     # lines of equal width, but one cell holds a single token as wide as the
-    # 60 tokens of any other: the file is read by loadtxt, the tokens as str
+    # 60 tokens of any other: the file is read as plain, the wide token whole
     wide = "w" * len(";".join(f"s{k}" for k in range(60)))
     rows = [f"a{j},{';'.join(f's{(j + k) % 60}' for k in range(60))},"
             f"{';'.join(str(k + 1) for k in range(60))}" for j in range(20)]
     write(workdir / "authors.csv", "author_id,submission_ids,ranking\n"
           + "\n".join(rows + [f"b,{wide},1"]) + "\n")
     _, cols = cli._read_csv("authors.csv", ("author_id", "submission_ids", "ranking"))
-    assert isinstance(cols["submission_ids"], np.ndarray)
+    assert walk_calls == [0]
     tokens, sizes = cli._tokens(cols["submission_ids"])
-    assert isinstance(tokens, list) and tokens[-1] == wide and sizes.tolist() == [60] * 20 + [1]
+    assert cli._decode(tokens)[-1] == wide and sizes.tolist() == [60] * 20 + [1]
     authors = cli._read_authors("authors.csv", table)
     records = [AuthorRecord(f"a{j}", tuple(f"s{(j + k) % 60}" for k in range(60)),
                             tuple(range(1, 61))) for j in range(20)]
@@ -501,13 +521,55 @@ def test_text_too_unequal_in_width_is_read_as_str(workdir, loadtxt_calls):
     assert got == reference_surrogate_eval(table, records, seed=3)
 
 
-@given(st.lists(st.text(st.characters(blacklist_characters="\x00\n",
-                                      blacklist_categories=["Cs"]), min_size=1), min_size=1))
+def _review_files(review_id, token, rank):
+    """(reviews, authors) texts: four reviews of each of 2,500 short ids and
+    three of ``review_id``; 1,000 authors of two short ids, and one each
+    that lists ``review_id``, lists ``token`` and ranks by ``rank``."""
+    rng = np.random.default_rng(8)
+    ids = [f"s{k:04d}" for k in range(2500)]
+    reviews = [f"{sid},{rng.integers(1, 11)},{rng.integers(1, 6)}\n" for sid in ids * 4]
+    reviews += [f"{review_id},{score},2\n" for score in (3, 7, 5)]
+    authors = [f"a{k},{ids[2 * k]};{ids[2 * k + 1]},{1 + k % 2};{2 - k % 2}\n" for k in range(1000)]
+    authors += [f"b,{ids[0]};{review_id},2;1\n", f"c,{ids[1]};{token},1;2\n",
+                f"d,{ids[2]};{ids[3]},{rank};1\n"]
+    return ("submission_id,score,confidence\n" + "".join(reviews),
+            "author_id,submission_ids,ranking\n" + "".join(authors))
+
+
+# a cell far wider than the others, under csv's field size limit: a review
+# id and a submission token of 100 KB, and a rank of 4,000 digits, beyond
+# int64 but within int()'s digit limit (a malformed ranking)
+SHORT_CELLS = {"review_id": "ss", "token": "tt", "rank": "9" * 20}
+
+
+@pytest.mark.parametrize("wide", [{"review_id": "s" * 100_000}, {"token": "t" * 100_000},
+                                  {"rank": "9" * 4000}], ids=list(SHORT_CELLS))
+def test_wide_cells_are_read_in_bounded_memory(workdir, wide):
+    # the wide cell sorts where its short stand-in does, so the two runs
+    # write the same table
+    written = []
+    for cells in (SHORT_CELLS, {**SHORT_CELLS, **wide}):
+        reviews, authors = _review_files(**cells)
+        write(workdir / "reviews.csv", reviews)
+        write(workdir / "authors.csv", authors)
+        code, peak = traced_peak(main, ["icml", "reviews.csv", "authors.csv", "--seed", "3",
+                                        "--out", "out.csv"])
+        assert code == 0 and peak < 32 * 2**20
+        sidecar = (workdir / "out.csv.meta.json").read_text()
+        written.append(((workdir / "out.csv").read_bytes(),
+                        sidecar.replace(*wide.values(), SHORT_CELLS[next(iter(wide))])))
+    assert written[0] == written[1]
+    assert json.loads(written[0][1])["params"]["skipped_authors"]["malformed_ranking"] >= 1
+
+
+@given(st.lists(st.text(st.characters(blacklist_categories=["Cs"]), min_size=1), min_size=1))
 def test_factorise_orders_cells_as_sorted_does(texts):
-    # UTF-8 cells, ids past 8 bytes and ids equal in their first 8 among
-    # them, factorised on integer words give the order str sorts in
+    # UTF-8 cells, ids past 8 bytes, ids equal in their first 8 and ids
+    # with NULs among them, factorised on integer words give the order str
+    # sorts in
     texts += [t + "x" * 9 for t in texts[:2]] + [t + "x" * 9 + "y" for t in texts[:2]]
-    ids, codes = cli._factorise(np.array([t.encode() for t in texts], dtype="S"))
+    with mock.patch.object(cli, "_PADDED_PER_BYTE", 2**40):  # no width refused
+        ids, codes = cli._factorise(cli._Cells.of(texts))
     assert ids == sorted(set(texts))
     assert [ids[c] for c in codes.tolist()] == texts
 

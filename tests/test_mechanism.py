@@ -29,6 +29,7 @@ from helpers import (
     binomial_pmf,
     brute_force_project_descending,
     chi_square_p,
+    projection_certificate,
     reference_sweep,
     sampled_rows,
     sum_pmf,
@@ -264,6 +265,24 @@ def test_table_fits_match_projection_and_oracle(n):
         assert np.all(np.abs(got - batch).max(axis=1) <= tol), ranking.perm
         oracle = np.stack([brute_force_project_descending(row) for row in claimed])
         assert np.all(np.abs(got - oracle).max(axis=1) <= tol), ranking.perm
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_every_sweep_fit_passes_the_projection_certificate(n):
+    # 257 trials, most with ties; the k-th fit is that of the ranking read
+    # back to front from the k-th permutations tuple, certified against the
+    # chunk's scores in that ranking's claimed order
+    rng = np.random.default_rng(700 + n)
+    rows = np.concatenate([
+        rng.integers(12, 19, size=(192, n)) / 3.0,  # means of three reviews
+        rng.normal(5.0, 2.0, size=(64, n)),
+        np.full((1, n), 4.0),
+    ])
+    table = _subset_means(rows, np.empty((1 << n, len(rows))))
+    perms = itertools.permutations(range(1, n + 1))
+    for perm, fit in zip(perms, _sweep_fits(table), strict=True):
+        claimed = rows[:, Ranking(perm[::-1]).as_indices()]
+        assert projection_certificate(claimed, fit.T).all(), perm
 
 
 @pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 3 * 4096 + 7])
